@@ -2,11 +2,17 @@
 projection collisions, isotropic-triple search, and the sphere
 spread/distance equivalence check.
 
-Triple and pair sweeps run on dense field lookup tables (one code path for
-prime and extension fields).  Sweeps are partitioned into per-apex chunks
-merged associatively, so results never depend on the worker count; a scalar
-reference kernel backs fields too large for tables and doubles as the test
-oracle for the vectorized path.
+The spread, line and occurrence censuses share one kernel.  The spread is
+scale-invariant in each arm, so at a fixed apex it depends only on the
+projective classes of the two arms: the kernel scales every arm so its
+first nonzero coordinate is 1 and collapses the n-1 arms onto their k <=
+min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  Spreads are then
+evaluated on the k x k class Gram matrix, and the classes at an apex are
+exactly the spanned lines through it.  Apexes are canonicalized in blocks,
+so temporaries stay O(block * n * d).  Arithmetic runs on dense field
+lookup tables (one code path for prime and extension fields), or on scalar
+field operations above the table cap.  Sweeps split the apexes into ranges
+merged associatively, so results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ def distinct_spreads(
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n**3 > budget:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
-    seen, undef = _sweep(ps, workers, _apex_spread_chunk, gamma=None)
+    seen, undef = _sweep(ps, workers, gamma=None)
     values = tuple(int(v) for v in np.nonzero(seen)[0])
     return SpreadCensus(
         defined_values=values,
@@ -111,19 +117,17 @@ def spread_occurrences(
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n**3 > budget:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
-    count, _ = _sweep(ps, workers, _apex_spread_chunk, gamma=gamma)
+    count, _ = _sweep(ps, workers, gamma)
     return count
 
 
-def _sweep(ps: PointSet, workers: int, chunk_fn, **kw):
-    q = ps.field.q
-    use_tables = q <= ff.TABLE_CAP
+def _sweep(ps: PointSet, workers: int, gamma: Optional[int]):
     apexes = range(len(ps))
     if workers <= 1:
-        return chunk_fn(ps, apexes, use_tables, **kw)
+        return _spread_chunk(ps, apexes, gamma)
     chunks = _split(apexes, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: chunk_fn(ps, c, use_tables, **kw), chunks))
+        parts = list(pool.map(lambda c: _spread_chunk(ps, c, gamma), chunks))
     acc, extra = parts[0]
     for a, e in parts[1:]:
         acc = acc | a if isinstance(acc, np.ndarray) else acc + a
@@ -138,71 +142,132 @@ def _split(rng: range, k: int) -> list[range]:
     return [rng[i : i + step] for i in range(0, n, step)]
 
 
-def _apex_spread_chunk(ps: PointSet, apexes, use_tables: bool, gamma: Optional[int]):
-    """One apex range of the triple sweep.
+def _spread_chunk(ps: PointSet, apexes: range, gamma: Optional[int]):
+    """One apex range of the triple sweep, read off the arm classes.
 
     Returns (seen-values bool array, undefined count) when gamma is None,
     else (occurrence count, 0).
     """
+    n = len(ps)
+    seen = np.zeros(ps.field.q + 1, dtype=bool)  # the last slot collects -1
+    count = 0
+    undef = 0
+    for mult, val in _apex_classes(ps, apexes, spreads=True):
+        nonisotropic = val.diagonal() >= 0
+        # Two arms of one non-isotropic class: a collinear triple, spread 0.
+        collinear = int((mult * (mult - 1))[nonisotropic].sum())
+        np.fill_diagonal(val, -1)
+        if gamma is None:
+            seen[val] = True
+            seen[0] |= collinear > 0
+            m = int(mult[nonisotropic].sum())
+            undef += (n - 1) * (n - 2) - m * (m - 1)
+        else:
+            hits = (val == gamma) & (val >= 0)
+            count += int(mult @ hits @ mult) + (collinear if gamma == 0 else 0)
+    return (count, 0) if gamma is not None else (seen[:-1], undef)
+
+
+# Apexes per block are chosen so block * n * d stays near this many cells.
+_BLOCK_CELLS = 1 << 16
+
+
+def _apex_classes(ps: PointSet, apexes: range, spreads: bool):
+    """Per apex a in `apexes`, collapse the n-1 arms b - a onto their k
+    projective classes (first nonzero coordinate scaled to 1).
+
+    Yields (mult, val) per apex in order: mult[c] is the number of arms in
+    class c, and val is the k x k int matrix of spreads between class
+    representatives, -1 where undefined (an isotropic class), or None when
+    `spreads` is false.  The spread is scale-invariant, so val[c, c'] is the
+    spread of every arm pair drawn from classes c and c'; val[c, c] is 0 for
+    a non-isotropic class.
+    """
     fd = ps.field
-    if not use_tables:
-        return _apex_spread_chunk_scalar(ps, apexes, gamma)
+    if fd.q > ff.TABLE_CAP:
+        origin = (0,) * ps.dim
+        for ia in apexes:
+            apex = ps.points[ia]
+            classes: dict[Vec, int] = {}
+            for ib, b in enumerate(ps.points):
+                if ib != ia:
+                    arm = geom.vsub(fd, b, apex)
+                    u = geom.vscale(fd, fd.inv(next(x for x in arm if x)), arm)
+                    classes[u] = classes.get(u, 0) + 1
+            mult = np.fromiter(classes.values(), dtype=np.int64, count=len(classes))
+            val = None
+            if spreads:
+                val = np.array(
+                    [[_or_undefined(geom.spread(fd, origin, u, v)) for v in classes] for u in classes],
+                    dtype=np.int64,
+                )
+            yield mult, val
+        return
     tb = fd.tables()
     pts = ps.as_array()
-    n = len(ps)
-    seen = np.zeros(fd.q, dtype=bool)
-    count = 0
-    undef = 0
-    offdiag = ~np.eye(n - 1, dtype=bool)
-    for ia in apexes:
-        diff = np.delete(tb.sub[pts, pts[ia]], ia, axis=0)  # (n-1, d)
-        nrm = np.zeros(n - 1, dtype=np.int32)
-        gram = np.zeros((n - 1, n - 1), dtype=np.int32)
-        for c in range(ps.dim):
-            col = diff[:, c]
-            nrm = tb.add[nrm, tb.mul[col, col]]
-            gram = tb.add[gram, tb.mul[col[:, None], col[None, :]]]
-        den = tb.mul[nrm[:, None], nrm[None, :]]
-        defined = offdiag & (den != 0)
-        undef += int(offdiag.sum() - defined.sum())
-        val = tb.sub[1, tb.mul[tb.mul[gram, gram], tb.inv[den]]]
-        if gamma is None:
-            seen[np.unique(val[defined])] = True
-        else:
-            count += int(((val == gamma) & defined).sum())
-    return (count, 0) if gamma is not None else (seen, undef)
+    n, d = pts.shape
+    step = max(1, _BLOCK_CELLS // (n * d))
+    for lo in range(0, len(apexes), step):
+        block = np.asarray(apexes[lo : lo + step])
+        arms = tb.sub[pts[None, :, :], pts[block, None, :]]  # (B, n, d)
+        lead = np.take_along_axis(arms, (arms != 0).argmax(axis=2)[..., None], axis=2)
+        canon = tb.mul[tb.inv[lead], arms]  # the zero arm b = a stays zero
+        order, code = _sorted_codes(canon, fd.q)
+        for r in range(len(block)):
+            # The apex's own zero arm has the least code and sorts first.
+            starts = np.flatnonzero(code[r, 1:] != code[r, :-1]) + 1
+            mult = np.diff(starts, append=n)
+            val = None
+            if spreads:
+                val = _class_spread_matrix(tb, canon[r, order[r, starts]])
+            yield mult, val
 
 
-def _apex_spread_chunk_scalar(ps: PointSet, apexes, gamma: Optional[int]):
-    """Pure scalar reference sweep; exercised as the oracle in tests and used
-    for fields beyond the table cap."""
-    fd = ps.field
-    pts = ps.points
-    seen = np.zeros(fd.q, dtype=bool)
-    count = 0
-    undef = 0
-    for ia in apexes:
-        a = pts[ia]
-        others = [p for i, p in enumerate(pts) if i != ia]
-        arms = [geom.vsub(fd, p, a) for p in others]
-        norms = [geom.norm(fd, v) for v in arms]
-        for i, u in enumerate(arms):
-            if norms[i] == 0:
-                undef += len(arms) - 1
-                continue
-            for j, v in enumerate(arms):
-                if i == j:
-                    continue
-                if norms[j] == 0:
-                    undef += 1
-                    continue
-                duv = geom.dot(fd, u, v)
-                s = fd.sub(1, fd.div(fd.mul(duv, duv), fd.mul(norms[i], norms[j])))
-                if gamma is None:
-                    seen[s] = True
-                elif s == gamma:
-                    count += 1
-    return (count, 0) if gamma is not None else (seen, undef)
+def _or_undefined(s: Optional[int]) -> int:
+    return -1 if s is None else s
+
+
+def _sorted_codes(canon: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of the canonical arms, sorted within each apex row.
+
+    A code is the base-q reading of the vector; when the next digit could
+    overflow int64 the codes are first replaced by their ranks, which keeps
+    the order and the equality of codes.  Returns (argsort, sorted codes).
+    """
+    code = np.zeros(canon.shape[:2], dtype=np.int64)
+    span = 1
+    for c in range(canon.shape[2]):
+        if span * q >= 1 << 62:
+            ranks = np.unique(code, return_inverse=True)[1]
+            code = ranks.reshape(code.shape).astype(np.int64)
+            span = code.size
+        code = code * q + canon[:, :, c]
+        span *= q
+    order = np.argsort(code, axis=1)
+    return order, np.take_along_axis(code, order, axis=1)
+
+
+def _class_spread_matrix(tb: ff.OpTables, reps: np.ndarray) -> np.ndarray:
+    """Spreads between the rows of reps (k, d), -1 where either norm is 0.
+
+    Lookups indexed by two k x k arrays go through the flattened table,
+    which numpy gathers about twice as fast.
+    """
+    q = tb.q
+    add, mul = tb.add.ravel(), tb.mul.ravel()
+    cols = reps.T
+    gram = tb.mul[cols[0][:, None], cols[0][None, :]]
+    for col in cols[1:]:
+        gram = add[gram * q + tb.mul[col[:, None], col[None, :]]]
+    nrm = gram.diagonal()
+    inv_nrm = tb.inv[nrm]
+    # 1 - g^2 / (|u||v|) as 1 - g^2 * |u|^-1 * |v|^-1
+    scale = tb.mul[inv_nrm[:, None], inv_nrm[None, :]]
+    val = tb.sub[1][mul[tb.mul.diagonal()[gram] * q + scale]]
+    isotropic = nrm == 0
+    val[isotropic, :] = -1
+    val[:, isotropic] = -1
+    return val
 
 
 # -- distances ---------------------------------------------------------------
@@ -240,23 +305,29 @@ def distinct_distances(ps: PointSet) -> DistanceCensus:
 
 def spanned_lines(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> LineCensus:
     """Distinct affine lines spanned by pairs of points, plus the largest
-    number of spanned lines through any single point of the set."""
+    number of spanned lines through any single point of the set.
+
+    The spanned lines through an apex are its arm classes, so max_degree is
+    the most classes at any apex.  A line holding m points appears as m
+    (apex, class) pairs, each class holding m - 1 arms; with N_c the number
+    of pairs whose class holds c arms, there are sum_c N_c / (c + 1) lines.
+    """
     n = len(ps)
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     if n * n > budget:
         raise BudgetExceeded(f"n^2 = {n * n} exceeds budget {budget}")
-    fd = ps.field
-    lines: set[geom.CanonLine] = set()
-    degree: list[set[geom.CanonLine]] = [set() for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        ln = geom.line_through(fd, ps.points[i], ps.points[j])
-        lines.add(ln)
-        degree[i].add(ln)
-        degree[j].add(ln)
+    pair_counts = np.zeros(n, dtype=np.int64)  # N_c, indexed by c
+    max_degree = 0
+    for mult, _ in _apex_classes(ps, range(n), spreads=False):
+        pair_counts += np.bincount(mult, minlength=n)
+        max_degree = max(max_degree, len(mult))
+    points_per_line = np.arange(1, n + 1)
+    if (pair_counts % points_per_line).any():
+        raise InternalError("arm-class counts do not partition into lines")
     return LineCensus(
-        lines=len(lines),
-        max_degree=max(len(s) for s in degree),
+        lines=int((pair_counts // points_per_line).sum()),
+        max_degree=max_degree,
         pairs_scanned=n * (n - 1) // 2,
     )
 

@@ -33,6 +33,20 @@ def _env_int(name: str, fallback: int) -> int:
         return fallback
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _parse_point(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -121,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p_expt, field=False)
     p_expt.add_argument("--field", help='field spec "p^r"; required except for `all`')
     p_expt.add_argument("--d", type=int, default=2)
-    p_expt.add_argument("--epsilon", default="1", help="rational, e.g. 1, 1/2, 0.5")
-    p_expt.add_argument("--C", default="2", help="rational sphere-subset constant")
+    p_expt.add_argument("--epsilon", type=_rational, default="1", help="rational, e.g. 1, 1/2, 0.5")
+    p_expt.add_argument("--C", type=_rational, default="2", help="rational sphere-subset constant")
     p_expt.add_argument("--k", type=int, default=2, help="projection target dimension")
     p_expt.add_argument("--n-points", type=int, default=25)
-    p_expt.add_argument("--trials", type=int, default=100)
+    p_expt.add_argument("--trials", type=_positive_int, default=100)
     p_expt.add_argument("--adversarial", action="store_true")
     p_expt.add_argument("--full-plane", action="store_true")
     p_expt.add_argument("--workers", type=int, default=1)
@@ -183,6 +197,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.format == "csv" and args.kind in ("lines", "occurrences"):
+        raise FormatError(f"`census {args.kind}` has no value list; use --format json")
     ps = PointSet.load(args.points)
     started = time.monotonic()
     body: dict = {
@@ -282,23 +298,21 @@ def _cmd_experiment(args) -> int:
         print("usage error: --field is required for this experiment", file=sys.stderr)
         return 2
     fd = ff.parse_field(args.field)
-    eps = Fraction(args.epsilon)
-    c = Fraction(args.C)
     if kind == "bode":
         rep = expt.run_bode(fd, args.trials, args.seed, full_plane=args.full_plane, workers=args.workers)
     elif kind == "threshold":
         rep = expt.run_threshold(
-            fd, args.d, eps, args.trials, args.seed,
+            fd, args.d, args.epsilon, args.trials, args.seed,
             adversarial=args.adversarial, workers=args.workers,
         )
     elif kind == "beck":
-        rep = expt.run_beck(fd, args.d, eps, args.trials, args.seed)
+        rep = expt.run_beck(fd, args.d, args.epsilon, args.trials, args.seed)
     elif kind == "projection":
         rep = expt.run_projection(fd, args.d, args.k, args.n_points, args.trials, args.seed)
     elif kind == "constructions":
         rep = expt.run_constructions(fd, args.d, workers=args.workers)
     elif kind == "sphere-distance":
-        rep = expt.run_sphere_distance(fd, args.d, c, args.trials, args.seed)
+        rep = expt.run_sphere_distance(fd, args.d, args.C, args.trials, args.seed)
     else:
         rep = expt.run_sphere_equiv(fd, args.d, budget=args.budget)
     if args.format == "csv":

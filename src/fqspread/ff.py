@@ -207,6 +207,8 @@ def field_for_order(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
     """The field of order q = p^r (p recovered as the smallest prime factor)."""
     if q < 3:
         raise NotPrime(f"no odd field of order {q}")
+    if q > size_cap:  # before the trial division, which is O(q)
+        raise SizeExceeded(f"q = {q} exceeds the size cap {size_cap}")
     p = 2
     while q % p:
         p += 1

@@ -28,6 +28,19 @@ def naive_occurrences(ps, gamma):
     )
 
 
+def naive_spanned_lines(ps):
+    """(number of lines spanned by pairs, most spanned lines through one
+    point), from a set of canonical lines."""
+    lines = set()
+    through = [set() for _ in ps.points]
+    for (i, a), (j, b) in itertools.combinations(enumerate(ps.points), 2):
+        ln = geom.line_through(ps.field, a, b)
+        lines.add(ln)
+        through[i].add(ln)
+        through[j].add(ln)
+    return len(lines), max(len(s) for s in through)
+
+
 def naive_plane_spread_values(fd):
     """Every defined spread value of the whole plane F_q^2.
 

@@ -2,9 +2,14 @@ import itertools
 import random
 
 import pytest
-from conftest import naive_distances, naive_occurrences, naive_spread_census
+from conftest import (
+    naive_distances,
+    naive_occurrences,
+    naive_spanned_lines,
+    naive_spread_census,
+)
 
-from fqspread import census, construct, errors, geom
+from fqspread import census, construct, errors, ff, geom
 from fqspread.census import (
     collision_count,
     distinct_distances,
@@ -53,12 +58,57 @@ def test_distinct_spreads_matches_naive_oracle():
         assert cen.defined_count == len(values) <= ps.field.q
 
 
-def test_scalar_kernel_agrees_with_table_kernel():
+def assert_censuses_match_oracles(ps, gammas):
+    cen = distinct_spreads(ps)
+    values, undefined, scanned = naive_spread_census(ps)
+    assert list(cen.defined_values) == values
+    assert cen.undefined_triples == undefined
+    assert cen.triples_scanned == scanned
+    for gamma in gammas:
+        assert spread_occurrences(ps, gamma) == naive_occurrences(ps, gamma)
+    lines = spanned_lines(ps)
+    assert (lines.lines, lines.max_degree) == naive_spanned_lines(ps)
+
+
+def test_scalar_kernel_agrees_with_table_kernel(monkeypatch):
+    # A table cap of 0 sends the same inputs through the scalar branch of
+    # the class kernel.
     for ps in (random_pointset(F5, 2, 10, 4), random_pointset(F9, 2, 8, 5)):
-        seen_t, undef_t = census._apex_spread_chunk(ps, range(len(ps)), True, gamma=None)
-        seen_s, undef_s = census._apex_spread_chunk_scalar(ps, range(len(ps)), gamma=None)
-        assert (seen_t == seen_s).all()
-        assert undef_t == undef_s
+        for cap in (ff.TABLE_CAP, 0):
+            monkeypatch.setattr(ff, "TABLE_CAP", cap)
+            assert_censuses_match_oracles(ps, gammas=(0, 1, 2))
+
+
+def random_points(fd, d, n, seed):
+    """n distinct random points of F_q^d, without enumerating the space."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randrange(fd.q) for _ in range(d)))
+    return PointSet(fd, d, sorted(pts))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["prime", "ext-9", "con1", "con2", "sphere", "above-cap", "wide-codes", "one-apex-blocks"],
+)
+def test_class_kernel_matches_naive_oracles(name, monkeypatch):
+    if name == "one-apex-blocks":
+        monkeypatch.setattr(census, "_BLOCK_CELLS", 1)
+    make = {
+        "prime": lambda: random_pointset(F7, 2, 20, 21),
+        "ext-9": lambda: random_pointset(F9, 2, 18, 22),
+        "con1": lambda: construct.con1_set(F5, 2),
+        "con2": lambda: construct.con2_set(F5, 3),
+        "sphere": lambda: geom.sphere_points(F5, 3, 0),
+        "above-cap": lambda: random_points(Field(2053), 2, 9, 23),
+        # 5^60 > 2^124: arm codes are re-ranked, twice, before they
+        # overflow int64
+        "wide-codes": lambda: random_points(F5, 60, 10, 24),
+        "one-apex-blocks": lambda: random_pointset(F5, 3, 25, 25),
+    }
+    ps = make[name]()
+    assert_censuses_match_oracles(ps, gammas=(0, 1, 3))
 
 
 def test_distinct_spreads_worker_count_invariance():

@@ -124,6 +124,27 @@ def test_census_occurrences(tmp_path, capsys):
     assert json.loads(out)["occurrences"] == 6
 
 
+@pytest.mark.parametrize("kind", ["lines", "occurrences"])
+def test_census_csv_without_value_list_rejected(tmp_path, capsys, kind):
+    path = tmp_path / "p.txt"
+    PointSet(Field(5), 2, [(0, 0), (1, 0), (2, 0)]).save(path)
+    code, out, err = run_cli(
+        capsys, "census", kind, "--points", str(path), "--gamma", "0", "--format", "csv"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "FormatError"
+
+
+def test_census_point_file_over_size_cap(tmp_path, capsys):
+    # a prime order far above the cap: rejected before any O(q) factoring
+    path = tmp_path / "big.txt"
+    path.write_text("q=1000000007 d=2\n0,0\n1,0\n2,0\n")
+    code, _, err = run_cli(capsys, "census", "spreads", "--points", str(path))
+    assert code == 1
+    assert err.splitlines()[0] == "SizeExceeded"
+
+
 def test_census_duplicate_points_rejected(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("q=5 d=2\n0,0\n0,0\n")
@@ -281,3 +302,22 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["census", "nonsense", "--points", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["bode", "projection"])
+def test_experiment_trials_below_one_is_usage_error(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", kind, "--field", "5^1", "--d", "4", "--trials", "0"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [("threshold", "--epsilon", "abc"), ("beck", "--epsilon", "1/0"), ("sphere-distance", "--C", "abc")],
+)
+def test_experiment_non_rational_constant_is_usage_error(capsys, kind, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", kind, "--field", "5^1", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
