@@ -9,15 +9,16 @@ first nonzero coordinate is 1 and collapses the n-1 arms onto their k <=
 min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  Spreads are then
 evaluated on the k x k class Gram matrix, and the classes at an apex are
 exactly the spanned lines through it.  Apexes are canonicalized in blocks,
-so temporaries stay O(block * n * d).  Arithmetic runs on dense field
-lookup tables (one code path for prime and extension fields), or on scalar
-field operations above the table cap.  Sweeps split the apexes into ranges
-merged associatively, so results never depend on the worker count.
+so temporaries stay O(block * n * d).  Every kernel runs one code path for
+all fields: coordinates become discrete logs (``Field.log``) and all
+arithmetic gathers from the field's O(q) log arrays; the spread
+1 - g^2 / (|u||v|) of the class Gram matrix is one gather.  Sweeps split
+the apexes into ranges merged associatively, so results never depend on
+the worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from . import ff, geom
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    FormatError,
     InternalError,
     TooFewPoints,
 )
@@ -112,6 +114,8 @@ def spread_occurrences(
     ps: PointSet, gamma: int, budget: int = DEFAULT_TRIPLE_BUDGET, workers: int = 1
 ) -> int:
     """Number of ordered triples of distinct points whose spread is gamma."""
+    if not 0 <= gamma < ps.field.q:
+        raise FormatError(f"gamma = {gamma} is not an element index of F_{ps.field.q}")
     n = len(ps)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
@@ -184,87 +188,58 @@ def _apex_classes(ps: PointSet, apexes: range, spreads: bool):
     a non-isotropic class.
     """
     fd = ps.field
-    if fd.q > ff.TABLE_CAP:
-        origin = (0,) * ps.dim
-        for ia in apexes:
-            apex = ps.points[ia]
-            classes: dict[Vec, int] = {}
-            for ib, b in enumerate(ps.points):
-                if ib != ia:
-                    arm = geom.vsub(fd, b, apex)
-                    u = geom.vscale(fd, fd.inv(next(x for x in arm if x)), arm)
-                    classes[u] = classes.get(u, 0) + 1
-            mult = np.fromiter(classes.values(), dtype=np.int64, count=len(classes))
-            val = None
-            if spreads:
-                val = np.array(
-                    [[_or_undefined(geom.spread(fd, origin, u, v)) for v in classes] for u in classes],
-                    dtype=np.int64,
-                )
-            yield mult, val
-        return
-    tb = fd.tables()
-    pts = ps.as_array()
+    pts = fd.log[ps.as_array()]
+    neg = fd.log_neg(pts)
     n, d = pts.shape
     step = max(1, _BLOCK_CELLS // (n * d))
     for lo in range(0, len(apexes), step):
         block = np.asarray(apexes[lo : lo + step])
-        arms = tb.sub[pts[None, :, :], pts[block, None, :]]  # (B, n, d)
-        lead = np.take_along_axis(arms, (arms != 0).argmax(axis=2)[..., None], axis=2)
-        canon = tb.mul[tb.inv[lead], arms]  # the zero arm b = a stays zero
-        order, code = _sorted_codes(canon, fd.q)
+        arms = fd.log_add(neg[block, None, :], pts[None, :, :])  # (B, n, d)
+        lead = np.take_along_axis(arms, (arms != fd.zero_log).argmax(axis=2)[..., None], axis=2)
+        canon = fd.log_mul(arms, -lead % (fd.q - 1))  # the zero arm b = a stays zero
+        order, code = _sorted_codes(canon, fd.zero_log)
         for r in range(len(block)):
             # The apex's own zero arm has the least code and sorts first.
             starts = np.flatnonzero(code[r, 1:] != code[r, :-1]) + 1
             mult = np.diff(starts, append=n)
             val = None
             if spreads:
-                val = _class_spread_matrix(tb, canon[r, order[r, starts]])
+                val = _class_spread_matrix(fd, canon[r, order[r, starts]])
             yield mult, val
 
 
-def _or_undefined(s: Optional[int]) -> int:
-    return -1 if s is None else s
+def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of the canonical arms (logs, `zero` the log of 0),
+    sorted within each apex row.
 
-
-def _sorted_codes(canon: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer codes of the canonical arms, sorted within each apex row.
-
-    A code is the base-q reading of the vector; when the next digit could
-    overflow int64 the codes are first replaced by their ranks, which keeps
-    the order and the equality of codes.  Returns (argsort, sorted codes).
+    A code reads the digits zero - log in base zero + 1, so the zero arm
+    has the least code; when the next digit could overflow int64 the codes
+    are first replaced by their ranks, which keeps the order and the
+    equality of codes.  Returns (argsort, sorted codes).
     """
     code = np.zeros(canon.shape[:2], dtype=np.int64)
     span = 1
     for c in range(canon.shape[2]):
-        if span * q >= 1 << 62:
+        if span * (zero + 1) >= 1 << 62:
             ranks = np.unique(code, return_inverse=True)[1]
             code = ranks.reshape(code.shape).astype(np.int64)
             span = code.size
-        code = code * q + canon[:, :, c]
-        span *= q
+        code = code * (zero + 1) + (zero - canon[:, :, c])
+        span *= zero + 1
     order = np.argsort(code, axis=1)
     return order, np.take_along_axis(code, order, axis=1)
 
 
-def _class_spread_matrix(tb: ff.OpTables, reps: np.ndarray) -> np.ndarray:
-    """Spreads between the rows of reps (k, d), -1 where either norm is 0.
-
-    Lookups indexed by two k x k arrays go through the flattened table,
-    which numpy gathers about twice as fast.
-    """
-    q = tb.q
-    add, mul = tb.add.ravel(), tb.mul.ravel()
+def _class_spread_matrix(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
+    """Spreads between the rows of reps (k, d; logs), -1 where either norm
+    is 0."""
     cols = reps.T
-    gram = tb.mul[cols[0][:, None], cols[0][None, :]]
+    gram = fd.log_mul(cols[0][:, None], cols[0][None, :])
     for col in cols[1:]:
-        gram = add[gram * q + tb.mul[col[:, None], col[None, :]]]
+        gram = fd.log_add(gram, fd.log_mul(col[:, None], col[None, :]))
     nrm = gram.diagonal()
-    inv_nrm = tb.inv[nrm]
-    # 1 - g^2 / (|u||v|) as 1 - g^2 * |u|^-1 * |v|^-1
-    scale = tb.mul[inv_nrm[:, None], inv_nrm[None, :]]
-    val = tb.sub[1][mul[tb.mul.diagonal()[gram] * q + scale]]
-    isotropic = nrm == 0
+    val = fd.spread_from_logs(gram, nrm[:, None], nrm[None, :])
+    isotropic = nrm == fd.zero_log
     val[isotropic, :] = -1
     val[:, isotropic] = -1
     return val
@@ -280,19 +255,14 @@ def distinct_distances(ps: PointSet) -> DistanceCensus:
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     fd = ps.field
-    if fd.q <= ff.TABLE_CAP:
-        tb = fd.tables()
-        pts = ps.as_array()
-        dmat = np.zeros((n, n), dtype=np.int32)
-        for c in range(ps.dim):
-            t = tb.sub[pts[:, c][:, None], pts[None, :, c]]
-            dmat = tb.add[dmat, tb.mul[t, t]]
-        iu = np.triu_indices(n, k=1)
-        values = sorted(int(v) for v in np.unique(dmat[iu]))
-    else:
-        values = sorted(
-            {geom.dist(fd, a, b) for a, b in itertools.combinations(ps.points, 2)}
-        )
+    pts = fd.log[ps.as_array()]
+    neg = fd.log_neg(pts)
+    dmat = np.full((n, n), fd.zero_log, dtype=np.int32)
+    for c in range(ps.dim):
+        t = fd.log_add(pts[:, c, None], neg[None, :, c])
+        dmat = fd.log_add(dmat, fd.log_mul(t, t))
+    iu = np.triu_indices(n, k=1)
+    values = sorted(int(v) for v in np.unique(fd.exp[dmat[iu]]))
     return DistanceCensus(
         values=tuple(values),
         nonzero_values=tuple(v for v in values if v != 0),
@@ -416,14 +386,6 @@ def _isotropic_reps(fd: ff.Field, d: int) -> list[Vec]:
     """Nonzero isotropic vectors with first nonzero coordinate 1, in
     lexicographic order."""
     q = fd.q
-    if q > ff.TABLE_CAP:
-        out = []
-        for v in itertools.product(fd.elements(), repeat=d):
-            nz = next((i for i, x in enumerate(v) if x), None)
-            if nz is not None and v[nz] == 1 and geom.norm(fd, v) == 0:
-                out.append(v)
-        return out
-    tb = fd.tables()
     out = []
     chunk = 1 << 18
     for lo in range(0, q**d, chunk):
@@ -433,13 +395,14 @@ def _isotropic_reps(fd: ff.Field, d: int) -> list[Vec]:
         for c in range(d - 1, -1, -1):
             coords[:, c] = rest % q
             rest = rest // q
-        nrm = np.zeros(len(idx), dtype=np.int32)
+        logs = fd.log[coords]
+        nrm = np.full(len(idx), fd.zero_log, dtype=np.int32)
         for c in range(d):
-            nrm = tb.add[nrm, tb.mul[coords[:, c], coords[:, c]]]
+            nrm = fd.log_add(nrm, fd.log_mul(logs[:, c], logs[:, c]))
         nonzero = (coords != 0).any(axis=1)
         first_nz = (coords != 0).argmax(axis=1)
         lead_one = coords[np.arange(len(idx)), first_nz] == 1
-        keep = nonzero & lead_one & (nrm == 0)
+        keep = nonzero & lead_one & (nrm == fd.zero_log)
         out.extend(map(tuple, coords[keep].tolist()))
     return out
 
@@ -448,23 +411,15 @@ def _orthogonality_masks(fd: ff.Field, reps: list[Vec]) -> list[int]:
     """Per-representative bitmasks of orthogonal partners, computed in row
     blocks so memory stays proportional to block x m, not m x m."""
     m = len(reps)
-    arr = np.array(reps, dtype=np.int32)
-    use_tables = fd.q <= ff.TABLE_CAP
-    tb = fd.tables() if use_tables else None
+    arr = fd.log[np.array(reps, dtype=np.int32)]
     masks: list[int] = []
-    block = max(1, min(m, (1 << 22) // max(m, 1)))
+    block = max(1, min(m, (1 << 18) // max(m, 1)))
     for lo in range(0, m, block):
         hi = min(m, lo + block)
-        if use_tables:
-            g = np.zeros((hi - lo, m), dtype=np.int32)
-            for c in range(arr.shape[1]):
-                g = tb.add[g, tb.mul[arr[lo:hi, c][:, None], arr[None, :, c]]]
-        else:
-            g = np.array(
-                [[geom.dot(fd, u, v) for v in reps] for u in reps[lo:hi]],
-                dtype=np.int32,
-            )
-        for row in g == 0:
+        g = np.full((hi - lo, m), fd.zero_log, dtype=np.int32)
+        for c in range(arr.shape[1]):
+            g = fd.log_add(g, fd.log_mul(arr[lo:hi, c, None], arr[None, :, c]))
+        for row in g == fd.zero_log:
             bits = np.packbits(row, bitorder="little").tobytes()
             masks.append(int.from_bytes(bits, "little"))
     return masks
@@ -483,24 +438,24 @@ def sphere_equiv_check(
     m = len(sph)
     if m**4 > budget:
         raise BudgetExceeded(f"|S1|^4 = {m ** 4} exceeds budget {budget}")
-    tb = fd.tables()
-    pts = sph.as_array()
-    nrm = np.zeros(m, dtype=np.int32)
-    gram = np.zeros((m, m), dtype=np.int32)
-    dmat = np.zeros((m, m), dtype=np.int32)
-    smat = np.zeros((m, m), dtype=np.int32)
+    pts = fd.log[sph.as_array()]
+    zero = fd.zero_log
+    nrm = np.full(m, zero, dtype=np.int32)
+    gram = np.full((m, m), zero, dtype=np.int32)
+    dmat = gram.copy()
+    smat = gram.copy()
     for c in range(d):
         col = pts[:, c]
-        nrm = tb.add[nrm, tb.mul[col, col]]
-        gram = tb.add[gram, tb.mul[col[:, None], col[None, :]]]
-        dcol = tb.sub[col[:, None], col[None, :]]
-        dmat = tb.add[dmat, tb.mul[dcol, dcol]]
-        scol = tb.add[col[:, None], col[None, :]]
-        smat = tb.add[smat, tb.mul[scol, scol]]
-    den = tb.mul[nrm[:, None], nrm[None, :]]
-    defined = (den != 0).ravel()
-    sval = tb.sub[1, tb.mul[tb.mul[gram, gram], tb.inv[den]]].ravel()
-    dval = dmat.ravel()
+        nrm = fd.log_add(nrm, fd.log_mul(col, col))
+        gram = fd.log_add(gram, fd.log_mul(col[:, None], col[None, :]))
+        dcol = fd.log_add(col[:, None], fd.log_neg(col)[None, :])
+        dmat = fd.log_add(dmat, fd.log_mul(dcol, dcol))
+        scol = fd.log_add(col[:, None], col[None, :])
+        smat = fd.log_add(smat, fd.log_mul(scol, scol))
+    nonisotropic = nrm != zero
+    defined = (nonisotropic[:, None] & nonisotropic[None, :]).ravel()
+    sval = fd.spread_from_logs(gram, nrm[:, None], nrm[None, :]).ravel()
+    dval = dmat.ravel()  # logs: equal exactly when the distances are equal
     sumval = smat.ravel()
 
     eq_spread = sval[:, None] == sval[None, :]

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import census, construct, expt, ff, geom
-from .errors import DimensionMismatch, DomainError, FormatError
+from .errors import DomainError, FormatError
 from .geom import PointSet
 
 ENV_SEED = "FQSPREAD_SEED"
@@ -27,10 +27,14 @@ ENV_BUDGET = "FQSPREAD_BUDGET"
 
 
 def _env_int(name: str, fallback: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
+    text = os.environ.get(name, "")
+    if not text:
         return fallback
+    try:
+        return int(text)
+    except ValueError:
+        print(f"usage error: environment variable {name} is not an integer: {text!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _positive_int(text: str) -> int:
@@ -47,8 +51,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _parse_point(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_point(fd: ff.Field, dim: int, text: str) -> tuple[int, ...]:
+    """One point, checked for dimension and coordinate range as in a point file."""
+    try:
+        p = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise FormatError(f"bad point {text!r}") from None
+    return PointSet(fd, dim, [p]).points[0]
 
 
 def _emit(args, text: str) -> None:
@@ -59,11 +68,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _common(parser: argparse.ArgumentParser, field: bool = True) -> None:
+def _common(parser: argparse.ArgumentParser, env: dict, field: bool = True) -> None:
     if field:
         parser.add_argument("--field", required=True, help='field spec "p^r", e.g. 5^1 or 3^2')
-    parser.add_argument("--seed", type=int, default=_env_int(ENV_SEED, 0))
-    parser.add_argument("--budget", type=int, default=_env_int(ENV_BUDGET, 10**8))
+    parser.add_argument("--seed", type=int, default=env["seed"])
+    parser.add_argument("--budget", type=int, default=env["budget"])
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default="-", help="output path (default stdout)")
 
@@ -73,17 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fqspread",
         description="spread geometry over odd finite fields: censuses, constructions, experiments",
     )
+    env = {"seed": _env_int(ENV_SEED, 0), "budget": _env_int(ENV_BUDGET, 10**8)}
     sub = top.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", help="field utilities")
     field_sub = p_field.add_subparsers(dest="subcommand", required=True)
     p_info = field_sub.add_parser("info", help="describe a field and its element encoding")
-    _common(p_info)
+    p_info.set_defaults(func=_cmd_field_info)
+    _common(p_info, env)
 
     p_spread = sub.add_parser("spread", help="spread of one triple")
     spread_sub = p_spread.add_subparsers(dest="subcommand", required=True)
     p_eval = spread_sub.add_parser("eval")
-    _common(p_eval)
+    p_eval.set_defaults(func=_cmd_spread_eval)
+    _common(p_eval, env)
     p_eval.add_argument("--d", type=int, required=True)
     p_eval.add_argument("--apex", required=True, help="comma-separated element indices")
     p_eval.add_argument("--b", required=True)
@@ -92,33 +104,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_kspread = sub.add_parser("kspread", help="order-k spread of a point file")
     kspread_sub = p_kspread.add_subparsers(dest="subcommand", required=True)
     p_keval = kspread_sub.add_parser("eval")
+    p_keval.set_defaults(func=_cmd_kspread_eval)
     p_keval.add_argument("--points", required=True, help="point-set file of k+1 points")
-    _common(p_keval, field=False)
+    _common(p_keval, env, field=False)
 
     p_con = sub.add_parser("construct", help="emit extremal point sets")
+    p_con.set_defaults(func=_cmd_construct)
     p_con.add_argument("kind", choices=("con1", "con2", "iso"))
-    _common(p_con)
+    _common(p_con, env)
     p_con.add_argument("--d", type=int, required=True)
 
     p_cen = sub.add_parser("census", help="exhaustive counts over a point file")
+    p_cen.set_defaults(func=_cmd_census)
     p_cen.add_argument("kind", choices=("spreads", "distances", "lines", "occurrences"))
     p_cen.add_argument("--points", required=True)
     p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
     p_cen.add_argument("--workers", type=int, default=1)
-    _common(p_cen, field=False)
+    _common(p_cen, env, field=False)
 
     p_search = sub.add_parser("search", help="exhaustive searches")
     search_sub = p_search.add_subparsers(dest="subcommand", required=True)
     p_iso = search_sub.add_parser("iso-triple")
-    _common(p_iso)
+    p_iso.set_defaults(func=_cmd_search)
+    _common(p_iso, env)
     p_iso.add_argument("--d", type=int, required=True)
 
     p_sphere = sub.add_parser("sphere", help="enumerate a sphere |x| = t")
-    _common(p_sphere)
+    p_sphere.set_defaults(func=_cmd_sphere)
+    _common(p_sphere, env)
     p_sphere.add_argument("--d", type=int, required=True)
     p_sphere.add_argument("--t", type=int, required=True)
 
     p_expt = sub.add_parser("experiment", help="seeded experiments with pass/fail verdicts")
+    p_expt.set_defaults(func=_cmd_experiment)
     p_expt.add_argument(
         "kind",
         choices=(
@@ -132,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             "all",
         ),
     )
-    _common(p_expt, field=False)
+    _common(p_expt, env, field=False)
     p_expt.add_argument("--field", help='field spec "p^r"; required except for `all`')
     p_expt.add_argument("--d", type=int, default=2)
     p_expt.add_argument("--epsilon", type=_rational, default="1", help="rational, e.g. 1, 1/2, 0.5")
@@ -168,10 +186,7 @@ def _cmd_field_info(args) -> int:
 
 def _cmd_spread_eval(args) -> int:
     fd = ff.parse_field(args.field)
-    apex, b, c = (_parse_point(t) for t in (args.apex, args.b, args.c))
-    for p in (apex, b, c):
-        if len(p) != args.d:
-            raise DimensionMismatch(f"point {p} does not have dimension {args.d}")
+    apex, b, c = (_parse_point(fd, args.d, t) for t in (args.apex, args.b, args.c))
     s = geom.spread(fd, apex, b, c)
     _emit(args, geom.format_spread(s) + "\n")
     return 0
@@ -324,22 +339,8 @@ def _cmd_experiment(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        ("field", "info"): _cmd_field_info,
-        ("spread", "eval"): _cmd_spread_eval,
-        ("kspread", "eval"): _cmd_kspread_eval,
-        ("search", "iso-triple"): _cmd_search,
-    }
     try:
-        if args.command in ("field", "spread", "kspread", "search"):
-            return handlers[(args.command, args.subcommand)](args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "census":
-            return _cmd_census(args)
-        if args.command == "sphere":
-            return _cmd_sphere(args)
-        return _cmd_experiment(args)
+        return args.func(args)
     except DomainError as err:
         print(err.code, file=sys.stderr)
         print(f"detail: {err}", file=sys.stderr)

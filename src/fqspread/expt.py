@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import census, construct, ff, geom
-from .errors import SizeExceeded, SphereTooSmall
+from .errors import SizeExceeded, SphereTooSmall, TooFewPoints
 from .geom import PointSet
 
 
@@ -156,6 +156,8 @@ def run_threshold(
     epsilon = Fraction(epsilon)
     q = fd.q
     size = frac_ceil((1 + epsilon) * q ** ((d + 1) // 2))
+    if size < 3:
+        raise TooFewPoints(f"epsilon = {epsilon} gives sample size {size}; a spread needs 3 points")
     floor_count = q // 4
     per_trial = []
     if adversarial:
@@ -268,6 +270,10 @@ def run_projection(
     statistical slack).  ``expect_zero`` additionally demands zero collisions
     in every single trial (the k = d control)."""
     q = fd.q
+    if n_points < 2:
+        raise TooFewPoints(f"need at least 2 points for a collision, got {n_points}")
+    if n_points > q**d:
+        raise SizeExceeded(f"n_points = {n_points} exceeds |F_q^d| = {q ** d}")
     universe = geom.all_points(fd, d).points
     pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
     bound = Fraction(6, 5) * math.comb(n_points, 2) * Fraction(1, q**k)
@@ -361,6 +367,8 @@ def run_sphere_distance(
     if d < 3:
         raise SphereTooSmall(f"needs d >= 3, got d = {d}")
     c = Fraction(c)
+    if c <= 0:
+        raise TooFewPoints(f"C = {c} gives no sample points; C must be positive")
     q = fd.q
     sphere = geom.sphere_points(fd, d, 1)
     size = ceil_scaled_power(c, q, d)

@@ -6,10 +6,18 @@ and alpha is a root of the field's modulus polynomial.  For r = 1 the index
 is just the residue mod p.  Fields of characteristic 2 are rejected: every
 geometric formula downstream divides by norms built from squares and only
 odd q is supported.
+
+All arithmetic, prime or extension field, runs on one set of O(q) int32
+arrays built at construction from discrete logarithms to a generator of
+F_q^*: logs, exponentials and Zech logarithms (Lidl & Niederreiter, Finite
+Fields, ch. 9).  A product is an add plus a gather, a sum a Zech gather
+plus an add plus a gather.  The scalar ops index the arrays through
+memoryviews; the census kernels gather from them with numpy, on logs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,10 +31,6 @@ from .errors import (
 )
 
 DEFAULT_SIZE_CAP = 1 << 20
-
-# Largest q for which dense q x q operation tables are built; enumeration
-# kernels fall back to scalar arithmetic above this.
-TABLE_CAP = 2048
 
 
 def is_prime(n: int) -> bool:
@@ -52,7 +56,10 @@ class Field:
     their integer arguments.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_tables")
+    __slots__ = (
+        "p", "r", "q", "modulus", "zero_log", "log", "exp",
+        "_half", "_red", "_zech", "_one_minus", "_lg", "_ex", "_rd", "_zc",
+    )
 
     def __init__(self, p: int, r: int = 1, size_cap: int = DEFAULT_SIZE_CAP):
         if r < 1:
@@ -70,7 +77,17 @@ class Field:
         # Deterministic modulus: the monic irreducible of degree r over F_p
         # whose coefficient vector, read as a base-p integer, is smallest.
         self.modulus = _least_irreducible(p, r) if r > 1 else None
-        self._tables = None
+        n = q - 1
+        self.zero_log = 2 * n
+        self._half = n // 2  # log of -1
+        arrays = _log_arrays(p, r, self.modulus)
+        for a in arrays:
+            a.flags.writeable = False  # shared by every thread using the field
+        self.log, self.exp, self._red, self._zech, self._one_minus = arrays
+        # Scalar ops index the same arrays; memoryview lookups return ints.
+        self._lg, self._ex, self._rd, self._zc = map(
+            memoryview, (self.log, self.exp, self._red, self._zech)
+        )
 
     # -- encoding ----------------------------------------------------------
 
@@ -94,80 +111,77 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        return self.encode([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        la = self._lg[a]
+        return self._ex[la + self._zc[self._lg[b] - la]]
 
     def sub(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a - b) % self.p
-        return self.encode([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        la = self._lg[a]
+        return self._ex[la + self._zc[self._rd[self._lg[b] + self._half] - la]]
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        return self.encode([-x for x in self.coeffs(a)])
+        return self._ex[self._lg[a] + self._half]
 
     def mul(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.encode(_poly_rem(prod, self.modulus, self.p))
+        return self._ex[self._lg[a] + self._lg[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self.r == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self._ex[self.q - 1 - self._lg[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise DivisionByZero("0 has no multiplicative inverse")
+        return self._ex[self._lg[a] + -self._lg[b] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
-        if self.r == 1:
-            return pow(a, e, self.p)
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero("0 has no multiplicative inverse")
+            return 0 if e else 1
+        return self._ex[self._lg[a] * e % (self.q - 1)]
 
     # -- squares -----------------------------------------------------------
 
     def is_square(self, a: int) -> bool:
-        """Euler criterion: a^((q-1)/2) is 1 for nonzero squares, 0 for 0."""
-        return self.pow(a, (self.q - 1) // 2) in (0, 1)
+        """The squares are the even powers of the generator, and 0."""
+        return not self._lg[a] & 1
 
     def sqrt(self, a: int) -> int:
-        """The square root of smaller index, by exhaustive search.
+        """The square root of smaller index.
 
-        O(q) per call, which is fine under the desk-scale size cap.
         Raises NotASquare when no root exists.
         """
-        for t in range(self.q):
-            if self.mul(t, t) == a:
-                return t
-        raise NotASquare(f"{a} is not a square in {self}")
+        if a == 0:
+            return 0
+        la = self._lg[a]
+        if la & 1:
+            raise NotASquare(f"{a} is not a square in {self}")
+        root = la // 2
+        return min(self._ex[root], self._ex[root + self._half])
 
-    # -- vectorized operation tables ----------------------------------------
+    # -- numpy arithmetic on logs ---------------------------------------------
+    #
+    # Arrays of logs (``log[elements]``; 0 has the log ``zero_log``) combine
+    # without leaving the log domain, every result again a log of this
+    # form; ``exp[logs]`` maps them back to elements.  Equal logs are equal
+    # elements.
 
-    def tables(self) -> "OpTables":
-        """Dense numpy lookup tables (built lazily, cached).
+    def log_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._red[x + y]
 
-        Only available for q <= TABLE_CAP; enumeration kernels use these so
-        that prime and extension fields share one code path.
-        """
-        if self._tables is None:
-            if self.q > TABLE_CAP:
-                raise SizeExceeded(
-                    f"operation tables limited to q <= {TABLE_CAP}, got q = {self.q}"
-                )
-            self._tables = _build_tables(self)
-        return self._tables
+    def log_add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._red[x + self._zech[y - x]]
+
+    def log_neg(self, x: np.ndarray) -> np.ndarray:
+        return self._red[x + self._half]
+
+    def spread_from_logs(self, dot: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
+        """Elements 1 - dot^2 / (nu * nv) from the logs of a dot product and
+        two norms (broadcast), in one gather.  Entries where a norm is 0 are
+        meaningless and must be masked by the caller."""
+        n = self.q - 1
+        return self._one_minus[2 * dot + (-nu % n + -nv % n)]
 
     # -- identity ------------------------------------------------------------
 
@@ -225,16 +239,6 @@ def field_for_order(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
 # -- polynomial helpers (coefficient lists ascending, over F_p) --------------
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 def _poly_rem(a: Sequence[int], monic_mod: Sequence[int], p: int) -> list[int]:
     """Remainder of a modulo a monic polynomial, both ascending."""
     r = len(monic_mod) - 1
@@ -247,10 +251,6 @@ def _poly_rem(a: Sequence[int], monic_mod: Sequence[int], p: int) -> list[int]:
                 res[base + k] = (res[base + k] - lead * monic_mod[k]) % p
     res += [0] * (r - len(res))
     return res
-
-
-def _poly_is_zero(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
 
 
 def _monic_polys(p: int, deg: int) -> Iterable[tuple[int, ...]]:
@@ -274,7 +274,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(p, d):
-            if _poly_is_zero(_poly_rem(poly, div, p)):
+            if not any(_poly_rem(poly, div, p)):
                 return False
     return True
 
@@ -286,81 +286,102 @@ def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-# -- dense lookup tables ------------------------------------------------------
+# -- discrete-log arrays ---------------------------------------------------------
+#
+# With n = q - 1 and g the generator of F_q^* of least index, the element
+# g^k has the log k in [0, n) and 0 has the log 2n.  A sum of two logs that
+# involves 0 is at least 2n, and one of two nonzero logs is at most 2n - 2,
+# so one gather maps any such sum to its element (``exp``) or to its
+# reduced log (``red``).  ``zech`` adds: with x, y logs, x + zech[y - x]
+# (negative indices wrap) is a sum of logs for g^x + g^y, where
+#   y - x in (-n, n)     log(1 + g^(y-x)), both nonzero (2n when g^(y-x) = -1)
+#   y - x in [n+1, 2n]   0, since y is zero and the sum is x
+#   y - x in [-2n, -n-1] y - x itself, since x is zero and the sum is y.
+# ``one_minus[x]`` is the element 1 - g^x for x < 4n and 1 above, so
+# 1 - d^2 / (|u| |v|) is one gather at 2 log(d) - log|u| - log|v| (mod n).
 
 
-class OpTables:
-    """q x q int32 tables for add/sub/mul plus inverse and negation vectors.
-
-    inv[0] is a sentinel 0 and must stay masked by callers.
-    """
-
-    __slots__ = ("q", "add", "sub", "mul", "inv", "neg")
-
-    def __init__(self, q, add, sub, mul, inv, neg):
-        self.q = q
-        self.add = add
-        self.sub = sub
-        self.mul = mul
-        self.inv = inv
-        self.neg = neg
-
-
-def _build_tables(fd: Field) -> OpTables:
-    q = fd.q
-    if fd.r == 1:
-        idx = np.arange(q, dtype=np.int32)
-        add = (idx[:, None] + idx[None, :]) % q
-        sub = (idx[:, None] - idx[None, :]) % q
-        mul = (idx[:, None] * idx[None, :]) % q
-        neg = (-idx) % q
-    else:
-        p, r = fd.p, fd.r
-        digits = np.empty((q, r), dtype=np.int32)
-        t = np.arange(q, dtype=np.int64)
-        for k in range(r):
-            digits[:, k] = t % p
-            t //= p
-        weights = (p ** np.arange(r)).astype(np.int64)
-
-        def enc(dd):
-            return (dd.astype(np.int64) @ weights).astype(np.int32)
-
-        add = enc((digits[:, None, :] + digits[None, :, :]) % p)
-        sub = enc((digits[:, None, :] - digits[None, :, :]) % p)
-        neg = enc((-digits) % p)
-        # Multiplication through exp/log tables of a generator of F_q*.
-        g = _find_generator(fd)
-        exp = np.empty(q - 1, dtype=np.int32)
-        acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
-            acc = fd.mul(acc, g)
-        log = np.empty(q, dtype=np.int64)
-        log[0] = 0
-        log[exp] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int32)
-        nz = np.arange(1, q)
-        mul[1:, 1:] = exp[(log[nz, None] + log[None, nz]) % (q - 1)]
-    inv = np.zeros(q, dtype=np.int32)
-    rows, cols = np.nonzero(mul == 1)
-    inv[rows] = cols
-    inv[0] = 0
-    return OpTables(q, add, sub, mul, inv, np.asarray(neg, dtype=np.int32))
+def _log_arrays(p: int, r: int, modulus) -> tuple[np.ndarray, ...]:
+    q = p**r
+    n = q - 1
+    h = n // 2
+    zero = 2 * n
+    powers = _generator_powers(p, r, modulus)
+    ks = np.arange(n, dtype=np.int32)
+    log = np.empty(q, dtype=np.int32)
+    log[powers] = ks
+    log[0] = zero
+    exp = np.zeros(4 * n + 1, dtype=np.int32)
+    exp[: 2 * n].reshape(2, n)[:] = powers
+    red = np.full(4 * n + 1, zero, dtype=np.int32)
+    red[: 2 * n].reshape(2, n)[:] = ks
+    del ks
+    one_plus = powers + 1  # 1 + g^k: bump digit 0, which wraps at p
+    one_plus[powers % p == p - 1] -= p
+    zech = np.zeros(4 * n + 1, dtype=np.int32)
+    np.take(log, one_plus, out=zech[:n])
+    zech[3 * n + 2 :] = zech[1:n]
+    zech[2 * n + 1 : 3 * n + 1] = np.arange(-zero, -n, dtype=np.int32)
+    one_minus = np.ones(6 * n - 1, dtype=np.int32)
+    periods = one_minus[: 4 * n].reshape(4, n)
+    periods[:, : n - h] = one_plus[h:]  # 1 - g^x = 1 + g^(x + h)
+    periods[:, n - h :] = one_plus[:h]
+    return log, exp, red, zech, one_minus
 
 
-def _find_generator(fd: Field) -> int:
-    n = fd.q - 1
-    factors = set()
-    m, f = n, 2
-    while f * f <= m:
-        while m % f == 0:
-            factors.add(f)
-            m //= f
-        f += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, fd.q):
-        if all(fd.pow(g, n // ell) != 1 for ell in factors):
-            return g
-    raise AssertionError("multiplicative group has a generator")  # unreachable
+# Rows per block when powers are built, bounding the digit temporaries.
+_POWER_BLOCK = 1 << 16
+
+
+def _generator_powers(p: int, r: int, modulus) -> np.ndarray:
+    """Element indices of g^0, ..., g^(q-2) for the generator g of F_q^*
+    of least index."""
+    n = p**r - 1
+    divisors = {f for e in range(1, math.isqrt(n) + 1) if n % e == 0 for f in (e, n // e)}
+    primes = [f for f in divisors if is_prime(f)]
+    one = np.eye(1, r, dtype=np.int64)
+    # Indices below p are the constants F_p, which generate F_q^* only for r = 1.
+    for g in range(p if r > 1 else 2, n + 1):
+        step = _mul_rows(p, modulus, [g // p**i % p for i in range(r)])
+        if all((_mat_pow(step, n // ell, p)[:1] != one).any() for ell in primes):
+            return _powers(p, step, n)
+    raise AssertionError("the multiplicative group is cyclic")  # unreachable
+
+
+def _powers(p: int, step: np.ndarray, count: int) -> np.ndarray:
+    """g^0, ..., g^(count-1) as element indices, where ``step`` is the
+    multiplication matrix of g: each pass multiplies the known prefix by
+    the next power g^k and doubles it."""
+    weights = p ** np.arange(len(step), dtype=np.int64)
+    out = np.empty(count, dtype=np.int32)
+    out[0] = 1
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        for lo in range(0, m, _POWER_BLOCK):
+            digits = out[lo : min(m, lo + _POWER_BLOCK), None] // weights % p
+            out[k + lo : k + lo + len(digits)] = digits @ step % p @ weights
+        step = step @ step % p  # multiplication by g^(2k)
+        k += m
+    return out
+
+
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    acc = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = acc @ m % p
+        m = m @ m % p
+        e >>= 1
+    return acc
+
+
+def _mul_rows(p: int, modulus, c: Sequence[int]) -> np.ndarray:
+    """Digit rows of c, c*alpha, ..., c*alpha^(r-1): the matrix that maps
+    the digit row of x to the digit row of c*x."""
+    rows = [np.array(c, dtype=np.int64)]
+    for _ in range(1, len(c)):
+        v = rows[-1]
+        # alpha * v: shift the digits up, then fold in alpha^r = -(m_0 + ... + m_{r-1} alpha^(r-1))
+        rows.append((np.concatenate(([0], v[:-1])) - v[-1] * np.array(modulus[:-1])) % p)
+    return np.stack(rows)

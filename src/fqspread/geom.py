@@ -294,6 +294,8 @@ def sphere_points(
     fd: ff.Field, d: int, t: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> PointSet:
     """All x in F_q^d with |x| = t, enumerated in index order."""
+    if not 0 <= t < fd.q:
+        raise FormatError(f"t = {t} is not an element index of F_{fd.q}")
     if fd.q**d > budget:
         raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
     pts = [

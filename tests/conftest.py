@@ -1,9 +1,56 @@
 """Shared naive oracles: straight-line reimplementations used to cross-check
-the vectorized census kernels.  Deliberately dumb and table-free."""
+the field arithmetic and the vectorized census kernels.  Deliberately dumb
+and table-free."""
 
 import itertools
 
 from fqspread import geom
+
+
+class ReferenceField:
+    """Schoolbook F_q on the same element indices as ``fd``: digit-wise
+    addition mod p and polynomial multiplication mod ``fd.modulus``."""
+
+    def __init__(self, fd):
+        self.p, self.r, self.q = fd.p, fd.r, fd.q
+        self.modulus = fd.modulus
+
+    def digits(self, a):
+        return [a // self.p**k % self.p for k in range(self.r)]
+
+    def encode(self, digits):
+        return sum(c % self.p * self.p**k for k, c in enumerate(digits))
+
+    def add(self, a, b):
+        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.encode([-x for x in self.digits(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        prod = [0] * (2 * self.r - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for top in range(len(prod) - 1, self.r - 1, -1):
+            lead = prod.pop()
+            for k in range(self.r):
+                prod[top - self.r + k] -= lead * self.modulus[k]
+        return self.encode(prod)
+
+    def pow(self, a, e):
+        acc = 1
+        for bit in bin(e)[2:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
+
+    def inv(self, a):
+        return self.pow(a, self.q - 2)
 
 
 def naive_spread_census(ps):

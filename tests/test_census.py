@@ -9,7 +9,7 @@ from conftest import (
     naive_spread_census,
 )
 
-from fqspread import census, construct, errors, ff, geom
+from fqspread import census, construct, errors, geom
 from fqspread.census import (
     collision_count,
     distinct_distances,
@@ -45,7 +45,7 @@ def test_distinct_spreads_matches_naive_oracle():
     cases = [
         geom.all_points(F3, 2),
         random_pointset(F5, 2, 12, 1),
-        random_pointset(F9, 2, 10, 2),  # extension field exercises the tables
+        random_pointset(F9, 2, 10, 2),  # an extension field
         construct.con1_set(F5, 2),
         random_pointset(F5, 3, 9, 3),
     ]
@@ -70,15 +70,6 @@ def assert_censuses_match_oracles(ps, gammas):
     assert (lines.lines, lines.max_degree) == naive_spanned_lines(ps)
 
 
-def test_scalar_kernel_agrees_with_table_kernel(monkeypatch):
-    # A table cap of 0 sends the same inputs through the scalar branch of
-    # the class kernel.
-    for ps in (random_pointset(F5, 2, 10, 4), random_pointset(F9, 2, 8, 5)):
-        for cap in (ff.TABLE_CAP, 0):
-            monkeypatch.setattr(ff, "TABLE_CAP", cap)
-            assert_censuses_match_oracles(ps, gammas=(0, 1, 2))
-
-
 def random_points(fd, d, n, seed):
     """n distinct random points of F_q^d, without enumerating the space."""
     rng = random.Random(seed)
@@ -90,14 +81,20 @@ def random_points(fd, d, n, seed):
 
 @pytest.mark.parametrize(
     "name",
-    ["prime", "ext-9", "con1", "con2", "sphere", "above-cap", "wide-codes", "one-apex-blocks"],
+    [
+        "prime", "f5-plane", "ext-9", "f9-plane", "ext-3^7", "con1", "con2", "sphere",
+        "above-cap", "wide-codes", "one-apex-blocks",
+    ],
 )
 def test_class_kernel_matches_naive_oracles(name, monkeypatch):
     if name == "one-apex-blocks":
         monkeypatch.setattr(census, "_BLOCK_CELLS", 1)
     make = {
         "prime": lambda: random_pointset(F7, 2, 20, 21),
+        "f5-plane": lambda: random_pointset(F5, 2, 10, 4),
         "ext-9": lambda: random_pointset(F9, 2, 18, 22),
+        "f9-plane": lambda: random_pointset(F9, 2, 8, 5),
+        "ext-3^7": lambda: random_points(Field(3, 7), 3, 9, 26),
         "con1": lambda: construct.con1_set(F5, 2),
         "con2": lambda: construct.con2_set(F5, 3),
         "sphere": lambda: geom.sphere_points(F5, 3, 0),
@@ -108,7 +105,7 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
         "one-apex-blocks": lambda: random_pointset(F5, 3, 25, 25),
     }
     ps = make[name]()
-    assert_censuses_match_oracles(ps, gammas=(0, 1, 3))
+    assert_censuses_match_oracles(ps, gammas=(0, 1, 2, 3))
 
 
 def test_distinct_spreads_worker_count_invariance():
@@ -148,8 +145,8 @@ def test_distinct_spreads_guards():
 
 
 def test_distinct_spreads_scalar_fallback_above_table_cap():
-    # q = 2053 exceeds the dense-table cap, forcing the scalar kernel
-    # through the public entry point.
+    # q = 2053: a four-digit prime field through the public entry point,
+    # with a collinear triple among the points.
     fd = Field(2053)
     ps = PointSet(fd, 2, [(0, 0), (1, 0), (2, 0), (0, 1), (5, 7)])
     cen = distinct_spreads(ps)

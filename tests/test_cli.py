@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqspread import cli
 from fqspread.ff import Field
@@ -321,3 +325,95 @@ def test_experiment_non_rational_constant_is_usage_error(capsys, kind, flag, val
         cli.main(["experiment", kind, "--field", "5^1", flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, apex",
+    [("5^1", "x,0"), ("5^1", "9,9"), ("3^2", "20,0"), ("5^1", "-1,0"), ("5^1", "1,,0")],
+)
+def test_spread_eval_rejects_bad_coordinates(capsys, field, apex):
+    code, out, err = run_cli(
+        capsys, "spread", "eval", "--field", field, "--d", "2",
+        f"--apex={apex}", "--b", "1,0", "--c", "0,1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "FormatError"
+
+
+@pytest.mark.parametrize("gamma", ["99", "5", "-1"])
+def test_census_occurrences_gamma_out_of_range(tmp_path, capsys, gamma):
+    path = tmp_path / "p.txt"
+    PointSet(Field(5), 2, [(0, 0), (1, 0), (2, 0)]).save(path)
+    code, out, err = run_cli(
+        capsys, "census", "occurrences", "--points", str(path), f"--gamma={gamma}"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "FormatError"
+
+
+@pytest.mark.parametrize("t", ["7", "5", "-1"])
+def test_sphere_t_out_of_range(capsys, t):
+    code, out, err = run_cli(capsys, "sphere", "--field", "5^1", "--d", "2", f"--t={t}")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "FormatError"
+
+
+@pytest.mark.parametrize("name, value", [("FQSPREAD_BUDGET", "abc"), ("FQSPREAD_SEED", "1.5")])
+def test_malformed_env_default_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "beck", "--field", "5^1", "--trials", "3"])
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--field", "5^1", "--d", "2", "--epsilon=-5", "--trials", "2"],
+        ["projection", "--field", "5^1", "--d", "4", "--n-points", "0", "--trials", "2"],
+        ["projection", "--field", "5^1", "--d", "4", "--n-points", "100000", "--trials", "2"],
+        ["sphere-distance", "--field", "5^1", "--d", "3", "--C=-1", "--trials", "2"],
+    ],
+)
+def test_experiment_vacuous_inputs_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] in ("TooFewPoints", "SizeExceeded")
+
+
+def run_cli_boundary(argv):
+    """Exit status of one in-process CLI call; any exception other than an
+    argparse exit propagates, so a traceback fails the caller."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 1:
+        assert err.getvalue().splitlines()[0].isidentifier()  # the error code
+    return code
+
+
+@pytest.fixture(scope="module")
+def points_f9(tmp_path_factory):
+    path = tmp_path_factory.mktemp("boundary") / "f9.txt"
+    PointSet(Field(3, 2), 2, [(0, 0), (1, 0), (0, 1), (4, 7)]).save(path)
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coords=st.text(max_size=12), gamma=st.text(max_size=12), t=st.text(max_size=12))
+def test_cli_boundary_never_tracebacks(points_f9, coords, gamma, t):
+    # arbitrary coordinate, --gamma and --t strings end in 0, 1 or 2
+    fd_args = ["--field", "3^2", "--d", "2"]
+    for argv in (
+        ["spread", "eval", *fd_args, f"--apex={coords}", "--b=1,0", "--c=0,1"],
+        ["sphere", *fd_args, f"--t={t}"],
+        ["census", "occurrences", f"--points={points_f9}", f"--gamma={gamma}"],
+    ):
+        assert run_cli_boundary(argv) in (0, 1, 2)

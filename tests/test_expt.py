@@ -116,6 +116,11 @@ def test_run_threshold_adversarial_shows_sharp_counts():
 def test_run_threshold_size_guard():
     with pytest.raises(errors.SizeExceeded):
         run_threshold(F3, 2, Fraction(5), 1, 0)
+    # epsilon <= -1 leaves no points to sample (-5 gave size -20 and a pass)
+    for eps in (Fraction(-5), Fraction(-1)):
+        for adversarial in (False, True):
+            with pytest.raises(errors.TooFewPoints):
+                run_threshold(F5, 2, eps, 2, 0, adversarial=adversarial)
 
 
 def test_run_beck():
@@ -141,10 +146,14 @@ def test_run_projection_k_equals_d_zero_collisions():
     assert all(r["collisions"] == 0 for r in rep.per_trial)
 
 
-def test_run_projection_single_point_never_collides():
-    rep = run_projection(F5, 4, 2, 1, 20, 0, expect_zero=True)
-    assert rep.passed
-    assert rep.extras["mean_collisions"] == "0"
+def test_run_projection_rejects_degenerate_sizes():
+    # fewer than 2 points have no pair to collide, so any verdict is vacuous
+    for n_points in (0, 1):
+        with pytest.raises(errors.TooFewPoints):
+            run_projection(F5, 4, 2, n_points, 20, 0, expect_zero=True)
+    with pytest.raises(errors.SizeExceeded):
+        run_projection(F5, 4, 2, 5**4 + 1, 2, 0)
+    assert run_projection(F5, 4, 2, 5**4, 1, 0).params["n_points"] == 5**4
 
 
 def test_run_constructions():
@@ -170,6 +179,10 @@ def test_run_sphere_distance_guards():
         run_sphere_distance(F5, 2, Fraction(2), 1, 0)
     with pytest.raises(errors.SphereTooSmall):
         run_sphere_distance(F5, 3, Fraction(100), 1, 0)
+    # C <= 0 gave a negative threshold and a pass
+    for c in (Fraction(-1), Fraction(0)):
+        with pytest.raises(errors.TooFewPoints):
+            run_sphere_distance(F5, 3, c, 1, 0)
 
 
 def test_run_sphere_equiv():

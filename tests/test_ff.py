@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import ReferenceField
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,29 +197,6 @@ def test_sqrt_square_roundtrip_small_fields():
                     fd.sqrt(a)
 
 
-def test_tables_match_scalar_ops():
-    for fd in (F5, F9, F27):
-        tb = fd.tables()
-        q = fd.q
-        for a in range(q):
-            for b in range(q):
-                assert int(tb.add[a, b]) == fd.add(a, b)
-                assert int(tb.sub[a, b]) == fd.sub(a, b)
-                assert int(tb.mul[a, b]) == fd.mul(a, b)
-            assert int(tb.neg[a]) == fd.neg(a)
-            if a:
-                assert int(tb.inv[a]) == fd.inv(a)
-        assert int(tb.inv[0]) == 0  # masked sentinel
-
-
-def test_tables_cached_and_capped():
-    fd = Field(5)
-    assert fd.tables() is fd.tables()
-    big = Field(1048573)  # prime just under the size cap, above the table cap
-    with pytest.raises(errors.SizeExceeded):
-        big.tables()
-
-
 def test_pow_matches_repeated_multiplication():
     rng = random.Random(1)
     for fd in (F7, F9):
@@ -231,7 +209,75 @@ def test_pow_matches_repeated_multiplication():
             assert fd.pow(a, e) == acc
 
 
-def test_table_dtype_and_shape():
-    tb = F9.tables()
-    assert tb.add.shape == (9, 9)
-    assert tb.mul.dtype == np.int32
+def check_ops_against_reference(fd, pairs):
+    """Every scalar op and every log-domain array op of fd on the element
+    pairs (a, b) and on their elements, against the table-free reference
+    field."""
+    ref = ReferenceField(fd)
+    q = fd.q
+    minus_one = ref.neg(1)
+    for a, b in pairs:
+        assert fd.add(a, b) == ref.add(a, b), (fd, a, b)
+        assert fd.sub(a, b) == ref.sub(a, b), (fd, a, b)
+        assert fd.mul(a, b) == ref.mul(a, b), (fd, a, b)
+        if b:
+            assert ref.mul(fd.div(a, b), b) == a, (fd, a, b)
+        else:
+            with pytest.raises(errors.DivisionByZero):
+                fd.div(a, b)
+    for a in sorted({x for pair in pairs for x in pair}):
+        assert fd.neg(a) == ref.neg(a), (fd, a)
+        assert fd.pow(a, 0) == 1
+        assert fd.pow(a, 5) == ref.pow(a, 5), (fd, a)
+        square = ref.mul(a, a)
+        root = fd.sqrt(square)
+        assert ref.mul(root, root) == square and root <= ref.neg(root), (fd, a)
+        euler = ref.pow(a, (q - 1) // 2)
+        assert fd.is_square(a) == (euler != minus_one), (fd, a)
+        if euler == minus_one:
+            with pytest.raises(errors.NotASquare):
+                fd.sqrt(a)
+        if a:
+            assert ref.mul(fd.inv(a), a) == 1, (fd, a)
+            assert fd.pow(a, -3) == ref.pow(fd.inv(a), 3), (fd, a)
+        else:
+            with pytest.raises(errors.DivisionByZero):
+                fd.inv(a)
+            with pytest.raises(errors.DivisionByZero):
+                fd.pow(a, -1)
+    xs, ys = (np.array(v) for v in zip(*pairs))
+    lx, ly = fd.log[xs], fd.log[ys]
+    assert fd.exp[fd.log_add(lx, ly)].tolist() == [ref.add(a, b) for a, b in pairs]
+    assert fd.exp[fd.log_mul(lx, ly)].tolist() == [ref.mul(a, b) for a, b in pairs]
+    assert fd.exp[fd.log_neg(lx)].tolist() == [ref.neg(a) for a in xs.tolist()]
+
+
+def _small_fields():
+    return [Field(p, r) for p, r, _ in _odd_prime_powers_up_to(125)]
+
+
+@pytest.mark.parametrize("fd", _small_fields(), ids=Field.label)
+def test_ops_match_reference_field_exhaustively(fd):
+    check_ops_against_reference(fd, [(a, b) for a in fd.elements() for b in fd.elements()])
+
+
+@pytest.mark.parametrize("p, r", [(2053, 1), (3, 7), (3, 12), (1048573, 1), (1021, 2)])
+def test_ops_match_reference_field_on_samples(p, r):
+    fd = Field(p, r)
+    rng = random.Random(p * 100 + r)
+    edges = [0, 1, fd.neg(1), fd.q - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(fd.q), rng.randrange(fd.q)) for _ in range(300)]
+    pairs += [(a, 0) for a, _ in pairs[-20:]] + [(0, b) for _, b in pairs[-20:]]
+    check_ops_against_reference(fd, pairs)
+
+
+def test_spread_from_logs_matches_scalar_formula():
+    # 1 - d^2 / (nu nv) for every d and every nonzero nu, nv of F_7 and F_9
+    for fd in (F7, F9):
+        nz = np.arange(1, fd.q)
+        d = np.arange(fd.q)[:, None, None]
+        got = fd.spread_from_logs(fd.log[d], fd.log[nz][None, :, None], fd.log[nz][None, None, :])
+        for (x, u, v), s in np.ndenumerate(got):
+            u, v = u + 1, v + 1
+            assert s == fd.sub(1, fd.div(fd.mul(x, x), fd.mul(u, v)))
