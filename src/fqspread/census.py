@@ -19,6 +19,7 @@ the worker count.
 
 from __future__ import annotations
 
+import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -154,9 +155,9 @@ def _spread_chunk(ps: PointSet, apexes: range, gamma: Optional[int]):
     """
     n = len(ps)
     seen = np.zeros(ps.field.q + 1, dtype=bool)  # the last slot collects -1
-    count = 0
-    undef = 0
-    for mult, val in _apex_classes(ps, apexes, spreads=True):
+    count = undef = 0
+    for mult, reps in _apex_classes(ps, apexes):
+        val = _class_spread_matrix(ps.field, reps)
         nonisotropic = val.diagonal() >= 0
         # Two arms of one non-isotropic class: a collinear triple, spread 0.
         collinear = int((mult * (mult - 1))[nonisotropic].sum())
@@ -167,8 +168,7 @@ def _spread_chunk(ps: PointSet, apexes: range, gamma: Optional[int]):
             m = int(mult[nonisotropic].sum())
             undef += (n - 1) * (n - 2) - m * (m - 1)
         else:
-            hits = (val == gamma) & (val >= 0)
-            count += int(mult @ hits @ mult) + (collinear if gamma == 0 else 0)
+            count += int(mult @ (val == gamma) @ mult) + (collinear if gamma == 0 else 0)
     return (count, 0) if gamma is not None else (seen[:-1], undef)
 
 
@@ -176,16 +176,14 @@ def _spread_chunk(ps: PointSet, apexes: range, gamma: Optional[int]):
 _BLOCK_CELLS = 1 << 16
 
 
-def _apex_classes(ps: PointSet, apexes: range, spreads: bool):
+def _apex_classes(ps: PointSet, apexes: range):
     """Per apex a in `apexes`, collapse the n-1 arms b - a onto their k
     projective classes (first nonzero coordinate scaled to 1).
 
-    Yields (mult, val) per apex in order: mult[c] is the number of arms in
-    class c, and val is the k x k int matrix of spreads between class
-    representatives, -1 where undefined (an isotropic class), or None when
-    `spreads` is false.  The spread is scale-invariant, so val[c, c'] is the
-    spread of every arm pair drawn from classes c and c'; val[c, c] is 0 for
-    a non-isotropic class.
+    Yields (mult, reps) per apex in order: mult[c] is the number of arms in
+    class c, and reps (k, d; logs) holds one representative per class.  The
+    spread is scale-invariant, so the spread of reps c and c' is that of
+    every arm pair drawn from classes c and c'.
     """
     fd = ps.field
     pts = fd.log[ps.as_array()]
@@ -201,11 +199,7 @@ def _apex_classes(ps: PointSet, apexes: range, spreads: bool):
         for r in range(len(block)):
             # The apex's own zero arm has the least code and sorts first.
             starts = np.flatnonzero(code[r, 1:] != code[r, :-1]) + 1
-            mult = np.diff(starts, append=n)
-            val = None
-            if spreads:
-                val = _class_spread_matrix(fd, canon[r, order[r, starts]])
-            yield mult, val
+            yield np.diff(starts, append=n), canon[r, order[r, starts]]
 
 
 def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,11 +226,8 @@ def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]
 
 def _class_spread_matrix(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
     """Spreads between the rows of reps (k, d; logs), -1 where either norm
-    is 0."""
-    cols = reps.T
-    gram = fd.log_mul(cols[0][:, None], cols[0][None, :])
-    for col in cols[1:]:
-        gram = fd.log_add(gram, fd.log_mul(col[:, None], col[None, :]))
+    is 0; val[c, c] is 0 for a non-isotropic row."""
+    gram = fd.log_dot(reps[:, None, :], reps[None, :, :])
     nrm = gram.diagonal()
     val = fd.spread_from_logs(gram, nrm[:, None], nrm[None, :])
     isotropic = nrm == fd.zero_log
@@ -255,19 +246,26 @@ def distinct_distances(ps: PointSet) -> DistanceCensus:
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     fd = ps.field
-    pts = fd.log[ps.as_array()]
-    neg = fd.log_neg(pts)
-    dmat = np.full((n, n), fd.zero_log, dtype=np.int32)
-    for c in range(ps.dim):
-        t = fd.log_add(pts[:, c, None], neg[None, :, c])
-        dmat = fd.log_add(dmat, fd.log_mul(t, t))
-    iu = np.triu_indices(n, k=1)
-    values = sorted(int(v) for v in np.unique(fd.exp[dmat[iu]]))
+    dmat = next(_pair_distances(fd, fd.log[ps.as_array()]))
+    values = np.unique(fd.exp[dmat[np.triu_indices(n, k=1)]]).tolist()
     return DistanceCensus(
         values=tuple(values),
         nonzero_values=tuple(v for v in values if v != 0),
         pairs_scanned=n * (n - 1) // 2,
     )
+
+
+def _pair_distances(fd: ff.Field, pts: np.ndarray):
+    """Yields the logs of |x - y|, then of |x + y|, for every pair of rows
+    of pts (n, d; logs), by polarization |x -+ y| = |x| + |y| -+ 2 x.y from
+    one Gram matrix.  The second is computed only when asked for."""
+    gram = fd.log_dot(pts[:, None, :], pts[None, :, :])
+    nrm = gram.diagonal()
+    norms = fd.log_add(nrm[:, None], nrm[None, :])
+    twice = fd.log_mul(gram, fd.log[2])
+    del gram, nrm
+    yield fd.log_add(norms, fd.log_neg(twice))
+    yield fd.log_add(norms, twice)
 
 
 # -- spanned lines -------------------------------------------------------------
@@ -289,7 +287,7 @@ def spanned_lines(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> LineCensus
         raise BudgetExceeded(f"n^2 = {n * n} exceeds budget {budget}")
     pair_counts = np.zeros(n, dtype=np.int64)  # N_c, indexed by c
     max_degree = 0
-    for mult, _ in _apex_classes(ps, range(n), spreads=False):
+    for mult, _ in _apex_classes(ps, range(n)):
         pair_counts += np.bincount(mult, minlength=n)
         max_degree = max(max_degree, len(mult))
     points_per_line = np.arange(1, n + 1)
@@ -383,27 +381,12 @@ def search_iso_triple(
 
 
 def _isotropic_reps(fd: ff.Field, d: int) -> list[Vec]:
-    """Nonzero isotropic vectors with first nonzero coordinate 1, in
-    lexicographic order."""
-    q = fd.q
+    """The sphere |x| = 0 with one vector per projective class (first
+    nonzero coordinate 1, so not the zero vector), in lexicographic order."""
     out = []
-    chunk = 1 << 18
-    for lo in range(0, q**d, chunk):
-        idx = np.arange(lo, min(q**d, lo + chunk), dtype=np.int64)
-        coords = np.empty((len(idx), d), dtype=np.int32)
-        rest = idx
-        for c in range(d - 1, -1, -1):
-            coords[:, c] = rest % q
-            rest = rest // q
-        logs = fd.log[coords]
-        nrm = np.full(len(idx), fd.zero_log, dtype=np.int32)
-        for c in range(d):
-            nrm = fd.log_add(nrm, fd.log_mul(logs[:, c], logs[:, c]))
-        nonzero = (coords != 0).any(axis=1)
-        first_nz = (coords != 0).argmax(axis=1)
-        lead_one = coords[np.arange(len(idx)), first_nz] == 1
-        keep = nonzero & lead_one & (nrm == fd.zero_log)
-        out.extend(map(tuple, coords[keep].tolist()))
+    for coords in geom.sphere_blocks(fd, d, 0):
+        lead = np.take_along_axis(coords, (coords != 0).argmax(axis=1)[:, None], axis=1)
+        out.extend(map(tuple, coords[lead[:, 0] == 1].tolist()))
     return out
 
 
@@ -415,10 +398,7 @@ def _orthogonality_masks(fd: ff.Field, reps: list[Vec]) -> list[int]:
     masks: list[int] = []
     block = max(1, min(m, (1 << 18) // max(m, 1)))
     for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        g = np.full((hi - lo, m), fd.zero_log, dtype=np.int32)
-        for c in range(arr.shape[1]):
-            g = fd.log_add(g, fd.log_mul(arr[lo:hi, c, None], arr[None, :, c]))
+        g = fd.log_dot(arr[lo : lo + block, None, :], arr[None, :, :])
         for row in g == fd.zero_log:
             bits = np.packbits(row, bitorder="little").tobytes()
             masks.append(int.from_bytes(bits, "little"))
@@ -439,38 +419,31 @@ def sphere_equiv_check(
     if m**4 > budget:
         raise BudgetExceeded(f"|S1|^4 = {m ** 4} exceeds budget {budget}")
     pts = fd.log[sph.as_array()]
-    zero = fd.zero_log
-    nrm = np.full(m, zero, dtype=np.int32)
-    gram = np.full((m, m), zero, dtype=np.int32)
-    dmat = gram.copy()
-    smat = gram.copy()
-    for c in range(d):
-        col = pts[:, c]
-        nrm = fd.log_add(nrm, fd.log_mul(col, col))
-        gram = fd.log_add(gram, fd.log_mul(col[:, None], col[None, :]))
-        dcol = fd.log_add(col[:, None], fd.log_neg(col)[None, :])
-        dmat = fd.log_add(dmat, fd.log_mul(dcol, dcol))
-        scol = fd.log_add(col[:, None], col[None, :])
-        smat = fd.log_add(smat, fd.log_mul(scol, scol))
-    nonisotropic = nrm != zero
-    defined = (nonisotropic[:, None] & nonisotropic[None, :]).ravel()
-    sval = fd.spread_from_logs(gram, nrm[:, None], nrm[None, :]).ravel()
-    dval = dmat.ravel()  # logs: equal exactly when the distances are equal
-    sumval = smat.ravel()
-
-    eq_spread = sval[:, None] == sval[None, :]
-    eq_rhs = (dval[:, None] == dval[None, :]) | (dval[:, None] == sumval[None, :])
-    both = defined[:, None] & defined[None, :]
-    bad = (eq_spread != eq_rhs) & both
-    violations = []
-    for flat1, flat2 in zip(*np.nonzero(bad)):
-        if len(violations) >= max_violations:
-            break
-        a, b = divmod(int(flat1), m)
-        c, e = divmod(int(flat2), m)
-        violations.append((sph.points[a], sph.points[b], sph.points[c], sph.points[e]))
+    # One key (spread, |a - b|, |a + b|) per origin pair (a, b); the verdict
+    # on (a, b), (c, e) depends only on the two keys.  Undefined pairs have
+    # spread -1 and are masked out.
+    minus, plus = _pair_distances(fd, pts)
+    spreads = _class_spread_matrix(fd, pts)
+    keys, inverse, counts = np.unique(
+        np.stack([spreads.ravel(), minus.ravel(), plus.ravel()], axis=1),
+        axis=0, return_inverse=True, return_counts=True,
+    )
+    inverse = inverse.ravel()
+    s, dm, dp = keys.T
+    defined = s >= 0
+    eq_rhs = (dm[:, None] == dm[None, :]) | (dm[:, None] == dp[None, :])
+    bad = ((s[:, None] == s[None, :]) != eq_rhs) & defined[:, None] & defined[None, :]
+    # Violations in row-major order of (a, b), then (c, e).
+    quads = (
+        (i, j)
+        for i in np.flatnonzero(bad.any(axis=1)[inverse])
+        for j in np.flatnonzero(bad[inverse[i]][inverse])
+    )
+    pairs = list(itertools.product(sph.points, repeat=2))  # by flat index a * m + b
+    violations = [pairs[i] + pairs[j] for i, j in itertools.islice(quads, max(0, max_violations))]
+    checked = int(counts[defined].sum()) ** 2
     return EquivReport(
-        quadruples_checked=int(both.sum()),
-        excluded=int(m**4 - both.sum()),
+        quadruples_checked=checked,
+        excluded=m**4 - checked,
         violations=tuple(violations),
     )

@@ -13,6 +13,8 @@ F_q^*: logs, exponentials and Zech logarithms (Lidl & Niederreiter, Finite
 Fields, ch. 9).  A product is an add plus a gather, a sum a Zech gather
 plus an add plus a gather.  The scalar ops index the arrays through
 memoryviews; the census kernels gather from them with numpy, on logs.
+Norms, Gram matrices, spreads, isotropy and distances (by polarization)
+downstream all come from the one inner product ``Field.log_dot``.
 """
 
 from __future__ import annotations
@@ -175,6 +177,15 @@ class Field:
 
     def log_neg(self, x: np.ndarray) -> np.ndarray:
         return self._red[x + self._half]
+
+    def log_dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Logs of sum_i x_i y_i over the common last axis (length >= 1) of
+        two arrays of logs whose other axes broadcast.  The loop runs over
+        coordinates, so no temporary carries that axis."""
+        acc = self.log_mul(x[..., 0], y[..., 0])
+        for c in range(1, x.shape[-1]):
+            acc = self.log_add(acc, self.log_mul(x[..., c], y[..., c]))
+        return acc
 
     def spread_from_logs(self, dot: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
         """Elements 1 - dot^2 / (nu * nv) from the logs of a dot product and

@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import ff
 from .errors import (
     BadArity,
+    BadDimension,
     BudgetExceeded,
     DimensionMismatch,
     DuplicatePoint,
@@ -298,12 +299,26 @@ def sphere_points(
         raise FormatError(f"t = {t} is not an element index of F_{fd.q}")
     if fd.q**d > budget:
         raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
-    pts = [
-        v
-        for v in itertools.product(fd.elements(), repeat=d)
-        if norm(fd, v) == t
-    ]
-    return PointSet(fd, d, pts)
+    return PointSet(fd, d, [p for b in sphere_blocks(fd, d, t) for p in b.tolist()])
+
+
+# Indices of F_q^d per block of the sphere enumeration.
+_SPHERE_BLOCK = 1 << 18
+
+
+def sphere_blocks(fd: ff.Field, d: int, t: int) -> Iterator[np.ndarray]:
+    """The x in F_q^d with |x| = t, in index order, as int32 coordinate
+    arrays of shape (k, d), one per block of _SPHERE_BLOCK indices."""
+    if d < 1:
+        raise BadDimension(f"needs d >= 1, got d = {d}")
+    total = fd.q**d
+    for lo in range(0, total, _SPHERE_BLOCK):
+        rest = np.arange(lo, min(total, lo + _SPHERE_BLOCK), dtype=np.int64)
+        coords = np.empty((len(rest), d), dtype=np.int32)
+        for c in range(d - 1, -1, -1):
+            rest, coords[:, c] = np.divmod(rest, fd.q)
+        logs = fd.log[coords]
+        yield coords[fd.log_dot(logs, logs) == fd.log[t]]
 
 
 # -- orthogonal matrices -----------------------------------------------------------
