@@ -422,13 +422,11 @@ def sphere_equiv_check(
     # One key (spread, |a - b|, |a + b|) per origin pair (a, b); the verdict
     # on (a, b), (c, e) depends only on the two keys.  Undefined pairs have
     # spread -1 and are masked out.
-    minus, plus = _pair_distances(fd, pts)
-    spreads = _class_spread_matrix(fd, pts)
+    pair_keys = np.stack([_class_spread_matrix(fd, pts), *_pair_distances(fd, pts)], axis=-1)
     keys, inverse, counts = np.unique(
-        np.stack([spreads.ravel(), minus.ravel(), plus.ravel()], axis=1),
-        axis=0, return_inverse=True, return_counts=True,
+        pair_keys.reshape(-1, 3), axis=0, return_inverse=True, return_counts=True
     )
-    inverse = inverse.ravel()
+    inverse = inverse.ravel()  # 2-d for an axis on some numpy versions
     s, dm, dp = keys.T
     defined = s >= 0
     eq_rhs = (dm[:, None] == dm[None, :]) | (dm[:, None] == dp[None, :])

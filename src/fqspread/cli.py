@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = spread_sub.add_parser("eval")
     p_eval.set_defaults(func=_cmd_spread_eval)
     _common(p_eval, env)
-    p_eval.add_argument("--d", type=int, required=True)
+    p_eval.add_argument("--d", type=_positive_int, required=True)
     p_eval.add_argument("--apex", required=True, help="comma-separated element indices")
     p_eval.add_argument("--b", required=True)
     p_eval.add_argument("--c", required=True)
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_construct)
     p_con.add_argument("kind", choices=("con1", "con2", "iso"))
     _common(p_con, env)
-    p_con.add_argument("--d", type=int, required=True)
+    p_con.add_argument("--d", type=_positive_int, required=True)
 
     p_cen = sub.add_parser("census", help="exhaustive counts over a point file")
     p_cen.set_defaults(func=_cmd_census)
@@ -127,32 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso = search_sub.add_parser("iso-triple")
     p_iso.set_defaults(func=_cmd_search)
     _common(p_iso, env)
-    p_iso.add_argument("--d", type=int, required=True)
+    p_iso.add_argument("--d", type=_positive_int, required=True)
 
     p_sphere = sub.add_parser("sphere", help="enumerate a sphere |x| = t")
     p_sphere.set_defaults(func=_cmd_sphere)
     _common(p_sphere, env)
-    p_sphere.add_argument("--d", type=int, required=True)
+    p_sphere.add_argument("--d", type=_positive_int, required=True)
     p_sphere.add_argument("--t", type=int, required=True)
 
     p_expt = sub.add_parser("experiment", help="seeded experiments with pass/fail verdicts")
     p_expt.set_defaults(func=_cmd_experiment)
-    p_expt.add_argument(
-        "kind",
-        choices=(
-            "bode",
-            "threshold",
-            "beck",
-            "projection",
-            "constructions",
-            "sphere-distance",
-            "sphere-equiv",
-            "all",
-        ),
-    )
+    p_expt.add_argument("kind", choices=(*_EXPERIMENTS, "all"))
     _common(p_expt, env, field=False)
     p_expt.add_argument("--field", help='field spec "p^r"; required except for `all`')
-    p_expt.add_argument("--d", type=int, default=2)
+    p_expt.add_argument("--d", type=_positive_int, default=2)
     p_expt.add_argument("--epsilon", type=_rational, default="1", help="rational, e.g. 1, 1/2, 0.5")
     p_expt.add_argument("--C", type=_rational, default="2", help="rational sphere-subset constant")
     p_expt.add_argument("--k", type=int, default=2, help="projection target dimension")
@@ -297,6 +285,20 @@ def _report_csv(reports) -> str:
     return buf.getvalue()
 
 
+# Each single experiment by name, run on the parsed field and flags.
+_EXPERIMENTS = {
+    "bode": lambda fd, a: expt.run_bode(fd, a.trials, a.seed, full_plane=a.full_plane, workers=a.workers),
+    "threshold": lambda fd, a: expt.run_threshold(
+        fd, a.d, a.epsilon, a.trials, a.seed, adversarial=a.adversarial, workers=a.workers
+    ),
+    "beck": lambda fd, a: expt.run_beck(fd, a.d, a.epsilon, a.trials, a.seed),
+    "projection": lambda fd, a: expt.run_projection(fd, a.d, a.k, a.n_points, a.trials, a.seed),
+    "constructions": lambda fd, a: expt.run_constructions(fd, a.d, workers=a.workers),
+    "sphere-distance": lambda fd, a: expt.run_sphere_distance(fd, a.d, a.C, a.trials, a.seed),
+    "sphere-equiv": lambda fd, a: expt.run_sphere_equiv(fd, a.d, budget=a.budget),
+}
+
+
 def _cmd_experiment(args) -> int:
     kind = args.kind
     if kind == "all":
@@ -312,24 +314,7 @@ def _cmd_experiment(args) -> int:
     if not args.field:
         print("usage error: --field is required for this experiment", file=sys.stderr)
         return 2
-    fd = ff.parse_field(args.field)
-    if kind == "bode":
-        rep = expt.run_bode(fd, args.trials, args.seed, full_plane=args.full_plane, workers=args.workers)
-    elif kind == "threshold":
-        rep = expt.run_threshold(
-            fd, args.d, args.epsilon, args.trials, args.seed,
-            adversarial=args.adversarial, workers=args.workers,
-        )
-    elif kind == "beck":
-        rep = expt.run_beck(fd, args.d, args.epsilon, args.trials, args.seed)
-    elif kind == "projection":
-        rep = expt.run_projection(fd, args.d, args.k, args.n_points, args.trials, args.seed)
-    elif kind == "constructions":
-        rep = expt.run_constructions(fd, args.d, workers=args.workers)
-    elif kind == "sphere-distance":
-        rep = expt.run_sphere_distance(fd, args.d, args.C, args.trials, args.seed)
-    else:
-        rep = expt.run_sphere_equiv(fd, args.d, budget=args.budget)
+    rep = _EXPERIMENTS[kind](ff.parse_field(args.field), args)
     if args.format == "csv":
         _emit(args, _report_csv([rep]))
     else:
@@ -345,6 +330,9 @@ def main(argv=None) -> int:
         print(err.code, file=sys.stderr)
         print(f"detail: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # an unreadable --points or unwritable --out path
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

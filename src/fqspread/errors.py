@@ -71,6 +71,10 @@ class SphereTooSmall(DomainError):
     pass
 
 
+class VacuousBound(DomainError):
+    pass
+
+
 class DuplicatePoint(DomainError):
     pass
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import census, construct, ff, geom
-from .errors import SizeExceeded, SphereTooSmall, TooFewPoints
+from .errors import SizeExceeded, SphereTooSmall, TooFewPoints, VacuousBound
 from .geom import PointSet
 
 
@@ -160,7 +160,7 @@ def run_threshold(
         raise TooFewPoints(f"epsilon = {epsilon} gives sample size {size}; a spread needs 3 points")
     floor_count = q // 4
     per_trial = []
-    if adversarial:
+    if adversarial:  # the sharp count is checked even where the floor is 0
         ps = construct.con1_set(fd, d) if d % 2 == 0 else construct.con2_set(fd, d)
         cen = census.distinct_spreads(ps, workers=workers)
         limit = 0 if d % 2 == 0 else 1
@@ -176,6 +176,8 @@ def run_threshold(
     else:
         if size > q**d:
             raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
+        if floor_count == 0:
+            raise VacuousBound(f"the floor floor(q/4) is 0 on F_{q}, which every set meets")
         universe = geom.all_points(fd, d).points
         for t in range(trials):
             pts = sample_prefix(universe, size, random.Random(trial_seed(seed, t)))
@@ -276,7 +278,6 @@ def run_projection(
         raise SizeExceeded(f"n_points = {n_points} exceeds |F_q^d| = {q ** d}")
     universe = geom.all_points(fd, d).points
     pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
-    bound = Fraction(6, 5) * math.comb(n_points, 2) * Fraction(1, q**k)
     per_trial = []
     best: Optional[dict] = None
     total = 0
@@ -293,6 +294,7 @@ def run_projection(
                 "image_size": census.image_size(pts, proj),
             }
     mean = Fraction(total, trials)
+    bound = Fraction(6, 5) * math.comb(n_points, 2) * Fraction(1, q**k)  # k checked by the projections
     mean_ok = mean <= bound
     image_ok = best["image_size"] >= n_points - best["collisions"]
     oks = [mean_ok, image_ok] + [r["ok"] for r in per_trial]
@@ -370,13 +372,15 @@ def run_sphere_distance(
     if c <= 0:
         raise TooFewPoints(f"C = {c} gives no sample points; C must be positive")
     q = fd.q
+    threshold = min(q // 2, math.floor(c * q / 4))
+    if threshold == 0:
+        raise TooFewPoints(f"C = {c} gives threshold 0 on F_{q}, which every set meets; need C >= 4/q")
     sphere = geom.sphere_points(fd, d, 1)
     size = ceil_scaled_power(c, q, d)
     if size > len(sphere):
         raise SphereTooSmall(
             f"sample size {size} exceeds |S1| = {len(sphere)} in F_{q}^{d}"
         )
-    threshold = min(q // 2, math.floor(c * q / 4))
     per_trial = []
     for t in range(trials):
         pts = sample_prefix(sphere.points, size, random.Random(trial_seed(seed, t)))

@@ -65,7 +65,7 @@ class Field:
 
     def __init__(self, p: int, r: int = 1, size_cap: int = DEFAULT_SIZE_CAP):
         if r < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise NotPrime(f"{p}^{r} is not a prime power: the extension degree must be >= 1")
         if p == 2:
             raise CharacteristicTwo("characteristic 2 is not supported")
         if not is_prime(p):

@@ -281,7 +281,7 @@ class PointSet:
 
     @classmethod
     def load(cls, path) -> "PointSet":
-        return cls.loads(Path(path).read_text())
+        return cls.loads(Path(path).read_text(errors="replace"))
 
 
 def all_points(fd: ff.Field, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointSet:

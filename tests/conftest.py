@@ -112,3 +112,8 @@ def naive_distances(ps):
             for a, b in itertools.combinations(ps.points, 2)
         }
     )
+
+
+def naive_sphere_points(fd, d, t):
+    """Every x in F_q^d with |x| = t, in index order, by scalar norms."""
+    return [v for v in itertools.product(fd.elements(), repeat=d) if geom.norm(fd, v) == t]

@@ -29,6 +29,8 @@ F5 = Field(5)
 F7 = Field(7)
 F9 = Field(3, 2)
 F13 = Field(13)
+F25 = Field(5, 2)
+F27 = Field(3, 3)
 
 
 def random_pointset(fd, d, n, seed):
@@ -206,6 +208,43 @@ def test_distinct_distances_matches_naive_oracle():
         assert list(distinct_distances(ps).values) == naive_distances(ps)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: geom.all_points(F3, 3),  # 2 = -1: polarization in characteristic 3
+        lambda: random_pointset(F3, 3, 4, 13),
+        lambda: random_pointset(F25, 3, 40, 11),
+        lambda: random_pointset(F25, 3, 5, 14),
+        lambda: random_pointset(F27, 3, 40, 12),
+        lambda: random_pointset(F27, 3, 5, 15),
+        lambda: geom.sphere_points(F3, 3, 0),  # isotropic: many differences of norm 0
+        lambda: PointSet(F27, 3, geom.sphere_points(F27, 3, 0).points[::23]),
+        lambda: PointSet(F25, 3, geom.sphere_points(F25, 3, 1).points[::19]),
+    ],
+    ids=[
+        "f3-space", "f3-few", "f25-random", "f25-few", "f27-random", "f27-few",
+        "f3-isotropic", "f27-isotropic", "f25-unit",
+    ],
+)
+def test_distinct_distances_in_space_match_naive_oracle(make):
+    ps = make()
+    cen = distinct_distances(ps)
+    assert list(cen.values) == naive_distances(ps)
+    assert cen.nonzero_values == tuple(v for v in cen.values if v)
+
+
+@pytest.mark.parametrize("fd", [F3, F25, F27], ids=lambda fd: fd.label())
+def test_pair_distances_match_scalar_polarization(fd):
+    # |a - b| and |a + b| for every ordered pair, against scalar geom; in
+    # characteristic 3 the doubled Gram term is -x.y
+    for seed in range(3):
+        ps = random_pointset(fd, 3, 7, seed)
+        minus, plus = census._pair_distances(fd, fd.log[ps.as_array()])
+        for (i, a), (j, b) in itertools.product(enumerate(ps.points), repeat=2):
+            assert fd.exp[minus[i, j]] == geom.dist(fd, a, b)
+            assert fd.exp[plus[i, j]] == geom.norm(fd, geom.vadd(fd, a, b))
+
+
 # -- lines ----------------------------------------------------------------------
 
 
@@ -380,6 +419,49 @@ def test_sphere_equiv_matches_scalar_recheck():
             F5, a, b
         ) == geom.norm(F5, geom.vadd(F5, c, e))
         assert lhs == rhs
+
+
+def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
+    # Corrupt one key column (|a + b| for a = the first point) and mark one
+    # origin pair undefined, then list the violating quadruples naively in
+    # row-major order from the same matrices.
+    seen = {}
+    pair_distances, spread_matrix = census._pair_distances, census._class_spread_matrix
+
+    def corrupt_distances(fd, pts):
+        minus, plus = pair_distances(fd, pts)
+        plus[0] = fd.log[3]
+        seen["minus"], seen["plus"] = minus, plus
+        yield from (minus, plus)
+
+    def undefine_one(fd, reps):
+        val = spread_matrix(fd, reps)
+        val[1, 2] = -1
+        seen["spread"] = val
+        return val
+
+    monkeypatch.setattr(census, "_pair_distances", corrupt_distances)
+    monkeypatch.setattr(census, "_class_spread_matrix", undefine_one)
+    rep = sphere_equiv_check(F7, 2, max_violations=10**6)
+    pts = geom.sphere_points(F7, 2, 1).points
+    m = len(pts)
+    keys = {
+        (a, b): (int(seen["spread"][a, b]), int(seen["minus"][a, b]), int(seen["plus"][a, b]))
+        for a, b in itertools.product(range(m), repeat=2)
+    }
+    naive = [
+        (pts[a], pts[b], pts[c], pts[e])
+        for (a, b), (c, e) in itertools.product(keys, repeat=2)
+        if keys[a, b][0] >= 0 and keys[c, e][0] >= 0
+        and (keys[a, b][0] == keys[c, e][0])
+        != (keys[a, b][1] == keys[c, e][1] or keys[a, b][1] == keys[c, e][2])
+    ]
+    assert len(naive) > 50
+    assert list(rep.violations) == naive
+    assert rep.quadruples_checked == (m * m - 1) ** 2
+    assert rep.excluded == m**4 - (m * m - 1) ** 2
+    assert list(sphere_equiv_check(F7, 2, max_violations=50).violations) == naive[:50]
+    assert sphere_equiv_check(F7, 2, max_violations=0).violations == ()
 
 
 def test_sphere_equiv_budget():

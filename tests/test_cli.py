@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqspread import cli
+from fqspread import cli, errors
 from fqspread.ff import Field
 from fqspread.geom import PointSet, sphere_points
 
@@ -377,6 +377,7 @@ def test_malformed_env_default_is_usage_error(capsys, monkeypatch, name, value):
         ["projection", "--field", "5^1", "--d", "4", "--n-points", "0", "--trials", "2"],
         ["projection", "--field", "5^1", "--d", "4", "--n-points", "100000", "--trials", "2"],
         ["sphere-distance", "--field", "5^1", "--d", "3", "--C=-1", "--trials", "2"],
+        ["sphere-distance", "--field", "5^1", "--d", "3", "--C", "1/2", "--trials", "2"],
     ],
 )
 def test_experiment_vacuous_inputs_rejected(capsys, argv):
@@ -384,6 +385,40 @@ def test_experiment_vacuous_inputs_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.splitlines()[0] in ("TooFewPoints", "SizeExceeded")
+
+
+def test_experiment_threshold_zero_floor_rejected(capsys):
+    # q // 4 = 0 on F_3: the floor is met by any set
+    code, out, err = run_cli(capsys, "experiment", "threshold", "--field", "3^1", "--d", "2", "--trials", "2")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "VacuousBound"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sphere", "--field", "5^1", "--d", "0", "--t", "0"],
+        ["search", "iso-triple", "--field", "5^1", "--d", "0"],
+        ["experiment", "beck", "--field", "5^1", "--d", "0", "--trials", "1"],
+        ["experiment", "sphere-equiv", "--field", "5^1", "--d", "-1"],
+    ],
+)
+def test_dimension_below_one_is_usage_error(capsys, argv):
+    # these ended in a traceback or in a degenerate d = 0 result
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--points", "--out"])
+def test_unusable_path_is_usage_error(capsys, tmp_path, flag):
+    points = tmp_path / "pts.txt"
+    PointSet(Field(5), 2, [(0, 0), (1, 0), (0, 1)]).save(points)
+    path = str(tmp_path / "missing" / "x.txt")
+    argv = ["census", "spreads", "--points", path if flag == "--points" else str(points)]
+    code, out, err = run_cli(capsys, *argv, *(["--out", path] if flag == "--out" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "x.txt" in err
 
 
 def run_cli_boundary(argv):
@@ -417,3 +452,107 @@ def test_cli_boundary_never_tracebacks(points_f9, coords, gamma, t):
         ["census", "occurrences", f"--points={points_f9}", f"--gamma={gamma}"],
     ):
         assert run_cli_boundary(argv) in (0, 1, 2)
+
+
+# -- whole-argv boundary -----------------------------------------------------
+
+_any_text = st.text(max_size=6)
+_FLAG_VALUES = {
+    "--field": st.sampled_from(["3^1", "5", "7^1", "3^2", "9", "5^1", "2", "3^0"]),
+    "--d": st.integers(0, 3).map(str),
+    "--seed": st.integers(-5, 5).map(str),
+    "--budget": st.integers(-1, 10**4).map(str),
+    "--format": st.sampled_from(["json", "csv"]),
+    "--apex": st.lists(st.integers(-2, 10), max_size=4).map(lambda v: ",".join(map(str, v))),
+    "--b": st.sampled_from(["1,0", "0,1", "1,1,1", ""]),
+    "--c": st.sampled_from(["0,1", "2,2", "0,0,1", "x"]),
+    "--gamma": st.integers(-3, 12).map(str),
+    "--t": st.integers(-3, 12).map(str),
+    "--workers": st.integers(-1, 3).map(str),
+    "--epsilon": st.fractions(-3, 3, max_denominator=4).map(str),
+    "--C": st.fractions(-2, 3, max_denominator=4).map(str),
+    "--k": st.integers(-2, 4).map(str),
+    "--n-points": st.integers(-1, 30).map(str),
+    "--trials": st.integers(0, 3).map(str),
+}
+_SWITCHES = ("--adversarial", "--full-plane")
+_COMMON = ("--seed", "--budget", "--format")
+_EXPERIMENT_FLAGS = ("--epsilon", "--C", "--k", "--n-points", "--trials", "--workers") + _SWITCHES
+# (command words, required flags, optional flags)
+_COMMANDS = (
+    (("field", "info"), ("--field",), ()),
+    (("spread", "eval"), ("--field", "--d", "--apex", "--b", "--c"), ()),
+    (("kspread", "eval"), ("--points",), ()),
+    (("construct", "con1"), ("--field", "--d"), ()),
+    (("construct", "con2"), ("--field", "--d"), ()),
+    (("construct", "iso"), ("--field", "--d"), ()),
+    (("census", "spreads"), ("--points",), ("--workers",)),
+    (("census", "distances"), ("--points",), ()),
+    (("census", "lines"), ("--points",), ()),
+    (("census", "occurrences"), ("--points", "--gamma"), ("--workers",)),
+    (("search", "iso-triple"), ("--field", "--d"), ()),
+    (("sphere",), ("--field", "--d", "--t"), ()),
+) + tuple(
+    (("experiment", kind), ("--field",), ("--d",) + _EXPERIMENT_FLAGS)
+    for kind in ("bode", "threshold", "beck", "projection", "constructions", "sphere-distance", "sphere-equiv")
+)
+
+
+@st.composite
+def _argv(draw, point_files):
+    """The required flags and some optional ones; at most one flag is left
+    out and at most one gets an arbitrary string."""
+    words, required, optional = draw(st.sampled_from(_COMMANDS))
+    flags = list(required) + draw(st.lists(st.sampled_from(optional + _COMMON), unique=True))
+    dropped, garbled = (draw(st.one_of(st.none(), st.sampled_from(flags))) for _ in range(2))
+    argv = list(words)
+    for flag in flags:
+        if flag == dropped:
+            continue
+        if flag in _SWITCHES:
+            argv.append(flag)
+            continue
+        if flag == garbled:
+            value = draw(_any_text)
+        elif flag == "--points":
+            value = draw(st.sampled_from(point_files))
+        else:
+            value = draw(_FLAG_VALUES[flag])
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def point_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "f5.txt": PointSet(Field(5), 2, [(0, 0), (1, 0), (0, 1), (2, 3)]).dumps(),
+        "f9.txt": PointSet(Field(3, 2), 3, [(0, 0, 0), (1, 0, 2), (0, 4, 1)]).dumps(),
+        "one.txt": "q=7 d=2\n1,1\n",
+        "bad.txt": "q=6 d=2\n0,0\n",
+        "binary.txt": "\udcff\x00q=5",
+    }
+    for name, text in files.items():
+        (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    return [str(root / name) for name in files] + [str(root), str(root / "missing.txt")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_whole_argv_never_tracebacks(point_files, data):
+    # Real subcommands and flags with arbitrary values (tiny fields, small
+    # budgets and trial counts) end in exit 0, 1 or 2, never a traceback;
+    # exit 1 carries an error code on the first stderr line unless an
+    # experiment reported a fail verdict.
+    argv = data.draw(_argv(point_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    if code == 1 and lines:
+        assert issubclass(getattr(errors, lines[0], type), errors.DomainError), argv
+    elif code == 1:
+        assert argv[0] == "experiment", argv

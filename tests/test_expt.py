@@ -123,6 +123,16 @@ def test_run_threshold_size_guard():
                 run_threshold(F5, 2, eps, 2, 0, adversarial=adversarial)
 
 
+def test_run_threshold_rejects_zero_floor():
+    # floor(q/4) = 0 on F_3, so every random set would pass
+    with pytest.raises(errors.VacuousBound):
+        run_threshold(F3, 2, Fraction(1), 2, 0)
+    # the adversarial construction is still held to its sharp count
+    rep = run_threshold(F3, 4, Fraction(1), 2, 0, adversarial=True)
+    assert rep.params["floor"] == 0
+    assert rep.per_trial[0]["ok"] == (rep.per_trial[0]["defined_count"] == 0)
+
+
 def test_run_beck():
     rep = run_beck(F5, 2, Fraction(1), 30, 0)
     assert rep.passed
@@ -183,6 +193,11 @@ def test_run_sphere_distance_guards():
     for c in (Fraction(-1), Fraction(0)):
         with pytest.raises(errors.TooFewPoints):
             run_sphere_distance(F5, 3, c, 1, 0)
+    # 0 < C < 4/q floors C q / 4 to a threshold of 0, which every set meets
+    for c in (Fraction(1, 2), Fraction(3, 4)):
+        with pytest.raises(errors.TooFewPoints):
+            run_sphere_distance(F5, 3, c, 1, 0)
+    assert run_sphere_distance(F5, 3, Fraction(4, 5), 1, 0).params["threshold"] == 1
 
 
 def test_run_sphere_equiv():

@@ -6,7 +6,7 @@ from conftest import ReferenceField
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqspread import errors, ff
+from fqspread import errors, ff, geom
 from fqspread.ff import Field, parse_field
 
 F5 = Field(5)
@@ -281,3 +281,20 @@ def test_spread_from_logs_matches_scalar_formula():
         for (x, u, v), s in np.ndenumerate(got):
             u, v = u + 1, v + 1
             assert s == fd.sub(1, fd.div(fd.mul(x, x), fd.mul(u, v)))
+
+
+@pytest.mark.parametrize("fd", [F7, F27], ids=lambda fd: fd.label())
+def test_log_dot_matches_scalar_dot(fd):
+    # seeded vectors with zero coordinates and zero vectors, over the pair
+    # grid (k,1,d) x (1,k,d) and over equal shapes, for d = 1, 2 and 4
+    rng = random.Random(fd.q)
+    for d in (1, 2, 4):
+        vecs = [tuple(rng.choice([0, 0, rng.randrange(fd.q)]) for _ in range(d)) for _ in range(12)]
+        vecs += [(0,) * d, (1,) + (0,) * (d - 1)]
+        logs = fd.log[np.array(vecs)]
+        grid = fd.log_dot(logs[:, None, :], logs[None, :, :])
+        assert grid.shape == (len(vecs), len(vecs))
+        for (i, j), got in np.ndenumerate(grid):
+            assert fd.exp[got] == geom.dot(fd, vecs[i], vecs[j])
+        same = fd.log_dot(logs, logs[::-1])
+        assert [fd.exp[x] for x in same] == [geom.dot(fd, u, v) for u, v in zip(vecs, vecs[::-1])]

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from conftest import naive_sphere_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqspread import errors, geom
+from fqspread import census, errors, geom
 from fqspread.ff import Field
 from fqspread.geom import (
     CanonLine,
@@ -188,9 +189,24 @@ def test_sphere_points_frozen_values():
     assert (1, 1, 1) in geom.sphere_points(F3, 3, 0)
 
 
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize("fd, d", [(F3, 3), (F5, 3), (F7, 3), (F9, 2), (Field(5, 2), 2)], ids=str)
+def test_sphere_points_match_naive_oracle(monkeypatch, block, fd, d):
+    # every t, through one block and through many blocks of 7 indices
+    if block:
+        monkeypatch.setattr(geom, "_SPHERE_BLOCK", block)
+    for t in fd.elements():
+        assert list(geom.sphere_points(fd, d, t).points) == naive_sphere_points(fd, d, t)
+    reps = census._isotropic_reps(fd, d)
+    lead_one = [v for v in naive_sphere_points(fd, d, 0) if next((x for x in v if x), None) == 1]
+    assert reps == lead_one
+
+
 def test_sphere_budget():
     with pytest.raises(errors.BudgetExceeded):
         geom.sphere_points(F5, 4, 1, budget=100)
+    with pytest.raises(errors.BadDimension):
+        geom.sphere_points(F5, 0, 0)
 
 
 def test_isotropic_points_split_across_two_lines_when_root_exists():
