@@ -9,18 +9,21 @@ first nonzero coordinate is 1 and collapses the n-1 arms onto their k <=
 min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  Spreads are then
 evaluated on the k x k class Gram matrix, and the classes at an apex are
 exactly the spanned lines through it.  Apexes are canonicalized in blocks,
-so temporaries stay O(block * n * d).  Every kernel runs one code path for
-all fields: coordinates become discrete logs (``Field.log``) and all
-arithmetic gathers from the field's O(q) log arrays; the spread
-1 - g^2 / (|u||v|) of the class Gram matrix is one gather.  Sweeps split
-the apexes into ranges merged associatively, so results never depend on
-the worker count.
+so temporaries stay O(block * n * d); sweeps split the apexes into ranges
+merged associatively, so results never depend on the worker count.
+
+Every kernel runs one code path for all fields, on discrete logs
+(``Field.log``), and every inner product is ``Field.log_dot``.  Distances
+come by polarization |x -+ y| = |x| + |y| -+ 2 x.y from one Gram matrix.
+The sphere check compares the K distinct (spread, |a - b|, |a + b|) keys
+of its m^2 origin pairs: O(m^2 + K^2) memory, never m^4.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -134,9 +137,8 @@ def _sweep(ps: PointSet, workers: int, gamma: Optional[int]):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda c: _spread_chunk(ps, c, gamma), chunks))
     acc, extra = parts[0]
-    for a, e in parts[1:]:
-        acc = acc | a if isinstance(acc, np.ndarray) else acc + a
-        extra += e
+    for a, e in parts[1:]:  # counts add; seen-value bool arrays add as "or"
+        acc, extra = acc + a, extra + e
     return acc, extra
 
 
@@ -256,16 +258,15 @@ def distinct_distances(ps: PointSet) -> DistanceCensus:
 
 
 def _pair_distances(fd: ff.Field, pts: np.ndarray):
-    """Yields the logs of |x - y|, then of |x + y|, for every pair of rows
-    of pts (n, d; logs), by polarization |x -+ y| = |x| + |y| -+ 2 x.y from
-    one Gram matrix.  The second is computed only when asked for."""
+    """Yields the logs of |x - y|, then (only if asked for) of |x + y|, for all
+    pairs of rows of pts (n, d; logs), by polarization from one Gram matrix."""
     gram = fd.log_dot(pts[:, None, :], pts[None, :, :])
     nrm = gram.diagonal()
     norms = fd.log_add(nrm[:, None], nrm[None, :])
-    twice = fd.log_mul(gram, fd.log[2])
+    cross = fd.log_mul(gram, fd.log[fd.neg(2)])  # -2 x.y
     del gram, nrm
-    yield fd.log_add(norms, fd.log_neg(twice))
-    yield fd.log_add(norms, twice)
+    yield fd.log_add(norms, cross)
+    yield fd.log_add(norms, fd.log_neg(cross))
 
 
 # -- spanned lines -------------------------------------------------------------
@@ -326,10 +327,7 @@ def collision_count(ps: PointSet, proj: Projection) -> int:
         raise DimensionMismatch(
             f"projection expects dimension {proj.d}, point set has {ps.dim}"
         )
-    buckets: dict[Vec, int] = {}
-    for p in ps.points:
-        img = proj.apply(p)
-        buckets[img] = buckets.get(img, 0) + 1
+    buckets = Counter(proj.apply(p) for p in ps.points)
     return sum(m * (m - 1) // 2 for m in buckets.values())
 
 
@@ -419,9 +417,8 @@ def sphere_equiv_check(
     if m**4 > budget:
         raise BudgetExceeded(f"|S1|^4 = {m ** 4} exceeds budget {budget}")
     pts = fd.log[sph.as_array()]
-    # One key (spread, |a - b|, |a + b|) per origin pair (a, b); the verdict
-    # on (a, b), (c, e) depends only on the two keys.  Undefined pairs have
-    # spread -1 and are masked out.
+    # The verdict on origin pairs (a, b), (c, e) depends only on their keys
+    # (spread, |a - b|, |a + b|); undefined pairs have spread -1.
     pair_keys = np.stack([_class_spread_matrix(fd, pts), *_pair_distances(fd, pts)], axis=-1)
     keys, inverse, counts = np.unique(
         pair_keys.reshape(-1, 3), axis=0, return_inverse=True, return_counts=True

@@ -24,6 +24,7 @@ from .geom import PointSet
 
 ENV_SEED = "FQSPREAD_SEED"
 ENV_BUDGET = "FQSPREAD_BUDGET"
+MAX_DIMENSION = 64  # keeps q^d small enough to compute and to print
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -42,6 +43,19 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _dimension(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DIMENSION}, got {value}")
+    return value
+
+
+def _path(text: str) -> str:
+    if "\0" in text:  # open() would raise ValueError, not OSError
+        raise argparse.ArgumentTypeError("a path cannot contain a NUL byte")
+    return text
 
 
 def _rational(text: str) -> Fraction:
@@ -74,7 +88,7 @@ def _common(parser: argparse.ArgumentParser, env: dict, field: bool = True) -> N
     parser.add_argument("--seed", type=int, default=env["seed"])
     parser.add_argument("--budget", type=int, default=env["budget"])
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default="-", help="output path (default stdout)")
+    parser.add_argument("--out", type=_path, default="-", help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = spread_sub.add_parser("eval")
     p_eval.set_defaults(func=_cmd_spread_eval)
     _common(p_eval, env)
-    p_eval.add_argument("--d", type=_positive_int, required=True)
+    p_eval.add_argument("--d", type=_dimension, required=True)
     p_eval.add_argument("--apex", required=True, help="comma-separated element indices")
     p_eval.add_argument("--b", required=True)
     p_eval.add_argument("--c", required=True)
@@ -105,19 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
     kspread_sub = p_kspread.add_subparsers(dest="subcommand", required=True)
     p_keval = kspread_sub.add_parser("eval")
     p_keval.set_defaults(func=_cmd_kspread_eval)
-    p_keval.add_argument("--points", required=True, help="point-set file of k+1 points")
+    p_keval.add_argument("--points", type=_path, required=True, help="point-set file of k+1 points")
     _common(p_keval, env, field=False)
 
     p_con = sub.add_parser("construct", help="emit extremal point sets")
     p_con.set_defaults(func=_cmd_construct)
     p_con.add_argument("kind", choices=("con1", "con2", "iso"))
     _common(p_con, env)
-    p_con.add_argument("--d", type=_positive_int, required=True)
+    p_con.add_argument("--d", type=_dimension, required=True)
 
     p_cen = sub.add_parser("census", help="exhaustive counts over a point file")
     p_cen.set_defaults(func=_cmd_census)
     p_cen.add_argument("kind", choices=("spreads", "distances", "lines", "occurrences"))
-    p_cen.add_argument("--points", required=True)
+    p_cen.add_argument("--points", type=_path, required=True)
     p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
     p_cen.add_argument("--workers", type=int, default=1)
     _common(p_cen, env, field=False)
@@ -127,12 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso = search_sub.add_parser("iso-triple")
     p_iso.set_defaults(func=_cmd_search)
     _common(p_iso, env)
-    p_iso.add_argument("--d", type=_positive_int, required=True)
+    p_iso.add_argument("--d", type=_dimension, required=True)
 
     p_sphere = sub.add_parser("sphere", help="enumerate a sphere |x| = t")
     p_sphere.set_defaults(func=_cmd_sphere)
     _common(p_sphere, env)
-    p_sphere.add_argument("--d", type=_positive_int, required=True)
+    p_sphere.add_argument("--d", type=_dimension, required=True)
     p_sphere.add_argument("--t", type=int, required=True)
 
     p_expt = sub.add_parser("experiment", help="seeded experiments with pass/fail verdicts")
@@ -140,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expt.add_argument("kind", choices=(*_EXPERIMENTS, "all"))
     _common(p_expt, env, field=False)
     p_expt.add_argument("--field", help='field spec "p^r"; required except for `all`')
-    p_expt.add_argument("--d", type=_positive_int, default=2)
+    p_expt.add_argument("--d", type=_dimension, default=2)
     p_expt.add_argument("--epsilon", type=_rational, default="1", help="rational, e.g. 1, 1/2, 0.5")
     p_expt.add_argument("--C", type=_rational, default="2", help="rational sphere-subset constant")
     p_expt.add_argument("--k", type=int, default=2, help="projection target dimension")
@@ -204,11 +218,7 @@ def _cmd_census(args) -> int:
         raise FormatError(f"`census {args.kind}` has no value list; use --format json")
     ps = PointSet.load(args.points)
     started = time.monotonic()
-    body: dict = {
-        "field": ps.field.label(),
-        "d": ps.dim,
-        "n_points": len(ps),
-    }
+    body: dict = {"field": ps.field.label(), "d": ps.dim, "n_points": len(ps)}
     values: tuple[int, ...] = ()
     if args.kind == "spreads":
         cen = census.distinct_spreads(ps, budget=args.budget, workers=args.workers)
@@ -285,7 +295,6 @@ def _report_csv(reports) -> str:
     return buf.getvalue()
 
 
-# Each single experiment by name, run on the parsed field and flags.
 _EXPERIMENTS = {
     "bode": lambda fd, a: expt.run_bode(fd, a.trials, a.seed, full_plane=a.full_plane, workers=a.workers),
     "threshold": lambda fd, a: expt.run_threshold(

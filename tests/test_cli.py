@@ -401,10 +401,13 @@ def test_experiment_threshold_zero_floor_rejected(capsys):
         ["search", "iso-triple", "--field", "5^1", "--d", "0"],
         ["experiment", "beck", "--field", "5^1", "--d", "0", "--trials", "1"],
         ["experiment", "sphere-equiv", "--field", "5^1", "--d", "-1"],
+        ["sphere", "--field", "3^1", "--d", "65", "--t", "0"],
+        ["search", "iso-triple", "--field", "3^1", "--d", "100000"],
     ],
 )
-def test_dimension_below_one_is_usage_error(capsys, argv):
-    # these ended in a traceback or in a degenerate d = 0 result
+def test_dimension_out_of_range_is_usage_error(capsys, argv):
+    # these ended in a traceback, in a degenerate d = 0 result, or (huge d)
+    # in a q^d too large to print or to compute
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -419,6 +422,11 @@ def test_unusable_path_is_usage_error(capsys, tmp_path, flag):
     code, out, err = run_cli(capsys, *argv, *(["--out", path] if flag == "--out" else []))
     assert (code, out) == (2, "")
     assert err.startswith("usage error:") and "x.txt" in err
+    # a NUL byte made open() raise ValueError, a traceback
+    argv = ["census", "spreads", "--points", "a\0b" if flag == "--points" else str(points)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *(["--out", "a\0b"] if flag == "--out" else [])])
+    assert exc.value.code == 2
 
 
 def run_cli_boundary(argv):
@@ -459,7 +467,7 @@ def test_cli_boundary_never_tracebacks(points_f9, coords, gamma, t):
 _any_text = st.text(max_size=6)
 _FLAG_VALUES = {
     "--field": st.sampled_from(["3^1", "5", "7^1", "3^2", "9", "5^1", "2", "3^0"]),
-    "--d": st.integers(0, 3).map(str),
+    "--d": st.one_of(st.integers(0, 3).map(str), st.sampled_from(["64", "65", "100000"])),
     "--seed": st.integers(-5, 5).map(str),
     "--budget": st.integers(-1, 10**4).map(str),
     "--format": st.sampled_from(["json", "csv"]),
