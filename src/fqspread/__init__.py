@@ -10,7 +10,6 @@ from . import census, construct, errors, expt, ff, geom
 from .census import (
     DistanceCensus,
     LineCensus,
-    Projection,
     SpreadCensus,
     collision_count,
     distinct_distances,
@@ -44,7 +43,6 @@ __all__ = [
     "Field",
     "LineCensus",
     "PointSet",
-    "Projection",
     "SpreadCensus",
     "acceptance_suite",
     "census",

@@ -68,23 +68,6 @@ class LineCensus:
 
 
 @dataclass(frozen=True)
-class Projection:
-    field: ff.Field
-    rows: tuple[Vec, ...]  # k rows of length d, rank k
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
-    def d(self) -> int:
-        return len(self.rows[0])
-
-    def apply(self, v: Vec) -> Vec:
-        return geom.mat_vec(self.field, self.rows, v)
-
-
-@dataclass(frozen=True)
 class EquivReport:
     quadruples_checked: int
     excluded: int
@@ -99,12 +82,8 @@ def distinct_spreads(
 ) -> SpreadCensus:
     """Census over all ordered triples (a, b, c) of distinct points with apex
     a: the set of defined spread values plus the undefined-triple tally."""
+    seen, undef = _sweep(ps, budget, workers, gamma=None)
     n = len(ps)
-    if n < 3:
-        raise TooFewPoints(f"need at least 3 points, got {n}")
-    if n**3 > budget:
-        raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
-    seen, undef = _sweep(ps, workers, gamma=None)
     values = tuple(int(v) for v in np.nonzero(seen)[0])
     return SpreadCensus(
         defined_values=values,
@@ -120,17 +99,17 @@ def spread_occurrences(
     """Number of ordered triples of distinct points whose spread is gamma."""
     if not 0 <= gamma < ps.field.q:
         raise FormatError(f"gamma = {gamma} is not an element index of F_{ps.field.q}")
+    count, _ = _sweep(ps, budget, workers, gamma)
+    return count
+
+
+def _sweep(ps: PointSet, budget: int, workers: int, gamma: Optional[int]):
     n = len(ps)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n**3 > budget:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
-    count, _ = _sweep(ps, workers, gamma)
-    return count
-
-
-def _sweep(ps: PointSet, workers: int, gamma: Optional[int]):
-    apexes = range(len(ps))
+    apexes = range(n)
     if workers <= 1:
         return _spread_chunk(ps, apexes, gamma)
     chunks = _split(apexes, workers)
@@ -309,30 +288,31 @@ def total_affine_lines(q: int, d: int) -> int:
 # -- random projections ----------------------------------------------------------
 
 
-def random_projection(fd: ff.Field, d: int, k: int, seed: int) -> Projection:
-    """Seeded uniform k x d matrix, rejection-sampled until it has rank k."""
+def random_projection(fd: ff.Field, d: int, k: int, seed: int) -> geom.Matrix:
+    """Seeded uniform k x d matrix, rejection-sampled until it has rank k;
+    returns its k rows."""
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k = {k}, d = {d}")
     rng = random.Random(seed)
     for _ in range(1000):
-        rows = [tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(k)]
+        rows = tuple(tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(k))
         if geom.rank(fd, rows) == k:
-            return Projection(fd, tuple(rows))
+            return rows
     raise InternalError("rank-k sample not found in 1000 attempts")
 
 
-def collision_count(ps: PointSet, proj: Projection) -> int:
-    """Unordered pairs of points with equal images under the projection."""
-    if proj.d != ps.dim:
+def collision_count(ps: PointSet, rows: geom.Matrix) -> int:
+    """Unordered pairs of points with equal images under the projection rows."""
+    if len(rows[0]) != ps.dim:
         raise DimensionMismatch(
-            f"projection expects dimension {proj.d}, point set has {ps.dim}"
+            f"projection expects dimension {len(rows[0])}, point set has {ps.dim}"
         )
-    buckets = Counter(proj.apply(p) for p in ps.points)
+    buckets = Counter(geom.mat_vec(ps.field, rows, p) for p in ps.points)
     return sum(m * (m - 1) // 2 for m in buckets.values())
 
 
-def image_size(ps: PointSet, proj: Projection) -> int:
-    return len({proj.apply(p) for p in ps.points})
+def image_size(ps: PointSet, rows: geom.Matrix) -> int:
+    return len({geom.mat_vec(ps.field, rows, p) for p in ps.points})
 
 
 # -- isotropic triple search -------------------------------------------------------

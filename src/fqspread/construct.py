@@ -52,17 +52,13 @@ def iso_family_1mod4(fd: ff.Field, d: int) -> list[Vec]:
 def least_isotropic_triple(fd: ff.Field) -> tuple[int, int, int]:
     """Lexicographically least (a, b, c) with a^2 + b^2 + c^2 = 0 and a != 0.
 
-    Existence in every odd field is classical; a != 0 keeps the two block
-    vectors built from the triple independent.
+    Every element of F_q, -1 included, is a sum of two squares, so the least
+    triple has a = 1 and (b, c) is the first point of the circle
+    b^2 + c^2 = -1 in index order.  a != 0 keeps the two block vectors built
+    from the triple independent.
     """
-    for a in range(1, fd.q):
-        aa = fd.mul(a, a)
-        for b in range(fd.q):
-            ab = fd.add(aa, fd.mul(b, b))
-            for c in range(fd.q):
-                if fd.add(ab, fd.mul(c, c)) == 0:
-                    return (a, b, c)
-    raise AssertionError("isotropic triple exists in every odd field")  # unreachable
+    b, c = next(p for block in geom.sphere_blocks(fd, 2, fd.neg(1)) for p in block.tolist())
+    return (1, b, c)
 
 
 def iso_family_3mod4(fd: ff.Field, d: int) -> list[Vec]:

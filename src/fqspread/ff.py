@@ -19,8 +19,7 @@ downstream all come from the one inner product ``Field.log_dot``.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,18 +36,21 @@ DEFAULT_SIZE_CAP = 1 << 20
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; adequate for q <= 2^20."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    return next(_prime_factors(n), None) == n
+
+
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing n, ascending, by trial division; lazy,
+    so a composite's least prime f comes after about f / 2 steps."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            yield f
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n
 
 
 class Field:
@@ -232,18 +234,14 @@ def field_for_order(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
     """The field of order q = p^r (p recovered as the smallest prime factor)."""
     if q < 3:
         raise NotPrime(f"no odd field of order {q}")
-    if q > size_cap:  # before the trial division, which is O(q)
+    if q > size_cap:  # before the trial division, which is O(sqrt(q))
         raise SizeExceeded(f"q = {q} exceeds the size cap {size_cap}")
-    p = 2
-    while q % p:
-        p += 1
-    r = 0
-    n = q
-    while n > 1 and n % p == 0:
-        n //= p
-        r += 1
-    if n != 1:
+    primes = list(_prime_factors(q))
+    if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
+    p, r = primes[0], 1
+    while p**r < q:
+        r += 1
     return Field(p, r, size_cap=size_cap)
 
 
@@ -348,8 +346,7 @@ def _generator_powers(p: int, r: int, modulus) -> np.ndarray:
     """Element indices of g^0, ..., g^(q-2) for the generator g of F_q^*
     of least index."""
     n = p**r - 1
-    divisors = {f for e in range(1, math.isqrt(n) + 1) if n % e == 0 for f in (e, n // e)}
-    primes = [f for f in divisors if is_prime(f)]
+    primes = list(_prime_factors(n))
     one = np.eye(1, r, dtype=np.int64)
     # Indices below p are the constants F_p, which generate F_q^* only for r = 1.
     for g in range(p if r > 1 else 2, n + 1):

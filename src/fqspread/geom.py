@@ -120,51 +120,38 @@ def k_spread(fd: ff.Field, points: Sequence[Vec]) -> SpreadValue:
 
 
 def det(fd: ff.Field, m: Sequence[Sequence[int]]) -> int:
-    """Determinant by Gaussian elimination over F_q, pivoting on the first
-    nonzero entry of each column; exact (no rounding exists here)."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign_flip = False
-    prod = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign_flip = not sign_flip
-        pivot = a[col][col]
-        prod = fd.mul(prod, pivot)
-        pinv = fd.inv(pivot)
-        for i in range(col + 1, n):
-            f = fd.mul(a[i][col], pinv)
-            if f:
-                a[i] = [fd.sub(x, fd.mul(f, y)) for x, y in zip(a[i], a[col])]
-    return fd.neg(prod) if sign_flip else prod
+    """Determinant of a square matrix over F_q: exact, no rounding exists here."""
+    r, prod = _eliminate(fd, m)
+    return prod if r == len(m) else 0
 
 
 def rank(fd: ff.Field, vectors: Sequence[Vec]) -> int:
-    """Row rank by elimination."""
-    if not vectors:
-        return 0
-    rows = [list(v) for v in vectors]
-    d = len(rows[0])
-    r = 0
-    for col in range(d):
+    """Row rank: the number of pivots of the elimination."""
+    return _eliminate(fd, vectors)[0]
+
+
+def _eliminate(fd: ff.Field, m: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Forward Gaussian elimination on the rows of m: (rank, the product of
+    the pivots negated once per row swap, which is det(m) for a square m of
+    full rank)."""
+    rows = [list(row) for row in m]
+    r, prod = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pinv = fd.inv(rows[r][col])
-        rows[r] = [fd.mul(pinv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            prod = fd.neg(prod)
+        pivot = rows[r][col]
+        prod = fd.mul(prod, pivot)
+        pinv = fd.inv(pivot)
+        for i in range(r + 1, len(rows)):
+            f = fd.mul(rows[i][col], pinv)
+            if f:
                 rows[i] = [fd.sub(x, fd.mul(f, y)) for x, y in zip(rows[i], rows[r])]
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return r, prod
 
 
 # -- canonical affine lines ------------------------------------------------------

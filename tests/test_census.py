@@ -328,8 +328,8 @@ def test_origin_pinned_occurrences_follow_pair_scaling_band():
 
 def test_random_projection_shape_rank_determinism():
     proj = random_projection(F5, 4, 2, 7)
-    assert proj.k == 2 and proj.d == 4
-    assert geom.rank(F5, list(proj.rows)) == 2
+    assert len(proj) == 2 and all(len(row) == 4 for row in proj)
+    assert geom.rank(F5, proj) == 2
     assert proj == random_projection(F5, 4, 2, 7)
     assert proj != random_projection(F5, 4, 2, 8)
     with pytest.raises(errors.DimensionMismatch):
@@ -351,7 +351,7 @@ def test_collision_count_detects_kernel_difference():
     kernel_vec = next(
         v
         for v in itertools.product(range(5), repeat=4)
-        if any(v) and all(x == 0 for x in proj.apply(v))
+        if any(v) and all(x == 0 for x in geom.mat_vec(F5, proj, v))
     )
     a = (1, 2, 3, 4)
     ps = PointSet(F5, 4, [a, geom.vadd(F5, a, kernel_vec)])
