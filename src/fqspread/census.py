@@ -42,7 +42,6 @@ from .geom import PointSet, Vec
 
 DEFAULT_TRIPLE_BUDGET = 10**9
 DEFAULT_PAIR_BUDGET = 10**9
-DEFAULT_ENUM_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -220,12 +219,11 @@ def _class_spread_matrix(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
 # -- distances ---------------------------------------------------------------
 
 
-def distinct_distances(ps: PointSet) -> DistanceCensus:
+def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> DistanceCensus:
     """Distances over unordered pairs of distinct points, reported both with
     and without the value 0 (conventions differ on whether 0 counts)."""
     n = len(ps)
-    if n < 2:
-        raise TooFewPoints(f"need at least 2 points, got {n}")
+    _check_pairs(n, budget)
     fd = ps.field
     dmat = next(_pair_distances(fd, fd.log[ps.as_array()]))
     values = np.unique(fd.exp[dmat[np.triu_indices(n, k=1)]]).tolist()
@@ -248,6 +246,13 @@ def _pair_distances(fd: ff.Field, pts: np.ndarray):
     yield fd.log_add(norms, fd.log_neg(cross))
 
 
+def _check_pairs(n: int, budget: int) -> None:
+    if n < 2:
+        raise TooFewPoints(f"need at least 2 points, got {n}")
+    if n * n > budget:
+        raise BudgetExceeded(f"n^2 = {n * n} exceeds budget {budget}")
+
+
 # -- spanned lines -------------------------------------------------------------
 
 
@@ -261,10 +266,7 @@ def spanned_lines(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> LineCensus
     of pairs whose class holds c arms, there are sum_c N_c / (c + 1) lines.
     """
     n = len(ps)
-    if n < 2:
-        raise TooFewPoints(f"need at least 2 points, got {n}")
-    if n * n > budget:
-        raise BudgetExceeded(f"n^2 = {n * n} exceeds budget {budget}")
+    _check_pairs(n, budget)
     pair_counts = np.zeros(n, dtype=np.int64)  # N_c, indexed by c
     max_degree = 0
     for mult, _ in _apex_classes(ps, range(n)):
@@ -319,7 +321,7 @@ def image_size(ps: PointSet, rows: geom.Matrix) -> int:
 
 
 def search_iso_triple(
-    fd: ff.Field, d: int, budget: int = DEFAULT_ENUM_BUDGET
+    fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET
 ) -> Optional[list[Vec]]:
     """Exhaustive search for three mutually orthogonal, linearly independent
     isotropic vectors in F_q^d; None when no triple exists.
@@ -387,7 +389,7 @@ def _orthogonality_masks(fd: ff.Field, reps: list[Vec]) -> list[int]:
 
 
 def sphere_equiv_check(
-    fd: ff.Field, d: int, budget: int = DEFAULT_ENUM_BUDGET, max_violations: int = 50
+    fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET, max_violations: int = 50
 ) -> EquivReport:
     """Exhaustively test, over quadruples (a, b, c, e) on the unit sphere with
     both origin-apex spreads defined, that spread(0,a,b) = spread(0,c,e) holds

@@ -25,6 +25,7 @@ from .geom import PointSet
 ENV_SEED = "FQSPREAD_SEED"
 ENV_BUDGET = "FQSPREAD_BUDGET"
 MAX_DIMENSION = 64  # keeps q^d small enough to compute and to print
+MAX_RATIONAL_DIGITS = 100  # keeps sizes built from --epsilon and --C printable
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -59,10 +60,19 @@ def _path(text: str) -> str:
 
 
 def _rational(text: str) -> Fraction:
+    too_big = argparse.ArgumentTypeError(
+        f"numerator and denominator must have at most {MAX_RATIONAL_DIGITS} digits: {text!r}"
+    )
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        if e and abs(int(exponent)) > MAX_RATIONAL_DIGITS:  # Fraction would compute 10^exponent
+            raise too_big
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_RATIONAL_DIGITS:
+        raise too_big
+    return value
 
 
 def _parse_point(fd: ff.Field, dim: int, text: str) -> tuple[int, ...]:
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fqspread",
         description="spread geometry over odd finite fields: censuses, constructions, experiments",
     )
-    env = {"seed": _env_int(ENV_SEED, 0), "budget": _env_int(ENV_BUDGET, 10**8)}
+    env = {"seed": _env_int(ENV_SEED, 0), "budget": _env_int(ENV_BUDGET, geom.DEFAULT_ENUM_BUDGET)}
     sub = top.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", help="field utilities")
@@ -230,7 +240,7 @@ def _cmd_census(args) -> int:
         )
         values = cen.defined_values
     elif args.kind == "distances":
-        cen = census.distinct_distances(ps)
+        cen = census.distinct_distances(ps, budget=args.budget)
         body.update(
             distance_values=list(cen.values),
             nonzero_distance_values=list(cen.nonzero_values),
@@ -296,14 +306,16 @@ def _report_csv(reports) -> str:
 
 
 _EXPERIMENTS = {
-    "bode": lambda fd, a: expt.run_bode(fd, a.trials, a.seed, full_plane=a.full_plane, workers=a.workers),
-    "threshold": lambda fd, a: expt.run_threshold(
-        fd, a.d, a.epsilon, a.trials, a.seed, adversarial=a.adversarial, workers=a.workers
+    "bode": lambda fd, a: expt.run_bode(
+        fd, a.trials, a.seed, full_plane=a.full_plane, workers=a.workers, budget=a.budget
     ),
-    "beck": lambda fd, a: expt.run_beck(fd, a.d, a.epsilon, a.trials, a.seed),
-    "projection": lambda fd, a: expt.run_projection(fd, a.d, a.k, a.n_points, a.trials, a.seed),
-    "constructions": lambda fd, a: expt.run_constructions(fd, a.d, workers=a.workers),
-    "sphere-distance": lambda fd, a: expt.run_sphere_distance(fd, a.d, a.C, a.trials, a.seed),
+    "threshold": lambda fd, a: expt.run_threshold(
+        fd, a.d, a.epsilon, a.trials, a.seed, adversarial=a.adversarial, workers=a.workers, budget=a.budget
+    ),
+    "beck": lambda fd, a: expt.run_beck(fd, a.d, a.epsilon, a.trials, a.seed, budget=a.budget),
+    "projection": lambda fd, a: expt.run_projection(fd, a.d, a.k, a.n_points, a.trials, a.seed, budget=a.budget),
+    "constructions": lambda fd, a: expt.run_constructions(fd, a.d, workers=a.workers, budget=a.budget),
+    "sphere-distance": lambda fd, a: expt.run_sphere_distance(fd, a.d, a.C, a.trials, a.seed, budget=a.budget),
     "sphere-equiv": lambda fd, a: expt.run_sphere_equiv(fd, a.d, budget=a.budget),
 }
 

@@ -98,6 +98,7 @@ def run_bode(
     seed: int,
     full_plane: bool = False,
     workers: int = 1,
+    budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Size-(2q-1) subsets of the plane: does each determine exactly q
     distinct spreads?  ``full_plane`` replaces sampling by one deterministic
@@ -110,7 +111,7 @@ def run_bode(
     determines the whole plane's value set."""
     q = fd.q
     size = 2 * q - 1
-    universe = geom.all_points(fd, 2).points
+    universe = geom.all_points(fd, 2, budget).points
     per_trial = []
     if full_plane:
         subsets = [(0, list(universe))]
@@ -120,7 +121,7 @@ def run_bode(
             for t in range(trials)
         ]
     for t, pts in subsets:
-        cen = census.distinct_spreads(PointSet(fd, 2, pts), workers=workers)
+        cen = census.distinct_spreads(PointSet(fd, 2, pts), budget, workers)
         per_trial.append(
             {
                 "trial": t,
@@ -147,10 +148,10 @@ def run_threshold(
     seed: int,
     adversarial: bool = False,
     workers: int = 1,
+    budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Random sets of size ceil((1+eps) q^ceil(d/2)): the defined-spread count
-    should clear the conservative floor floor(q/4).  Odd d goes through the
-    embedding into d+1 with a trailing 0 coordinate.  Adversarial mode swaps
+    should clear the conservative floor floor(q/4).  Adversarial mode swaps
     in the extremal construction of the same dimension, which sits just below
     the size threshold and must show its sharp count instead."""
     epsilon = Fraction(epsilon)
@@ -161,8 +162,8 @@ def run_threshold(
     floor_count = q // 4
     per_trial = []
     if adversarial:  # the sharp count is checked even where the floor is 0
-        ps = construct.con1_set(fd, d) if d % 2 == 0 else construct.con2_set(fd, d)
-        cen = census.distinct_spreads(ps, workers=workers)
+        ps = (construct.con1_set if d % 2 == 0 else construct.con2_set)(fd, d, budget)
+        cen = census.distinct_spreads(ps, budget, workers)
         limit = 0 if d % 2 == 0 else 1
         per_trial.append(
             {
@@ -178,14 +179,10 @@ def run_threshold(
             raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
         if floor_count == 0:
             raise VacuousBound(f"the floor floor(q/4) is 0 on F_{q}, which every set meets")
-        universe = geom.all_points(fd, d).points
+        universe = geom.all_points(fd, d, budget).points
         for t in range(trials):
             pts = sample_prefix(universe, size, random.Random(trial_seed(seed, t)))
-            if d % 2:
-                ps = PointSet(fd, d + 1, [p + (0,) for p in pts])
-            else:
-                ps = PointSet(fd, d, pts)
-            cen = census.distinct_spreads(ps, workers=workers)
+            cen = census.distinct_spreads(PointSet(fd, d, pts), budget, workers)
             per_trial.append(
                 {
                     "trial": t,
@@ -218,6 +215,7 @@ def run_beck(
     epsilon: Fraction,
     trials: int,
     seed: int,
+    budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Random sets of size ceil((1+eps) q^(d-1)) must span at least
     alpha_eps * q^(2d-2) lines, with alpha_eps = eps^2/(1+eps+eps^2)."""
@@ -227,11 +225,11 @@ def run_beck(
     if size > q**d:
         raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
     bound = alpha(epsilon) * q ** (2 * d - 2)
-    universe = geom.all_points(fd, d).points
+    universe = geom.all_points(fd, d, budget).points
     per_trial = []
     for t in range(trials):
         pts = sample_prefix(universe, size, random.Random(trial_seed(seed, t)))
-        cen = census.spanned_lines(PointSet(fd, d, pts))
+        cen = census.spanned_lines(PointSet(fd, d, pts), budget)
         per_trial.append(
             {
                 "trial": t,
@@ -266,6 +264,7 @@ def run_projection(
     trials: int,
     seed: int,
     expect_zero: bool = False,
+    budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Fix one random n-point set, sample seeded rank-k projections, and check
     the empirical mean collision count against 1.2 * C(n,2) / q^k (20%
@@ -276,7 +275,7 @@ def run_projection(
         raise TooFewPoints(f"need at least 2 points for a collision, got {n_points}")
     if n_points > q**d:
         raise SizeExceeded(f"n_points = {n_points} exceeds |F_q^d| = {q ** d}")
-    universe = geom.all_points(fd, d).points
+    universe = geom.all_points(fd, d, budget).points
     pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
     per_trial = []
     best: Optional[dict] = None
@@ -296,8 +295,7 @@ def run_projection(
     mean = Fraction(total, trials)
     bound = Fraction(6, 5) * math.comb(n_points, 2) * Fraction(1, q**k)  # k checked by the projections
     mean_ok = mean <= bound
-    image_ok = best["image_size"] >= n_points - best["collisions"]
-    oks = [mean_ok, image_ok] + [r["ok"] for r in per_trial]
+    oks = [mean_ok] + [r["ok"] for r in per_trial]
     return ExperimentReport(
         name="projection",
         claim="mean collision count of seeded rank-k projections stays below 1.2 * C(n,2) / q^k, and the best image loses at most its collision count",
@@ -321,20 +319,22 @@ def run_projection(
     )
 
 
-def run_constructions(fd: ff.Field, d: int, workers: int = 1) -> ExperimentReport:
+def run_constructions(
+    fd: ff.Field, d: int, workers: int = 1, budget: int = geom.DEFAULT_ENUM_BUDGET
+) -> ExperimentReport:
     """Build the extremal set for (q, d) and verify its exact size and its
     sharp spread count: zero defined spreads for even d, at most one distinct
     defined spread for odd d."""
     q = fd.q
     if d % 2 == 0:
-        ps = construct.con1_set(fd, d)
+        ps = construct.con1_set(fd, d, budget)
         expected_size = q ** (d // 2)
         kind, limit = "con1", 0
     else:
-        ps = construct.con2_set(fd, d)
+        ps = construct.con2_set(fd, d, budget)
         expected_size = q ** ((d + 1) // 2)
         kind, limit = "con2", 1
-    cen = census.distinct_spreads(ps, workers=workers)
+    cen = census.distinct_spreads(ps, budget, workers)
     ok = len(ps) == expected_size and cen.defined_count <= limit
     per_trial = [
         {
@@ -363,6 +363,7 @@ def run_sphere_distance(
     c: Fraction,
     trials: int,
     seed: int,
+    budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Random subsets of the unit sphere of size ceil(C q^(d/2)) must
     determine at least min(floor(q/2), floor(C q/4)) nonzero distances."""
@@ -375,7 +376,7 @@ def run_sphere_distance(
     threshold = min(q // 2, math.floor(c * q / 4))
     if threshold == 0:
         raise TooFewPoints(f"C = {c} gives threshold 0 on F_{q}, which every set meets; need C >= 4/q")
-    sphere = geom.sphere_points(fd, d, 1)
+    sphere = geom.sphere_points(fd, d, 1, budget)
     size = ceil_scaled_power(c, q, d)
     if size > len(sphere):
         raise SphereTooSmall(
@@ -384,7 +385,7 @@ def run_sphere_distance(
     per_trial = []
     for t in range(trials):
         pts = sample_prefix(sphere.points, size, random.Random(trial_seed(seed, t)))
-        cen = census.distinct_distances(PointSet(fd, d, pts))
+        cen = census.distinct_distances(PointSet(fd, d, pts), budget)
         got = len(cen.nonzero_values)
         per_trial.append(
             {"trial": t, "size": size, "nonzero_distances": got, "ok": got >= threshold}
@@ -406,7 +407,7 @@ def run_sphere_distance(
     )
 
 
-def run_sphere_equiv(fd: ff.Field, d: int, budget: int = census.DEFAULT_ENUM_BUDGET) -> ExperimentReport:
+def run_sphere_equiv(fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET) -> ExperimentReport:
     """Exhaustive biconditional check on the unit sphere: origin-apex spreads
     coincide exactly when the endpoint distance or anti-distance coincides."""
     rep = census.sphere_equiv_check(fd, d, budget=budget)
@@ -452,13 +453,11 @@ def run_iso_search(fd: ff.Field, d: int, expect_found: bool) -> ExperimentReport
     )
 
 
-def run_properties(
-    fd: ff.Field,
-    cases: int,
-    seed: int,
-    dims: tuple[int, ...] = (2, 3),
-    matrix_pool: int = 32,
-) -> ExperimentReport:
+PROPERTY_DIMS = (2, 3)
+MATRIX_POOL = 32  # seeded orthogonal matrices per dimension
+
+
+def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
     """Randomized spread laws: symmetry, scaling invariance, rigid-motion
     invariance, and agreement of the order-2 simplex spread with spread(),
     undefined cases included."""
@@ -466,9 +465,9 @@ def run_properties(
     pools = {
         d: [
             geom.random_orthogonal(fd, d, trial_seed(seed, 1000 * d + i))
-            for i in range(matrix_pool)
+            for i in range(MATRIX_POOL)
         ]
-        for d in dims
+        for d in PROPERTY_DIMS
     }
     fails = {"symmetry": 0, "scaling": 0, "rigid": 0, "k2": 0}
     examples: list[dict] = []
@@ -479,7 +478,7 @@ def run_properties(
             examples.append({"kind": kind, "a": list(a), "b": list(b), "c": list(c)})
 
     for i in range(cases):
-        d = dims[i % len(dims)]
+        d = PROPERTY_DIMS[i % len(PROPERTY_DIMS)]
         a, b, c = (
             tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(3)
         )
@@ -492,7 +491,7 @@ def run_properties(
         c2 = geom.vadd(fd, a, geom.vscale(fd, t, geom.vsub(fd, c, a)))
         if geom.spread(fd, a, b2, c2) != s:
             note("scaling", a, b, c)
-        m = pools[d][rng.randrange(matrix_pool)]
+        m = pools[d][rng.randrange(MATRIX_POOL)]
         z = tuple(rng.randrange(fd.q) for _ in range(d))
         ma, mb, mc = (
             geom.vadd(fd, geom.mat_vec(fd, m, v), z) for v in (a, b, c)
@@ -505,7 +504,7 @@ def run_properties(
     return ExperimentReport(
         name="properties",
         claim="spread is symmetric, scaling-invariant, rigid-motion-invariant, and matches the order-2 simplex spread",
-        params={"field": fd.label(), "cases": cases, "seed": seed, "dims": list(dims)},
+        params={"field": fd.label(), "cases": cases, "seed": seed, "dims": list(PROPERTY_DIMS)},
         per_trial=[{"trial": 0, "failures": fails, "examples": examples, "ok": total == 0}],
         verdict=_verdict([total == 0]),
     )
@@ -522,26 +521,23 @@ PROPERTY_FIELDS = ("5^1", "7^1", "3^2", "13^1")
 SPHERE_DISTANCE_FIELDS = (5, 7)
 
 
-def suite_constructions(workers: int = 1) -> list[ExperimentReport]:
-    return [
-        run_constructions(ff.Field(q), d, workers=workers)
-        for q, d in CONSTRUCTION_CASES
-    ]
+def suite_constructions() -> list[ExperimentReport]:
+    return [run_constructions(ff.Field(q), d) for q, d in CONSTRUCTION_CASES]
 
 
-def suite_two_q_minus_one(seed: int = 0, trials: int = 100) -> list[ExperimentReport]:
-    return [run_bode(ff.parse_field(s), trials, seed) for s in TWO_Q_FIELDS]
+def suite_two_q_minus_one(seed: int = 0) -> list[ExperimentReport]:
+    return [run_bode(ff.parse_field(s), 100, seed) for s in TWO_Q_FIELDS]
 
 
 def suite_iso_search() -> list[ExperimentReport]:
     return [run_iso_search(ff.Field(p), d, expect) for p, d, expect in ISO_SEARCH_CASES]
 
 
-def suite_line_floor(seed: int = 0, trials: int = 100) -> list[ExperimentReport]:
+def suite_line_floor(seed: int = 0) -> list[ExperimentReport]:
     out = []
     for q in LINE_FLOOR_FIELDS:
         fd = ff.Field(q)
-        out.append(run_beck(fd, 2, Fraction(1), trials, seed))
+        out.append(run_beck(fd, 2, Fraction(1), 100, seed))
         cen = census.spanned_lines(geom.all_points(fd, 2))
         expected = q * (q + 1)
         ok = cen.lines == expected
@@ -559,11 +555,11 @@ def suite_line_floor(seed: int = 0, trials: int = 100) -> list[ExperimentReport]
     return out
 
 
-def suite_projection(seed: int = 0, trials: int = 200) -> list[ExperimentReport]:
+def suite_projection(seed: int = 0) -> list[ExperimentReport]:
     fd = ff.Field(5)
     return [
-        run_projection(fd, 4, 2, 25, trials, seed),
-        run_projection(fd, 4, 4, 25, trials, seed, expect_zero=True),
+        run_projection(fd, 4, 2, 25, 200, seed),
+        run_projection(fd, 4, 4, 25, 200, seed, expect_zero=True),
     ]
 
 
@@ -571,15 +567,12 @@ def suite_sphere_equiv() -> list[ExperimentReport]:
     return [run_sphere_equiv(ff.Field(q), d) for q, d in SPHERE_EQUIV_CASES]
 
 
-def suite_properties(seed: int = 0, cases: int = 10_000) -> list[ExperimentReport]:
-    return [run_properties(ff.parse_field(s), cases, seed) for s in PROPERTY_FIELDS]
+def suite_properties(seed: int = 0) -> list[ExperimentReport]:
+    return [run_properties(ff.parse_field(s), 10_000, seed) for s in PROPERTY_FIELDS]
 
 
-def suite_sphere_distance(seed: int = 0, trials: int = 20) -> list[ExperimentReport]:
-    return [
-        run_sphere_distance(ff.Field(q), 3, Fraction(2), trials, seed)
-        for q in SPHERE_DISTANCE_FIELDS
-    ]
+def suite_sphere_distance(seed: int = 0) -> list[ExperimentReport]:
+    return [run_sphere_distance(ff.Field(q), 3, Fraction(2), 20, seed) for q in SPHERE_DISTANCE_FIELDS]
 
 
 def suite_reproducibility(seed: int = 0) -> ExperimentReport:

@@ -31,7 +31,7 @@ from .errors import (
     SizeExceeded,
 )
 
-DEFAULT_SIZE_CAP = 1 << 20
+SIZE_CAP = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -65,7 +65,7 @@ class Field:
         "_half", "_red", "_zech", "_one_minus", "_lg", "_ex", "_rd", "_zc",
     )
 
-    def __init__(self, p: int, r: int = 1, size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, p: int, r: int = 1):
         if r < 1:
             raise NotPrime(f"{p}^{r} is not a prime power: the extension degree must be >= 1")
         if p == 2:
@@ -73,8 +73,8 @@ class Field:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p**r
-        if q > size_cap:
-            raise SizeExceeded(f"q = {p}^{r} = {q} exceeds the size cap {size_cap}")
+        if q > SIZE_CAP:
+            raise SizeExceeded(f"q = {p}^{r} = {q} exceeds the size cap {SIZE_CAP}")
         self.p = p
         self.r = r
         self.q = q
@@ -216,7 +216,7 @@ class Field:
         return hash((self.p, self.r, self.modulus))
 
 
-def parse_field(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
+def parse_field(spec: str) -> Field:
     """Parse a "p^r" field spec string ("5^1", "3^2"); bare "p" means p^1."""
     text = spec.strip()
     if "^" in text:
@@ -227,22 +227,22 @@ def parse_field(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
         p, r = int(p_str), int(r_str)
     except ValueError:
         raise NotPrime(f"malformed field spec {spec!r}") from None
-    return Field(p, r, size_cap=size_cap)
+    return Field(p, r)
 
 
-def field_for_order(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
+def field_for_order(q: int) -> Field:
     """The field of order q = p^r (p recovered as the smallest prime factor)."""
     if q < 3:
         raise NotPrime(f"no odd field of order {q}")
-    if q > size_cap:  # before the trial division, which is O(sqrt(q))
-        raise SizeExceeded(f"q = {q} exceeds the size cap {size_cap}")
+    if q > SIZE_CAP:  # before the trial division, which is O(sqrt(q))
+        raise SizeExceeded(f"q = {q} exceeds the size cap {SIZE_CAP}")
     primes = list(_prime_factors(q))
     if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
     p, r = primes[0], 1
     while p**r < q:
         r += 1
-    return Field(p, r, size_cap=size_cap)
+    return Field(p, r)
 
 
 # -- polynomial helpers (coefficient lists ascending, over F_p) --------------

@@ -117,3 +117,29 @@ def naive_distances(ps):
 def naive_sphere_points(fd, d, t):
     """Every x in F_q^d with |x| = t, in index order, by scalar norms."""
     return [v for v in itertools.product(fd.elements(), repeat=d) if geom.norm(fd, v) == t]
+
+
+def naive_rank(fd, rows):
+    """Rank from the size of the span, built up one row at a time: the span
+    of the rows has exactly q^rank points."""
+    span = {(0,) * len(rows[0])} if rows else {()}
+    for row in rows:
+        span = {tuple(fd.add(x, fd.mul(c, y)) for x, y in zip(s, row)) for s in span for c in fd.elements()}
+    rank = 0
+    while fd.q**rank < len(span):
+        rank += 1
+    assert fd.q**rank == len(span)
+    return rank
+
+
+def naive_least_isotropic_triple(fd):
+    """Lexicographically least (a, b, c), a != 0, with a^2 + b^2 + c^2 = 0,
+    by scanning every triple in order."""
+    for a in range(1, fd.q):
+        aa = fd.mul(a, a)
+        for b in range(fd.q):
+            ab = fd.add(aa, fd.mul(b, b))
+            for c in range(fd.q):
+                if fd.add(ab, fd.mul(c, c)) == 0:
+                    return (a, b, c)
+    raise AssertionError("isotropic triple exists in every odd field")

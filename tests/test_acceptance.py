@@ -120,7 +120,7 @@ def test_line_floor():
     # each span at least ceil(q^2/3) lines; the full plane spans exactly
     # q(q+1).  Exact per trial, < 60 s.
     started = time.monotonic()
-    reports = expt.suite_line_floor(seed=0, trials=100)
+    reports = expt.suite_line_floor(seed=0)
     elapsed = time.monotonic() - started
     ok = all(r.passed for r in reports) and elapsed < 60
     _line("line-floor", ok, f"{len(reports)} sub-reports; {elapsed:.1f}s")
@@ -138,7 +138,7 @@ def test_projection_collisions():
     # <= 1.2 * C(25,2) / 25 = 14.4; the k=d control never collides.
     # Statistical with the 20% slack baked into the bound, < 30 s.
     started = time.monotonic()
-    main, control = expt.suite_projection(seed=0, trials=200)
+    main, control = expt.suite_projection(seed=0)
     elapsed = time.monotonic() - started
     mean = Fraction(main.extras["mean_collisions"])
     ok = main.passed and control.passed and elapsed < 30
@@ -170,7 +170,7 @@ def test_spread_property_suite():
     # scaling invariance, rigid-motion invariance, order-2 agreement,
     # undefined cases included.  Zero failures, < 60 s.
     started = time.monotonic()
-    reports = expt.suite_properties(seed=0, cases=10_000)
+    reports = expt.suite_properties(seed=0)
     elapsed = time.monotonic() - started
     ok = all(r.passed for r in reports) and elapsed < 60
     _line(
@@ -193,7 +193,7 @@ def test_sphere_distance_floor():
     # q in {5,7}, d=3, C=2, 20 trials: nonzero-distance count meets
     # min(floor(q/2), floor(C*q/4)) in every trial.  Exact, < 60 s.
     started = time.monotonic()
-    reports = expt.suite_sphere_distance(seed=0, trials=20)
+    reports = expt.suite_sphere_distance(seed=0)
     elapsed = time.monotonic() - started
     ok = all(r.passed for r in reports) and elapsed < 60
     _line(

@@ -270,6 +270,37 @@ def test_env_budget_override(capsys, monkeypatch, tmp_path):
     assert err.splitlines()[0] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, budget, gate",
+    [
+        # budget 1 stops the point enumeration (q^d or q^m points); the larger
+        # budgets admit it and stop the census (n^2 pairs or n^3 triples)
+        (["census", "distances", "--points", "POINTS"], "10", "n^2"),
+        (["experiment", "bode", "--field", "3^1", "--trials", "1"], "1", "q^d"),
+        (["experiment", "bode", "--field", "3^1", "--trials", "1"], "50", "n^3"),
+        (["experiment", "threshold", "--field", "5^1", "--trials", "1"], "1", "q^d"),
+        (["experiment", "threshold", "--field", "5^1", "--trials", "1"], "100", "n^3"),
+        (["experiment", "threshold", "--field", "5^1", "--adversarial"], "1", "q^m"),
+        (["experiment", "threshold", "--field", "5^1", "--d", "3", "--adversarial"], "100", "n^3"),
+        (["experiment", "beck", "--field", "3^1", "--trials", "1"], "1", "q^d"),
+        (["experiment", "beck", "--field", "3^1", "--trials", "1"], "20", "n^2"),
+        (["experiment", "projection", "--field", "5^1", "--d", "4", "--trials", "1"], "1", "q^d"),
+        (["experiment", "constructions", "--field", "5^1"], "1", "q^m"),
+        (["experiment", "constructions", "--field", "5^1"], "50", "n^3"),
+        (["experiment", "sphere-distance", "--field", "5^1", "--d", "3", "--trials", "1"], "1", "q^d"),
+        (["experiment", "sphere-distance", "--field", "5^1", "--d", "3", "--trials", "1"], "200", "n^2"),
+    ],
+)
+def test_budget_honoured_by_every_enumerating_command(capsys, tmp_path, argv, budget, gate):
+    path = tmp_path / "p.txt"
+    PointSet(Field(5), 2, [(0, 0), (1, 2), (3, 4), (2, 2)]).save(path)
+    argv = [str(path) if a == "POINTS" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "BudgetExceeded"
+    assert err.splitlines()[1].startswith(f"detail: {gate} = ")
+
+
 def test_experiment_requires_field_except_all(capsys):
     code, _, err = run_cli(capsys, "experiment", "bode")
     assert code == 2
@@ -368,6 +399,36 @@ def test_malformed_env_default_is_usage_error(capsys, monkeypatch, name, value):
         cli.main(["experiment", "beck", "--field", "5^1", "--trials", "3"])
     assert exc.value.code == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("threshold", "--epsilon", "1e5000"),
+        ("threshold", "--epsilon", "1e999999999"),  # checked before 10^exponent is built
+        ("threshold", "--epsilon", "1e101"),
+        ("beck", "--epsilon", "1e5000"),
+        pytest.param("beck", "--epsilon", "1" + "0" * 4000, id="beck---epsilon-4001-digits"),
+        ("sphere-distance", "--C", "1e-5000"),
+        pytest.param("sphere-distance", "--C", "1/" + "3" * 101, id="sphere-distance---C-101-digit-denominator"),
+    ],
+)
+def test_experiment_huge_rational_is_usage_error(capsys, kind, flag, value):
+    # sizes and thresholds built from such constants have more digits than
+    # int-to-str conversion allows in the error message
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", kind, "--field", "5^1", "--d", "3", flag, value, "--trials", "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_experiment_rational_at_the_digit_bound_is_accepted(capsys):
+    code, out, err = run_cli(capsys, "experiment", "threshold", "--field", "5^1", "--epsilon", "1e99", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "SizeExceeded"
+    code, out, err = run_cli(capsys, "experiment", "sphere-distance", "--field", "5^1", "--d", "3", "--C", "1/" + "9" * 100)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "TooFewPoints"
 
 
 @pytest.mark.parametrize(

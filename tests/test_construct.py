@@ -1,5 +1,5 @@
 import pytest
-from conftest import naive_spread_census
+from conftest import naive_least_isotropic_triple, naive_spread_census
 
 from fqspread import construct, errors, geom
 from fqspread.construct import (
@@ -36,6 +36,21 @@ def test_least_isotropic_triple_frozen():
     # Oracle: lexicographic scan; 1+1+1 = 0 mod 3, 1+4+9 = 14 = 0 mod 7.
     assert least_isotropic_triple(F3) == (1, 1, 1)
     assert least_isotropic_triple(F7) == (1, 2, 3)
+
+
+def test_least_isotropic_triple_matches_scan():
+    # every odd prime power q <= 243, 2063 and 3^7; for q = 1048573 the first
+    # block of 2^18 circle indices (b = 0, c < 2^18) holds no point
+    orders = [
+        (p, r)
+        for p in range(3, 244, 2)
+        if all(p % f for f in range(2, p))
+        for r in range(1, 6)
+        if p**r <= 243
+    ]
+    for p, r in orders + [(2063, 1), (3, 7), (1048573, 1)]:
+        fd = Field(p, r)
+        assert least_isotropic_triple(fd) == naive_least_isotropic_triple(fd), fd
 
 
 def test_iso_family_3mod4_frozen():

@@ -81,6 +81,25 @@ def test_field_for_order():
         ff.field_for_order(15)
 
 
+def test_is_prime_and_field_for_order_exhaustively():
+    # oracle: p and r by division, primality by every candidate factor
+    for n in range(2501):
+        assert ff.is_prime(n) == (n > 1 and all(n % f for f in range(2, n))), n
+        p = next((f for f in range(2, n + 1) if n % f == 0), None)
+        r, m = 0, n
+        while p and m % p == 0:
+            m, r = m // p, r + 1
+        if n < 3 or m != 1:
+            expected = errors.NotPrime
+        elif p == 2:
+            expected = errors.CharacteristicTwo
+        else:
+            assert ff.field_for_order(n) == Field(p, r), n
+            continue
+        with pytest.raises(expected):
+            ff.field_for_order(n)
+
+
 def test_prime_arith_examples():
     assert F5.add(3, 4) == 2
     assert F5.mul(2, 3) == 1

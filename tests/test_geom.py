@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import naive_sphere_points
+from conftest import naive_rank, naive_sphere_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,31 +114,37 @@ def test_k2_equals_spread_exhaustively_on_f3_plane():
 
 
 def test_det_matches_permutation_expansion():
+    # n = 1..4 over a prime and an extension field; zeroed entries put zeros
+    # in leading positions, so the elimination has to swap rows.
     rng = random.Random(5)
-    for _ in range(60):
-        n = rng.choice((2, 3))
-        m = [[rng.randrange(7) for _ in range(n)] for _ in range(n)]
-        expect = 0
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            # parity via cycle decomposition
-            par = 0
-            for i in range(n):
-                if seen[i]:
-                    continue
-                j, clen = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    clen += 1
-                par += clen - 1
-            term = 1
-            for i in range(n):
-                term = F7.mul(term, m[i][perm[i]])
-            sign = F7.neg(1) if par % 2 else 1
-            expect = F7.add(expect, F7.mul(sign, term))
-        assert geom.det(F7, m) == expect
+    for fd in (F7, F9):
+        for trial in range(120):
+            n = trial % 4 + 1
+            m = [[rng.randrange(fd.q) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+            expect = 0
+            for perm in itertools.permutations(range(n)):
+                seen = [False] * n
+                # parity via cycle decomposition
+                par = 0
+                for i in range(n):
+                    if seen[i]:
+                        continue
+                    j, clen = i, 0
+                    while not seen[j]:
+                        seen[j] = True
+                        j = perm[j]
+                        clen += 1
+                    par += clen - 1
+                term = 1
+                for i in range(n):
+                    term = fd.mul(term, m[i][perm[i]])
+                sign = fd.neg(1) if par % 2 else 1
+                expect = fd.add(expect, fd.mul(sign, term))
+            assert geom.det(fd, m) == expect, (fd, m)
+    # a zero leading entry on a nonsingular matrix: one swap negates
+    assert geom.det(F7, [[0, 1], [1, 0]]) == F7.neg(1)
+    assert geom.det(F7, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == F7.neg(1)
+    assert geom.det(F7, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
 
 def test_rank():
@@ -146,6 +152,26 @@ def test_rank():
     assert geom.rank(F5, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert geom.rank(F5, []) == 0
     assert geom.rank(F5, [(1, 2), (0, 1)]) == 2
+
+
+def test_rank_matches_naive_rank():
+    # k x d matrices, k <= 4 and d <= 5, with zeroed columns and rows that
+    # are combinations of earlier rows.
+    rng = random.Random(11)
+    for fd in (F5, F7, F9):
+        for _ in range(150):
+            k, d = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[rng.randrange(fd.q) for _ in range(d)] for _ in range(k)]
+            for j in range(d):
+                if rng.random() < 0.25:
+                    for row in rows:
+                        row[j] = 0
+            for i in range(1, k):
+                if rng.random() < 0.3:
+                    a, b = rng.randrange(fd.q), rng.randrange(fd.q)
+                    rows[i] = [fd.add(fd.mul(a, x), fd.mul(b, y)) for x, y in zip(rows[0], rows[i - 1])]
+            rows = [tuple(row) for row in rows]
+            assert geom.rank(fd, rows) == naive_rank(fd, rows), (fd, rows)
 
 
 def test_line_through_examples():
