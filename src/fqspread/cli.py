@@ -60,18 +60,15 @@ def _path(text: str) -> str:
 
 
 def _rational(text: str) -> Fraction:
-    too_big = argparse.ArgumentTypeError(
-        f"numerator and denominator must have at most {MAX_RATIONAL_DIGITS} digits: {text!r}"
-    )
     _, e, exponent = text.lower().partition("e")
-    try:
-        if e and abs(int(exponent)) > MAX_RATIONAL_DIGITS:  # Fraction would compute 10^exponent
-            raise too_big
-        value = Fraction(text)
+    try:  # Fraction would compute 10^exponent, so a huge one is refused first
+        value = None if e and abs(int(exponent)) > MAX_RATIONAL_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
-    if max(abs(value.numerator), value.denominator) >= 10**MAX_RATIONAL_DIGITS:
-        raise too_big
+    if value is None or max(abs(value.numerator), value.denominator) >= 10**MAX_RATIONAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"numerator and denominator must have at most {MAX_RATIONAL_DIGITS} digits: {text!r}"
+        )
     return value
 
 

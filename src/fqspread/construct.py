@@ -3,7 +3,9 @@
 The families are d/2 mutually orthogonal, linearly independent isotropic
 vectors; their span is a point set of size q^(d/2) determining no spread at
 all, and adding one extra axis direction in odd dimension gives q^((d+1)/2)
-points determining at most one spread value.
+points determining at most one spread value.  For q = 3 mod 4 the family is
+built from the least isotropic triple, read off the circle b^2 + c^2 = -1
+by ``geom.sphere_blocks``; independence is checked with ``geom.rank``.
 """
 
 from __future__ import annotations
