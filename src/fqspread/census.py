@@ -9,8 +9,12 @@ first nonzero coordinate is 1 and collapses the n-1 arms onto their k <=
 min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  Spreads are then
 evaluated on the k x k class Gram matrix, and the classes at an apex are
 exactly the spanned lines through it.  Apexes are canonicalized in blocks,
-so temporaries stay O(block * n * d); sweeps split the apexes into ranges
-merged associatively, so results never depend on the worker count.
+so temporaries stay O(block * n * d).
+
+The spread and occurrence censuses both read one exact int64 histogram
+of the spreads of all ordered triples, undefined ones in its last slot.
+Threads split the apexes into ranges whose histograms add, so results
+never depend on the worker count.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
@@ -81,13 +85,13 @@ def distinct_spreads(
 ) -> SpreadCensus:
     """Census over all ordered triples (a, b, c) of distinct points with apex
     a: the set of defined spread values plus the undefined-triple tally."""
-    seen, undef = _sweep(ps, budget, workers, gamma=None)
-    n = len(ps)
-    values = tuple(int(v) for v in np.nonzero(seen)[0])
+    hist = _sweep(ps, budget, workers)
+    q, n = ps.field.q, len(ps)
+    values = tuple(int(v) for v in np.flatnonzero(hist[:q]))
     return SpreadCensus(
         defined_values=values,
         defined_count=len(values),
-        undefined_triples=undef,
+        undefined_triples=int(hist[q]),
         triples_scanned=n * (n - 1) * (n - 2),
     )
 
@@ -98,11 +102,13 @@ def spread_occurrences(
     """Number of ordered triples of distinct points whose spread is gamma."""
     if not 0 <= gamma < ps.field.q:
         raise FormatError(f"gamma = {gamma} is not an element index of F_{ps.field.q}")
-    count, _ = _sweep(ps, budget, workers, gamma)
-    return count
+    return int(_sweep(ps, budget, workers)[gamma])
 
 
-def _sweep(ps: PointSet, budget: int, workers: int, gamma: Optional[int]):
+def _sweep(ps: PointSet, budget: int, workers: int) -> np.ndarray:
+    """The spread histogram of all ordered triples: entry v < q counts the
+    triples with spread v, entry q the undefined ones.  Threads split the
+    apexes into ranges whose histograms add."""
     n = len(ps)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
@@ -110,14 +116,13 @@ def _sweep(ps: PointSet, budget: int, workers: int, gamma: Optional[int]):
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
     apexes = range(n)
     if workers <= 1:
-        return _spread_chunk(ps, apexes, gamma)
-    chunks = _split(apexes, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: _spread_chunk(ps, c, gamma), chunks))
-    acc, extra = parts[0]
-    for a, e in parts[1:]:  # counts add; seen-value bool arrays add as "or"
-        acc, extra = acc + a, extra + e
-    return acc, extra
+        hist = _spread_histogram(ps, apexes)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hist = sum(pool.map(lambda c: _spread_histogram(ps, c), _split(apexes, workers)))
+    if hist.sum() != n * (n - 1) * (n - 2):
+        raise InternalError("spread histogram does not cover every ordered triple")
+    return hist
 
 
 def _split(rng: range, k: int) -> list[range]:
@@ -127,29 +132,20 @@ def _split(rng: range, k: int) -> list[range]:
     return [rng[i : i + step] for i in range(0, n, step)]
 
 
-def _spread_chunk(ps: PointSet, apexes: range, gamma: Optional[int]):
-    """One apex range of the triple sweep, read off the arm classes.
+def _spread_histogram(ps: PointSet, apexes: range) -> np.ndarray:
+    """Exact int64 spread histogram of the triples whose apex is in `apexes`.
 
-    Returns (seen-values bool array, undefined count) when gamma is None,
-    else (occurrence count, 0).
+    Arms from classes c and c' form mult[c] * mult[c'] ordered pairs, less
+    the pairs of one arm with itself on the diagonal; two arms of one class
+    have the spread on the class diagonal (0, or -1 when isotropic).  The
+    spread -1 indexes the last slot, which counts undefined triples.
     """
-    n = len(ps)
-    seen = np.zeros(ps.field.q + 1, dtype=bool)  # the last slot collects -1
-    count = undef = 0
+    hist = np.zeros(ps.field.q + 1, dtype=np.int64)
     for mult, reps in _apex_classes(ps, apexes):
-        val = _class_spread_matrix(ps.field, reps)
-        nonisotropic = val.diagonal() >= 0
-        # Two arms of one non-isotropic class: a collinear triple, spread 0.
-        collinear = int((mult * (mult - 1))[nonisotropic].sum())
-        np.fill_diagonal(val, -1)
-        if gamma is None:
-            seen[val] = True
-            seen[0] |= collinear > 0
-            m = int(mult[nonisotropic].sum())
-            undef += (n - 1) * (n - 2) - m * (m - 1)
-        else:
-            count += int(mult @ (val == gamma) @ mult) + (collinear if gamma == 0 else 0)
-    return (count, 0) if gamma is not None else (seen[:-1], undef)
+        pairs = np.multiply.outer(mult, mult)
+        pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
+        np.add.at(hist, _class_spread_matrix(ps.field, reps).ravel(), pairs.ravel())
+    return hist
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells.

@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expt.add_argument("--trials", type=_positive_int, default=100)
     p_expt.add_argument("--adversarial", action="store_true")
     p_expt.add_argument("--full-plane", action="store_true")
-    p_expt.add_argument("--workers", type=int, default=1)
     return top
 
 
@@ -303,15 +302,13 @@ def _report_csv(reports) -> str:
 
 
 _EXPERIMENTS = {
-    "bode": lambda fd, a: expt.run_bode(
-        fd, a.trials, a.seed, full_plane=a.full_plane, workers=a.workers, budget=a.budget
-    ),
+    "bode": lambda fd, a: expt.run_bode(fd, a.trials, a.seed, full_plane=a.full_plane, budget=a.budget),
     "threshold": lambda fd, a: expt.run_threshold(
-        fd, a.d, a.epsilon, a.trials, a.seed, adversarial=a.adversarial, workers=a.workers, budget=a.budget
+        fd, a.d, a.epsilon, a.trials, a.seed, adversarial=a.adversarial, budget=a.budget
     ),
     "beck": lambda fd, a: expt.run_beck(fd, a.d, a.epsilon, a.trials, a.seed, budget=a.budget),
     "projection": lambda fd, a: expt.run_projection(fd, a.d, a.k, a.n_points, a.trials, a.seed, budget=a.budget),
-    "constructions": lambda fd, a: expt.run_constructions(fd, a.d, workers=a.workers, budget=a.budget),
+    "constructions": lambda fd, a: expt.run_constructions(fd, a.d, budget=a.budget),
     "sphere-distance": lambda fd, a: expt.run_sphere_distance(fd, a.d, a.C, a.trials, a.seed, budget=a.budget),
     "sphere-equiv": lambda fd, a: expt.run_sphere_equiv(fd, a.d, budget=a.budget),
 }
@@ -320,7 +317,7 @@ _EXPERIMENTS = {
 def _cmd_experiment(args) -> int:
     kind = args.kind
     if kind == "all":
-        reports = expt.acceptance_suite(seed=args.seed)
+        reports = expt.acceptance_suite(seed=args.seed, budget=args.budget)
         for rep in reports:
             tag = rep.params.get("field", "-")
             print(f"{rep.verdict.upper():4s} {rep.name} field={tag}", file=sys.stderr)

@@ -97,7 +97,6 @@ def run_bode(
     trials: int,
     seed: int,
     full_plane: bool = False,
-    workers: int = 1,
     budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Size-(2q-1) subsets of the plane: does each determine exactly q
@@ -121,7 +120,7 @@ def run_bode(
             for t in range(trials)
         ]
     for t, pts in subsets:
-        cen = census.distinct_spreads(PointSet(fd, 2, pts), budget, workers)
+        cen = census.distinct_spreads(PointSet(fd, 2, pts), budget)
         per_trial.append(
             {
                 "trial": t,
@@ -147,7 +146,6 @@ def run_threshold(
     trials: int,
     seed: int,
     adversarial: bool = False,
-    workers: int = 1,
     budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Random sets of size ceil((1+eps) q^ceil(d/2)): the defined-spread count
@@ -162,9 +160,8 @@ def run_threshold(
     floor_count = q // 4
     per_trial = []
     if adversarial:  # the sharp count is checked even where the floor is 0
-        ps = (construct.con1_set if d % 2 == 0 else construct.con2_set)(fd, d, budget)
-        cen = census.distinct_spreads(ps, budget, workers)
-        limit = 0 if d % 2 == 0 else 1
+        ps, _, limit = _extremal_set(fd, d, budget)
+        cen = census.distinct_spreads(ps, budget)
         per_trial.append(
             {
                 "trial": 0,
@@ -182,7 +179,7 @@ def run_threshold(
         universe = geom.all_points(fd, d, budget).points
         for t in range(trials):
             pts = sample_prefix(universe, size, random.Random(trial_seed(seed, t)))
-            cen = census.distinct_spreads(PointSet(fd, d, pts), budget, workers)
+            cen = census.distinct_spreads(PointSet(fd, d, pts), budget)
             per_trial.append(
                 {
                     "trial": t,
@@ -319,22 +316,21 @@ def run_projection(
     )
 
 
-def run_constructions(
-    fd: ff.Field, d: int, workers: int = 1, budget: int = geom.DEFAULT_ENUM_BUDGET
-) -> ExperimentReport:
-    """Build the extremal set for (q, d) and verify its exact size and its
-    sharp spread count: zero defined spreads for even d, at most one distinct
-    defined spread for odd d."""
-    q = fd.q
+def _extremal_set(fd: ff.Field, d: int, budget: int) -> tuple[PointSet, str, int]:
+    """The extremal construction for dimension d, its kind, and the most
+    distinct defined spreads it may determine: con1 with none for even d,
+    con2 with at most one for odd d."""
     if d % 2 == 0:
-        ps = construct.con1_set(fd, d, budget)
-        expected_size = q ** (d // 2)
-        kind, limit = "con1", 0
-    else:
-        ps = construct.con2_set(fd, d, budget)
-        expected_size = q ** ((d + 1) // 2)
-        kind, limit = "con2", 1
-    cen = census.distinct_spreads(ps, budget, workers)
+        return construct.con1_set(fd, d, budget), "con1", 0
+    return construct.con2_set(fd, d, budget), "con2", 1
+
+
+def run_constructions(fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET) -> ExperimentReport:
+    """Build the extremal set for (q, d) and verify its exact size,
+    q^ceil(d/2), and its sharp spread count."""
+    ps, kind, limit = _extremal_set(fd, d, budget)
+    expected_size = fd.q ** ((d + 1) // 2)
+    cen = census.distinct_spreads(ps, budget)
     ok = len(ps) == expected_size and cen.defined_count <= limit
     per_trial = [
         {
@@ -429,11 +425,13 @@ def run_sphere_equiv(fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGE
     )
 
 
-def run_iso_search(fd: ff.Field, d: int, expect_found: bool) -> ExperimentReport:
+def run_iso_search(
+    fd: ff.Field, d: int, expect_found: bool, budget: int = geom.DEFAULT_ENUM_BUDGET
+) -> ExperimentReport:
     """Exhaustive isotropic-triple search, asserted against the expected
     existence answer; any found family is re-verified against the three
     family invariants."""
-    found = census.search_iso_triple(fd, d)
+    found = census.search_iso_triple(fd, d, budget)
     family_ok = construct.is_isotropic_family(fd, found) if found else True
     ok = (found is not None) == expect_found and family_ok
     return ExperimentReport(
@@ -521,24 +519,24 @@ PROPERTY_FIELDS = ("5^1", "7^1", "3^2", "13^1")
 SPHERE_DISTANCE_FIELDS = (5, 7)
 
 
-def suite_constructions() -> list[ExperimentReport]:
-    return [run_constructions(ff.Field(q), d) for q, d in CONSTRUCTION_CASES]
+def suite_constructions(budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
+    return [run_constructions(ff.Field(q), d, budget) for q, d in CONSTRUCTION_CASES]
 
 
-def suite_two_q_minus_one(seed: int = 0) -> list[ExperimentReport]:
-    return [run_bode(ff.parse_field(s), 100, seed) for s in TWO_Q_FIELDS]
+def suite_two_q_minus_one(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
+    return [run_bode(ff.parse_field(s), 100, seed, budget=budget) for s in TWO_Q_FIELDS]
 
 
-def suite_iso_search() -> list[ExperimentReport]:
-    return [run_iso_search(ff.Field(p), d, expect) for p, d, expect in ISO_SEARCH_CASES]
+def suite_iso_search(budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
+    return [run_iso_search(ff.Field(p), d, expect, budget) for p, d, expect in ISO_SEARCH_CASES]
 
 
-def suite_line_floor(seed: int = 0) -> list[ExperimentReport]:
+def suite_line_floor(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
     out = []
     for q in LINE_FLOOR_FIELDS:
         fd = ff.Field(q)
-        out.append(run_beck(fd, 2, Fraction(1), 100, seed))
-        cen = census.spanned_lines(geom.all_points(fd, 2))
+        out.append(run_beck(fd, 2, Fraction(1), 100, seed, budget))
+        cen = census.spanned_lines(geom.all_points(fd, 2, budget), budget)
         expected = q * (q + 1)
         ok = cen.lines == expected
         out.append(
@@ -555,34 +553,37 @@ def suite_line_floor(seed: int = 0) -> list[ExperimentReport]:
     return out
 
 
-def suite_projection(seed: int = 0) -> list[ExperimentReport]:
+def suite_projection(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
     fd = ff.Field(5)
     return [
-        run_projection(fd, 4, 2, 25, 200, seed),
-        run_projection(fd, 4, 4, 25, 200, seed, expect_zero=True),
+        run_projection(fd, 4, 2, 25, 200, seed, budget=budget),
+        run_projection(fd, 4, 4, 25, 200, seed, expect_zero=True, budget=budget),
     ]
 
 
-def suite_sphere_equiv() -> list[ExperimentReport]:
-    return [run_sphere_equiv(ff.Field(q), d) for q, d in SPHERE_EQUIV_CASES]
+def suite_sphere_equiv(budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
+    return [run_sphere_equiv(ff.Field(q), d, budget) for q, d in SPHERE_EQUIV_CASES]
 
 
 def suite_properties(seed: int = 0) -> list[ExperimentReport]:
     return [run_properties(ff.parse_field(s), 10_000, seed) for s in PROPERTY_FIELDS]
 
 
-def suite_sphere_distance(seed: int = 0) -> list[ExperimentReport]:
-    return [run_sphere_distance(ff.Field(q), 3, Fraction(2), 20, seed) for q in SPHERE_DISTANCE_FIELDS]
+def suite_sphere_distance(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
+    return [
+        run_sphere_distance(ff.Field(q), 3, Fraction(2), 20, seed, budget)
+        for q in SPHERE_DISTANCE_FIELDS
+    ]
 
 
-def suite_reproducibility(seed: int = 0) -> ExperimentReport:
+def suite_reproducibility(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> ExperimentReport:
     fd3 = ff.Field(3)
-    first = run_bode(fd3, 5, seed).to_json()
-    second = run_bode(fd3, 5, seed).to_json()
+    first = run_bode(fd3, 5, seed, budget=budget).to_json()
+    second = run_bode(fd3, 5, seed, budget=budget).to_json()
     json_ok = first == second
-    ps = construct.con2_set(ff.Field(5), 3)
-    serial = census.distinct_spreads(ps, workers=1)
-    threaded = census.distinct_spreads(ps, workers=3)
+    ps = construct.con2_set(ff.Field(5), 3, budget)
+    serial = census.distinct_spreads(ps, budget, workers=1)
+    threaded = census.distinct_spreads(ps, budget, workers=3)
     census_ok = serial == threaded
     ok = json_ok and census_ok
     return ExperimentReport(
@@ -596,16 +597,17 @@ def suite_reproducibility(seed: int = 0) -> ExperimentReport:
     )
 
 
-def acceptance_suite(seed: int = 0) -> list[ExperimentReport]:
-    """The full desk-scale verification battery, in a fixed order."""
+def acceptance_suite(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
+    """The full desk-scale verification battery, in a fixed order; `budget`
+    bounds every enumeration and census in it."""
     reports: list[ExperimentReport] = []
-    reports += suite_constructions()
-    reports += suite_two_q_minus_one(seed)
-    reports += suite_iso_search()
-    reports += suite_line_floor(seed)
-    reports += suite_projection(seed)
-    reports += suite_sphere_equiv()
+    reports += suite_constructions(budget)
+    reports += suite_two_q_minus_one(seed, budget)
+    reports += suite_iso_search(budget)
+    reports += suite_line_floor(seed, budget)
+    reports += suite_projection(seed, budget)
+    reports += suite_sphere_equiv(budget)
     reports += suite_properties(seed)
-    reports += suite_sphere_distance(seed)
-    reports.append(suite_reproducibility(seed))
+    reports += suite_sphere_distance(seed, budget)
+    reports.append(suite_reproducibility(seed, budget))
     return reports

@@ -70,14 +70,15 @@ class Field:
             raise NotPrime(f"{p}^{r} is not a prime power: the extension degree must be >= 1")
         if p == 2:
             raise CharacteristicTwo("characteristic 2 is not supported")
+        # Before the O(sqrt(p)) trial division, and before p^r is formed:
+        # for p >= 3, p^r > 2^r exceeds the cap once r reaches its bit length.
+        if p >= 3 and (p > SIZE_CAP or r >= SIZE_CAP.bit_length() or p**r > SIZE_CAP):
+            raise SizeExceeded(f"q = p^r exceeds the size cap {SIZE_CAP}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        q = p**r
-        if q > SIZE_CAP:
-            raise SizeExceeded(f"q = {p}^{r} = {q} exceeds the size cap {SIZE_CAP}")
         self.p = p
         self.r = r
-        self.q = q
+        self.q = q = p**r
         # Deterministic modulus: the monic irreducible of degree r over F_p
         # whose coefficient vector, read as a base-p integer, is smallest.
         self.modulus = _least_irreducible(p, r) if r > 1 else None

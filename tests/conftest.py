@@ -3,6 +3,7 @@ the field arithmetic and the vectorized census kernels.  Deliberately dumb
 and table-free."""
 
 import itertools
+from collections import Counter
 
 from fqspread import geom
 
@@ -67,12 +68,9 @@ def naive_spread_census(ps):
     return sorted(values), undefined, scanned
 
 
-def naive_occurrences(ps, gamma):
-    return sum(
-        1
-        for a, b, c in itertools.permutations(ps.points, 3)
-        if geom.spread(ps.field, a, b, c) == gamma
-    )
+def naive_spread_counts(ps):
+    """Ordered triples of distinct points per spread value (None: undefined)."""
+    return Counter(geom.spread(ps.field, a, b, c) for a, b, c in itertools.permutations(ps.points, 3))
 
 
 def naive_spanned_lines(ps):

@@ -4,7 +4,7 @@ import random
 import pytest
 from conftest import (
     naive_distances,
-    naive_occurrences,
+    naive_spread_counts,
     naive_spanned_lines,
     naive_spread_census,
 )
@@ -60,14 +60,19 @@ def test_distinct_spreads_matches_naive_oracle():
         assert cen.defined_count == len(values) <= ps.field.q
 
 
-def assert_censuses_match_oracles(ps, gammas):
+def assert_censuses_match_oracles(ps):
     cen = distinct_spreads(ps)
     values, undefined, scanned = naive_spread_census(ps)
     assert list(cen.defined_values) == values
     assert cen.undefined_triples == undefined
     assert cen.triples_scanned == scanned
-    for gamma in gammas:
-        assert spread_occurrences(ps, gamma) == naive_occurrences(ps, gamma)
+    q = ps.field.q
+    gammas = range(q) if q <= 27 else (0, 1, 2, 3)
+    occurrences = [spread_occurrences(ps, gamma) for gamma in gammas]
+    counts = naive_spread_counts(ps)
+    assert occurrences == [counts[gamma] for gamma in gammas]
+    if q <= 27:  # every triple has one spread value or is undefined
+        assert sum(occurrences) + cen.undefined_triples == cen.triples_scanned
     lines = spanned_lines(ps)
     assert (lines.lines, lines.max_degree) == naive_spanned_lines(ps)
 
@@ -107,14 +112,32 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
         "one-apex-blocks": lambda: random_pointset(F5, 3, 25, 25),
     }
     ps = make[name]()
-    assert_censuses_match_oracles(ps, gammas=(0, 1, 2, 3))
+    assert_censuses_match_oracles(ps)
 
 
 def test_distinct_spreads_worker_count_invariance():
     ps = random_pointset(F5, 2, 15, 6)
     base = distinct_spreads(ps, workers=1)
+    occurrences = [spread_occurrences(ps, gamma, workers=1) for gamma in range(5)]
     for workers in (2, 3, 8):
         assert distinct_spreads(ps, workers=workers) == base
+        assert [spread_occurrences(ps, gamma, workers=workers) for gamma in range(5)] == occurrences
+
+
+def test_spread_histogram_must_cover_every_triple(monkeypatch):
+    apex_classes = census._apex_classes
+
+    def drop_first_apex(ps, apexes):
+        classes = apex_classes(ps, apexes)
+        next(classes)
+        yield from classes
+
+    monkeypatch.setattr(census, "_apex_classes", drop_first_apex)
+    ps = random_pointset(F5, 2, 8, 9)
+    with pytest.raises(errors.InternalError):
+        distinct_spreads(ps)
+    with pytest.raises(errors.InternalError):
+        spread_occurrences(ps, 0)
 
 
 def test_full_plane_spread_census_frozen():
@@ -289,8 +312,9 @@ def test_spread_occurrences_small_cases():
     assert spread_occurrences(collinear, 0) == 6  # every ordered triple
     assert spread_occurrences(collinear, 1) == 0
     ps = random_pointset(F5, 2, 9, 12)
+    counts = naive_spread_counts(ps)
     for gamma in range(5):
-        assert spread_occurrences(ps, gamma) == naive_occurrences(ps, gamma)
+        assert spread_occurrences(ps, gamma) == counts[gamma]
 
 
 def test_spread_occurrences_on_sphere_frozen():

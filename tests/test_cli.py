@@ -149,6 +149,13 @@ def test_census_point_file_over_size_cap(tmp_path, capsys):
     assert err.splitlines()[0] == "SizeExceeded"
 
 
+def test_field_info_over_size_cap(capsys):
+    # 3^10000 is rejected from p and r alone, without forming or printing q
+    code, _, err = run_cli(capsys, "field", "info", "--field", "3^10000")
+    assert code == 1
+    assert err.splitlines()[0] == "SizeExceeded"
+
+
 def test_census_duplicate_points_rejected(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("q=5 d=2\n0,0\n0,0\n")
@@ -289,6 +296,7 @@ def test_env_budget_override(capsys, monkeypatch, tmp_path):
         (["experiment", "constructions", "--field", "5^1"], "50", "n^3"),
         (["experiment", "sphere-distance", "--field", "5^1", "--d", "3", "--trials", "1"], "1", "q^d"),
         (["experiment", "sphere-distance", "--field", "5^1", "--d", "3", "--trials", "1"], "200", "n^2"),
+        (["experiment", "all"], "1", "q^m"),
     ],
 )
 def test_budget_honoured_by_every_enumerating_command(capsys, tmp_path, argv, budget, gate):
@@ -337,6 +345,14 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["census", "nonsense", "--points", "x"])
     assert exc.value.code == 2
+
+
+def test_experiment_has_no_workers_flag(capsys):
+    # only `census` splits its sweep over threads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "constructions", "--field", "5", "--d", "3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["bode", "projection"])
@@ -546,7 +562,7 @@ _FLAG_VALUES = {
 }
 _SWITCHES = ("--adversarial", "--full-plane")
 _COMMON = ("--seed", "--budget", "--format")
-_EXPERIMENT_FLAGS = ("--epsilon", "--C", "--k", "--n-points", "--trials", "--workers") + _SWITCHES
+_EXPERIMENT_FLAGS = ("--epsilon", "--C", "--k", "--n-points", "--trials") + _SWITCHES
 # (command words, required flags, optional flags)
 _COMMANDS = (
     (("field", "info"), ("--field",), ()),

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ def test_constructor_rejections():
         Field(1)
     with pytest.raises(errors.SizeExceeded):
         Field(3, 20)  # 3^20 > 2^20
+
+
+@pytest.mark.parametrize(
+    "p, r",
+    [
+        (100000000000031, 1),  # a prime: no trial division up to sqrt(p)
+        (10**12, 1),  # a composite above the cap is too large, not NotPrime
+        (3, 10**8),  # 3^(10^8) is never formed
+    ],
+)
+def test_size_cap_checked_first(p, r):
+    started = time.monotonic()
+    with pytest.raises(errors.SizeExceeded):
+        Field(p, r)
+    assert time.monotonic() - started < 0.1
 
 
 def test_parse_field():
