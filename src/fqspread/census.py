@@ -11,10 +11,15 @@ evaluated on the k x k class Gram matrix, and the classes at an apex are
 exactly the spanned lines through it.  Apexes are canonicalized in blocks,
 so temporaries stay O(block * n * d).
 
+``arm_spreads`` is the package's one batched spread: arms in logs to
+elements, -1 where an arm norm is 0.  The class spread matrix at each
+apex, the sphere check's origin-pair spreads and ``expt.run_properties``
+all call it.
+
 The spread and occurrence censuses both read one exact int64 histogram
 of the spreads of all ordered triples, undefined ones in its last slot.
-Threads split the apexes into ranges whose histograms add, so results
-never depend on the worker count.
+The apexes split into `workers` ranges whose histograms add, so results
+never depend on the worker count; at most one thread per CPU sweeps them.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
@@ -26,6 +31,7 @@ of its m^2 origin pairs: O(m^2 + K^2) memory, never m^4.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -107,18 +113,21 @@ def spread_occurrences(
 
 def _sweep(ps: PointSet, budget: int, workers: int) -> np.ndarray:
     """The spread histogram of all ordered triples: entry v < q counts the
-    triples with spread v, entry q the undefined ones.  Threads split the
-    apexes into ranges whose histograms add."""
+    triples with spread v, entry q the undefined ones.  The apexes split
+    into `workers` ranges whose histograms add, run on at most one thread
+    per CPU."""
     n = len(ps)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n**3 > budget:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
+    if workers < 1:
+        raise FormatError(f"workers = {workers} is not a positive thread count")
     apexes = range(n)
-    if workers <= 1:
+    if workers == 1:
         hist = _spread_histogram(ps, apexes)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             hist = sum(pool.map(lambda c: _spread_histogram(ps, c), _split(apexes, workers)))
     if hist.sum() != n * (n - 1) * (n - 2):
         raise InternalError("spread histogram does not cover every ordered triple")
@@ -144,7 +153,7 @@ def _spread_histogram(ps: PointSet, apexes: range) -> np.ndarray:
     for mult, reps in _apex_classes(ps, apexes):
         pairs = np.multiply.outer(mult, mult)
         pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
-        np.add.at(hist, _class_spread_matrix(ps.field, reps).ravel(), pairs.ravel())
+        np.add.at(hist, arm_spreads(ps.field, reps).ravel(), pairs.ravel())
     return hist
 
 
@@ -200,16 +209,17 @@ def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]
     return order, np.take_along_axis(code, order, axis=1)
 
 
-def _class_spread_matrix(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
-    """Spreads between the rows of reps (k, d; logs), -1 where either norm
-    is 0; val[c, c] is 0 for a non-isotropic row."""
-    gram = fd.log_dot(reps[:, None, :], reps[None, :, :])
-    nrm = gram.diagonal()
-    val = fd.spread_from_logs(gram, nrm[:, None], nrm[None, :])
-    isotropic = nrm == fd.zero_log
-    val[isotropic, :] = -1
-    val[:, isotropic] = -1
-    return val
+def arm_spreads(fd: ff.Field, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spreads 1 - (u.v)^2 / (|u||v|) of the arms u and v, as elements; -1
+    where either arm norm is 0.  The arms are logs over the last axis, and
+    their other axes broadcast: two (N, d) arrays give N spreads.  Without
+    v, the rows of u (k, d) give the k x k matrix of pairwise spreads, with
+    the norms read off its Gram diagonal."""
+    if v is None:
+        dot = fd.log_dot(u[:, None], u[None])
+        nu = dot.diagonal()[:, None]
+        return fd.spread_from_logs(dot, nu, nu.T)
+    return fd.spread_from_logs(fd.log_dot(u, v), fd.log_dot(u, u), fd.log_dot(v, v))
 
 
 # -- distances ---------------------------------------------------------------
@@ -397,7 +407,7 @@ def sphere_equiv_check(
     pts = fd.log[sph.as_array()]
     # The verdict on origin pairs (a, b), (c, e) depends only on their keys
     # (spread, |a - b|, |a + b|); undefined pairs have spread -1.
-    pair_keys = np.stack([_class_spread_matrix(fd, pts), *_pair_distances(fd, pts)], axis=-1)
+    pair_keys = np.stack([arm_spreads(fd, pts), *_pair_distances(fd, pts)], axis=-1)
     keys, inverse, counts = np.unique(
         pair_keys.reshape(-1, 3), axis=0, return_inverse=True, return_counts=True
     )

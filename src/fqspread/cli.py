@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("kind", choices=("spreads", "distances", "lines", "occurrences"))
     p_cen.add_argument("--points", type=_path, required=True)
     p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
-    p_cen.add_argument("--workers", type=int, default=1)
+    p_cen.add_argument("--workers", type=_positive_int, default=1)
     _common(p_cen, env, field=False)
 
     p_search = sub.add_parser("search", help="exhaustive searches")

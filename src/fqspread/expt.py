@@ -6,16 +6,25 @@ reproduces the per-trial records byte for byte.  Random subsets are drawn
 by seeded shuffling of the lexicographic point enumeration and taking a
 prefix.  Reports carry no timing fields: identical runs serialize to
 identical JSON.
+
+The spread-law battery (``run_properties``) draws all of its cases first
+and then checks the laws in numpy batches on logs, through the census
+kernels' one batched spread ``census.arm_spreads``; its k = 2 law checks
+that batch against the scalar ``geom.k_spread`` of every case.
 """
 
 from __future__ import annotations
 
+import array
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import census, construct, ff, geom
 from .errors import SizeExceeded, SphereTooSmall, TooFewPoints, VacuousBound
@@ -458,46 +467,70 @@ MATRIX_POOL = 32  # seeded orthogonal matrices per dimension
 def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
     """Randomized spread laws: symmetry, scaling invariance, rigid-motion
     invariance, and agreement of the order-2 simplex spread with spread(),
-    undefined cases included."""
-    rng = random.Random(trial_seed(seed, fd.q))
-    pools = {
-        d: [
-            geom.random_orthogonal(fd, d, trial_seed(seed, 1000 * d + i))
-            for i in range(MATRIX_POOL)
-        ]
-        for d in PROPERTY_DIMS
-    }
-    fails = {"symmetry": 0, "scaling": 0, "rigid": 0, "k2": 0}
-    examples: list[dict] = []
+    undefined cases included.
 
-    def note(kind, a, b, c):
-        fails[kind] += 1
-        if len(examples) < 3:
-            examples.append({"kind": kind, "a": list(a), "b": list(b), "c": list(c)})
-
+    Case i is a triple (a, b, c) in F_q^d, d cycling through PROPERTY_DIMS,
+    with scalars r, t, a pool matrix M and a shift z.  The laws compare
+    spread(a, b, c) with spread(a, c, b), spread(a, a + r(b-a), a + t(c-a))
+    and spread(Ma + z, Mb + z, Mc + z), all from ``census.arm_spreads`` on
+    logs, and with the scalar ``geom.k_spread(fd, [a, b, c])``, a second
+    code path.  One rng draws every case first, in the order a, b, c, r, t,
+    matrix index, z; the laws then run batched per dimension.  `examples`
+    lists the first three failing (case, law) pairs, by case and then in
+    the law order above.
+    """
+    if cases < 1:
+        raise TooFewPoints(f"cases = {cases} checks no law; need at least 1")
+    q, dims = fd.q, len(PROPERTY_DIMS)
+    draw = random.Random(trial_seed(seed, q)).randrange
+    # Per dimension d, rows of 4d + 3 draws: a, b, c, r, t, pick, z.
+    rows = {d: array.array("i") for d in PROPERTY_DIMS}
     for i in range(cases):
-        d = PROPERTY_DIMS[i % len(PROPERTY_DIMS)]
-        a, b, c = (
-            tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(3)
+        d = PROPERTY_DIMS[i % dims]
+        rows[d].extend(
+            [draw(q) for _ in range(3 * d)]
+            + [draw(1, q), draw(1, q), draw(MATRIX_POOL)]
+            + [draw(q) for _ in range(d)]
         )
-        s = geom.spread(fd, a, b, c)
-        if geom.spread(fd, a, c, b) != s:
-            note("symmetry", a, b, c)
-        r = rng.randrange(1, fd.q)
-        t = rng.randrange(1, fd.q)
-        b2 = geom.vadd(fd, a, geom.vscale(fd, r, geom.vsub(fd, b, a)))
-        c2 = geom.vadd(fd, a, geom.vscale(fd, t, geom.vsub(fd, c, a)))
-        if geom.spread(fd, a, b2, c2) != s:
-            note("scaling", a, b, c)
-        m = pools[d][rng.randrange(MATRIX_POOL)]
-        z = tuple(rng.randrange(fd.q) for _ in range(d))
-        ma, mb, mc = (
-            geom.vadd(fd, geom.mat_vec(fd, m, v), z) for v in (a, b, c)
+
+    def points(d, n):  # [a, b, c] of the n-th case of dimension d
+        row = rows[d][n * (4 * d + 3) : n * (4 * d + 3) + 3 * d]
+        return [row[k * d : (k + 1) * d].tolist() for k in range(3)]
+
+    def spread(apex, b, c):
+        neg = fd.log_neg(apex)
+        return census.arm_spreads(fd, fd.log_add(b, neg), fd.log_add(c, neg))
+
+    def scaled(apex, p, r):  # apex + r (p - apex)
+        return fd.log_add(apex, fd.log_mul(fd.log_add(p, fd.log_neg(apex)), fd.log[r][:, None]))
+
+    kinds = ("symmetry", "scaling", "rigid", "k2")
+    failed = np.zeros((cases, len(kinds)), dtype=bool)
+    for j, d in enumerate(PROPERTY_DIMS):
+        x = np.array(rows[d], dtype=np.int32).reshape(-1, 4 * d + 3)
+        a, b, c = (fd.log[x[:, k * d : (k + 1) * d]] for k in range(3))
+        r, t, pick = x[:, 3 * d : 3 * d + 3].T
+        z = fd.log[x[:, 3 * d + 3 :]]
+        pool = [geom.random_orthogonal(fd, d, trial_seed(seed, 1000 * d + i)) for i in range(MATRIX_POOL)]
+        m = fd.log[np.array(pool)][pick]  # (N, d, d)
+        ma, mb, mc = (fd.log_add(fd.log_dot(m, p[:, None, :]), z) for p in (a, b, c))
+        k2 = [geom.k_spread(fd, points(d, n)) for n in range(len(x))]
+        s = spread(a, b, c)
+        failed[j::dims] = np.stack(
+            [
+                spread(a, c, b) != s,
+                spread(a, scaled(a, b, r), scaled(a, c, t)) != s,
+                spread(ma, mb, mc) != s,
+                np.array([-1 if v is None else v for v in k2], dtype=np.int64) != s,
+            ],
+            axis=-1,
         )
-        if geom.spread(fd, ma, mb, mc) != s:
-            note("rigid", a, b, c)
-        if geom.k_spread(fd, [a, b, c]) != s:
-            note("k2", a, b, c)
+    examples = []
+    for i, k in itertools.islice(zip(*np.nonzero(failed)), 3):
+        d = PROPERTY_DIMS[i % dims]
+        a, b, c = points(d, i // dims)
+        examples.append({"kind": kinds[k], "a": a, "b": b, "c": c})
+    fails = {kind: int(n) for kind, n in zip(kinds, failed.sum(axis=0))}
     total = sum(fails.values())
     return ExperimentReport(
         name="properties",

@@ -192,10 +192,13 @@ class Field:
 
     def spread_from_logs(self, dot: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
         """Elements 1 - dot^2 / (nu * nv) from the logs of a dot product and
-        two norms (broadcast), in one gather.  Entries where a norm is 0 are
-        meaningless and must be masked by the caller."""
+        two norms (broadcast), in one gather; -1 where a norm is 0.  A zero
+        norm moves the index past the table's last entry, -1, and the index
+        is clipped there, so no mask of the full shape is built."""
         n = self.q - 1
-        return self._one_minus[2 * dot + (-nu % n + -nv % n)]
+        tu, tv = (np.where(x == self.zero_log, 6 * n, -x % n) for x in (nu, nv))
+        idx = 2 * dot + (tu + tv)
+        return self._one_minus[np.minimum(idx, 6 * n - 1, out=idx)]
 
     # -- identity ------------------------------------------------------------
 
@@ -307,8 +310,10 @@ def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
 #   y - x in (-n, n)     log(1 + g^(y-x)), both nonzero (2n when g^(y-x) = -1)
 #   y - x in [n+1, 2n]   0, since y is zero and the sum is x
 #   y - x in [-2n, -n-1] y - x itself, since x is zero and the sum is y.
-# ``one_minus[x]`` is the element 1 - g^x for x < 4n and 1 above, so
-# 1 - d^2 / (|u| |v|) is one gather at 2 log(d) - log|u| - log|v| (mod n).
+# ``one_minus[x]`` is the element 1 - g^x for x < 4n, 1 up to 6n - 2 and -1
+# (undefined) at 6n - 1, so 1 - d^2 / (|u| |v|) is one gather at
+# 2 log(d) - log|u| - log|v| (mod n), at most 6n - 2, and an index clipped
+# to 6n - 1 reads -1.
 
 
 def _log_arrays(p: int, r: int, modulus) -> tuple[np.ndarray, ...]:
@@ -332,7 +337,8 @@ def _log_arrays(p: int, r: int, modulus) -> tuple[np.ndarray, ...]:
     np.take(log, one_plus, out=zech[:n])
     zech[3 * n + 2 :] = zech[1:n]
     zech[2 * n + 1 : 3 * n + 1] = np.arange(-zero, -n, dtype=np.int32)
-    one_minus = np.ones(6 * n - 1, dtype=np.int32)
+    one_minus = np.ones(6 * n, dtype=np.int32)
+    one_minus[-1] = -1
     periods = one_minus[: 4 * n].reshape(4, n)
     periods[:, : n - h] = one_plus[h:]  # 1 - g^x = 1 + g^(x + h)
     periods[:, n - h :] = one_plus[:h]

@@ -110,13 +110,12 @@ def k_spread(fd: ff.Field, points: Sequence[Vec]) -> SpreadValue:
     if k > d:
         raise BadArity(f"order {k} exceeds dimension {d}")
     arms = [vsub(fd, x, points[0]) for x in points[1:]]
-    denom = 1
-    for v in arms:
-        nv = norm(fd, v)
-        if nv == 0:
-            return None
-        denom = fd.mul(denom, nv)
     gram = [[dot(fd, u, v) for v in arms] for u in arms]
+    denom = 1
+    for i in range(k):  # the arm norms are the diagonal
+        if gram[i][i] == 0:
+            return None
+        denom = fd.mul(denom, gram[i][i])
     return fd.div(det(fd, gram), denom)
 
 

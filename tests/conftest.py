@@ -3,9 +3,10 @@ the field arithmetic and the vectorized census kernels.  Deliberately dumb
 and table-free."""
 
 import itertools
+import random
 from collections import Counter
 
-from fqspread import geom
+from fqspread import expt, geom
 
 
 class ReferenceField:
@@ -141,3 +142,51 @@ def naive_least_isotropic_triple(fd):
                 if fd.add(ab, fd.mul(c, c)) == 0:
                     return (a, b, c)
     raise AssertionError("isotropic triple exists in every odd field")
+
+
+def naive_run_properties(fd, cases, seed):
+    """``expt.run_properties`` one case at a time through scalar spread(),
+    vadd, vsub, vscale and mat_vec, drawing from the rng as it goes."""
+    rng = random.Random(expt.trial_seed(seed, fd.q))
+    pools = {
+        d: [
+            geom.random_orthogonal(fd, d, expt.trial_seed(seed, 1000 * d + i))
+            for i in range(expt.MATRIX_POOL)
+        ]
+        for d in expt.PROPERTY_DIMS
+    }
+    fails = {"symmetry": 0, "scaling": 0, "rigid": 0, "k2": 0}
+    examples = []
+
+    def note(kind, a, b, c):
+        fails[kind] += 1
+        if len(examples) < 3:
+            examples.append({"kind": kind, "a": list(a), "b": list(b), "c": list(c)})
+
+    for i in range(cases):
+        d = expt.PROPERTY_DIMS[i % len(expt.PROPERTY_DIMS)]
+        a, b, c = (tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(3))
+        s = geom.spread(fd, a, b, c)
+        if geom.spread(fd, a, c, b) != s:
+            note("symmetry", a, b, c)
+        r = rng.randrange(1, fd.q)
+        t = rng.randrange(1, fd.q)
+        b2 = geom.vadd(fd, a, geom.vscale(fd, r, geom.vsub(fd, b, a)))
+        c2 = geom.vadd(fd, a, geom.vscale(fd, t, geom.vsub(fd, c, a)))
+        if geom.spread(fd, a, b2, c2) != s:
+            note("scaling", a, b, c)
+        m = pools[d][rng.randrange(expt.MATRIX_POOL)]
+        z = tuple(rng.randrange(fd.q) for _ in range(d))
+        ma, mb, mc = (geom.vadd(fd, geom.mat_vec(fd, m, v), z) for v in (a, b, c))
+        if geom.spread(fd, ma, mb, mc) != s:
+            note("rigid", a, b, c)
+        if geom.k_spread(fd, [a, b, c]) != s:
+            note("k2", a, b, c)
+    total = sum(fails.values())
+    return expt.ExperimentReport(
+        name="properties",
+        claim="spread is symmetric, scaling-invariant, rigid-motion-invariant, and matches the order-2 simplex spread",
+        params={"field": fd.label(), "cases": cases, "seed": seed, "dims": list(expt.PROPERTY_DIMS)},
+        per_trial=[{"trial": 0, "failures": fails, "examples": examples, "ok": total == 0}],
+        verdict="pass" if total == 0 else "fail",
+    )

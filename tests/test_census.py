@@ -1,6 +1,8 @@
 import itertools
+import os
 import random
 
+import numpy as np
 import pytest
 from conftest import (
     naive_distances,
@@ -122,6 +124,48 @@ def test_distinct_spreads_worker_count_invariance():
     for workers in (2, 3, 8):
         assert distinct_spreads(ps, workers=workers) == base
         assert [spread_occurrences(ps, gamma, workers=workers) for gamma in range(5)] == occurrences
+
+
+def test_sweep_threads_at_most_one_per_cpu(monkeypatch):
+    # 16 apex ranges, but no more threads than CPUs
+    opened = []
+    init = census.ThreadPoolExecutor.__init__
+
+    def record(self, max_workers=None, *args, **kwargs):
+        opened.append(max_workers)
+        init(self, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(census.ThreadPoolExecutor, "__init__", record)
+    ps = random_pointset(F5, 2, 20, 7)
+    assert distinct_spreads(ps, workers=16) == distinct_spreads(ps, workers=1)
+    assert opened == [min(16, os.cpu_count() or 1)]
+
+
+def test_sweep_rejects_nonpositive_workers():
+    ps = random_pointset(F5, 2, 6, 8)
+    for workers in (0, -3):
+        with pytest.raises(errors.FormatError):
+            distinct_spreads(ps, workers=workers)
+        with pytest.raises(errors.FormatError):
+            spread_occurrences(ps, 1, workers=workers)
+
+
+def test_arm_spreads_matches_scalar_spread():
+    # all pairs of rows, the same by broadcasting (k, 1, d) x (1, k, d), and
+    # elementwise (N, d); isotropic and zero arms included
+    for fd, d in ((F5, 2), (F9, 3), (F13, 2)):
+        rng = random.Random(fd.q)
+        arms = [tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(30)]
+        arms += [(0,) * d, geom.sphere_points(fd, d, 0).points[1]]
+        logs = fd.log[np.array(arms)]
+        grid = census.arm_spreads(fd, logs)
+        assert (census.arm_spreads(fd, logs[:, None], logs[None]) == grid).all()
+        origin = (0,) * d
+        for (i, j), got in np.ndenumerate(grid):
+            want = geom.spread(fd, origin, arms[i], arms[j])
+            assert got == (-1 if want is None else want)
+        pairs = census.arm_spreads(fd, logs, logs[::-1])
+        assert pairs.tolist() == [grid[i, len(arms) - 1 - i] for i in range(len(arms))]
 
 
 def test_spread_histogram_must_cover_every_triple(monkeypatch):
@@ -450,7 +494,7 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
     # origin pair undefined, then list the violating quadruples naively in
     # row-major order from the same matrices.
     seen = {}
-    pair_distances, spread_matrix = census._pair_distances, census._class_spread_matrix
+    pair_distances, arm_spreads = census._pair_distances, census.arm_spreads
 
     def corrupt_distances(fd, pts):
         minus, plus = pair_distances(fd, pts)
@@ -458,14 +502,14 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
         seen["minus"], seen["plus"] = minus, plus
         yield from (minus, plus)
 
-    def undefine_one(fd, reps):
-        val = spread_matrix(fd, reps)
+    def undefine_one(fd, u, v=None):
+        val = arm_spreads(fd, u, v)
         val[1, 2] = -1
         seen["spread"] = val
         return val
 
     monkeypatch.setattr(census, "_pair_distances", corrupt_distances)
-    monkeypatch.setattr(census, "_class_spread_matrix", undefine_one)
+    monkeypatch.setattr(census, "arm_spreads", undefine_one)
     rep = sphere_equiv_check(F7, 2, max_violations=10**6)
     pts = geom.sphere_points(F7, 2, 1).points
     m = len(pts)

@@ -128,6 +128,18 @@ def test_census_occurrences(tmp_path, capsys):
     assert json.loads(out)["occurrences"] == 6
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+@pytest.mark.parametrize("kind", ["spreads", "occurrences"])
+def test_census_workers_must_be_positive(tmp_path, capsys, kind, workers):
+    # 0 and negative counts ran serially with exit 0
+    path = tmp_path / "p.txt"
+    PointSet(Field(5), 2, [(0, 0), (1, 0), (2, 0)]).save(path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", kind, "--points", str(path), "--gamma", "0", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["lines", "occurrences"])
 def test_census_csv_without_value_list_rejected(tmp_path, capsys, kind):
     path = tmp_path / "p.txt"

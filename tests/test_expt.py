@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import naive_run_properties
 
 from fqspread import census, errors, expt, geom
 from fqspread.expt import (
@@ -226,6 +227,56 @@ def test_run_properties_small():
             "rigid": 0,
             "k2": 0,
         }
+
+
+F13 = Field(13)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fd", [F5, F7, F9, F13], ids=lambda fd: fd.label())
+def test_run_properties_matches_scalar_oracle(fd, seed):
+    assert run_properties(fd, 2000, seed).to_json() == naive_run_properties(fd, 2000, seed).to_json()
+
+
+def _shifted_k_spread(k_spread):
+    def shifted(fd, points):
+        s = k_spread(fd, points)
+        return None if s is None else fd.add(s, 1)
+
+    return shifted
+
+
+def _diagonal(fd, d, seed):
+    # diag(1, 3[, 1]): 3^2 != 1 in all four fields (2 = -1 in F_9, so
+    # diag(1, 2) would be orthogonal there)
+    return tuple(tuple((3 if i == 1 else 1) if i == j else 0 for j in range(d)) for i in range(d))
+
+
+_MUTANTS = {
+    "k_spread": ("k2", _shifted_k_spread(geom.k_spread)),
+    "random_orthogonal": ("rigid", _diagonal),
+}
+
+
+@pytest.mark.parametrize("fd", [F5, F7, F9, F13], ids=lambda fd: fd.label())
+@pytest.mark.parametrize("attrs", [["k_spread"], ["random_orthogonal"], list(_MUTANTS)], ids="+".join)
+def test_run_properties_failure_path_matches_oracle(monkeypatch, fd, attrs):
+    # broken laws must be reported with the oracle's counts and examples;
+    # with both broken, one case fails two laws and examples keep law order
+    for attr in attrs:
+        monkeypatch.setattr(geom, attr, _MUTANTS[attr][1])
+    rep = run_properties(fd, 2000, 0)
+    assert rep.to_json() == naive_run_properties(fd, 2000, 0).to_json()
+    assert rep.verdict == "fail"
+    assert all(rep.per_trial[0]["failures"][_MUTANTS[attr][0]] > 0 for attr in attrs)
+    assert len(rep.per_trial[0]["examples"]) == 3
+
+
+def test_run_properties_rejects_no_cases():
+    # no cases gave a pass with zero failures
+    for cases in (0, -1):
+        with pytest.raises(errors.TooFewPoints):
+            run_properties(F5, cases, 0)
 
 
 def test_properties_reproducible():

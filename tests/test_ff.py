@@ -316,6 +316,10 @@ def test_spread_from_logs_matches_scalar_formula():
         for (x, u, v), s in np.ndenumerate(got):
             u, v = u + 1, v + 1
             assert s == fd.sub(1, fd.div(fd.mul(x, x), fd.mul(u, v)))
+        # a zero norm on either side reads -1, for every d
+        zero = np.array([fd.zero_log])
+        assert (fd.spread_from_logs(fd.log[d], zero[None, :, None], fd.log[nz][None, None, :]) == -1).all()
+        assert (fd.spread_from_logs(fd.log[d], fd.log[nz][None, :, None], zero[None, None, :]) == -1).all()
 
 
 @pytest.mark.parametrize("fd", [F7, F27], ids=lambda fd: fd.label())

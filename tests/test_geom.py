@@ -111,6 +111,14 @@ def test_k2_equals_spread_exhaustively_on_f3_plane():
     pts = list(itertools.product(range(3), repeat=2))
     for a, b, c in itertools.permutations(pts, 3):
         assert k_spread(F3, [a, b, c]) == spread(F3, a, b, c)
+    # seeded triples in d = 3, with repeated points and isotropic arms
+    for fd in (F5, F9):
+        rng = random.Random(fd.q)
+        iso = geom.sphere_points(fd, 3, 0).points[1]
+        for _ in range(500):
+            a, b, c = (tuple(rng.randrange(fd.q) for _ in range(3)) for _ in range(3))
+            for triple in ([a, b, c], [a, a, c], [a, geom.vadd(fd, a, iso), c]):
+                assert k_spread(fd, triple) == spread(fd, *triple)
 
 
 def test_det_matches_permutation_expansion():
