@@ -153,7 +153,7 @@ def _spread_histogram(ps: PointSet, apexes: range) -> np.ndarray:
     for mult, reps in _apex_classes(ps, apexes):
         pairs = np.multiply.outer(mult, mult)
         pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
-        np.add.at(hist, arm_spreads(ps.field, reps).ravel(), pairs.ravel())
+        np.add.at(hist, arm_spreads(ps.field, reps[:, None], reps[None]).ravel(), pairs.ravel())
     return hist
 
 
@@ -209,16 +209,12 @@ def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]
     return order, np.take_along_axis(code, order, axis=1)
 
 
-def arm_spreads(fd: ff.Field, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+def arm_spreads(fd: ff.Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Spreads 1 - (u.v)^2 / (|u||v|) of the arms u and v, as elements; -1
     where either arm norm is 0.  The arms are logs over the last axis, and
-    their other axes broadcast: two (N, d) arrays give N spreads.  Without
-    v, the rows of u (k, d) give the k x k matrix of pairwise spreads, with
-    the norms read off its Gram diagonal."""
-    if v is None:
-        dot = fd.log_dot(u[:, None], u[None])
-        nu = dot.diagonal()[:, None]
-        return fd.spread_from_logs(dot, nu, nu.T)
+    their other axes broadcast: two (N, d) arrays give N spreads, and the
+    rows of a (k, d) array as u[:, None] and u[None] the k x k matrix of
+    pairwise spreads."""
     return fd.spread_from_logs(fd.log_dot(u, v), fd.log_dot(u, u), fd.log_dot(v, v))
 
 
@@ -407,7 +403,7 @@ def sphere_equiv_check(
     pts = fd.log[sph.as_array()]
     # The verdict on origin pairs (a, b), (c, e) depends only on their keys
     # (spread, |a - b|, |a + b|); undefined pairs have spread -1.
-    pair_keys = np.stack([arm_spreads(fd, pts), *_pair_distances(fd, pts)], axis=-1)
+    pair_keys = np.stack([arm_spreads(fd, pts[:, None], pts[None]), *_pair_distances(fd, pts)], axis=-1)
     keys, inverse, counts = np.unique(
         pair_keys.reshape(-1, 3), axis=0, return_inverse=True, return_counts=True
     )

@@ -194,7 +194,7 @@ class Field:
         """Elements 1 - dot^2 / (nu * nv) from the logs of a dot product and
         two norms (broadcast), in one gather; -1 where a norm is 0.  A zero
         norm moves the index past the table's last entry, -1, and the index
-        is clipped there, so no mask of the full shape is built."""
+        is clipped there; the zero test reads the norms, not the products."""
         n = self.q - 1
         tu, tv = (np.where(x == self.zero_log, 6 * n, -x % n) for x in (nu, nv))
         idx = 2 * dot + (tu + tv)

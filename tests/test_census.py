@@ -151,15 +151,14 @@ def test_sweep_rejects_nonpositive_workers():
 
 
 def test_arm_spreads_matches_scalar_spread():
-    # all pairs of rows, the same by broadcasting (k, 1, d) x (1, k, d), and
+    # all pairs of rows by broadcasting (k, 1, d) x (1, k, d), and
     # elementwise (N, d); isotropic and zero arms included
     for fd, d in ((F5, 2), (F9, 3), (F13, 2)):
         rng = random.Random(fd.q)
         arms = [tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(30)]
         arms += [(0,) * d, geom.sphere_points(fd, d, 0).points[1]]
         logs = fd.log[np.array(arms)]
-        grid = census.arm_spreads(fd, logs)
-        assert (census.arm_spreads(fd, logs[:, None], logs[None]) == grid).all()
+        grid = census.arm_spreads(fd, logs[:, None], logs[None])
         origin = (0,) * d
         for (i, j), got in np.ndenumerate(grid):
             want = geom.spread(fd, origin, arms[i], arms[j])
@@ -502,7 +501,7 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
         seen["minus"], seen["plus"] = minus, plus
         yield from (minus, plus)
 
-    def undefine_one(fd, u, v=None):
+    def undefine_one(fd, u, v):
         val = arm_spreads(fd, u, v)
         val[1, 2] = -1
         seen["spread"] = val
