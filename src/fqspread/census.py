@@ -6,20 +6,22 @@ The spread, line and occurrence censuses share one kernel.  The spread is
 scale-invariant in each arm, so at a fixed apex it depends only on the
 projective classes of the two arms: the kernel scales every arm so its
 first nonzero coordinate is 1 and collapses the n-1 arms onto their k <=
-min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  Spreads are then
-evaluated on the k x k class Gram matrix, and the classes at an apex are
-exactly the spanned lines through it.  Apexes are canonicalized in blocks,
-so temporaries stay O(block * n * d).
+min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  The classes at an
+apex are exactly the spanned lines through it.  Apexes are canonicalized
+in blocks, so temporaries stay O(block * n * d).
+
+The spread of two classes does not depend on the apex either, and the
+arms from all n apexes fall into at most (q^d-1)/(q-1) classes.  So the
+spread and occurrence censuses evaluate each class pair once per group of
+apexes, in a class spread table that each apex of the group reads by
+class id (``_spread_histogram`` gives the grouping rule and the memory
+bound).  Both censuses read one exact int64 histogram of the spreads of
+all ordered triples, undefined ones in its last slot.  It is swept on
+the calling thread: split over threads, each would build its own tables.
 
 ``arm_spreads`` is the package's one batched spread: arms in logs to
-elements, -1 where an arm norm is 0.  The class spread matrix at each
-apex, the sphere check's origin-pair spreads and ``expt.run_properties``
-all call it.
-
-The spread and occurrence censuses both read one exact int64 histogram
-of the spreads of all ordered triples, undefined ones in its last slot.
-The apexes split into `workers` ranges whose histograms add, so results
-never depend on the worker count; at most one thread per CPU sweeps them.
+elements, -1 where an arm norm is 0.  The class spread tables, the sphere
+check's origin-pair spreads and ``expt.run_properties`` all call it.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
@@ -31,10 +33,8 @@ of its m^2 origin pairs: O(m^2 + K^2) memory, never m^4.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -113,9 +113,8 @@ def spread_occurrences(
 
 def _sweep(ps: PointSet, budget: int, workers: int) -> np.ndarray:
     """The spread histogram of all ordered triples: entry v < q counts the
-    triples with spread v, entry q the undefined ones.  The apexes split
-    into `workers` ranges whose histograms add, run on at most one thread
-    per CPU."""
+    triples with spread v, entry q the undefined ones.  Any positive
+    `workers` is accepted; the sweep runs on the calling thread."""
     n = len(ps)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
@@ -123,42 +122,101 @@ def _sweep(ps: PointSet, budget: int, workers: int) -> np.ndarray:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
     if workers < 1:
         raise FormatError(f"workers = {workers} is not a positive thread count")
-    apexes = range(n)
-    if workers == 1:
-        hist = _spread_histogram(ps, apexes)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            hist = sum(pool.map(lambda c: _spread_histogram(ps, c), _split(apexes, workers)))
+    hist = _spread_histogram(ps)
     if hist.sum() != n * (n - 1) * (n - 2):
         raise InternalError("spread histogram does not cover every ordered triple")
     return hist
 
 
-def _split(rng: range, k: int) -> list[range]:
-    n = len(rng)
-    k = max(1, min(k, n))
-    step = (n + k - 1) // k
-    return [rng[i : i + step] for i in range(0, n, step)]
+def _spread_histogram(ps: PointSet) -> np.ndarray:
+    """Exact int64 spread histogram of all ordered triples.
 
+    Each apex gathers its k x k block of its group's u x u class spread
+    table by class id.  Arms from classes c and c' form mult[c] * mult[c']
+    ordered pairs, less the pairs of one arm with itself on the diagonal;
+    two arms of one class have the spread on the class diagonal (0, or -1
+    when isotropic).  The spread -1 indexes the last slot, which counts
+    undefined triples.
 
-def _spread_histogram(ps: PointSet, apexes: range) -> np.ndarray:
-    """Exact int64 spread histogram of the triples whose apex is in `apexes`.
-
-    Arms from classes c and c' form mult[c] * mult[c'] ordered pairs, less
-    the pairs of one arm with itself on the diagonal; two arms of one class
-    have the spread on the class diagonal (0, or -1 when isotropic).  The
-    spread -1 indexes the last slot, which counts undefined triples.
+    Consecutive apexes are buffered into windows of about _WINDOW_CELLS
+    class representative coordinates, and each window is cut into groups:
+    from its first ungrouped apex, a group is the longest run of apexes
+    whose class union u has u^2 at most both the sum of their k^2 and
+    _TABLE_CELLS (a lone apex whose k^2 exceeds the cap is a group too).
+    So the tables never hold more cells than per-apex matrices would, and
+    a set whose apexes share no classes gets one-apex groups.  Memory
+    beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
+    coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes
+    or one apex's k^2, built in row blocks of about _BLOCK_CELLS cells.
     """
     hist = np.zeros(ps.field.q + 1, dtype=np.int64)
-    for mult, reps in _apex_classes(ps, apexes):
-        pairs = np.multiply.outer(mult, mult)
-        pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
-        np.add.at(hist, arm_spreads(ps.field, reps[:, None], reps[None]).ravel(), pairs.ravel())
+    window: list = []
+    cells = 0
+    for mult, reps in _apex_classes(ps, range(len(ps))):
+        window.append((mult, reps))
+        cells += reps.size
+        if cells >= _WINDOW_CELLS:
+            _add_window(ps.field, window, hist)
+            window, cells = [], 0
+    if window:
+        _add_window(ps.field, window, hist)
     return hist
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells.
 _BLOCK_CELLS = 1 << 16
+# About the most class representative coordinates buffered at once.
+_WINDOW_CELLS = 1 << 19
+# The most cells in one class spread table shared by several apexes.
+_TABLE_CELLS = 1 << 21
+
+
+def _add_window(fd: ff.Field, window: list, hist: np.ndarray) -> None:
+    """Add the triples at a window of apexes, (mult, reps) per apex, to hist."""
+    k = np.array([len(mult) for mult, _ in window])
+    starts = np.concatenate(([0], np.cumsum(k)))
+    reps = np.concatenate([r for _, r in window])
+    # ids: window-wide class ids; prev: the row before of the same class, or -1
+    code = _codes(reps[None], fd.zero_log)[0]
+    order = np.argsort(code, kind="stable")
+    same = code[order[1:]] == code[order[:-1]]
+    ids = np.empty(len(code), dtype=np.intp)
+    ids[order] = np.concatenate(([0], np.cumsum(~same)))
+    prev = np.full(len(code), -1, dtype=np.intp)
+    prev[order[1:][same]] = order[:-1][same]
+    lut = np.empty(len(code), dtype=np.intp)
+    s = 0
+    while s < len(window):
+        lo = starts[s]
+        fresh = prev[lo:] < lo  # the row's class is new since apex s
+        u = np.cumsum(np.add.reduceat(fresh, starts[s:-1] - lo, dtype=np.int64))
+        fits = (u * u <= np.cumsum(k[s:] ** 2)) & (u * u <= _TABLE_CELLS)
+        fits[0] = True
+        e = s + 1 + int(np.flatnonzero(fits)[-1])
+        hi = starts[e]
+        first = fresh[: hi - lo]
+        lut[ids[lo:hi][first]] = np.arange(u[e - s - 1])
+        local = lut[ids[lo:hi]]
+        table = _class_table(fd, reps[lo:hi][first])
+        for a in range(s, e):
+            mult = window[a][0]
+            cls = local[starts[a] - lo : starts[a + 1] - lo]
+            pairs = np.multiply.outer(mult, mult)
+            pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
+            np.add.at(hist, table.take(cls, 0).take(cls, 1).ravel(), pairs.ravel())
+        s = e
+
+
+def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
+    """The u x u spreads of all pairs of class representatives reps (u, d;
+    logs), -1 where undefined: int16 while q < 2^15, else int32.  Built in
+    row blocks so temporaries stay near _BLOCK_CELLS cells."""
+    u = len(reps)
+    table = np.empty((u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
+    step = max(1, _BLOCK_CELLS // u)
+    for lo in range(0, u, step):
+        table[lo : lo + step] = arm_spreads(fd, reps[lo : lo + step, None], reps[None])
+    return table
 
 
 def _apex_classes(ps: PointSet, apexes: range):
@@ -180,21 +238,23 @@ def _apex_classes(ps: PointSet, apexes: range):
         arms = fd.log_add(neg[block, None, :], pts[None, :, :])  # (B, n, d)
         lead = np.take_along_axis(arms, (arms != fd.zero_log).argmax(axis=2)[..., None], axis=2)
         canon = fd.log_mul(arms, -lead % (fd.q - 1))  # the zero arm b = a stays zero
-        order, code = _sorted_codes(canon, fd.zero_log)
+        code = _codes(canon, fd.zero_log)
+        order = np.argsort(code, axis=1)
+        code = np.take_along_axis(code, order, axis=1)
         for r in range(len(block)):
             # The apex's own zero arm has the least code and sorts first.
             starts = np.flatnonzero(code[r, 1:] != code[r, :-1]) + 1
             yield np.diff(starts, append=n), canon[r, order[r, starts]]
 
 
-def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer codes of the canonical arms (logs, `zero` the log of 0),
-    sorted within each apex row.
+def _codes(canon: np.ndarray, zero: int) -> np.ndarray:
+    """Integer codes (B, N) of the canonical arms canon (B, N, d; logs,
+    `zero` the log of 0): equal exactly for equal arms across the whole
+    array, and least for the zero arm.
 
-    A code reads the digits zero - log in base zero + 1, so the zero arm
-    has the least code; when the next digit could overflow int64 the codes
-    are first replaced by their ranks, which keeps the order and the
-    equality of codes.  Returns (argsort, sorted codes).
+    A code reads the digits zero - log in base zero + 1; when the next
+    digit could overflow int64 the codes are first replaced by their ranks
+    over the whole array, which keeps their order and equality.
     """
     code = np.zeros(canon.shape[:2], dtype=np.int64)
     span = 1
@@ -205,8 +265,7 @@ def _sorted_codes(canon: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray]
             span = code.size
         code = code * (zero + 1) + (zero - canon[:, :, c])
         span *= zero + 1
-    order = np.argsort(code, axis=1)
-    return order, np.take_along_axis(code, order, axis=1)
+    return code
 
 
 def arm_spreads(fd: ff.Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:

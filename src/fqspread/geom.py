@@ -110,7 +110,10 @@ def k_spread(fd: ff.Field, points: Sequence[Vec]) -> SpreadValue:
     if k > d:
         raise BadArity(f"order {k} exceeds dimension {d}")
     arms = [vsub(fd, x, points[0]) for x in points[1:]]
-    gram = [[dot(fd, u, v) for v in arms] for u in arms]
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):  # symmetric: one dot per pair i <= j
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = dot(fd, arms[i], arms[j])
     denom = 1
     for i in range(k):  # the arm norms are the diagonal
         if gram[i][i] == 0:

@@ -1,6 +1,6 @@
 import itertools
-import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -88,16 +88,38 @@ def random_points(fd, d, n, seed):
     return PointSet(fd, d, sorted(pts))
 
 
+def plane_points(fd, d, n, seed):
+    """n distinct points of a seeded plane through the origin of F_q^d,
+    spanned by u and v with u_0 = 1, v_0 = 0 and v zero past coordinate 10.
+    The classes of u + t v then agree past coordinate 10, so once codes
+    are rank-compressed, only the ranks of their first digits tell them
+    apart."""
+    rng = random.Random(seed)
+    u = [1] + [rng.randrange(fd.q) for _ in range(d - 1)]
+    v = [0] + [rng.randrange(1, fd.q) for _ in range(10)] + [0] * (d - 11)
+    coeffs = rng.sample(list(itertools.product(fd.elements(), repeat=2)), n)
+    pts = {tuple(fd.add(fd.mul(x, a), fd.mul(y, b)) for a, b in zip(u, v)) for x, y in coeffs}
+    assert len(pts) == n  # u and v independent
+    return PointSet(fd, d, sorted(pts))
+
+
 @pytest.mark.parametrize(
     "name",
     [
         "prime", "f5-plane", "ext-9", "f9-plane", "ext-3^7", "con1", "con2", "sphere",
-        "above-cap", "wide-codes", "one-apex-blocks",
+        "above-cap", "wide-codes", "one-apex-blocks", "wide-codes-one-apex-blocks",
+        "capped-windows",
     ],
 )
 def test_class_kernel_matches_naive_oracles(name, monkeypatch):
-    if name == "one-apex-blocks":
+    if name.endswith("one-apex-blocks"):
+        # class ids must hold across apex blocks, each rank-compressing
+        # its own arm codes
         monkeypatch.setattr(census, "_BLOCK_CELLS", 1)
+    if name == "capped-windows":
+        # windows of about 5 apexes, cut into groups of at most 26 classes
+        monkeypatch.setattr(census, "_WINDOW_CELLS", 300)
+        monkeypatch.setattr(census, "_TABLE_CELLS", 700)
     make = {
         "prime": lambda: random_pointset(F7, 2, 20, 21),
         "f5-plane": lambda: random_pointset(F5, 2, 10, 4),
@@ -112,6 +134,10 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
         # overflow int64
         "wide-codes": lambda: random_points(F5, 60, 10, 24),
         "one-apex-blocks": lambda: random_pointset(F5, 3, 25, 25),
+        # a plane of F_5^60: apexes share their few classes, so one table
+        # serves apexes whose blocks rank-compressed their codes apart
+        "wide-codes-one-apex-blocks": lambda: plane_points(F5, 60, 9, 28),
+        "capped-windows": lambda: random_pointset(F5, 3, 25, 25),
     }
     ps = make[name]()
     assert_censuses_match_oracles(ps)
@@ -127,18 +153,19 @@ def test_distinct_spreads_worker_count_invariance():
 
 
 def test_sweep_threads_at_most_one_per_cpu(monkeypatch):
-    # 16 apex ranges, but no more threads than CPUs
-    opened = []
-    init = census.ThreadPoolExecutor.__init__
+    # 16 workers asked for, but the sweep starts no thread at all
+    started = []
+    start = threading.Thread.start
 
-    def record(self, max_workers=None, *args, **kwargs):
-        opened.append(max_workers)
-        init(self, max_workers, *args, **kwargs)
+    def record(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(census.ThreadPoolExecutor, "__init__", record)
+    monkeypatch.setattr(threading.Thread, "start", record)
     ps = random_pointset(F5, 2, 20, 7)
     assert distinct_spreads(ps, workers=16) == distinct_spreads(ps, workers=1)
-    assert opened == [min(16, os.cpu_count() or 1)]
+    assert spread_occurrences(ps, 1, workers=16) == spread_occurrences(ps, 1, workers=1)
+    assert started == []
 
 
 def test_sweep_rejects_nonpositive_workers():
@@ -165,6 +192,48 @@ def test_arm_spreads_matches_scalar_spread():
             assert got == (-1 if want is None else want)
         pairs = census.arm_spreads(fd, logs, logs[::-1])
         assert pairs.tolist() == [grid[i, len(arms) - 1 - i] for i in range(len(arms))]
+
+
+def count_spread_cells(monkeypatch):
+    """Wraps census.arm_spreads; the list returned collects the number of
+    spreads each call evaluates."""
+    cells = []
+    arm_spreads = census.arm_spreads
+
+    def counting(fd, u, v):
+        out = arm_spreads(fd, u, v)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(census, "arm_spreads", counting)
+    return cells
+
+
+def test_class_tables_never_exceed_per_apex_cells(monkeypatch):
+    # F_101^4 has 1,040,604 classes; 60 random points share few, so the
+    # class union of two apexes already outgrows their own k^2 cells
+    cells = count_spread_cells(monkeypatch)
+    ps = random_points(Field(101), 4, 60, 27)
+    per_apex = sum(len(mult) ** 2 for mult, _ in census._apex_classes(ps, range(len(ps))))
+    cen = distinct_spreads(ps)
+    assert 0 < sum(cells) <= per_apex
+    # one oracle pass over the 205,320 triples yields the whole census
+    counts = naive_spread_counts(ps)
+    assert list(cen.defined_values) == sorted(v for v in counts if v is not None)
+    assert cen.undefined_triples == counts[None]
+    assert cen.triples_scanned == sum(counts.values())
+    gammas = (0, 1, *cen.defined_values[-2:])
+    assert [spread_occurrences(ps, g) for g in gammas] == [counts[g] for g in gammas]
+
+
+def test_class_tables_shared_across_apexes(monkeypatch):
+    # the whole plane: every apex sees all q + 1 classes, so one table
+    # of (q + 1)^2 cells serves all q^2 apexes
+    cells = count_spread_cells(monkeypatch)
+    cen = distinct_spreads(geom.all_points(F7, 2))
+    assert sum(cells) == 8 * 8
+    assert cen.defined_values == (0, 1, 3, 4, 5)  # as in the frozen census below
+    assert cen.undefined_triples == 0  # q = 3 mod 4: no isotropic arms
 
 
 def test_spread_histogram_must_cover_every_triple(monkeypatch):
@@ -212,7 +281,7 @@ def test_distinct_spreads_guards():
         distinct_spreads(geom.all_points(F5, 2), budget=100)
 
 
-def test_distinct_spreads_scalar_fallback_above_table_cap():
+def test_distinct_spreads_four_digit_prime_field():
     # q = 2053: a four-digit prime field through the public entry point,
     # with a collinear triple among the points.
     fd = Field(2053)

@@ -100,6 +100,26 @@ def test_k_spread_examples():
     assert k_spread(F5, [(0, 0, 0), (1, 2, 0), (0, 1, 0), (0, 0, 1)]) is None
 
 
+def test_k_spread_gram_makes_one_dot_per_arm_pair(monkeypatch):
+    # the Gram matrix is symmetric: k(k + 1)/2 dot calls, not k^2
+    calls = []
+    real_dot = geom.dot
+
+    def counting_dot(fd, u, v):
+        calls.append((u, v))
+        return real_dot(fd, u, v)
+
+    monkeypatch.setattr(geom, "dot", counting_dot)
+    for points, k, want in (
+        ([(0, 0, 0), (1, 2, 0), (2, 0, 1)], 2, spread(F5, (0, 0, 0), (1, 2, 0), (2, 0, 1))),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 1),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3, 0),
+    ):
+        calls.clear()
+        assert k_spread(F5, points) == want
+        assert len(calls) == k * (k + 1) // 2
+
+
 def test_k_spread_arity_checks():
     with pytest.raises(errors.BadArity):
         k_spread(F5, [(0, 0), (1, 0)])  # k = 1
