@@ -11,10 +11,11 @@ apex are exactly the spanned lines through it.  Apexes are canonicalized
 in blocks, so temporaries stay O(block * n * d).
 
 The spread of two classes does not depend on the apex either, and the
-arms from all n apexes fall into at most (q^d-1)/(q-1) classes.  So the
-spread and occurrence censuses evaluate each class pair once per group of
-apexes, in a class spread table that each apex of the group reads by
-class id (``_spread_histogram`` gives the grouping rule and the memory
+arms from all n apexes fall into at most (q^d-1)/(q-1) classes.  So when
+the apexes of a window share their classes, the spread and occurrence
+censuses evaluate each class pair once per window, in one class spread
+table that each apex reads by class id; otherwise each apex gets a table
+of its own classes (``_spread_histogram`` gives the rule and the memory
 bound).  Both censuses read one exact int64 histogram of the spreads of
 all ordered triples, undefined ones in its last slot.  It is swept on
 the calling thread: split over threads, each would build its own tables.
@@ -86,12 +87,10 @@ class EquivReport:
 # -- spread sweeps -----------------------------------------------------------
 
 
-def distinct_spreads(
-    ps: PointSet, budget: int = DEFAULT_TRIPLE_BUDGET, workers: int = 1
-) -> SpreadCensus:
+def distinct_spreads(ps: PointSet, budget: int = DEFAULT_TRIPLE_BUDGET) -> SpreadCensus:
     """Census over all ordered triples (a, b, c) of distinct points with apex
     a: the set of defined spread values plus the undefined-triple tally."""
-    hist = _sweep(ps, budget, workers)
+    hist = _sweep(ps, budget)
     q, n = ps.field.q, len(ps)
     values = tuple(int(v) for v in np.flatnonzero(hist[:q]))
     return SpreadCensus(
@@ -102,26 +101,21 @@ def distinct_spreads(
     )
 
 
-def spread_occurrences(
-    ps: PointSet, gamma: int, budget: int = DEFAULT_TRIPLE_BUDGET, workers: int = 1
-) -> int:
+def spread_occurrences(ps: PointSet, gamma: int, budget: int = DEFAULT_TRIPLE_BUDGET) -> int:
     """Number of ordered triples of distinct points whose spread is gamma."""
     if not 0 <= gamma < ps.field.q:
         raise FormatError(f"gamma = {gamma} is not an element index of F_{ps.field.q}")
-    return int(_sweep(ps, budget, workers)[gamma])
+    return int(_sweep(ps, budget)[gamma])
 
 
-def _sweep(ps: PointSet, budget: int, workers: int) -> np.ndarray:
+def _sweep(ps: PointSet, budget: int) -> np.ndarray:
     """The spread histogram of all ordered triples: entry v < q counts the
-    triples with spread v, entry q the undefined ones.  Any positive
-    `workers` is accepted; the sweep runs on the calling thread."""
+    triples with spread v, entry q the undefined ones."""
     n = len(ps)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n**3 > budget:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
-    if workers < 1:
-        raise FormatError(f"workers = {workers} is not a positive thread count")
     hist = _spread_histogram(ps)
     if hist.sum() != n * (n - 1) * (n - 2):
         raise InternalError("spread histogram does not cover every ordered triple")
@@ -131,23 +125,22 @@ def _sweep(ps: PointSet, budget: int, workers: int) -> np.ndarray:
 def _spread_histogram(ps: PointSet) -> np.ndarray:
     """Exact int64 spread histogram of all ordered triples.
 
-    Each apex gathers its k x k block of its group's u x u class spread
-    table by class id.  Arms from classes c and c' form mult[c] * mult[c']
-    ordered pairs, less the pairs of one arm with itself on the diagonal;
-    two arms of one class have the spread on the class diagonal (0, or -1
-    when isotropic).  The spread -1 indexes the last slot, which counts
-    undefined triples.
+    Each apex with k classes reads a k x k block of class spreads.  Arms
+    from classes c and c' form mult[c] * mult[c'] ordered pairs, less the
+    pairs of one arm with itself on the diagonal; two arms of one class
+    have the spread on the class diagonal (0, or -1 when isotropic).  The
+    spread -1 indexes the last slot, which counts undefined triples.
 
     Consecutive apexes are buffered into windows of about _WINDOW_CELLS
-    class representative coordinates, and each window is cut into groups:
-    from its first ungrouped apex, a group is the longest run of apexes
-    whose class union u has u^2 at most both the sum of their k^2 and
-    _TABLE_CELLS (a lone apex whose k^2 exceeds the cap is a group too).
-    So the tables never hold more cells than per-apex matrices would, and
-    a set whose apexes share no classes gets one-apex groups.  Memory
-    beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
-    coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes
-    or one apex's k^2, built in row blocks of about _BLOCK_CELLS cells.
+    class representative coordinates.  When a window's class union u has
+    u^2 at most both the sum of its apexes' k^2 and _TABLE_CELLS, one u x u
+    table serves the window and each apex gathers its block by class id;
+    otherwise each apex builds its own k x k table.  So the tables never
+    hold more cells than per-apex tables would, and a set whose apexes
+    share no classes gets a table per apex.  Memory beside the apex blocks
+    is one window, O(_WINDOW_CELLS) rows and coordinates, and one table, at
+    most _TABLE_CELLS cells of 2 or 4 bytes or one apex's k^2, built in row
+    blocks of about _BLOCK_CELLS cells.
     """
     hist = np.zeros(ps.field.q + 1, dtype=np.int64)
     window: list = []
@@ -167,44 +160,28 @@ def _spread_histogram(ps: PointSet) -> np.ndarray:
 _BLOCK_CELLS = 1 << 16
 # About the most class representative coordinates buffered at once.
 _WINDOW_CELLS = 1 << 19
-# The most cells in one class spread table shared by several apexes.
+# The most cells in one class spread table shared by a window of apexes.
 _TABLE_CELLS = 1 << 21
 
 
 def _add_window(fd: ff.Field, window: list, hist: np.ndarray) -> None:
     """Add the triples at a window of apexes, (mult, reps) per apex, to hist."""
-    k = np.array([len(mult) for mult, _ in window])
-    starts = np.concatenate(([0], np.cumsum(k)))
+    k = [len(mult) for mult, _ in window]
     reps = np.concatenate([r for _, r in window])
-    # ids: window-wide class ids; prev: the row before of the same class, or -1
-    code = _codes(reps[None], fd.zero_log)[0]
-    order = np.argsort(code, kind="stable")
-    same = code[order[1:]] == code[order[:-1]]
-    ids = np.empty(len(code), dtype=np.intp)
-    ids[order] = np.concatenate(([0], np.cumsum(~same)))
-    prev = np.full(len(code), -1, dtype=np.intp)
-    prev[order[1:][same]] = order[:-1][same]
-    lut = np.empty(len(code), dtype=np.intp)
-    s = 0
-    while s < len(window):
-        lo = starts[s]
-        fresh = prev[lo:] < lo  # the row's class is new since apex s
-        u = np.cumsum(np.add.reduceat(fresh, starts[s:-1] - lo, dtype=np.int64))
-        fits = (u * u <= np.cumsum(k[s:] ** 2)) & (u * u <= _TABLE_CELLS)
-        fits[0] = True
-        e = s + 1 + int(np.flatnonzero(fits)[-1])
-        hi = starts[e]
-        first = fresh[: hi - lo]
-        lut[ids[lo:hi][first]] = np.arange(u[e - s - 1])
-        local = lut[ids[lo:hi]]
-        table = _class_table(fd, reps[lo:hi][first])
-        for a in range(s, e):
-            mult = window[a][0]
-            cls = local[starts[a] - lo : starts[a + 1] - lo]
-            pairs = np.multiply.outer(mult, mult)
-            pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
-            np.add.at(hist, table.take(cls, 0).take(cls, 1).ravel(), pairs.ravel())
-        s = e
+    # ids: window-wide class ids; first: the first row of each class
+    _, first, ids = np.unique(
+        _codes(reps[None], fd.zero_log)[0], return_index=True, return_inverse=True
+    )
+    u = len(first)
+    if u * u <= min(sum(c * c for c in k), _TABLE_CELLS):
+        table = _class_table(fd, reps[first])
+        blocks = (table.take(c, 0).take(c, 1) for c in np.split(ids, np.cumsum(k)[:-1]))
+    else:
+        blocks = (_class_table(fd, r) for _, r in window)
+    for (mult, _), block in zip(window, blocks):
+        pairs = np.multiply.outer(mult, mult)
+        pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
+        np.add.at(hist, block.ravel(), pairs.ravel())
 
 
 def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
@@ -449,12 +426,17 @@ def _orthogonality_masks(fd: ff.Field, reps: list[Vec]) -> list[int]:
 # -- sphere spread/distance equivalence ----------------------------------------------
 
 
+# The most violating quadruples a sphere check report lists.
+_MAX_VIOLATIONS = 50
+
+
 def sphere_equiv_check(
-    fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET, max_violations: int = 50
+    fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET
 ) -> EquivReport:
     """Exhaustively test, over quadruples (a, b, c, e) on the unit sphere with
     both origin-apex spreads defined, that spread(0,a,b) = spread(0,c,e) holds
-    exactly when |a-b| = |c-e| or |a-b| = |c+e|."""
+    exactly when |a-b| = |c-e| or |a-b| = |c+e|.  The report lists the first
+    _MAX_VIOLATIONS violations."""
     sph = geom.sphere_points(fd, d, 1, budget=budget)
     m = len(sph)
     if m**4 > budget:
@@ -478,7 +460,7 @@ def sphere_equiv_check(
         for j in np.flatnonzero(bad[inverse[i]][inverse])
     )
     pairs = list(itertools.product(sph.points, repeat=2))  # by flat index a * m + b
-    violations = [pairs[i] + pairs[j] for i, j in itertools.islice(quads, max(0, max_violations))]
+    violations = [pairs[i] + pairs[j] for i, j in itertools.islice(quads, _MAX_VIOLATIONS)]
     checked = int(counts[defined].sum()) ** 2
     return EquivReport(
         quadruples_checked=checked,

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("kind", choices=("spreads", "distances", "lines", "occurrences"))
     p_cen.add_argument("--points", type=_path, required=True)
     p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
-    p_cen.add_argument("--workers", type=_positive_int, default=1)
+    p_cen.add_argument("--workers", type=_positive_int, default=1, help="accepted and ignored")
     _common(p_cen, env, field=False)
 
     p_search = sub.add_parser("search", help="exhaustive searches")
@@ -227,7 +227,7 @@ def _cmd_census(args) -> int:
     body: dict = {"field": ps.field.label(), "d": ps.dim, "n_points": len(ps)}
     values: tuple[int, ...] = ()
     if args.kind == "spreads":
-        cen = census.distinct_spreads(ps, budget=args.budget, workers=args.workers)
+        cen = census.distinct_spreads(ps, budget=args.budget)
         body.update(
             defined_spread_values=list(cen.defined_values),
             defined_count=cen.defined_count,
@@ -249,7 +249,7 @@ def _cmd_census(args) -> int:
     else:
         if args.gamma is None:
             raise FormatError("`census occurrences` needs --gamma")
-        count = census.spread_occurrences(ps, args.gamma, budget=args.budget, workers=args.workers)
+        count = census.spread_occurrences(ps, args.gamma, budget=args.budget)
         body.update(gamma=args.gamma, occurrences=count)
     body["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     if args.format == "csv":

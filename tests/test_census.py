@@ -117,7 +117,8 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
         # its own arm codes
         monkeypatch.setattr(census, "_BLOCK_CELLS", 1)
     if name == "capped-windows":
-        # windows of about 5 apexes, cut into groups of at most 26 classes
+        # four 6-apex windows whose class unions outgrow 700 cells, so each
+        # apex builds its own table, then a one-apex window that shares one
         monkeypatch.setattr(census, "_WINDOW_CELLS", 300)
         monkeypatch.setattr(census, "_TABLE_CELLS", 700)
     make = {
@@ -143,17 +144,7 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
     assert_censuses_match_oracles(ps)
 
 
-def test_distinct_spreads_worker_count_invariance():
-    ps = random_pointset(F5, 2, 15, 6)
-    base = distinct_spreads(ps, workers=1)
-    occurrences = [spread_occurrences(ps, gamma, workers=1) for gamma in range(5)]
-    for workers in (2, 3, 8):
-        assert distinct_spreads(ps, workers=workers) == base
-        assert [spread_occurrences(ps, gamma, workers=workers) for gamma in range(5)] == occurrences
-
-
-def test_sweep_threads_at_most_one_per_cpu(monkeypatch):
-    # 16 workers asked for, but the sweep starts no thread at all
+def test_census_starts_no_thread(monkeypatch):
     started = []
     start = threading.Thread.start
 
@@ -163,18 +154,9 @@ def test_sweep_threads_at_most_one_per_cpu(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", record)
     ps = random_pointset(F5, 2, 20, 7)
-    assert distinct_spreads(ps, workers=16) == distinct_spreads(ps, workers=1)
-    assert spread_occurrences(ps, 1, workers=16) == spread_occurrences(ps, 1, workers=1)
+    distinct_spreads(ps)
+    spread_occurrences(ps, 1)
     assert started == []
-
-
-def test_sweep_rejects_nonpositive_workers():
-    ps = random_pointset(F5, 2, 6, 8)
-    for workers in (0, -3):
-        with pytest.raises(errors.FormatError):
-            distinct_spreads(ps, workers=workers)
-        with pytest.raises(errors.FormatError):
-            spread_occurrences(ps, 1, workers=workers)
 
 
 def test_arm_spreads_matches_scalar_spread():
@@ -578,7 +560,8 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
 
     monkeypatch.setattr(census, "_pair_distances", corrupt_distances)
     monkeypatch.setattr(census, "arm_spreads", undefine_one)
-    rep = sphere_equiv_check(F7, 2, max_violations=10**6)
+    monkeypatch.setattr(census, "_MAX_VIOLATIONS", 10**6)
+    rep = sphere_equiv_check(F7, 2)
     pts = geom.sphere_points(F7, 2, 1).points
     m = len(pts)
     keys = {
@@ -596,8 +579,10 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
     assert list(rep.violations) == naive
     assert rep.quadruples_checked == (m * m - 1) ** 2
     assert rep.excluded == m**4 - (m * m - 1) ** 2
-    assert list(sphere_equiv_check(F7, 2, max_violations=50).violations) == naive[:50]
-    assert sphere_equiv_check(F7, 2, max_violations=0).violations == ()
+    monkeypatch.setattr(census, "_MAX_VIOLATIONS", 50)
+    assert list(sphere_equiv_check(F7, 2).violations) == naive[:50]
+    monkeypatch.setattr(census, "_MAX_VIOLATIONS", 0)
+    assert sphere_equiv_check(F7, 2).violations == ()
 
 
 def test_sphere_equiv_budget():

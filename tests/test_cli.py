@@ -140,6 +140,22 @@ def test_census_workers_must_be_positive(tmp_path, capsys, kind, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_census_output_ignores_workers(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    sphere_points(Field(5), 3, 1).save(path)
+    for kind in ("spreads", "distances", "lines", "occurrences"):
+        bodies = []
+        for workers in ("1", "3"):
+            code, out, _ = run_cli(
+                capsys, "census", kind, "--points", str(path), "--gamma", "1", "--workers", workers
+            )
+            assert code == 0
+            body = json.loads(out)
+            del body["elapsed_ms"]
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+
+
 @pytest.mark.parametrize("kind", ["lines", "occurrences"])
 def test_census_csv_without_value_list_rejected(tmp_path, capsys, kind):
     path = tmp_path / "p.txt"
