@@ -24,12 +24,9 @@ from .construct import con1_set, con2_set, iso_family_1mod4, iso_family_3mod4, s
 from .expt import ExperimentReport, acceptance_suite
 from .ff import Field, parse_field
 from .geom import (
-    CanonLine,
     PointSet,
-    dist,
     dot,
     k_spread,
-    line_through,
     norm,
     random_orthogonal,
     sphere_points,
@@ -37,7 +34,6 @@ from .geom import (
 )
 
 __all__ = [
-    "CanonLine",
     "DistanceCensus",
     "ExperimentReport",
     "Field",
@@ -50,7 +46,6 @@ __all__ = [
     "con1_set",
     "con2_set",
     "construct",
-    "dist",
     "distinct_distances",
     "distinct_spreads",
     "dot",
@@ -61,7 +56,6 @@ __all__ = [
     "iso_family_1mod4",
     "iso_family_3mod4",
     "k_spread",
-    "line_through",
     "norm",
     "parse_field",
     "random_orthogonal",

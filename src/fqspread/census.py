@@ -20,9 +20,13 @@ bound).  Both censuses read one exact int64 histogram of the spreads of
 all ordered triples, undefined ones in its last slot.  It is swept on
 the calling thread: split over threads, each would build its own tables.
 
-``arm_spreads`` is the package's one batched spread: arms in logs to
-elements, -1 where an arm norm is 0.  The class spread tables, the sphere
-check's origin-pair spreads and ``expt.run_properties`` all call it.
+The class spread tables and the sphere check's origin-pair spreads come
+from ``geom.arm_spreads``, the package's one batched spread: arms in logs
+to elements, -1 where an arm norm is 0.  The order-k spread
+``geom.arm_k_spreads`` lives beside it.  The isotropic-triple search checks
+independence by batched ``geom.eliminate`` calls over blocks of candidate
+triples, and projections count images of one ``Field.log_dot``; no census
+makes a scalar geometry call per case.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,7 +195,7 @@ def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
     table = np.empty((u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
     step = max(1, _BLOCK_CELLS // u)
     for lo in range(0, u, step):
-        table[lo : lo + step] = arm_spreads(fd, reps[lo : lo + step, None], reps[None])
+        table[lo : lo + step] = geom.arm_spreads(fd, reps[lo : lo + step, None], reps[None])
     return table
 
 
@@ -243,15 +246,6 @@ def _codes(canon: np.ndarray, zero: int) -> np.ndarray:
         code = code * (zero + 1) + (zero - canon[:, :, c])
         span *= zero + 1
     return code
-
-
-def arm_spreads(fd: ff.Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Spreads 1 - (u.v)^2 / (|u||v|) of the arms u and v, as elements; -1
-    where either arm norm is 0.  The arms are logs over the last axis, and
-    their other axes broadcast: two (N, d) arrays give N spreads, and the
-    rows of a (k, d) array as u[:, None] and u[None] the k x k matrix of
-    pairwise spreads."""
-    return fd.spread_from_logs(fd.log_dot(u, v), fd.log_dot(u, u), fd.log_dot(v, v))
 
 
 # -- distances ---------------------------------------------------------------
@@ -343,16 +337,23 @@ def random_projection(fd: ff.Field, d: int, k: int, seed: int) -> geom.Matrix:
 
 def collision_count(ps: PointSet, rows: geom.Matrix) -> int:
     """Unordered pairs of points with equal images under the projection rows."""
+    m = _image_counts(ps, rows)
+    return int((m * (m - 1) // 2).sum())
+
+
+def image_size(ps: PointSet, rows: geom.Matrix) -> int:
+    return len(_image_counts(ps, rows))
+
+
+def _image_counts(ps: PointSet, rows: geom.Matrix) -> np.ndarray:
+    """The number of points on each distinct image under the projection rows."""
     if len(rows[0]) != ps.dim:
         raise DimensionMismatch(
             f"projection expects dimension {len(rows[0])}, point set has {ps.dim}"
         )
-    buckets = Counter(geom.mat_vec(ps.field, rows, p) for p in ps.points)
-    return sum(m * (m - 1) // 2 for m in buckets.values())
-
-
-def image_size(ps: PointSet, rows: geom.Matrix) -> int:
-    return len({geom.mat_vec(ps.field, rows, p) for p in ps.points})
+    fd = ps.field
+    images = fd.log_dot(fd.log[ps.as_array()][:, None], fd.log[np.array(rows)][None])
+    return np.unique(images, axis=0, return_counts=True)[1]
 
 
 # -- isotropic triple search -------------------------------------------------------
@@ -369,7 +370,10 @@ def search_iso_triple(
     returns the lexicographically first triple of representatives.
     Independence is re-verified by a rank check: the sum of two orthogonal
     isotropic vectors is again orthogonal isotropic, so pairwise
-    non-proportionality is not enough.
+    non-proportionality is not enough.  The candidates are ranked in
+    batched eliminations over blocks of consecutive triples, which double
+    from 16 triples up to about _BLOCK_CELLS coordinates, so an early find
+    costs one small block.
     """
     if fd.q**d > budget:
         raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
@@ -382,20 +386,29 @@ def search_iso_triple(
             f"pair scan over {m}^2 = {m * m} representatives exceeds budget {budget}"
         )
     orth_masks = _orthogonality_masks(fd, reps)
-    for i in range(m):
-        partners = orth_masks[i] & ~((1 << (i + 1)) - 1)
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            j = low.bit_length() - 1
-            cand = orth_masks[i] & orth_masks[j] & ~((1 << (j + 1)) - 1)
-            while cand:
-                lowk = cand & -cand
-                cand ^= lowk
-                k = lowk.bit_length() - 1
-                if geom.rank(fd, [reps[i], reps[j], reps[k]]) == 3:
-                    return [reps[i], reps[j], reps[k]]
+    arr = fd.log[np.array(reps, dtype=np.int32)]
+    triples = (  # i < j < k, pairwise orthogonal, in lexicographic order
+        (i, j, k)
+        for i in range(m)
+        for j in _bits(orth_masks[i] >> (i + 1) << (i + 1))
+        for k in _bits(orth_masks[i] & orth_masks[j] >> (j + 1) << (j + 1))
+    )
+    most = max(1, _BLOCK_CELLS // (3 * d))
+    step = min(16, most)
+    while chunk := list(itertools.islice(triples, step)):
+        hits = np.flatnonzero(geom.eliminate(fd, arr[np.array(chunk)])[0] == 3)
+        if len(hits):
+            return [reps[t] for t in chunk[hits[0]]]
+        step = min(2 * step, most)
     return None
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _isotropic_reps(fd: ff.Field, d: int) -> list[Vec]:
@@ -444,7 +457,7 @@ def sphere_equiv_check(
     pts = fd.log[sph.as_array()]
     # The verdict on origin pairs (a, b), (c, e) depends only on their keys
     # (spread, |a - b|, |a + b|); undefined pairs have spread -1.
-    pair_keys = np.stack([arm_spreads(fd, pts[:, None], pts[None]), *_pair_distances(fd, pts)], axis=-1)
+    pair_keys = np.stack([geom.arm_spreads(fd, pts[:, None], pts[None]), *_pair_distances(fd, pts)], axis=-1)
     keys, inverse, counts = np.unique(
         pair_keys.reshape(-1, 3), axis=0, return_inverse=True, return_counts=True
     )

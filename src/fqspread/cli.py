@@ -202,7 +202,7 @@ def _cmd_spread_eval(args) -> int:
 
 def _cmd_kspread_eval(args) -> int:
     ps = PointSet.load(args.points)
-    s = geom.k_spread(ps.field, list(ps.points))
+    s = geom.k_spread(ps.field, list(ps.points), args.budget)
     _emit(args, geom.format_spread(s) + "\n")
     return 0
 

@@ -9,8 +9,9 @@ identical JSON.
 
 The spread-law battery (``run_properties``) draws all of its cases first
 and then checks the laws in numpy batches on logs, through the census
-kernels' one batched spread ``census.arm_spreads``; its k = 2 law checks
-that batch against the scalar ``geom.k_spread`` of every case.
+kernels' one batched spread ``geom.arm_spreads``; its k = 2 law checks
+that one-gather batch against ``geom.arm_k_spreads``, the order-2 spread
+of the same cases from their Gram determinants by elimination.
 """
 
 from __future__ import annotations
@@ -472,12 +473,13 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
     Case i is a triple (a, b, c) in F_q^d, d cycling through PROPERTY_DIMS,
     with scalars r, t, a pool matrix M and a shift z.  The laws compare
     spread(a, b, c) with spread(a, c, b), spread(a, a + r(b-a), a + t(c-a))
-    and spread(Ma + z, Mb + z, Mc + z), all from ``census.arm_spreads`` on
-    logs, and with the scalar ``geom.k_spread(fd, [a, b, c])``, a second
-    code path.  One rng draws every case first, in the order a, b, c, r, t,
-    matrix index, z; the laws then run batched per dimension.  `examples`
-    lists the first three failing (case, law) pairs, by case and then in
-    the law order above.
+    and spread(Ma + z, Mb + z, Mc + z), all from ``geom.arm_spreads`` on
+    logs, and with the order-2 spread from ``geom.arm_k_spreads``, which
+    takes the Gram determinant by elimination instead of the one gather.
+    One rng draws every case first, in the order a, b, c, r, t, matrix
+    index, z; the laws then run batched per dimension.  `examples` lists
+    the first three failing (case, law) pairs, by case and then in the law
+    order above.
     """
     q, dims = fd.q, len(PROPERTY_DIMS)
     draw = random.Random(trial_seed(seed, q)).randrange
@@ -495,12 +497,15 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
         row = rows[d][n * (4 * d + 3) : n * (4 * d + 3) + 3 * d]
         return [row[k * d : (k + 1) * d].tolist() for k in range(3)]
 
-    def spread(apex, b, c):
+    def arms(apex, *points):
         neg = fd.log_neg(apex)
-        return census.arm_spreads(fd, fd.log_add(b, neg), fd.log_add(c, neg))
+        return [fd.log_add(p, neg) for p in points]
+
+    def spread(apex, b, c):
+        return geom.arm_spreads(fd, *arms(apex, b, c))
 
     def scaled(apex, p, r):  # apex + r (p - apex)
-        return fd.log_add(apex, fd.log_mul(fd.log_add(p, fd.log_neg(apex)), fd.log[r][:, None]))
+        return fd.log_add(apex, fd.log_mul(arms(apex, p)[0], fd.log[r][:, None]))
 
     kinds = ("symmetry", "scaling", "rigid", "k2")
     failed = np.zeros((cases, len(kinds)), dtype=bool)
@@ -512,14 +517,13 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
         pool = [geom.random_orthogonal(fd, d, trial_seed(seed, 1000 * d + i)) for i in range(MATRIX_POOL)]
         m = fd.log[np.array(pool)][pick]  # (N, d, d)
         ma, mb, mc = (fd.log_add(fd.log_dot(m, p[:, None, :]), z) for p in (a, b, c))
-        k2 = [geom.k_spread(fd, points(d, n)) for n in range(len(x))]
         s = spread(a, b, c)
         failed[j::dims] = np.stack(
             [
                 spread(a, c, b) != s,
                 spread(a, scaled(a, b, r), scaled(a, c, t)) != s,
                 spread(ma, mb, mc) != s,
-                np.array([-1 if v is None else v for v in k2], dtype=np.int64) != s,
+                geom.arm_k_spreads(fd, np.stack(arms(a, b, c), axis=1)) != s,
             ],
             axis=-1,
         )

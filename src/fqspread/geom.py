@@ -4,8 +4,14 @@ Points and vectors are plain tuples of field-element indices.  The "norm"
 is not a metric: distinct points can sit at distance 0 (isotropic
 differences), and the spread of a triple is undefined whenever one of its
 arm norms vanishes.  Undefined is represented by ``None`` throughout and is
-never coerced to 0.  Determinants and ranks both read one forward Gaussian
-elimination, and spheres are enumerated by one blocked, vectorized scan.
+never coerced to 0.
+
+The geometry runs batched on discrete logs (``Field.log``), N cases at a
+time: ``arm_spreads`` gives spreads by one gather, ``arm_k_spreads``
+order-k spreads from Gram matrices, and ``eliminate`` is the one forward
+Gaussian elimination, behind ``arm_k_spreads`` and ``rank``.  ``spread``,
+``k_spread`` and ``rank`` are their one-case calls on tuples.  Spheres are
+enumerated by one blocked, vectorized scan.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoint,
     FormatError,
-    IdenticalPoints,
 )
 
 Vec = tuple[int, ...]
@@ -38,21 +43,7 @@ def format_spread(s: SpreadValue) -> str:
     return "Undefined" if s is None else f"Value({s})"
 
 
-# -- elementwise vector helpers ------------------------------------------------
-
-
-def vadd(fd: ff.Field, u: Vec, v: Vec) -> Vec:
-    _check_dims(u, v)
-    return tuple(fd.add(x, y) for x, y in zip(u, v))
-
-
-def vsub(fd: ff.Field, u: Vec, v: Vec) -> Vec:
-    _check_dims(u, v)
-    return tuple(fd.sub(x, y) for x, y in zip(u, v))
-
-
-def vscale(fd: ff.Field, c: int, v: Vec) -> Vec:
-    return tuple(fd.mul(c, x) for x in v)
+# -- vector helpers --------------------------------------------------------------
 
 
 def dot(fd: ff.Field, u: Vec, v: Vec) -> int:
@@ -65,10 +56,6 @@ def dot(fd: ff.Field, u: Vec, v: Vec) -> int:
 
 def norm(fd: ff.Field, v: Vec) -> int:
     return dot(fd, v, v)
-
-
-def dist(fd: ff.Field, x: Vec, y: Vec) -> int:
-    return norm(fd, vsub(fd, x, y))
 
 
 def _check_dims(u: Sequence, v: Sequence) -> None:
@@ -84,24 +71,19 @@ def spread(fd: ff.Field, apex: Vec, b: Vec, c: Vec) -> SpreadValue:
 
     Argument order is (apex, arm, arm) everywhere in this package.
     Returns None when either arm norm is 0, which covers b == apex and
-    c == apex.
+    c == apex.  One case of ``arm_spreads``.
     """
-    u = vsub(fd, b, apex)
-    v = vsub(fd, c, apex)
-    nu = norm(fd, u)
-    nv = norm(fd, v)
-    if nu == 0 or nv == 0:
-        return None
-    duv = dot(fd, u, v)
-    return fd.sub(1, fd.div(fd.mul(duv, duv), fd.mul(nu, nv)))
+    u, v = _arms(fd, [apex, b, c])[:, None]
+    return _value(arm_spreads(fd, u, v))
 
 
-def k_spread(fd: ff.Field, points: Sequence[Vec]) -> SpreadValue:
+def k_spread(fd: ff.Field, points: Sequence[Vec], budget: int = DEFAULT_ENUM_BUDGET) -> SpreadValue:
     """Order-k spread of k+1 points: det(V^T V) / prod |v_i| with
     v_i = points[i] - points[0] the columns of V.
 
     The k = 2 case agrees with spread() on every input, undefined cases
-    included.  Requires 2 <= k <= d.
+    included.  Requires 2 <= k <= d.  One case of ``arm_k_spreads``, whose
+    budget caps the k^2 d products of the Gram matrix.
     """
     k = len(points) - 1
     if k < 2:
@@ -109,82 +91,91 @@ def k_spread(fd: ff.Field, points: Sequence[Vec]) -> SpreadValue:
     d = len(points[0])
     if k > d:
         raise BadArity(f"order {k} exceeds dimension {d}")
-    arms = [vsub(fd, x, points[0]) for x in points[1:]]
-    gram = [[0] * k for _ in range(k)]
-    for i in range(k):  # symmetric: one dot per pair i <= j
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = dot(fd, arms[i], arms[j])
-    denom = 1
-    for i in range(k):  # the arm norms are the diagonal
-        if gram[i][i] == 0:
-            return None
-        denom = fd.mul(denom, gram[i][i])
-    return fd.div(det(fd, gram), denom)
+    return _value(arm_k_spreads(fd, _arms(fd, points)[None], budget))
 
 
-def det(fd: ff.Field, m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square matrix over F_q: exact, no rounding exists here."""
-    r, prod = _eliminate(fd, m)
-    return prod if r == len(m) else 0
+def _arms(fd: ff.Field, points: Sequence[Vec]) -> np.ndarray:
+    """The arms points[i] - points[0], i >= 1, as logs (k, d)."""
+    for p in points[1:]:
+        _check_dims(points[0], p)
+    x = fd.log[np.array(points, dtype=np.int64)]
+    return fd.log_add(x[1:], fd.log_neg(x[0]))
+
+
+def _value(s: np.ndarray) -> SpreadValue:
+    s = int(s.item())
+    return None if s < 0 else s
+
+
+def arm_spreads(fd: ff.Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Spreads 1 - (u.v)^2 / (|u||v|) of the arms u and v, as elements; -1
+    where either arm norm is 0.  The arms are logs over the last axis, and
+    their other axes broadcast: two (N, d) arrays give N spreads, and the
+    rows of a (k, d) array as u[:, None] and u[None] the k x k matrix of
+    pairwise spreads."""
+    return fd.spread_from_logs(fd.log_dot(u, v), fd.log_dot(u, u), fd.log_dot(v, v))
+
+
+def arm_k_spreads(fd: ff.Field, arms: np.ndarray, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    """Order-k spreads det(G) / prod |v_i| of N cases of k arms v_i, arms
+    (N, k, d; logs), G the k x k Gram matrix of a case's arms; elements, -1
+    where an arm norm is 0.
+
+    The Gram matrices come from ``Field.log_dot`` and their determinants
+    from ``eliminate``: a formula apart from ``arm_spreads``'s one gather,
+    which the k = 2 case must agree with.  Raises BudgetExceeded, before any
+    Gram matrix is built, when the N k^2 d products they take exceed budget.
+    """
+    n, k, d = arms.shape
+    if n * k * k * d > budget:
+        raise BudgetExceeded(f"N k^2 d = {n * k * k * d} exceeds budget {budget}")
+    gram = fd.log_dot(arms[:, :, None], arms[:, None])
+    rank, det = eliminate(fd, gram)
+    diag = gram.diagonal(axis1=1, axis2=2)
+    value = fd.exp[np.where(rank == k, (det - diag.sum(axis=1)) % (fd.q - 1), fd.zero_log)]
+    return np.where((diag == fd.zero_log).any(axis=1), -1, value)
 
 
 def rank(fd: ff.Field, vectors: Sequence[Vec]) -> int:
-    """Row rank: the number of pivots of the elimination."""
-    return _eliminate(fd, vectors)[0]
+    """Row rank: one case of ``eliminate``."""
+    if not vectors:
+        return 0
+    return int(eliminate(fd, fd.log[np.array(vectors, dtype=np.int64)][None])[0][0])
 
 
-def _eliminate(fd: ff.Field, m: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Forward Gaussian elimination on the rows of m: (rank, the product of
-    the pivots negated once per row swap, which is det(m) for a square m of
-    full rank)."""
-    rows = [list(row) for row in m]
-    r, prod = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            prod = fd.neg(prod)
-        pivot = rows[r][col]
-        prod = fd.mul(prod, pivot)
-        pinv = fd.inv(pivot)
-        for i in range(r + 1, len(rows)):
-            f = fd.mul(rows[i][col], pinv)
-            if f:
-                rows[i] = [fd.sub(x, fd.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r, prod
+def eliminate(fd: ff.Field, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward Gaussian elimination on N matrices m (N, r, c; logs) at once.
+    Returns per case the rank and the log of the signed pivot product, which
+    for a square matrix of full rank is its determinant.
 
-
-# -- canonical affine lines ------------------------------------------------------
-
-
-class CanonLine(NamedTuple):
-    """Canonical (base, direction) form of an affine line.
-
-    direction's first nonzero coordinate is 1, at position j, and base_j = 0;
-    two CanonLine values are equal exactly when the underlying point sets
-    coincide.
+    Column by column, each case takes as its pivot row the first row not yet
+    a pivot row with a nonzero entry there, and clears that entry from the
+    other such rows.  The pivots are taken in some order of the rows, whose
+    inversions are counted as the rows not yet pivot rows above each pivot;
+    an odd count negates the product.
     """
-
-    base: Vec
-    direction: Vec
-
-
-def line_through(fd: ff.Field, p: Vec, q: Vec) -> CanonLine:
-    _check_dims(p, q)
-    d = vsub(fd, q, p)
-    if all(x == 0 for x in d):
-        raise IdenticalPoints("a line needs two distinct points")
-    j = next(i for i, x in enumerate(d) if x != 0)
-    direction = vscale(fd, fd.inv(d[j]), d)
-    base = vsub(fd, p, vscale(fd, p[j], direction))
-    return CanonLine(base, direction)
-
-
-def line_points(fd: ff.Field, line: CanonLine) -> list[Vec]:
-    return [vadd(fd, line.base, vscale(fd, t, line.direction)) for t in fd.elements()]
+    n, r, c = m.shape
+    free = np.ones((n, r), dtype=bool)  # not yet a pivot row
+    ranks = np.zeros(n, dtype=np.int64)
+    flips = np.zeros(n, dtype=np.int64)
+    prod = np.zeros(n, dtype=m.dtype)  # the log of 1
+    cases, above = np.arange(n), np.arange(r)
+    for col in range(c):
+        live = free & (m[:, :, col] != fd.zero_log)
+        has = live.any(axis=1)
+        piv = live.argmax(axis=1)  # 0 where there is no pivot: no flips
+        prow = m[cases, piv]
+        flips += (free & (above < piv[:, None])).sum(axis=1)
+        prod = np.where(has, fd.log_mul(prod, prow[:, col]), prod)
+        live[cases, piv] = False
+        free[cases[has], piv[has]] = False
+        ranks += has
+        factor = fd.log_neg(fd.log_mul(m[:, :, col], (-prow[:, col] % (fd.q - 1))[:, None]))
+        factor[~live] = fd.zero_log
+        m = fd.log_add(m, fd.log_mul(factor[:, :, None], prow[:, None, :]))
+        if (ranks == r).all():
+            break
+    return ranks, np.where(flips % 2 == 1, fd.log_neg(prod), prod)
 
 
 # -- point sets ------------------------------------------------------------------
@@ -328,18 +319,6 @@ def mat_mul(fd: ff.Field, a: Matrix, b: Matrix) -> Matrix:
         )
         for row in a
     )
-
-
-def mat_vec(fd: ff.Field, m: Matrix, v: Vec) -> Vec:
-    return tuple(dot(fd, row, v) for row in m)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def is_orthogonal(fd: ff.Field, m: Matrix) -> bool:
-    return mat_mul(fd, transpose(m), m) == identity(fd, len(m))
 
 
 def random_orthogonal(fd: ff.Field, d: int, seed: int) -> Matrix:

@@ -1,12 +1,13 @@
 """Shared naive oracles: straight-line reimplementations used to cross-check
-the field arithmetic and the vectorized census kernels.  Deliberately dumb
-and table-free."""
+the field arithmetic, the batched geometry and the vectorized census
+kernels.  Deliberately dumb: scalar, one case at a time, table-free."""
 
 import itertools
 import random
 from collections import Counter
+from typing import NamedTuple
 
-from fqspread import expt, geom
+from fqspread import errors, expt, geom
 
 
 class ReferenceField:
@@ -55,13 +56,112 @@ class ReferenceField:
         return self.pow(a, self.q - 2)
 
 
+# -- scalar geometry on tuples: one case at a time, no logs ------------------------
+
+
+def vadd(fd, u, v):
+    return tuple(fd.add(x, y) for x, y in zip(u, v))
+
+
+def vsub(fd, u, v):
+    return tuple(fd.sub(x, y) for x, y in zip(u, v))
+
+
+def vscale(fd, c, v):
+    return tuple(fd.mul(c, x) for x in v)
+
+
+def dist(fd, x, y):
+    return geom.norm(fd, vsub(fd, x, y))
+
+
+def mat_vec(fd, m, v):
+    return tuple(geom.dot(fd, row, v) for row in m)
+
+
+def is_orthogonal(fd, m):
+    return geom.mat_mul(fd, tuple(zip(*m)), m) == geom.identity(fd, len(m))
+
+
+def naive_spread(fd, apex, b, c):
+    """1 - (u.v)^2 / (|u||v|) for the arms u = b - apex, v = c - apex; None
+    when either arm norm is 0."""
+    u = vsub(fd, b, apex)
+    v = vsub(fd, c, apex)
+    nu = geom.norm(fd, u)
+    nv = geom.norm(fd, v)
+    if nu == 0 or nv == 0:
+        return None
+    duv = geom.dot(fd, u, v)
+    return fd.sub(1, fd.div(fd.mul(duv, duv), fd.mul(nu, nv)))
+
+
+def naive_k_spread(fd, points):
+    """det(V^T V) / prod |v_i| with v_i = points[i] - points[0] the columns
+    of V; None when some |v_i| is 0."""
+    k = len(points) - 1
+    arms = [vsub(fd, x, points[0]) for x in points[1:]]
+    gram = [[geom.dot(fd, arms[i], arms[j]) for j in range(k)] for i in range(k)]
+    denom = 1
+    for i in range(k):
+        if gram[i][i] == 0:
+            return None
+        denom = fd.mul(denom, gram[i][i])
+    return fd.div(naive_det(fd, gram), denom)
+
+
+def naive_det(fd, m):
+    """Determinant by forward elimination with row swaps, one row at a time."""
+    rows = [list(row) for row in m]
+    prod = 1
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            prod = fd.neg(prod)
+        pinv = fd.inv(rows[col][col])
+        prod = fd.mul(prod, rows[col][col])
+        for i in range(col + 1, len(rows)):
+            f = fd.mul(rows[i][col], pinv)
+            rows[i] = [fd.sub(x, fd.mul(f, y)) for x, y in zip(rows[i], rows[col])]
+    return prod
+
+
+class CanonLine(NamedTuple):
+    """Canonical (base, direction) form of an affine line: direction's first
+    nonzero coordinate is 1, at position j, and base_j = 0, so two values
+    are equal exactly when their point sets coincide."""
+
+    base: tuple
+    direction: tuple
+
+
+def line_through(fd, p, q):
+    d = vsub(fd, q, p)
+    if all(x == 0 for x in d):
+        raise errors.IdenticalPoints("a line needs two distinct points")
+    j = next(i for i, x in enumerate(d) if x != 0)
+    direction = vscale(fd, fd.inv(d[j]), d)
+    base = vsub(fd, p, vscale(fd, p[j], direction))
+    return CanonLine(base, direction)
+
+
+def line_points(fd, line):
+    return [vadd(fd, line.base, vscale(fd, t, line.direction)) for t in fd.elements()]
+
+
+# -- census oracles -------------------------------------------------------------------
+
+
 def naive_spread_census(ps):
     values = set()
     undefined = 0
     scanned = 0
     for a, b, c in itertools.permutations(ps.points, 3):
         scanned += 1
-        s = geom.spread(ps.field, a, b, c)
+        s = naive_spread(ps.field, a, b, c)
         if s is None:
             undefined += 1
         else:
@@ -71,7 +171,7 @@ def naive_spread_census(ps):
 
 def naive_spread_counts(ps):
     """Ordered triples of distinct points per spread value (None: undefined)."""
-    return Counter(geom.spread(ps.field, a, b, c) for a, b, c in itertools.permutations(ps.points, 3))
+    return Counter(naive_spread(ps.field, a, b, c) for a, b, c in itertools.permutations(ps.points, 3))
 
 
 def naive_spanned_lines(ps):
@@ -80,7 +180,7 @@ def naive_spanned_lines(ps):
     lines = set()
     through = [set() for _ in ps.points]
     for (i, a), (j, b) in itertools.combinations(enumerate(ps.points), 2):
-        ln = geom.line_through(ps.field, a, b)
+        ln = line_through(ps.field, a, b)
         lines.add(ln)
         through[i].add(ln)
         through[j].add(ln)
@@ -97,7 +197,7 @@ def naive_plane_spread_values(fd):
     origin = (0, 0)
     directions = [(1, t) for t in fd.elements()] + [(0, 1)]
     values = {
-        geom.spread(fd, origin, u, v)
+        naive_spread(fd, origin, u, v)
         for u, v in itertools.product(directions, repeat=2)
     }
     values.discard(None)
@@ -107,7 +207,7 @@ def naive_plane_spread_values(fd):
 def naive_distances(ps):
     return sorted(
         {
-            geom.dist(ps.field, a, b)
+            dist(ps.field, a, b)
             for a, b in itertools.combinations(ps.points, 2)
         }
     )
@@ -116,6 +216,22 @@ def naive_distances(ps):
 def naive_sphere_points(fd, d, t):
     """Every x in F_q^d with |x| = t, in index order, by scalar norms."""
     return [v for v in itertools.product(fd.elements(), repeat=d) if geom.norm(fd, v) == t]
+
+
+def eta(fd, a):
+    """The quadratic character of F_q: 0 at 0, 1 on the nonzero squares, -1
+    elsewhere."""
+    return 0 if a == 0 else 1 if fd.is_square(a) else -1
+
+
+def sphere_size(fd, d, t):
+    """|S_t|, the number of x in F_q^d with |x| = t, in closed form (Lidl &
+    Niederreiter, Finite Fields, Thms 6.26 and 6.27)."""
+    q, minus_one = fd.q, fd.neg(1)
+    if d % 2 == 0:
+        nu = q - 1 if t == 0 else -1
+        return q ** (d - 1) + nu * q ** ((d - 2) // 2) * eta(fd, fd.pow(minus_one, d // 2))
+    return q ** (d - 1) + q ** ((d - 1) // 2) * eta(fd, fd.mul(fd.pow(minus_one, (d - 1) // 2), t))
 
 
 def naive_rank(fd, rows):
@@ -145,8 +261,10 @@ def naive_least_isotropic_triple(fd):
 
 
 def naive_run_properties(fd, cases, seed):
-    """``expt.run_properties`` one case at a time through scalar spread(),
-    vadd, vsub, vscale and mat_vec, drawing from the rng as it goes."""
+    """``expt.run_properties`` one case at a time through naive_spread(),
+    vadd, vsub, vscale and mat_vec, drawing from the rng as it goes.  The
+    k2 law reads the one-case ``geom.k_spread``, so a fault in the batched
+    order-k spread behind it shows here as in ``run_properties``."""
     rng = random.Random(expt.trial_seed(seed, fd.q))
     pools = {
         d: [
@@ -166,19 +284,19 @@ def naive_run_properties(fd, cases, seed):
     for i in range(cases):
         d = expt.PROPERTY_DIMS[i % len(expt.PROPERTY_DIMS)]
         a, b, c = (tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(3))
-        s = geom.spread(fd, a, b, c)
-        if geom.spread(fd, a, c, b) != s:
+        s = naive_spread(fd, a, b, c)
+        if naive_spread(fd, a, c, b) != s:
             note("symmetry", a, b, c)
         r = rng.randrange(1, fd.q)
         t = rng.randrange(1, fd.q)
-        b2 = geom.vadd(fd, a, geom.vscale(fd, r, geom.vsub(fd, b, a)))
-        c2 = geom.vadd(fd, a, geom.vscale(fd, t, geom.vsub(fd, c, a)))
-        if geom.spread(fd, a, b2, c2) != s:
+        b2 = vadd(fd, a, vscale(fd, r, vsub(fd, b, a)))
+        c2 = vadd(fd, a, vscale(fd, t, vsub(fd, c, a)))
+        if naive_spread(fd, a, b2, c2) != s:
             note("scaling", a, b, c)
         m = pools[d][rng.randrange(expt.MATRIX_POOL)]
         z = tuple(rng.randrange(fd.q) for _ in range(d))
-        ma, mb, mc = (geom.vadd(fd, geom.mat_vec(fd, m, v), z) for v in (a, b, c))
-        if geom.spread(fd, ma, mb, mc) != s:
+        ma, mb, mc = (vadd(fd, mat_vec(fd, m, v), z) for v in (a, b, c))
+        if naive_spread(fd, ma, mb, mc) != s:
             note("rigid", a, b, c)
         if geom.k_spread(fd, [a, b, c]) != s:
             note("k2", a, b, c)

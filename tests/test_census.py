@@ -5,10 +5,16 @@ import threading
 import numpy as np
 import pytest
 from conftest import (
+    dist,
+    line_through,
+    mat_vec,
     naive_distances,
-    naive_spread_counts,
     naive_spanned_lines,
+    naive_spread,
     naive_spread_census,
+    naive_spread_counts,
+    sphere_size,
+    vadd,
 )
 
 from fqspread import census, construct, errors, geom
@@ -60,6 +66,23 @@ def test_distinct_spreads_matches_naive_oracle():
         assert cen.undefined_triples == undefined
         assert cen.triples_scanned == scanned
         assert cen.defined_count == len(values) <= ps.field.q
+
+
+@pytest.mark.parametrize(
+    "fd, d", [(F5, 3), (F7, 3), (F9, 3), (F5, 4), (F7, 2), (F13, 2)], ids=lambda x: str(x)
+)
+def test_whole_space_census_matches_closed_form(fd, d):
+    # All of F_q^d: an ordered triple is undefined when one of its two arms
+    # is isotropic, and I = |S_0| - 1 points sit at distance 0 from each apex.
+    # The defined values are all q for d >= 3, and for d = 2 those of the
+    # q + 1 directions: (q+1)/2 for q = 1 mod 4, (q+3)/2 for q = 3 mod 4.
+    q, n, iso = fd.q, fd.q**d, sphere_size(fd, d, 0) - 1
+    cen = distinct_spreads(geom.all_points(fd, d))
+    assert cen.undefined_triples == n * ((n - 1) * (n - 2) - (n - 1 - iso) * (n - 2 - iso))
+    if d >= 3:
+        assert cen.defined_count == q
+    else:
+        assert cen.defined_count == (q + 1) // 2 if q % 4 == 1 else (q + 3) // 2
 
 
 def assert_censuses_match_oracles(ps):
@@ -167,27 +190,27 @@ def test_arm_spreads_matches_scalar_spread():
         arms = [tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(30)]
         arms += [(0,) * d, geom.sphere_points(fd, d, 0).points[1]]
         logs = fd.log[np.array(arms)]
-        grid = census.arm_spreads(fd, logs[:, None], logs[None])
+        grid = geom.arm_spreads(fd, logs[:, None], logs[None])
         origin = (0,) * d
         for (i, j), got in np.ndenumerate(grid):
-            want = geom.spread(fd, origin, arms[i], arms[j])
+            want = naive_spread(fd, origin, arms[i], arms[j])
             assert got == (-1 if want is None else want)
-        pairs = census.arm_spreads(fd, logs, logs[::-1])
+        pairs = geom.arm_spreads(fd, logs, logs[::-1])
         assert pairs.tolist() == [grid[i, len(arms) - 1 - i] for i in range(len(arms))]
 
 
 def count_spread_cells(monkeypatch):
-    """Wraps census.arm_spreads; the list returned collects the number of
+    """Wraps geom.arm_spreads; the list returned collects the number of
     spreads each call evaluates."""
     cells = []
-    arm_spreads = census.arm_spreads
+    arm_spreads = geom.arm_spreads
 
     def counting(fd, u, v):
         out = arm_spreads(fd, u, v)
         cells.append(out.size)
         return out
 
-    monkeypatch.setattr(census, "arm_spreads", counting)
+    monkeypatch.setattr(geom, "arm_spreads", counting)
     return cells
 
 
@@ -282,7 +305,7 @@ def test_census_rigid_motion_invariance():
     m = geom.random_orthogonal(F5, 2, 3)
     z = (2, 4)
     moved = PointSet(
-        F5, 2, [geom.vadd(F5, geom.mat_vec(F5, m, p), z) for p in ps.points]
+        F5, 2, [vadd(F5, mat_vec(F5, m, p), z) for p in ps.points]
     )
     assert distinct_spreads(moved).defined_values == base
 
@@ -358,8 +381,8 @@ def test_pair_distances_match_scalar_polarization(fd):
         ps = random_pointset(fd, 3, 7, seed)
         minus, plus = census._pair_distances(fd, fd.log[ps.as_array()])
         for (i, a), (j, b) in itertools.product(enumerate(ps.points), repeat=2):
-            assert fd.exp[minus[i, j]] == geom.dist(fd, a, b)
-            assert fd.exp[plus[i, j]] == geom.norm(fd, geom.vadd(fd, a, b))
+            assert fd.exp[minus[i, j]] == dist(fd, a, b)
+            assert fd.exp[plus[i, j]] == geom.norm(fd, vadd(fd, a, b))
 
 
 # -- lines ----------------------------------------------------------------------
@@ -372,7 +395,7 @@ def test_spanned_lines_frozen_examples():
     # four points, no three collinear, all pairs distinct lines
     quad = PointSet(F5, 2, [(0, 0), (1, 0), (0, 1), (2, 3)])
     for a, b, c in itertools.combinations(quad.points, 3):
-        assert geom.line_through(F5, a, b) != geom.line_through(F5, a, c)
+        assert line_through(F5, a, b) != line_through(F5, a, c)
     assert spanned_lines(quad).lines == 6
 
 
@@ -428,7 +451,7 @@ def test_origin_pinned_occurrences_follow_pair_scaling_band():
     n, q = len(sphere), 5
     counts = {g: 0 for g in range(q)}
     for a, b in itertools.permutations(sphere.points, 2):
-        s = geom.spread(F5, (0, 0, 0), a, b)
+        s = naive_spread(F5, (0, 0, 0), a, b)
         if s is not None:
             counts[s] += 1
     assert counts == {0: 510, 1: 120, 2: 240, 3: 0, 4: 0}
@@ -464,15 +487,29 @@ def test_collision_count_injective_when_k_equals_d():
         assert census.image_size(ps, proj) == len(ps)
 
 
+@pytest.mark.parametrize("fd, d, k", [(F5, 4, 2), (F9, 3, 1), (F7, 3, 3), (F27, 2, 1)], ids=str)
+def test_collision_count_matches_scalar_buckets(fd, d, k):
+    # bucket every point by its scalar image, for seeded projections
+    ps = random_points(fd, d, 60, fd.q)
+    for seed in range(5):
+        proj = random_projection(fd, d, k, seed)
+        buckets = {}
+        for p in ps.points:
+            img = mat_vec(fd, proj, p)
+            buckets[img] = buckets.get(img, 0) + 1
+        assert collision_count(ps, proj) == sum(m * (m - 1) // 2 for m in buckets.values())
+        assert census.image_size(ps, proj) == len(buckets)
+
+
 def test_collision_count_detects_kernel_difference():
     proj = random_projection(F5, 4, 2, 1)
     kernel_vec = next(
         v
         for v in itertools.product(range(5), repeat=4)
-        if any(v) and all(x == 0 for x in geom.mat_vec(F5, proj, v))
+        if any(v) and all(x == 0 for x in mat_vec(F5, proj, v))
     )
     a = (1, 2, 3, 4)
-    ps = PointSet(F5, 4, [a, geom.vadd(F5, a, kernel_vec)])
+    ps = PointSet(F5, 4, [a, vadd(F5, a, kernel_vec)])
     assert collision_count(ps, proj) == 1
     assert census.image_size(ps, proj) == 1
     with pytest.raises(errors.DimensionMismatch):
@@ -507,6 +544,13 @@ def test_search_agrees_with_constructed_families():
         assert search_iso_triple(fd, d) is not None
 
 
+def test_search_iso_triple_same_in_small_blocks(monkeypatch):
+    # candidate triples ranked two at a time keep the lexicographic order
+    want = [search_iso_triple(fd, d) for fd, d in ((F3, 6), (F5, 6), (F3, 8))]
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 50)
+    assert [search_iso_triple(fd, d) for fd, d in ((F3, 6), (F5, 6), (F3, 8))] == want
+
+
 def test_search_budget():
     with pytest.raises(errors.BudgetExceeded):
         search_iso_triple(F3, 8, budget=100)
@@ -530,12 +574,12 @@ def test_sphere_equiv_matches_scalar_recheck():
     sphere = geom.sphere_points(F5, 2, 1).points
     origin = (0, 0)
     for a, b, c, e in itertools.product(sphere, repeat=4):
-        s1 = geom.spread(F5, origin, a, b)
-        s2 = geom.spread(F5, origin, c, e)
+        s1 = naive_spread(F5, origin, a, b)
+        s2 = naive_spread(F5, origin, c, e)
         lhs = s1 == s2
-        rhs = geom.dist(F5, a, b) == geom.dist(F5, c, e) or geom.dist(
+        rhs = dist(F5, a, b) == dist(F5, c, e) or dist(
             F5, a, b
-        ) == geom.norm(F5, geom.vadd(F5, c, e))
+        ) == geom.norm(F5, vadd(F5, c, e))
         assert lhs == rhs
 
 
@@ -544,7 +588,7 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
     # origin pair undefined, then list the violating quadruples naively in
     # row-major order from the same matrices.
     seen = {}
-    pair_distances, arm_spreads = census._pair_distances, census.arm_spreads
+    pair_distances, arm_spreads = census._pair_distances, geom.arm_spreads
 
     def corrupt_distances(fd, pts):
         minus, plus = pair_distances(fd, pts)
@@ -559,7 +603,7 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
         return val
 
     monkeypatch.setattr(census, "_pair_distances", corrupt_distances)
-    monkeypatch.setattr(census, "arm_spreads", undefine_one)
+    monkeypatch.setattr(geom, "arm_spreads", undefine_one)
     monkeypatch.setattr(census, "_MAX_VIOLATIONS", 10**6)
     rep = sphere_equiv_check(F7, 2)
     pts = geom.sphere_points(F7, 2, 1).points

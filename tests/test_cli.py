@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,20 @@ def test_kspread_eval(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "kspread", "eval", "--points", str(path))
     assert code == 0
     assert out == "Value(1)\n"
+
+
+def test_kspread_eval_honours_budget(tmp_path, capsys):
+    # 201 points of F_5^200: k = d = 200, so the Gram matrix alone takes
+    # k^2 d = 8,000,000 products; the budget stops it before any is taken
+    path = tmp_path / "k.txt"
+    pts = [(0,) * 200] + [tuple(1 if j in (i, (i + 1) % 200) else 0 for j in range(200)) for i in range(200)]
+    PointSet(Field(5), 200, pts).save(path)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "kspread", "eval", "--points", str(path), "--budget", "1000")
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "BudgetExceeded"
+    assert err.splitlines()[1] == "detail: N k^2 d = 8000000 exceeds budget 1000"
 
 
 def test_search_iso_triple_none_found(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from conftest import naive_least_isotropic_triple, naive_spread_census
+from conftest import naive_least_isotropic_triple, naive_spread_census, vadd
 
 from fqspread import construct, errors, geom
 from fqspread.construct import (
@@ -80,7 +80,7 @@ def test_is_isotropic_family_rejects_bad_inputs():
     assert not is_isotropic_family(F5, [(1, 2), (2, 4)])  # dependent
     # orthogonal isotropic sums are isotropic, so rank must catch dependence
     u, v = (1, 2, 0, 0), (0, 0, 1, 2)
-    w = geom.vadd(F5, u, v)
+    w = vadd(F5, u, v)
     assert not is_isotropic_family(F5, [u, v, w])
 
 

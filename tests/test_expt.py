@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import naive_run_properties
 
@@ -238,10 +239,11 @@ def test_run_properties_matches_scalar_oracle(fd, seed):
     assert run_properties(fd, 2000, seed).to_json() == naive_run_properties(fd, 2000, seed).to_json()
 
 
-def _shifted_k_spread(k_spread):
-    def shifted(fd, points):
-        s = k_spread(fd, points)
-        return None if s is None else fd.add(s, 1)
+def _shifted_k_spreads(arm_k_spreads):
+    # every defined order-k spread moved to s + 1
+    def shifted(fd, arms, budget=geom.DEFAULT_ENUM_BUDGET):
+        s = arm_k_spreads(fd, arms, budget)
+        return np.where(s < 0, s, fd.exp[fd.log_add(fd.log[np.maximum(s, 0)], fd.log[1])])
 
     return shifted
 
@@ -252,23 +254,27 @@ def _diagonal(fd, d, seed):
     return tuple(tuple((3 if i == 1 else 1) if i == j else 0 for j in range(d)) for i in range(d))
 
 
+# mutant name: (geom attribute replaced, law it breaks, replacement)
 _MUTANTS = {
-    "k_spread": ("k2", _shifted_k_spread(geom.k_spread)),
-    "random_orthogonal": ("rigid", _diagonal),
+    "k_spread": ("arm_k_spreads", "k2", _shifted_k_spreads(geom.arm_k_spreads)),
+    "random_orthogonal": ("random_orthogonal", "rigid", _diagonal),
 }
 
 
 @pytest.mark.parametrize("fd", [F5, F7, F9, F13], ids=lambda fd: fd.label())
-@pytest.mark.parametrize("attrs", [["k_spread"], ["random_orthogonal"], list(_MUTANTS)], ids="+".join)
-def test_run_properties_failure_path_matches_oracle(monkeypatch, fd, attrs):
+@pytest.mark.parametrize("names", [["k_spread"], ["random_orthogonal"], list(_MUTANTS)], ids="+".join)
+def test_run_properties_failure_path_matches_oracle(monkeypatch, fd, names):
     # broken laws must be reported with the oracle's counts and examples;
-    # with both broken, one case fails two laws and examples keep law order
-    for attr in attrs:
-        monkeypatch.setattr(geom, attr, _MUTANTS[attr][1])
+    # with both broken, one case fails two laws and examples keep law order.
+    # The k2 mutant breaks the batched order-k spread, which the oracle
+    # reads through the one-case geom.k_spread.
+    for name in names:
+        attr, _, mutant = _MUTANTS[name]
+        monkeypatch.setattr(geom, attr, mutant)
     rep = run_properties(fd, 2000, 0)
     assert rep.to_json() == naive_run_properties(fd, 2000, 0).to_json()
     assert rep.verdict == "fail"
-    assert all(rep.per_trial[0]["failures"][_MUTANTS[attr][0]] > 0 for attr in attrs)
+    assert all(rep.per_trial[0]["failures"][_MUTANTS[name][1]] > 0 for name in names)
     assert len(rep.per_trial[0]["examples"]) == 3
 
 

@@ -1,23 +1,30 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from conftest import naive_rank, naive_sphere_points
+from conftest import (
+    CanonLine,
+    dist,
+    is_orthogonal,
+    line_points,
+    line_through,
+    mat_vec,
+    naive_det,
+    naive_k_spread,
+    naive_rank,
+    naive_sphere_points,
+    sphere_size,
+    vadd,
+    vscale,
+    vsub,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqspread import census, errors, geom
 from fqspread.ff import Field
-from fqspread.geom import (
-    CanonLine,
-    PointSet,
-    dist,
-    dot,
-    k_spread,
-    line_through,
-    norm,
-    spread,
-)
+from fqspread.geom import PointSet, dot, k_spread, norm, spread
 
 F3 = Field(3)
 F5 = Field(5)
@@ -60,8 +67,8 @@ def test_spread_matches_brute_force_formula():
             a, b, c = (
                 tuple(rng.randrange(fd.q) for _ in range(2)) for _ in range(3)
             )
-            u = geom.vsub(fd, b, a)
-            v = geom.vsub(fd, c, a)
+            u = vsub(fd, b, a)
+            v = vsub(fd, c, a)
             nu, nv = norm(fd, u), norm(fd, v)
             if nu == 0 or nv == 0:
                 assert spread(fd, a, b, c) is None
@@ -77,8 +84,8 @@ def test_spread_symmetry_and_scaling(coords, r, s):
     a, b, c = tuple(coords[0:2]), tuple(coords[2:4]), tuple(coords[4:6])
     val = spread(F5, a, b, c)
     assert spread(F5, a, c, b) == val
-    b2 = geom.vadd(F5, a, geom.vscale(F5, r, geom.vsub(F5, b, a)))
-    c2 = geom.vadd(F5, a, geom.vscale(F5, s, geom.vsub(F5, c, a)))
+    b2 = vadd(F5, a, vscale(F5, r, vsub(F5, b, a)))
+    c2 = vadd(F5, a, vscale(F5, s, vsub(F5, c, a)))
     assert spread(F5, a, b2, c2) == val
 
 
@@ -89,7 +96,7 @@ def test_spread_rigid_motion_invariance():
             m = geom.random_orthogonal(fd, 3, trial)
             z = tuple(rng.randrange(fd.q) for _ in range(3))
             pts = [tuple(rng.randrange(fd.q) for _ in range(3)) for _ in range(3)]
-            moved = [geom.vadd(fd, geom.mat_vec(fd, m, p), z) for p in pts]
+            moved = [vadd(fd, mat_vec(fd, m, p), z) for p in pts]
             assert spread(fd, *moved) == spread(fd, *pts)
 
 
@@ -100,31 +107,51 @@ def test_k_spread_examples():
     assert k_spread(F5, [(0, 0, 0), (1, 2, 0), (0, 1, 0), (0, 0, 1)]) is None
 
 
-def test_k_spread_gram_makes_one_dot_per_arm_pair(monkeypatch):
-    # the Gram matrix is symmetric: k(k + 1)/2 dot calls, not k^2
-    calls = []
-    real_dot = geom.dot
-
-    def counting_dot(fd, u, v):
-        calls.append((u, v))
-        return real_dot(fd, u, v)
-
-    monkeypatch.setattr(geom, "dot", counting_dot)
-    for points, k, want in (
-        ([(0, 0, 0), (1, 2, 0), (2, 0, 1)], 2, spread(F5, (0, 0, 0), (1, 2, 0), (2, 0, 1))),
-        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 1),
-        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3, 0),
-    ):
-        calls.clear()
-        assert k_spread(F5, points) == want
-        assert len(calls) == k * (k + 1) // 2
-
-
 def test_k_spread_arity_checks():
     with pytest.raises(errors.BadArity):
         k_spread(F5, [(0, 0), (1, 0)])  # k = 1
     with pytest.raises(errors.BadArity):
         k_spread(F5, [(0, 0), (1, 0), (0, 1), (1, 1)])  # k = 3 > d = 2
+    with pytest.raises(errors.DimensionMismatch):
+        k_spread(F5, [(0, 0, 0), (1, 0, 0), (0, 1)])
+    with pytest.raises(errors.DimensionMismatch):
+        spread(F5, (0, 0), (1, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("fd", [F3, F5, F9, Field(5, 2)], ids=lambda fd: fd.label())
+def test_arm_k_spreads_match_naive_k_spread(fd):
+    # k = 2..4 and d = k..5, one batch per (k, d), with repeated points,
+    # isotropic arms and dependent arms mixed in; the one-case k_spread too
+    rng = random.Random(fd.q)
+    for k in (2, 3, 4):
+        for d in range(k, 6):
+            iso = [v + (0,) * (d - 3) for v in geom.sphere_points(fd, min(d, 3), 0).points[1:2]]
+            cases = []
+            for n in range(120):
+                pts = [tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(k + 1)]
+                if n % 4 == 1:
+                    pts[2] = pts[1]
+                elif n % 4 == 2 and iso:
+                    pts[1] = vadd(fd, pts[0], iso[0])
+                elif n % 4 == 3:
+                    pts[k] = vadd(fd, pts[1], vsub(fd, pts[2], pts[0]))
+                cases.append(pts)
+            x = fd.log[np.array(cases)]
+            got = geom.arm_k_spreads(fd, fd.log_add(x[:, 1:], fd.log_neg(x[:, :1])))
+            want = [naive_k_spread(fd, pts) for pts in cases]
+            assert got.tolist() == [-1 if w is None else w for w in want], (k, d)
+            assert [k_spread(fd, pts) for pts in cases[:12]] == want[:12]
+
+
+def test_arm_k_spreads_budget_checked_before_gram(monkeypatch):
+    # N k^2 d = 2 * 9 * 4 = 72 products
+    arms = np.full((2, 3, 4), F5.log[1])
+    assert geom.arm_k_spreads(F5, arms, 72).tolist() == [0, 0]
+    monkeypatch.setattr(Field, "log_dot", lambda *a: pytest.fail("Gram matrix built"))
+    with pytest.raises(errors.BudgetExceeded, match="N k\\^2 d = 72"):
+        geom.arm_k_spreads(F5, arms, 71)
+    with pytest.raises(errors.BudgetExceeded):
+        k_spread(F5, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 26)
 
 
 def test_k2_equals_spread_exhaustively_on_f3_plane():
@@ -137,42 +164,93 @@ def test_k2_equals_spread_exhaustively_on_f3_plane():
         iso = geom.sphere_points(fd, 3, 0).points[1]
         for _ in range(500):
             a, b, c = (tuple(rng.randrange(fd.q) for _ in range(3)) for _ in range(3))
-            for triple in ([a, b, c], [a, a, c], [a, geom.vadd(fd, a, iso), c]):
+            for triple in ([a, b, c], [a, a, c], [a, vadd(fd, a, iso), c]):
                 assert k_spread(fd, triple) == spread(fd, *triple)
 
 
+def permutation_det(fd, m):
+    """det(m) as the signed sum over permutations of products of entries."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        # parity via cycle decomposition
+        par = 0
+        for i in range(n):
+            if seen[i]:
+                continue
+            j, clen = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                clen += 1
+            par += clen - 1
+        term = 1
+        for i in range(n):
+            term = fd.mul(term, m[i][perm[i]])
+        total = fd.add(total, fd.neg(term) if par % 2 else term)
+    return total
+
+
+def batched_det(fd, mats):
+    """The determinants of equal-size square matrices from one eliminate
+    call: the signed pivot product at full rank, else 0."""
+    rank, prod = geom.eliminate(fd, fd.log[np.array(mats)])
+    return [int(fd.exp[x]) if r == len(mats[0]) else 0 for r, x in zip(rank, prod)]
+
+
 def test_det_matches_permutation_expansion():
-    # n = 1..4 over a prime and an extension field; zeroed entries put zeros
-    # in leading positions, so the elimination has to swap rows.
+    # n = 1..4 over a prime and an extension field, one eliminate call per
+    # size; zeroed entries put zeros in leading positions, so the
+    # elimination has to take pivots out of row order.
     rng = random.Random(5)
     for fd in (F7, F9):
+        by_size = {}
         for trial in range(120):
             n = trial % 4 + 1
             m = [[rng.randrange(fd.q) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
-            expect = 0
-            for perm in itertools.permutations(range(n)):
-                seen = [False] * n
-                # parity via cycle decomposition
-                par = 0
-                for i in range(n):
-                    if seen[i]:
-                        continue
-                    j, clen = i, 0
-                    while not seen[j]:
-                        seen[j] = True
-                        j = perm[j]
-                        clen += 1
-                    par += clen - 1
-                term = 1
-                for i in range(n):
-                    term = fd.mul(term, m[i][perm[i]])
-                sign = fd.neg(1) if par % 2 else 1
-                expect = fd.add(expect, fd.mul(sign, term))
-            assert geom.det(fd, m) == expect, (fd, m)
-    # a zero leading entry on a nonsingular matrix: one swap negates
-    assert geom.det(F7, [[0, 1], [1, 0]]) == F7.neg(1)
-    assert geom.det(F7, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == F7.neg(1)
-    assert geom.det(F7, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+            by_size.setdefault(n, []).append(m)
+        for mats in by_size.values():
+            expect = [permutation_det(fd, m) for m in mats]
+            assert batched_det(fd, mats) == expect, fd
+            assert [naive_det(fd, m) for m in mats] == expect, fd
+    # zero leading entries on nonsingular matrices: an odd order negates
+    assert batched_det(F7, [[[0, 1], [1, 0]]]) == [F7.neg(1)]
+    assert batched_det(F7, [[[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]) == [
+        F7.neg(1),
+        1,
+    ]
+
+
+@pytest.mark.parametrize("fd", [F5, F9], ids=lambda fd: fd.label())
+@pytest.mark.parametrize("r, c", [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (3, 5), (4, 2), (3, 1)], ids=str)
+def test_eliminate_mixed_batches(fd, r, c):
+    # One call per shape mixes cases that have a pivot in a column with
+    # cases that have none there, rank-deficient cases and zero leading
+    # entries that take pivots out of row order; every case is checked on
+    # its own against naive_rank and, when square, the permutation expansion.
+    rng = random.Random(fd.q * 100 + r * 10 + c)
+    mats = []
+    for n in range(48):
+        m = [[rng.randrange(fd.q) for _ in range(c)] for _ in range(r)]
+        if n % 4 == 1:  # no pivot in some column
+            col = rng.randrange(c)
+            for row in m:
+                row[col] = 0
+        elif n % 4 == 2 and r > 1:  # a multiple of the first row
+            m[rng.randrange(1, r)] = list(vscale(fd, rng.randrange(fd.q), m[0]))
+        elif n % 4 == 3:  # zero leading entries above the last row
+            for row in m[:-1]:
+                row[0] = 0
+        mats.append(m)
+    mats.append([[0] * c for _ in range(r)])
+    mats.append([[1 if i + j == r - 1 else 0 for j in range(c)] for i in range(r)])
+    rank, prod = geom.eliminate(fd, fd.log[np.array(mats)])
+    assert rank.tolist() == [naive_rank(fd, m) for m in mats]
+    assert len(set(rank.tolist())) > 1
+    if r == c:
+        got = [int(fd.exp[x]) if k == r else 0 for k, x in zip(rank, prod)]
+        assert got == [permutation_det(fd, m) for m in mats]
 
 
 def test_rank():
@@ -218,7 +296,7 @@ def test_line_through_symmetry_and_membership():
             continue
         ln = line_through(F5, p, q)
         assert ln == line_through(F5, q, p)
-        pts = geom.line_points(F5, ln)
+        pts = line_points(F5, ln)
         assert p in pts and q in pts
         assert len(set(pts)) == 5
 
@@ -230,7 +308,7 @@ def test_line_canonicalization_is_bijective_on_f3_plane():
         for p, q in itertools.combinations(itertools.product(range(3), repeat=2), 2)
     }
     assert len(lines) == 3 * (3 + 1)  # q^(d-1)(q^d-1)/(q-1) for d = 2
-    as_sets = {frozenset(geom.line_points(F3, ln)) for ln in lines}
+    as_sets = {frozenset(line_points(F3, ln)) for ln in lines}
     assert len(as_sets) == len(lines)
 
 
@@ -254,6 +332,19 @@ def test_sphere_points_match_naive_oracle(monkeypatch, block, fd, d):
     reps = census._isotropic_reps(fd, d)
     lead_one = [v for v in naive_sphere_points(fd, d, 0) if next((x for x in v if x), None) == 1]
     assert reps == lead_one
+
+
+@pytest.mark.parametrize(
+    "fd, top",
+    [(F3, 6), (F5, 6), (F7, 5), (F9, 6), (Field(5, 2), 3), (Field(3, 3), 3)],
+    ids=lambda x: x.label() if isinstance(x, Field) else str(x),
+)
+def test_sphere_sizes_match_closed_form(fd, top):
+    # |S_t| for every t and d = 1..top, and the isotropic projective classes
+    for d in range(1, top + 1):
+        got = [sum(len(b) for b in geom.sphere_blocks(fd, d, t)) for t in fd.elements()]
+        assert got == [sphere_size(fd, d, t) for t in fd.elements()], d
+        assert len(census._isotropic_reps(fd, d)) == (sphere_size(fd, d, 0) - 1) // (fd.q - 1)
 
 
 def test_sphere_budget():
@@ -306,7 +397,7 @@ def test_random_orthogonal_properties():
         for d in (1, 2, 3):
             for seed in range(8):
                 m = geom.random_orthogonal(fd, d, seed)
-                assert geom.is_orthogonal(fd, m)
+                assert is_orthogonal(fd, m)
                 if d == 1:
                     assert m[0][0] in (1, fd.neg(1))
     assert geom.random_orthogonal(F5, 2, 42) == geom.random_orthogonal(F5, 2, 42)
@@ -317,7 +408,7 @@ def test_random_orthogonal_preserves_norm():
     m = geom.random_orthogonal(F7, 3, 5)
     for _ in range(50):
         v = tuple(rng.randrange(7) for _ in range(3))
-        assert norm(F7, geom.mat_vec(F7, m, v)) == norm(F7, v)
+        assert norm(F7, mat_vec(F7, m, v)) == norm(F7, v)
 
 
 def test_pointset_validation():
