@@ -23,10 +23,13 @@ the calling thread: split over threads, each would build its own tables.
 The class spread tables and the sphere check's origin-pair spreads come
 from ``geom.arm_spreads``, the package's one batched spread: arms in logs
 to elements, -1 where an arm norm is 0.  The order-k spread
-``geom.arm_k_spreads`` lives beside it.  The isotropic-triple search checks
+``geom.arm_k_spreads`` lives beside it.  The isotropic-triple search builds
+its orthogonality masks lazily, a block of rows on first use, and checks
 independence by batched ``geom.eliminate`` calls over blocks of candidate
-triples, and projections count images of one ``Field.log_dot``; no census
-makes a scalar geometry call per case.
+triples.  Seeded projections are ranked one ``geom.eliminate`` call per
+round of rejection sampling over all their seeds, and their images are
+counted from one ``Field.log_dot``; no census makes a scalar geometry call
+per case.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -325,14 +328,34 @@ def total_affine_lines(q: int, d: int) -> int:
 def random_projection(fd: ff.Field, d: int, k: int, seed: int) -> geom.Matrix:
     """Seeded uniform k x d matrix, rejection-sampled until it has rank k;
     returns its k rows."""
+    return random_projections(fd, d, k, [seed])[0]
+
+
+def random_projections(fd: ff.Field, d: int, k: int, seeds: Sequence[int]) -> list[geom.Matrix]:
+    """``random_projection`` for each seed: each draws from its own
+    ``random.Random(seed)``, k rows of d values below q per sample, until a
+    sample has rank k.  Each round ranks the pending samples in one
+    ``geom.eliminate`` call, and only the rank-deficient ones draw again."""
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k = {k}, d = {d}")
-    rng = random.Random(seed)
+    rngs = [random.Random(seed) for seed in seeds]
+    found: list[Optional[geom.Matrix]] = [None] * len(seeds)
+    pending = list(range(len(seeds)))
     for _ in range(1000):
-        rows = tuple(tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(k))
-        if geom.rank(fd, rows) == k:
-            return rows
-    raise InternalError("rank-k sample not found in 1000 attempts")
+        if not pending:
+            break
+        samples = [
+            tuple(tuple(rngs[i].randrange(fd.q) for _ in range(d)) for _ in range(k))
+            for i in pending
+        ]
+        ranks = geom.eliminate(fd, fd.log[np.array(samples)])[0]
+        for i, rows, r in zip(pending, samples, ranks):
+            if r == k:
+                found[i] = rows
+        pending = [i for i, r in zip(pending, ranks) if r != k]
+    if pending:
+        raise InternalError("rank-k sample not found in 1000 attempts")
+    return found
 
 
 def collision_count(ps: PointSet, rows: geom.Matrix) -> int:
@@ -353,7 +376,7 @@ def _image_counts(ps: PointSet, rows: geom.Matrix) -> np.ndarray:
         )
     fd = ps.field
     images = fd.log_dot(fd.log[ps.as_array()][:, None], fd.log[np.array(rows)][None])
-    return np.unique(images, axis=0, return_counts=True)[1]
+    return np.unique(_codes(images[None], fd.zero_log)[0], return_counts=True)[1]
 
 
 # -- isotropic triple search -------------------------------------------------------
@@ -370,10 +393,12 @@ def search_iso_triple(
     returns the lexicographically first triple of representatives.
     Independence is re-verified by a rank check: the sum of two orthogonal
     isotropic vectors is again orthogonal isotropic, so pairwise
-    non-proportionality is not enough.  The candidates are ranked in
-    batched eliminations over blocks of consecutive triples, which double
-    from 16 triples up to about _BLOCK_CELLS coordinates, so an early find
-    costs one small block.
+    non-proportionality is not enough.  The orthogonality masks are built
+    in row blocks of about _MASK_CELLS cells as the scan first reads them,
+    and the candidates are ranked in batched eliminations over blocks of
+    consecutive triples, which double from 16 triples up to about
+    _BLOCK_CELLS coordinates, so an early find costs one small block of
+    each.
     """
     if fd.q**d > budget:
         raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
@@ -385,13 +410,13 @@ def search_iso_triple(
         raise BudgetExceeded(
             f"pair scan over {m}^2 = {m * m} representatives exceeds budget {budget}"
         )
-    orth_masks = _orthogonality_masks(fd, reps)
     arr = fd.log[np.array(reps, dtype=np.int32)]
+    mask = _orthogonality_masks(fd, arr)
     triples = (  # i < j < k, pairwise orthogonal, in lexicographic order
         (i, j, k)
         for i in range(m)
-        for j in _bits(orth_masks[i] >> (i + 1) << (i + 1))
-        for k in _bits(orth_masks[i] & orth_masks[j] >> (j + 1) << (j + 1))
+        for j in _bits(mask(i) >> (i + 1) << (i + 1))
+        for k in _bits(mask(i) & mask(j) >> (j + 1) << (j + 1))
     )
     most = max(1, _BLOCK_CELLS // (3 * d))
     step = min(16, most)
@@ -421,19 +446,30 @@ def _isotropic_reps(fd: ff.Field, d: int) -> list[Vec]:
     return out
 
 
-def _orthogonality_masks(fd: ff.Field, reps: list[Vec]) -> list[int]:
-    """Per-representative bitmasks of orthogonal partners, computed in row
-    blocks so memory stays proportional to block x m, not m x m."""
-    m = len(reps)
-    arr = fd.log[np.array(reps, dtype=np.int32)]
-    masks: list[int] = []
-    block = max(1, min(m, (1 << 18) // max(m, 1)))
-    for lo in range(0, m, block):
-        g = fd.log_dot(arr[lo : lo + block, None, :], arr[None, :, :])
-        for row in g == fd.zero_log:
-            bits = np.packbits(row, bitorder="little").tobytes()
-            masks.append(int.from_bytes(bits, "little"))
-    return masks
+# Rows per block of orthogonality masks are chosen so block * m stays near
+# this many cells.
+_MASK_CELLS = 1 << 18
+
+
+def _orthogonality_masks(fd: ff.Field, arr: np.ndarray):
+    """Lazy per-representative bitmasks of orthogonal partners among the rows
+    of arr (m, d; logs): mask(i) has bit j set when rows i and j are
+    orthogonal.  The first call in a block of rows builds the masks of the
+    whole block, so memory stays proportional to block x m and a search
+    that ends early builds only the blocks it read."""
+    m = len(arr)
+    step = max(1, _MASK_CELLS // m)
+    masks: list[Optional[int]] = [None] * m
+
+    def mask(i: int) -> int:
+        if masks[i] is None:
+            lo = i - i % step
+            g = fd.log_dot(arr[lo : lo + step, None, :], arr[None, :, :])
+            for r, row in enumerate(g == fd.zero_log, lo):
+                masks[r] = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        return masks[i]
+
+    return mask
 
 
 # -- sphere spread/distance equivalence ----------------------------------------------

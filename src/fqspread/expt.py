@@ -7,16 +7,19 @@ by seeded shuffling of the lexicographic point enumeration and taking a
 prefix.  Reports carry no timing fields: identical runs serialize to
 identical JSON.
 
-The spread-law battery (``run_properties``) draws all of its cases first
-and then checks the laws in numpy batches on logs, through the census
-kernels' one batched spread ``geom.arm_spreads``; its k = 2 law checks
-that one-gather batch against ``geom.arm_k_spreads``, the order-2 spread
-of the same cases from their Gram determinants by elimination.
+The spread-law battery (``run_properties``) draws its cases in bulk, as
+exact-uniform integers from Mersenne Twister words with one
+``random.Random`` per dimension and column group (``_uniform_below`` gives
+the law), and then checks the laws in numpy batches on logs, through the
+census kernels' one batched spread ``geom.arm_spreads``; its k = 2 law
+checks that one-gather batch against ``geom.arm_k_spreads``, the order-2
+spread of the same cases from their Gram determinants by elimination.
+``run_projection`` ranks the samples of all its trials together
+(``census.random_projections``), each trial drawing from its own rng.
 """
 
 from __future__ import annotations
 
-import array
 import itertools
 import json
 import math
@@ -287,8 +290,8 @@ def run_projection(
     per_trial = []
     best: Optional[dict] = None
     total = 0
-    for t in range(trials):
-        proj = census.random_projection(fd, d, k, trial_seed(seed, t))
+    projections = census.random_projections(fd, d, k, [trial_seed(seed, t) for t in range(trials)])
+    for t, proj in enumerate(projections):
         coll = census.collision_count(pts, proj)
         total += coll
         rec = {"trial": t, "collisions": coll, "ok": (coll == 0) if expect_zero else True}
@@ -476,26 +479,17 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
     and spread(Ma + z, Mb + z, Mc + z), all from ``geom.arm_spreads`` on
     logs, and with the order-2 spread from ``geom.arm_k_spreads``, which
     takes the Gram determinant by elimination instead of the one gather.
-    One rng draws every case first, in the order a, b, c, r, t, matrix
-    index, z; the laws then run batched per dimension.  `examples` lists
-    the first three failing (case, law) pairs, by case and then in the law
-    order above.
+
+    The cases of each dimension d are drawn in bulk, one column group at a
+    time, each from its own ``random.Random`` seeded with the string
+    f"{trial_seed(seed, q)} d={d} {group}": group abc gives a, b, c (3d
+    values below q per case), rt gives r, t (1 + a value below q - 1), pick
+    the matrix index (below MATRIX_POOL) and z the shift (d values below
+    q), in case order.  ``_uniform_below`` gives the law of one value.
+    `examples` lists the first three failing (case, law) pairs, by case and
+    then in the law order above.
     """
     q, dims = fd.q, len(PROPERTY_DIMS)
-    draw = random.Random(trial_seed(seed, q)).randrange
-    # Per dimension d, rows of 4d + 3 draws: a, b, c, r, t, pick, z.
-    rows = {d: array.array("i") for d in PROPERTY_DIMS}
-    for i in range(cases):
-        d = PROPERTY_DIMS[i % dims]
-        rows[d].extend(
-            [draw(q) for _ in range(3 * d)]
-            + [draw(1, q), draw(1, q), draw(MATRIX_POOL)]
-            + [draw(q) for _ in range(d)]
-        )
-
-    def points(d, n):  # [a, b, c] of the n-th case of dimension d
-        row = rows[d][n * (4 * d + 3) : n * (4 * d + 3) + 3 * d]
-        return [row[k * d : (k + 1) * d].tolist() for k in range(3)]
 
     def arms(apex, *points):
         neg = fd.log_neg(apex)
@@ -509,11 +503,15 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
 
     kinds = ("symmetry", "scaling", "rigid", "k2")
     failed = np.zeros((cases, len(kinds)), dtype=bool)
+    triples = {}  # d -> (cases of dimension d, 3d) element indices of a, b, c
     for j, d in enumerate(PROPERTY_DIMS):
-        x = np.array(rows[d], dtype=np.int32).reshape(-1, 4 * d + 3)
-        a, b, c = (fd.log[x[:, k * d : (k + 1) * d]] for k in range(3))
-        r, t, pick = x[:, 3 * d : 3 * d + 3].T
-        z = fd.log[x[:, 3 * d + 3 :]]
+        n = len(range(j, cases, dims))
+        tag = f"{trial_seed(seed, q)} d={d}"
+        triples[d] = _uniform_below(random.Random(f"{tag} abc"), q, (n, 3 * d))
+        a, b, c = (fd.log[triples[d][:, k * d : (k + 1) * d]] for k in range(3))
+        r, t = (1 + _uniform_below(random.Random(f"{tag} rt"), q - 1, (n, 2))).T
+        pick = _uniform_below(random.Random(f"{tag} pick"), MATRIX_POOL, (n,))
+        z = fd.log[_uniform_below(random.Random(f"{tag} z"), q, (n, d))]
         pool = [geom.random_orthogonal(fd, d, trial_seed(seed, 1000 * d + i)) for i in range(MATRIX_POOL)]
         m = fd.log[np.array(pool)][pick]  # (N, d, d)
         ma, mb, mc = (fd.log_add(fd.log_dot(m, p[:, None, :]), z) for p in (a, b, c))
@@ -530,7 +528,7 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
     examples = []
     for i, k in itertools.islice(zip(*np.nonzero(failed)), 3):
         d = PROPERTY_DIMS[i % dims]
-        a, b, c = points(d, i // dims)
+        a, b, c = triples[d][i // dims].reshape(3, d).tolist()
         examples.append({"kind": kinds[k], "a": a, "b": b, "c": c})
     fails = {kind: int(n) for kind, n in zip(kinds, failed.sum(axis=0))}
     total = sum(fails.values())
@@ -541,6 +539,25 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
         per_trial=[{"trial": 0, "failures": fails, "examples": examples, "ok": total == 0}],
         verdict=_verdict([total == 0]),
     )
+
+
+def _uniform_below(rng: random.Random, bound: int, shape: tuple) -> np.ndarray:
+    """Exact-uniform integers in [0, bound), filled into `shape` row by row.
+
+    Each value reads rng's next 32-bit words: the top (bound - 1).bit_length()
+    bits of a word, kept when below bound, so no float is involved.  One
+    getrandbits(32 * m) call holds the next m words, least significant
+    first, exactly as m getrandbits(32) calls would give them; a chunk that
+    keeps too few values is followed by another.
+    """
+    count, bits = math.prod(shape), (bound - 1).bit_length()
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < count:
+        m = ((count - len(out)) << bits) // bound + 64  # about 64 spare values
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        top = words.astype(np.int64) >> (32 - bits)
+        out = np.concatenate([out, top[top < bound]])
+    return out[:count].reshape(shape)
 
 
 # -- acceptance suite ------------------------------------------------------------

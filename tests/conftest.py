@@ -260,12 +260,28 @@ def naive_least_isotropic_triple(fd):
     raise AssertionError("isotropic triple exists in every odd field")
 
 
+def naive_below(rng, bound):
+    """One value of the battery's draw law, one getrandbits(32) word at a
+    time: the word's top (bound - 1).bit_length() bits, redrawn until they
+    are below bound."""
+    shift = 32 - (bound - 1).bit_length()
+    while True:
+        v = rng.getrandbits(32) >> shift
+        if v < bound:
+            return v
+
+
 def naive_run_properties(fd, cases, seed):
     """``expt.run_properties`` one case at a time through naive_spread(),
-    vadd, vsub, vscale and mat_vec, drawing from the rng as it goes.  The
-    k2 law reads the one-case ``geom.k_spread``, so a fault in the batched
-    order-k spread behind it shows here as in ``run_properties``."""
-    rng = random.Random(expt.trial_seed(seed, fd.q))
+    vadd, vsub, vscale and mat_vec, drawing each value as it goes from the
+    rng of its dimension and column group.  The k2 law reads the one-case
+    ``geom.k_spread``, so a fault in the batched order-k spread behind it
+    shows here as in ``run_properties``."""
+    rngs = {
+        (d, group): random.Random(f"{expt.trial_seed(seed, fd.q)} d={d} {group}")
+        for d in expt.PROPERTY_DIMS
+        for group in ("abc", "rt", "pick", "z")
+    }
     pools = {
         d: [
             geom.random_orthogonal(fd, d, expt.trial_seed(seed, 1000 * d + i))
@@ -281,20 +297,22 @@ def naive_run_properties(fd, cases, seed):
         if len(examples) < 3:
             examples.append({"kind": kind, "a": list(a), "b": list(b), "c": list(c)})
 
+    def draw(d, group, bound, size):
+        return tuple(naive_below(rngs[d, group], bound) for _ in range(size))
+
     for i in range(cases):
         d = expt.PROPERTY_DIMS[i % len(expt.PROPERTY_DIMS)]
-        a, b, c = (tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(3))
+        a, b, c = (draw(d, "abc", fd.q, d) for _ in range(3))
         s = naive_spread(fd, a, b, c)
         if naive_spread(fd, a, c, b) != s:
             note("symmetry", a, b, c)
-        r = rng.randrange(1, fd.q)
-        t = rng.randrange(1, fd.q)
+        r, t = (1 + x for x in draw(d, "rt", fd.q - 1, 2))
         b2 = vadd(fd, a, vscale(fd, r, vsub(fd, b, a)))
         c2 = vadd(fd, a, vscale(fd, t, vsub(fd, c, a)))
         if naive_spread(fd, a, b2, c2) != s:
             note("scaling", a, b, c)
-        m = pools[d][rng.randrange(expt.MATRIX_POOL)]
-        z = tuple(rng.randrange(fd.q) for _ in range(d))
+        m = pools[d][draw(d, "pick", expt.MATRIX_POOL, 1)[0]]
+        z = draw(d, "z", fd.q, d)
         ma, mb, mc = (vadd(fd, mat_vec(fd, m, v), z) for v in (a, b, c))
         if naive_spread(fd, ma, mb, mc) != s:
             note("rigid", a, b, c)

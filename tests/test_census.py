@@ -9,6 +9,7 @@ from conftest import (
     line_through,
     mat_vec,
     naive_distances,
+    naive_rank,
     naive_spanned_lines,
     naive_spread,
     naive_spread_census,
@@ -17,7 +18,7 @@ from conftest import (
     vadd,
 )
 
-from fqspread import census, construct, errors, geom
+from fqspread import census, construct, errors, expt, geom
 from fqspread.census import (
     collision_count,
     distinct_distances,
@@ -479,6 +480,35 @@ def test_random_projection_shape_rank_determinism():
         random_projection(F5, 4, 0, 0)
 
 
+def naive_projection(fd, d, k, seed):
+    # the rejection law one sample at a time, ranked by the span oracle
+    rng = random.Random(seed)
+    for attempts in itertools.count(1):
+        rows = tuple(tuple(rng.randrange(fd.q) for _ in range(d)) for _ in range(k))
+        if naive_rank(fd, rows) == k:
+            return rows, attempts
+
+
+@pytest.mark.parametrize("fd, d, k", [(F5, 4, 2), (F3, 4, 4), (F3, 2, 1)], ids=str)
+def test_random_projections_match_per_seed(fd, d, k):
+    seeds = [expt.trial_seed(7, t) for t in range(200)]
+    batched = census.random_projections(fd, d, k, seeds)
+    want = [naive_projection(fd, d, k, seed) for seed in seeds]
+    assert batched == [rows for rows, _ in want]
+    assert batched == [random_projection(fd, d, k, seed) for seed in seeds]
+    if (fd, d, k) == (F3, 4, 4):  # a singular 4 x 4 over F_3 is common
+        assert max(attempts for _, attempts in want) > 2
+
+
+def test_random_projections_gives_up_after_1000_attempts(monkeypatch):
+    monkeypatch.setattr(geom, "eliminate", lambda fd, m: (np.zeros(len(m), dtype=np.int64), None))
+    with pytest.raises(errors.InternalError):
+        census.random_projections(F5, 3, 2, [0, 1])
+    assert census.random_projections(F5, 3, 2, []) == []
+    with pytest.raises(errors.DimensionMismatch):
+        census.random_projections(F5, 3, 4, [])
+
+
 def test_collision_count_injective_when_k_equals_d():
     ps = random_pointset(F5, 3, 20, 13)
     for seed in range(10):
@@ -545,10 +575,25 @@ def test_search_agrees_with_constructed_families():
 
 
 def test_search_iso_triple_same_in_small_blocks(monkeypatch):
-    # candidate triples ranked two at a time keep the lexicographic order
+    # candidate triples ranked two at a time, and orthogonality masks built
+    # one row at a time, keep the lexicographic order
     want = [search_iso_triple(fd, d) for fd, d in ((F3, 6), (F5, 6), (F3, 8))]
     monkeypatch.setattr(census, "_BLOCK_CELLS", 50)
+    monkeypatch.setattr(census, "_MASK_CELLS", 1)
     assert [search_iso_triple(fd, d) for fd, d in ((F3, 6), (F5, 6), (F3, 8))] == want
+
+
+def test_orthogonality_masks_match_scalar_dots():
+    # every row block size gives each representative's scalar partner set
+    for fd, d in ((F3, 4), (F5, 3), (F9, 3)):
+        reps = census._isotropic_reps(fd, d)
+        arr = fd.log[np.array(reps)]
+        want = [sum(1 << j for j, v in enumerate(reps) if geom.dot(fd, u, v) == 0) for u in reps]
+        for cells in (1, 2 * len(reps) + 1, 1 << 18):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(census, "_MASK_CELLS", cells)
+                mask = census._orthogonality_masks(fd, arr)
+                assert [mask(i) for i in reversed(range(len(reps)))] == want[::-1]
 
 
 def test_search_budget():

@@ -1,9 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import naive_run_properties
+from conftest import naive_below, naive_run_properties
 
 from fqspread import census, errors, expt, geom
 from fqspread.expt import (
@@ -276,6 +277,32 @@ def test_run_properties_failure_path_matches_oracle(monkeypatch, fd, names):
     assert rep.verdict == "fail"
     assert all(rep.per_trial[0]["failures"][_MUTANTS[name][1]] > 0 for name in names)
     assert len(rep.per_trial[0]["examples"]) == 3
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5, 9, 13, 32, 2**31 + 1, 2**32])
+def test_uniform_below_reads_one_word_at_a_time(bound):
+    # the bulk draw equals the one-word scalar law, short chunks included
+    chunks = []
+    for seed in range(60):
+        rng = CountingRandom(f"{seed}")
+        got = expt._uniform_below(rng, bound, (250, 4))
+        ref = random.Random(f"{seed}")
+        assert got.shape == (250, 4)
+        assert got.ravel().tolist() == [naive_below(ref, bound) for _ in range(1000)]
+        chunks.append(rng.calls)
+    if bound == 2**31 + 1:  # about half the words are rejected
+        assert max(chunks) > 1
+    assert expt._uniform_below(random.Random(0), bound, (0, 3)).shape == (0, 3)
 
 
 def test_properties_reproducible():
