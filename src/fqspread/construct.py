@@ -5,12 +5,13 @@ vectors; their span is a point set of size q^(d/2) determining no spread at
 all, and adding one extra axis direction in odd dimension gives q^((d+1)/2)
 points determining at most one spread value.  For q = 3 mod 4 the family is
 built from the least isotropic triple, read off the circle b^2 + c^2 = -1
-by ``geom.sphere_blocks``; independence is checked with ``geom.rank``.
+by ``geom.sphere_blocks``.  Spans and family checks run on ``Field.log_dot``;
+independence is checked with ``geom.rank``.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from . import ff, geom
 from .errors import (
@@ -24,14 +25,12 @@ from .geom import PointSet, Vec
 
 
 def is_isotropic_family(fd: ff.Field, vectors: list[Vec]) -> bool:
-    """Check the three family invariants: every vector isotropic, pairwise
-    orthogonal, and the family linearly independent."""
-    if any(geom.norm(fd, v) != 0 for v in vectors):
-        return False
-    for u, v in itertools.combinations(vectors, 2):
-        if geom.dot(fd, u, v) != 0:
-            return False
-    return geom.rank(fd, vectors) == len(vectors)
+    """Check the three family invariants: a zero Gram matrix (every vector
+    isotropic, pairwise orthogonal), and the family linearly independent."""
+    if not vectors:
+        return True
+    x = fd.log[np.array(vectors, dtype=np.int64)]
+    return bool((fd.log_dot(x[:, None], x[None]) == fd.zero_log).all()) and geom.rank(fd, vectors) == len(vectors)
 
 
 def iso_family_1mod4(fd: ff.Field, d: int) -> list[Vec]:
@@ -95,7 +94,8 @@ def span(
     budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> PointSet:
     """All q^m linear combinations of m independent vectors, in lexicographic
-    coefficient order (so emitted files are byte-for-byte reproducible)."""
+    coefficient order (so emitted files are byte-for-byte reproducible), one
+    ``log_dot`` per block of ``geom.index_blocks`` coefficient rows."""
     if vectors:
         d = len(vectors[0])
     elif d is None:
@@ -107,14 +107,9 @@ def span(
         raise DependentInput("vectors are linearly dependent")
     if fd.q**m > budget:
         raise BudgetExceeded(f"q^m = {fd.q ** m} exceeds budget {budget}")
-    pts = []
-    for coeffs in itertools.product(fd.elements(), repeat=m):
-        acc = [0] * d
-        for t, v in zip(coeffs, vectors):
-            if t:
-                acc = [fd.add(x, fd.mul(t, y)) for x, y in zip(acc, v)]
-        pts.append(tuple(acc))
-    return PointSet(fd, d, pts)
+    basis = fd.log[np.array(vectors, dtype=np.int64)].T  # (d, m)
+    blocks = (fd.exp[fd.log_dot(fd.log[c][:, None], basis)].tolist() for c in geom.index_blocks(fd, m))
+    return PointSet(fd, d, [p for b in blocks for p in b])
 
 
 def con1_set(fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET) -> PointSet:

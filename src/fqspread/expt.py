@@ -14,6 +14,7 @@ the law), and then checks the laws in numpy batches on logs, through the
 census kernels' one batched spread ``geom.arm_spreads``; its k = 2 law
 checks that one-gather batch against ``geom.arm_k_spreads``, the order-2
 spread of the same cases from their Gram determinants by elimination.
+Its orthogonal pools come from one ``geom.random_orthogonals`` call each.
 ``run_projection`` ranks the samples of all its trials together
 (``census.random_projections``), each trial drawing from its own rng.
 """
@@ -512,7 +513,7 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
         r, t = (1 + _uniform_below(random.Random(f"{tag} rt"), q - 1, (n, 2))).T
         pick = _uniform_below(random.Random(f"{tag} pick"), MATRIX_POOL, (n,))
         z = fd.log[_uniform_below(random.Random(f"{tag} z"), q, (n, d))]
-        pool = [geom.random_orthogonal(fd, d, trial_seed(seed, 1000 * d + i)) for i in range(MATRIX_POOL)]
+        pool = geom.random_orthogonals(fd, d, [trial_seed(seed, 1000 * d + i) for i in range(MATRIX_POOL)])
         m = fd.log[np.array(pool)][pick]  # (N, d, d)
         ma, mb, mc = (fd.log_add(fd.log_dot(m, p[:, None, :]), z) for p in (a, b, c))
         s = spread(a, b, c)

@@ -7,11 +7,13 @@ arm norms vanishes.  Undefined is represented by ``None`` throughout and is
 never coerced to 0.
 
 The geometry runs batched on discrete logs (``Field.log``), N cases at a
-time: ``arm_spreads`` gives spreads by one gather, ``arm_k_spreads``
-order-k spreads from Gram matrices, and ``eliminate`` is the one forward
-Gaussian elimination, behind ``arm_k_spreads`` and ``rank``.  ``spread``,
-``k_spread`` and ``rank`` are their one-case calls on tuples.  Spheres are
-enumerated by one blocked, vectorized scan.
+time, every inner product by ``Field.log_dot``: ``arm_spreads`` gives
+spreads by one gather, ``arm_k_spreads`` order-k spreads from Gram
+matrices, ``eliminate`` is the one forward Gaussian elimination, and
+``random_orthogonals`` multiplies the reflections of many seeds at once.
+``dot``, ``norm``, ``spread``, ``k_spread``, ``rank`` and
+``random_orthogonal`` are their one-case calls on tuples.  ``index_blocks``
+enumerates F_q^d in blocks, behind spheres and ``construct.span``.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ def format_spread(s: SpreadValue) -> str:
 
 
 def dot(fd: ff.Field, u: Vec, v: Vec) -> int:
+    """u.v: one case of ``Field.log_dot``; 0 for empty vectors."""
     _check_dims(u, v)
-    acc = 0
-    for x, y in zip(u, v):
-        acc = fd.add(acc, fd.mul(x, y))
-    return acc
+    if not u:
+        return 0
+    x, y = fd.log[np.array([u, v], dtype=np.int64)]
+    return int(fd.exp[fd.log_dot(x, y)])
 
 
 def norm(fd: ff.Field, v: Vec) -> int:
@@ -227,8 +230,8 @@ class PointSet:
             self._arr = np.array(self.points, dtype=np.int32).reshape(len(self.points), self.dim)
         return self._arr
 
-    # File format: first line "q=<int> d=<int>", then one point per line as
-    # d comma-separated element indices.
+    # File format: first line "q=<int> d=<int>" (exactly these two keys),
+    # then one point per line as d comma-separated element indices.
 
     def dumps(self) -> str:
         lines = [f"q={self.field.q} d={self.dim}"]
@@ -246,9 +249,10 @@ class PointSet:
         header = lines[0].split()
         try:
             fields = dict(part.split("=") for part in header)
-            q = int(fields["q"])
-            d = int(fields["d"])
-        except (ValueError, KeyError):
+            if len(header) != 2 or fields.keys() != {"q", "d"}:
+                raise ValueError
+            q, d = int(fields["q"]), int(fields["d"])
+        except ValueError:
             raise FormatError(f"bad header {lines[0]!r}") from None
         fd = ff.field_for_order(q)
         pts = []
@@ -283,21 +287,28 @@ def sphere_points(
     return PointSet(fd, d, [p for b in sphere_blocks(fd, d, t) for p in b.tolist()])
 
 
-# Indices of F_q^d per block of the sphere enumeration.
-_SPHERE_BLOCK = 1 << 18
+# Indices of F_q^d per block of the index enumeration (spheres and spans).
+_BLOCK = 1 << 18
 
 
-def sphere_blocks(fd: ff.Field, d: int, t: int) -> Iterator[np.ndarray]:
-    """The x in F_q^d with |x| = t, in index order, as int32 coordinate
-    arrays of shape (k, d), one per block of _SPHERE_BLOCK indices."""
+def index_blocks(fd: ff.Field, d: int) -> Iterator[np.ndarray]:
+    """All of F_q^d in index order, as int32 coordinate arrays of shape
+    (k, d), one per block of _BLOCK indices."""
     if d < 1:
         raise BadDimension(f"needs d >= 1, got d = {d}")
     total = fd.q**d
-    for lo in range(0, total, _SPHERE_BLOCK):
-        rest = np.arange(lo, min(total, lo + _SPHERE_BLOCK), dtype=np.int64)
+    for lo in range(0, total, _BLOCK):
+        rest = np.arange(lo, min(total, lo + _BLOCK), dtype=np.int64)
         coords = np.empty((len(rest), d), dtype=np.int32)
         for c in range(d - 1, -1, -1):
             rest, coords[:, c] = np.divmod(rest, fd.q)
+        yield coords
+
+
+def sphere_blocks(fd: ff.Field, d: int, t: int) -> Iterator[np.ndarray]:
+    """The x in F_q^d with |x| = t, in index order, one array (k, d) per
+    block of ``index_blocks``."""
+    for coords in index_blocks(fd, d):
         logs = fd.log[coords]
         yield coords[fd.log_dot(logs, logs) == fd.log[t]]
 
@@ -307,40 +318,32 @@ def sphere_blocks(fd: ff.Field, d: int, t: int) -> Iterator[np.ndarray]:
 Matrix = tuple[Vec, ...]
 
 
-def identity(fd: ff.Field, d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_mul(fd: ff.Field, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(
-            dot(fd, row, tuple(b[k][j] for k in range(len(b))))
-            for j in range(len(b[0]))
-        )
-        for row in a
-    )
-
-
 def random_orthogonal(fd: ff.Field, d: int, seed: int) -> Matrix:
-    """Product of d+2 reflections I - 2*v*v^T/|v| through seeded random
-    non-isotropic vectors; always satisfies M^T M = I and is deterministic
-    per seed.  Reflections generate the orthogonal group, so products give
-    adequate coverage for invariance testing (no uniformity claim)."""
-    rng = random.Random(seed)
-    m = identity(fd, d)
-    for _ in range(d + 2):
-        while True:
-            v = tuple(rng.randrange(fd.q) for _ in range(d))
-            nv = norm(fd, v)
-            if nv != 0:
-                break
-        scale = fd.mul(2, fd.inv(nv))
-        refl = tuple(
-            tuple(
-                fd.sub(1 if i == j else 0, fd.mul(scale, fd.mul(v[i], v[j])))
-                for j in range(d)
-            )
-            for i in range(d)
-        )
-        m = mat_mul(fd, refl, m)
-    return m
+    """One seed's ``random_orthogonals``."""
+    return random_orthogonals(fd, d, [seed])[0]
+
+
+def random_orthogonals(fd: ff.Field, d: int, seeds: Sequence[int]) -> list[Matrix]:
+    """Per seed, the product R_(d+2) ... R_1 of reflections I - 2 v v^T / |v|
+    through non-isotropic v drawn from ``random.Random(seed)`` (d values below
+    q, redrawn while |v| = 0); M^T M = I.  Reflections generate the
+    orthogonal group, enough for invariance tests (no uniformity claim).
+    Each round judges one draw per pending seed in one ``Field.log_dot``;
+    then M <- M - (2 / |v|) v (v^T M) runs on logs for all seeds at once."""
+    if d < 1:
+        raise BadDimension(f"needs d >= 1, got d = {d}")
+    pending = drawn = [(random.Random(seed), []) for seed in seeds]  # (rng, accepted v)
+    while pending:
+        vs = [tuple(rng.randrange(fd.q) for _ in range(d)) for rng, _ in pending]
+        x = fd.log[np.array(vs, dtype=np.int64)]
+        for (_, out), v, ok in zip(pending, vs, fd.log_dot(x, x) != fd.zero_log):
+            if ok:
+                out.append(v)
+        pending = [p for p in pending if len(p[1]) < d + 2]
+    vs = fd.log[np.array([out for _, out in drawn], dtype=np.int64).reshape(len(seeds), d + 2, d)]
+    m = np.where(np.eye(d, dtype=bool), 0, fd.zero_log)[None].repeat(len(seeds), axis=0)
+    for v in vs.transpose(1, 0, 2):  # reflection j of every seed
+        scale = fd.log_mul(fd.log[2], -fd.log_dot(v, v) % (fd.q - 1))
+        vtm = fd.log_dot(v[:, None, :], m.transpose(0, 2, 1))
+        m = fd.log_add(m, fd.log_neg(fd.log_mul(fd.log_mul(scale[:, None], v)[:, :, None], vtm[:, None])))
+    return [tuple(map(tuple, x)) for x in fd.exp[m].tolist()]

@@ -71,16 +71,67 @@ def vscale(fd, c, v):
     return tuple(fd.mul(c, x) for x in v)
 
 
+def dot(fd, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = fd.add(acc, fd.mul(x, y))
+    return acc
+
+
+def norm(fd, v):
+    return dot(fd, v, v)
+
+
 def dist(fd, x, y):
-    return geom.norm(fd, vsub(fd, x, y))
+    return norm(fd, vsub(fd, x, y))
 
 
 def mat_vec(fd, m, v):
-    return tuple(geom.dot(fd, row, v) for row in m)
+    return tuple(dot(fd, row, v) for row in m)
+
+
+def identity(d):
+    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+
+
+def mat_mul(fd, a, b):
+    return tuple(tuple(dot(fd, row, col) for col in zip(*b)) for row in a)
 
 
 def is_orthogonal(fd, m):
-    return geom.mat_mul(fd, tuple(zip(*m)), m) == geom.identity(fd, len(m))
+    return mat_mul(fd, tuple(zip(*m)), m) == identity(len(m))
+
+
+def naive_random_orthogonal(fd, d, seed):
+    """The product of d+2 reflections I - 2 v v^T / |v|, one at a time, each
+    v drawn from random.Random(seed) by randrange and redrawn while |v| = 0."""
+    rng = random.Random(seed)
+    m = identity(d)
+    for _ in range(d + 2):
+        while True:
+            v = tuple(rng.randrange(fd.q) for _ in range(d))
+            nv = norm(fd, v)
+            if nv != 0:
+                break
+        scale = fd.mul(2, fd.inv(nv))
+        refl = tuple(
+            tuple(fd.sub(1 if i == j else 0, fd.mul(scale, fd.mul(v[i], v[j]))) for j in range(d))
+            for i in range(d)
+        )
+        m = mat_mul(fd, refl, m)
+    return m
+
+
+def naive_span(fd, vectors):
+    """Every linear combination of the vectors, coefficients in
+    lexicographic order, one coefficient at a time."""
+    pts = []
+    for coeffs in itertools.product(fd.elements(), repeat=len(vectors)):
+        acc = (0,) * len(vectors[0])
+        for t, v in zip(coeffs, vectors):
+            acc = vadd(fd, acc, vscale(fd, t, v))
+        pts.append(acc)
+    return pts
 
 
 def naive_spread(fd, apex, b, c):
@@ -88,11 +139,11 @@ def naive_spread(fd, apex, b, c):
     when either arm norm is 0."""
     u = vsub(fd, b, apex)
     v = vsub(fd, c, apex)
-    nu = geom.norm(fd, u)
-    nv = geom.norm(fd, v)
+    nu = norm(fd, u)
+    nv = norm(fd, v)
     if nu == 0 or nv == 0:
         return None
-    duv = geom.dot(fd, u, v)
+    duv = dot(fd, u, v)
     return fd.sub(1, fd.div(fd.mul(duv, duv), fd.mul(nu, nv)))
 
 
@@ -101,7 +152,7 @@ def naive_k_spread(fd, points):
     of V; None when some |v_i| is 0."""
     k = len(points) - 1
     arms = [vsub(fd, x, points[0]) for x in points[1:]]
-    gram = [[geom.dot(fd, arms[i], arms[j]) for j in range(k)] for i in range(k)]
+    gram = [[dot(fd, arms[i], arms[j]) for j in range(k)] for i in range(k)]
     denom = 1
     for i in range(k):
         if gram[i][i] == 0:
@@ -215,7 +266,7 @@ def naive_distances(ps):
 
 def naive_sphere_points(fd, d, t):
     """Every x in F_q^d with |x| = t, in index order, by scalar norms."""
-    return [v for v in itertools.product(fd.elements(), repeat=d) if geom.norm(fd, v) == t]
+    return [v for v in itertools.product(fd.elements(), repeat=d) if norm(fd, v) == t]
 
 
 def eta(fd, a):
@@ -276,17 +327,16 @@ def naive_run_properties(fd, cases, seed):
     vadd, vsub, vscale and mat_vec, drawing each value as it goes from the
     rng of its dimension and column group.  The k2 law reads the one-case
     ``geom.k_spread``, so a fault in the batched order-k spread behind it
-    shows here as in ``run_properties``."""
+    shows here as in ``run_properties``; so do the pools, which read
+    ``geom.random_orthogonals`` (checked against naive_random_orthogonal
+    on the same seeds in test_geom)."""
     rngs = {
         (d, group): random.Random(f"{expt.trial_seed(seed, fd.q)} d={d} {group}")
         for d in expt.PROPERTY_DIMS
         for group in ("abc", "rt", "pick", "z")
     }
     pools = {
-        d: [
-            geom.random_orthogonal(fd, d, expt.trial_seed(seed, 1000 * d + i))
-            for i in range(expt.MATRIX_POOL)
-        ]
+        d: geom.random_orthogonals(fd, d, [expt.trial_seed(seed, 1000 * d + i) for i in range(expt.MATRIX_POOL)])
         for d in expt.PROPERTY_DIMS
     }
     fails = {"symmetry": 0, "scaling": 0, "rigid": 0, "k2": 0}

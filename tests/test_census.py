@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     dist,
+    dot,
     line_through,
     mat_vec,
     naive_distances,
@@ -14,6 +15,7 @@ from conftest import (
     naive_spread,
     naive_spread_census,
     naive_spread_counts,
+    norm,
     sphere_size,
     vadd,
 )
@@ -383,7 +385,7 @@ def test_pair_distances_match_scalar_polarization(fd):
         minus, plus = census._pair_distances(fd, fd.log[ps.as_array()])
         for (i, a), (j, b) in itertools.product(enumerate(ps.points), repeat=2):
             assert fd.exp[minus[i, j]] == dist(fd, a, b)
-            assert fd.exp[plus[i, j]] == geom.norm(fd, vadd(fd, a, b))
+            assert fd.exp[plus[i, j]] == norm(fd, vadd(fd, a, b))
 
 
 # -- lines ----------------------------------------------------------------------
@@ -588,7 +590,7 @@ def test_orthogonality_masks_match_scalar_dots():
     for fd, d in ((F3, 4), (F5, 3), (F9, 3)):
         reps = census._isotropic_reps(fd, d)
         arr = fd.log[np.array(reps)]
-        want = [sum(1 << j for j, v in enumerate(reps) if geom.dot(fd, u, v) == 0) for u in reps]
+        want = [sum(1 << j for j, v in enumerate(reps) if dot(fd, u, v) == 0) for u in reps]
         for cells in (1, 2 * len(reps) + 1, 1 << 18):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(census, "_MASK_CELLS", cells)
@@ -624,7 +626,7 @@ def test_sphere_equiv_matches_scalar_recheck():
         lhs = s1 == s2
         rhs = dist(F5, a, b) == dist(F5, c, e) or dist(
             F5, a, b
-        ) == geom.norm(F5, vadd(F5, c, e))
+        ) == norm(F5, vadd(F5, c, e))
         assert lhs == rhs
 
 

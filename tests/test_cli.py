@@ -185,6 +185,18 @@ def test_field_info_over_size_cap(capsys):
     assert err.splitlines()[0] == "SizeExceeded"
 
 
+@pytest.mark.parametrize(
+    "header", ["q=5 d=2 x=3", "q=5 d=2 q=7", "q=5 d=2 d=2", "q=5", "d=2 q=5 q=5", "q=5 d=2=3", "q=5 d=2 ="]
+)
+def test_census_point_file_header_needs_one_q_and_one_d(tmp_path, capsys, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n0,0\n1,0\n2,0\n")
+    code, out, err = run_cli(capsys, "census", "spreads", "--points", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "FormatError"
+
+
 def test_census_duplicate_points_rejected(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("q=5 d=2\n0,0\n0,0\n")

@@ -1,7 +1,18 @@
-import pytest
-from conftest import naive_least_isotropic_triple, naive_spread_census, vadd
+import itertools
+import random
 
-from fqspread import construct, errors, geom
+import pytest
+from conftest import (
+    dot,
+    naive_least_isotropic_triple,
+    naive_rank,
+    naive_span,
+    naive_spread_census,
+    norm,
+    vadd,
+)
+
+from fqspread import construct, errors, expt, geom
 from fqspread.construct import (
     con1_set,
     con2_set,
@@ -82,6 +93,28 @@ def test_is_isotropic_family_rejects_bad_inputs():
     u, v = (1, 2, 0, 0), (0, 0, 1, 2)
     w = vadd(F5, u, v)
     assert not is_isotropic_family(F5, [u, v, w])
+    assert not is_isotropic_family(F5, [(1, 2), (1, 3)])  # isotropic, not orthogonal
+    assert is_isotropic_family(F5, [])
+
+
+@pytest.mark.parametrize("fd, d", [(F3, 4), (F5, 4), (Field(3, 2), 4)], ids=str)
+def test_is_isotropic_family_matches_scalar_oracle(fd, d):
+    # seeded families of 1 to 3 vectors, mostly isotropic ones
+    iso = [v for v in itertools.product(fd.elements(), repeat=d) if norm(fd, v) == 0]
+    rng = random.Random(fd.q)
+    seen = set()
+    for _ in range(300):
+        fam = [rng.choice(iso) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.1:
+            fam[0] = (1,) + (0,) * (d - 1)  # not isotropic
+        want = (
+            all(norm(fd, v) == 0 for v in fam)
+            and all(dot(fd, u, v) == 0 for u, v in itertools.combinations(fam, 2))
+            and naive_rank(fd, fam) == len(fam)
+        )
+        assert is_isotropic_family(fd, fam) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_span_frozen_example():
@@ -98,6 +131,27 @@ def test_span_empty_and_sizes():
         span(F5, [])
     with pytest.raises(errors.BudgetExceeded):
         span(F5, [(1, 0, 0), (0, 1, 0)], budget=10)
+
+
+def _construction_basis(fd, d):
+    # the vectors con1_set (even d) or con2_set (odd d) spans
+    if d % 2 == 0:
+        return construct.iso_family(fd, d)
+    return [v + (0,) for v in construct.iso_family(fd, d - 1)] + [(0,) * (d - 1) + (1,)]
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize("q, d", list(expt.CONSTRUCTION_CASES) + [(9, 4), (9, 3)], ids=str)
+def test_span_matches_scalar_oracle(monkeypatch, block, q, d):
+    # the construction cases of the battery and F_9, through one block of
+    # coefficient rows and through many blocks of 7
+    if block:
+        monkeypatch.setattr(geom, "_BLOCK", block)
+    fd = Field(3, 2) if q == 9 else Field(q)
+    basis = _construction_basis(fd, d)
+    ps = span(fd, basis)
+    assert list(ps.points) == naive_span(fd, basis)
+    assert ps == (con1_set if d % 2 == 0 else con2_set)(fd, d)
 
 
 def test_con1_frozen_and_census_by_naive_oracle():

@@ -249,16 +249,17 @@ def _shifted_k_spreads(arm_k_spreads):
     return shifted
 
 
-def _diagonal(fd, d, seed):
-    # diag(1, 3[, 1]): 3^2 != 1 in all four fields (2 = -1 in F_9, so
-    # diag(1, 2) would be orthogonal there)
-    return tuple(tuple((3 if i == 1 else 1) if i == j else 0 for j in range(d)) for i in range(d))
+def _diagonal(fd, d, seeds):
+    # diag(1, 3[, 1]) per seed: 3^2 != 1 in all four fields (2 = -1 in F_9,
+    # so diag(1, 2) would be orthogonal there)
+    m = tuple(tuple((3 if i == 1 else 1) if i == j else 0 for j in range(d)) for i in range(d))
+    return [m] * len(seeds)
 
 
 # mutant name: (geom attribute replaced, law it breaks, replacement)
 _MUTANTS = {
     "k_spread": ("arm_k_spreads", "k2", _shifted_k_spreads(geom.arm_k_spreads)),
-    "random_orthogonal": ("random_orthogonal", "rigid", _diagonal),
+    "random_orthogonal": ("random_orthogonals", "rigid", _diagonal),
 }
 
 

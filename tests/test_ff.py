@@ -3,11 +3,11 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ReferenceField
+from conftest import ReferenceField, dot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqspread import errors, ff, geom
+from fqspread import errors, ff
 from fqspread.ff import Field, parse_field
 
 F5 = Field(5)
@@ -334,6 +334,6 @@ def test_log_dot_matches_scalar_dot(fd):
         grid = fd.log_dot(logs[:, None, :], logs[None, :, :])
         assert grid.shape == (len(vecs), len(vecs))
         for (i, j), got in np.ndenumerate(grid):
-            assert fd.exp[got] == geom.dot(fd, vecs[i], vecs[j])
+            assert fd.exp[got] == dot(fd, vecs[i], vecs[j])
         same = fd.log_dot(logs, logs[::-1])
-        assert [fd.exp[x] for x in same] == [geom.dot(fd, u, v) for u, v in zip(vecs, vecs[::-1])]
+        assert [fd.exp[x] for x in same] == [dot(fd, u, v) for u, v in zip(vecs, vecs[::-1])]

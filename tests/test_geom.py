@@ -6,14 +6,17 @@ import pytest
 from conftest import (
     CanonLine,
     dist,
+    dot,
     is_orthogonal,
     line_points,
     line_through,
     mat_vec,
     naive_det,
     naive_k_spread,
+    naive_random_orthogonal,
     naive_rank,
     naive_sphere_points,
+    norm,
     sphere_size,
     vadd,
     vscale,
@@ -22,9 +25,9 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqspread import census, errors, geom
-from fqspread.ff import Field
-from fqspread.geom import PointSet, dot, k_spread, norm, spread
+from fqspread import census, errors, expt, geom
+from fqspread.ff import Field, parse_field
+from fqspread.geom import PointSet, k_spread, spread
 
 F3 = Field(3)
 F5 = Field(5)
@@ -33,17 +36,26 @@ F9 = Field(3, 2)
 
 
 def test_dot_examples():
-    assert dot(F5, (1, 2), (3, 4)) == 1
-    assert dot(F5, (0, 0), (4, 1)) == 0
-    assert dot(F5, (1, 2), (1, 2)) == 0  # isotropic vector
+    assert geom.dot(F5, (1, 2), (3, 4)) == 1
+    assert geom.dot(F5, (0, 0), (4, 1)) == 0
+    assert geom.dot(F5, (1, 2), (1, 2)) == 0  # isotropic vector
+    assert geom.dot(F5, (), ()) == 0
     with pytest.raises(errors.DimensionMismatch):
-        dot(F5, (1, 2), (1, 2, 3))
+        geom.dot(F5, (1, 2), (1, 2, 3))
 
 
 def test_norm_examples():
-    assert norm(F5, (1, 2)) == 0
-    assert norm(F5, (1, 0)) == 1
-    assert norm(F3, (1, 1, 1)) == 0
+    assert geom.norm(F5, (1, 2)) == 0
+    assert geom.norm(F5, (1, 0)) == 1
+    assert geom.norm(F3, (1, 1, 1)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F3, F5, F9, Field(5, 2)]), st.integers(1, 6), st.data())
+def test_dot_and_norm_match_scalar_oracle(fd, d, data):
+    u, v = (tuple(data.draw(st.lists(st.integers(0, fd.q - 1), min_size=d, max_size=d))) for _ in range(2))
+    assert geom.dot(fd, u, v) == dot(fd, u, v)
+    assert geom.norm(fd, u) == norm(fd, u)
 
 
 def test_dist_examples():
@@ -326,7 +338,7 @@ def test_sphere_points_frozen_values():
 def test_sphere_points_match_naive_oracle(monkeypatch, block, fd, d):
     # every t, through one block and through many blocks of 7 indices
     if block:
-        monkeypatch.setattr(geom, "_SPHERE_BLOCK", block)
+        monkeypatch.setattr(geom, "_BLOCK", block)
     for t in fd.elements():
         assert list(geom.sphere_points(fd, d, t).points) == naive_sphere_points(fd, d, t)
     reps = census._isotropic_reps(fd, d)
@@ -403,6 +415,25 @@ def test_random_orthogonal_properties():
     assert geom.random_orthogonal(F5, 2, 42) == geom.random_orthogonal(F5, 2, 42)
 
 
+@pytest.mark.parametrize("field", expt.PROPERTY_FIELDS)
+def test_random_orthogonals_match_scalar_oracle(field):
+    # every (field, d, seed) of the battery's pools at seeds 0 and 1, and d = 1
+    fd = parse_field(field)
+    for seed, d in itertools.product((0, 1), expt.PROPERTY_DIMS + (1,)):
+        seeds = [expt.trial_seed(seed, 1000 * d + i) for i in range(expt.MATRIX_POOL)]
+        assert geom.random_orthogonals(fd, d, seeds) == [naive_random_orthogonal(fd, d, s) for s in seeds]
+    assert geom.random_orthogonals(fd, 2, []) == []
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_random_orthogonal_rejects_dimension_below_one(d):
+    # the empty vector's norm is 0, so a redraw loop would never end
+    with pytest.raises(errors.BadDimension):
+        geom.random_orthogonals(F5, d, [0, 1])
+    with pytest.raises(errors.BadDimension):
+        geom.random_orthogonal(F5, d, 0)
+
+
 def test_random_orthogonal_preserves_norm():
     rng = random.Random(0)
     m = geom.random_orthogonal(F7, 3, 5)
@@ -436,6 +467,9 @@ def test_pointset_load_errors():
         PointSet.loads("")
     with pytest.raises(errors.FormatError):
         PointSet.loads("q=x d=2\n0,0")
+    with pytest.raises(errors.FormatError):
+        PointSet.loads("q=5 d=2 q=7\n0,0")
+    assert PointSet.loads("d=2  q=5\n0,0\n1,2") == PointSet(F5, 2, [(0, 0), (1, 2)])
     with pytest.raises(errors.FormatError):
         PointSet.loads("q=5 d=2\n0,zebra")
     with pytest.raises(errors.DuplicatePoint):
