@@ -2,23 +2,32 @@
 projection collisions, isotropic-triple search, and the sphere
 spread/distance equivalence check.
 
-The spread, line and occurrence censuses share one kernel.  The spread is
-scale-invariant in each arm, so at a fixed apex it depends only on the
-projective classes of the two arms: the kernel scales every arm so its
-first nonzero coordinate is 1 and collapses the n-1 arms onto their k <=
-min(n-1, (q^d-1)/(q-1)) classes with multiplicities.  The classes at an
-apex are exactly the spanned lines through it.  Apexes are canonicalized
-in blocks, so temporaries stay O(block * n * d).
+The spread, line and occurrence censuses share one kernel, which takes a
+stack of equal-size point sets (``spread_censuses`` and ``line_censuses``;
+``distinct_spreads``, ``spread_occurrences`` and ``spanned_lines`` are
+their one-set calls).  The spread is scale-invariant in each arm, so at a
+fixed apex it depends only on the projective classes of the two arms: the
+kernel scales every arm so its first nonzero coordinate is 1 and
+collapses the n-1 arms onto their k <= min(n-1, (q^d-1)/(q-1)) classes
+with multiplicities.  The classes at an apex are exactly the spanned
+lines through it.  The apexes of all sets of a stack are canonicalized
+together, in blocks of apex rows, each block giving padded arrays of
+multiplicities and representatives for all its rows; temporaries stay
+O(block * n * d).  The sets are drawn and stacked lazily, about
+_WINDOW_CELLS coordinates and histogram slots at a time, so memory does
+not grow with the number of sets.
 
 The spread of two classes does not depend on the apex either, and the
 arms from all n apexes fall into at most (q^d-1)/(q-1) classes.  So when
 the apexes of a window share their classes, the spread and occurrence
 censuses evaluate each class pair once per window, in one class spread
-table that each apex reads by class id; otherwise each apex gets a table
-of its own classes (``_spread_histogram`` gives the rule and the memory
-bound).  Both censuses read one exact int64 histogram of the spreads of
-all ordered triples, undefined ones in its last slot.  It is swept on
-the calling thread: split over threads, each would build its own tables.
+table that the apexes read by class id; otherwise each apex gets a table
+of its own classes (``_spread_histograms`` gives the rule and the memory
+bound).  The class pairs of a window are added in chunks of about
+_BLOCK_CELLS cells, one ``np.add.at`` each, to one exact int64 histogram
+per set of the spreads of all its ordered triples, undefined ones in its
+last slot.  It is swept on the calling thread: split over threads, each
+would build its own tables.
 
 The class spread tables and the sphere check's origin-pair spreads come
 from ``geom.arm_spreads``, the package's one batched spread: arms in logs
@@ -43,7 +52,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -96,138 +105,199 @@ class EquivReport:
 def distinct_spreads(ps: PointSet, budget: int = DEFAULT_TRIPLE_BUDGET) -> SpreadCensus:
     """Census over all ordered triples (a, b, c) of distinct points with apex
     a: the set of defined spread values plus the undefined-triple tally."""
-    hist = _sweep(ps, budget)
-    q, n = ps.field.q, len(ps)
-    values = tuple(int(v) for v in np.flatnonzero(hist[:q]))
-    return SpreadCensus(
-        defined_values=values,
-        defined_count=len(values),
-        undefined_triples=int(hist[q]),
-        triples_scanned=n * (n - 1) * (n - 2),
-    )
+    return spread_censuses([ps], budget)[0]
+
+
+def spread_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_TRIPLE_BUDGET) -> list[SpreadCensus]:
+    """``distinct_spreads`` of each of a stack of point sets of one field,
+    dimension and size, drawn from point_sets as the census needs them."""
+    out = []
+    for hist in _sweep(point_sets, budget):
+        values = tuple(int(v) for v in np.flatnonzero(hist[:-1]))
+        out.append(SpreadCensus(values, len(values), undefined_triples=int(hist[-1]), triples_scanned=int(hist.sum())))
+    return out
 
 
 def spread_occurrences(ps: PointSet, gamma: int, budget: int = DEFAULT_TRIPLE_BUDGET) -> int:
     """Number of ordered triples of distinct points whose spread is gamma."""
     if not 0 <= gamma < ps.field.q:
         raise FormatError(f"gamma = {gamma} is not an element index of F_{ps.field.q}")
-    return int(_sweep(ps, budget)[gamma])
+    return int(next(_sweep([ps], budget))[gamma])
 
 
-def _sweep(ps: PointSet, budget: int) -> np.ndarray:
-    """The spread histogram of all ordered triples: entry v < q counts the
-    triples with spread v, entry q the undefined ones."""
-    n = len(ps)
+def check_triples(n: int, budget: int) -> None:
+    """The gate of a spread census of n points."""
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n**3 > budget:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
-    hist = _spread_histogram(ps)
-    if hist.sum() != n * (n - 1) * (n - 2):
-        raise InternalError("spread histogram does not cover every ordered triple")
-    return hist
 
 
-def _spread_histogram(ps: PointSet) -> np.ndarray:
-    """Exact int64 spread histogram of all ordered triples.
+def _sweep(point_sets: Iterable[PointSet], budget: int):
+    """Yields the spread histogram of each set in turn: entry v < q counts
+    the triples with spread v, entry q the undefined ones."""
+    for fd, logs in _stacks(point_sets, check_triples, budget):
+        n = logs.shape[1]
+        hist = _spread_histograms(fd, logs)
+        if (hist.sum(axis=1) != n * (n - 1) * (n - 2)).any():
+            raise InternalError("spread histogram does not cover every ordered triple")
+        yield from hist
+
+
+def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
+    """Yields (field, logs) for consecutive stacks of the point sets, logs
+    (S, n, d; S at least 1), drawing the sets only as each stack is built.
+    A stack holds about _WINDOW_CELLS cells: S times the n * d coordinates
+    and the q + 1 histogram slots of a set.  gate(n, budget) judges the
+    first set before any other is drawn; every set must share its field,
+    dimension and size."""
+    sets = iter(point_sets)
+    head = next(sets, None)
+    if head is None:
+        raise FormatError("a census needs at least one point set")
+    fd, d, n = head.field, head.dim, len(head)
+    gate(n, budget)
+    step = max(1, _WINDOW_CELLS // (n * d + fd.q + 1))
+    sets = itertools.chain([head], sets)
+    while stack := list(itertools.islice(sets, step)):
+        for ps in stack:
+            if (ps.field, ps.dim, len(ps)) != (fd, d, n):
+                raise FormatError(f"a stacked census needs one field, dimension and size: {ps!r} after {head!r}")
+        yield fd, fd.log[np.stack([ps.as_array() for ps in stack])]
+
+
+def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
+    """Exact int64 spread histograms (S, q + 1) of all ordered triples of
+    each of the S sets of logs (S, n, d).
 
     Each apex with k classes reads a k x k block of class spreads.  Arms
     from classes c and c' form mult[c] * mult[c'] ordered pairs, less the
     pairs of one arm with itself on the diagonal; two arms of one class
-    have the spread on the class diagonal (0, or -1 when isotropic).  The
-    spread -1 indexes the last slot, which counts undefined triples.
+    have the spread on the class diagonal (0, or undefined when isotropic).
 
-    Consecutive apexes are buffered into windows of about _WINDOW_CELLS
-    class representative coordinates.  When a window's class union u has
-    u^2 at most both the sum of its apexes' k^2 and _TABLE_CELLS, one u x u
-    table serves the window and each apex gathers its block by class id;
-    otherwise each apex builds its own k x k table.  So the tables never
-    hold more cells than per-apex tables would, and a set whose apexes
-    share no classes gets a table per apex.  Memory beside the apex blocks
-    is one window, O(_WINDOW_CELLS) rows and coordinates, and one table, at
-    most _TABLE_CELLS cells of 2 or 4 bytes or one apex's k^2, built in row
-    blocks of about _BLOCK_CELLS cells.
+    The blocks of apex rows from ``_apex_classes`` are buffered into
+    windows of about _WINDOW_CELLS class representative coordinates.  When
+    a window's class union u has u^2 at most both the sum of its apexes'
+    k^2 and _TABLE_CELLS, one u x u table serves the window and each apex
+    gathers its block by class id; otherwise each apex builds a table of
+    its own classes, padded to the most classes on a row of its block.  So
+    a set whose apexes share no classes gets a table per apex.  Memory
+    beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
+    coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
+    built in row blocks of about _BLOCK_CELLS cells; the class pairs are
+    added in chunks of about _BLOCK_CELLS cells, or one apex's k^2.
     """
-    hist = np.zeros(ps.field.q + 1, dtype=np.int64)
+    hist = np.zeros(len(logs) * (fd.q + 1), dtype=np.int64)
     window: list = []
     cells = 0
-    for mult, reps in _apex_classes(ps, range(len(ps))):
-        window.append((mult, reps))
-        cells += reps.size
+    for block in _apex_classes(fd, logs):
+        window.append(block)
+        cells += block[2].size
         if cells >= _WINDOW_CELLS:
-            _add_window(ps.field, window, hist)
+            _add_window(fd, logs.shape[1], window, hist)
             window, cells = [], 0
     if window:
-        _add_window(ps.field, window, hist)
-    return hist
+        _add_window(fd, logs.shape[1], window, hist)
+    return hist.reshape(len(logs), fd.q + 1)
 
 
-# Apexes per block are chosen so block * n * d stays near this many cells.
+# Apexes per block are chosen so block * n * d stays near this many cells,
+# and class pairs are added in chunks of about this many.
 _BLOCK_CELLS = 1 << 16
-# About the most class representative coordinates buffered at once.
+# About the most cells in one stack of point sets (coordinates and histogram
+# slots), and the most class representative coordinates buffered at once.
 _WINDOW_CELLS = 1 << 19
 # The most cells in one class spread table shared by a window of apexes.
 _TABLE_CELLS = 1 << 21
 
 
-def _add_window(fd: ff.Field, window: list, hist: np.ndarray) -> None:
-    """Add the triples at a window of apexes, (mult, reps) per apex, to hist."""
-    k = [len(mult) for mult, _ in window]
-    reps = np.concatenate([r for _, r in window])
+def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray) -> None:
+    """Add the triples at a window of blocks of apex rows, (first row, mult,
+    reps) per block, to hist, q + 1 slots per set of n apex rows."""
+    d = window[0][2].shape[2]
+    all_reps = np.concatenate([r.reshape(-1, d) for _, _, r in window])
     # ids: window-wide class ids; first: the first row of each class
     _, first, ids = np.unique(
-        _codes(reps[None], fd.zero_log)[0], return_index=True, return_inverse=True
+        _codes(all_reps[None], fd.zero_log)[0], return_index=True, return_inverse=True
     )
+    ids = ids.ravel()  # shaped like its input on some numpy versions
     u = len(first)
-    if u * u <= min(sum(c * c for c in k), _TABLE_CELLS):
-        table = _class_table(fd, reps[first])
-        blocks = (table.take(c, 0).take(c, 1) for c in np.split(ids, np.cumsum(k)[:-1]))
-    else:
-        blocks = (_class_table(fd, r) for _, r in window)
-    for (mult, _), block in zip(window, blocks):
-        pairs = np.multiply.outer(mult, mult)
-        pairs.flat[:: len(mult) + 1] -= mult  # the diagonal
-        np.add.at(hist, block.ravel(), pairs.ravel())
+    per_apex = sum(int((np.count_nonzero(mult, axis=1) ** 2).sum()) for _, mult, _ in window)
+    table = None
+    if u * u <= min(per_apex, _TABLE_CELLS):
+        table = _class_table(fd, all_reps[first]).ravel()
+    at = 0
+    for lo, mult, reps in window:
+        rows, width = mult.shape
+        cid = ids[at : at + mult.size].reshape(mult.shape)
+        at += mult.size
+        step = max(1, _BLOCK_CELLS // (width * width))
+        for c in range(0, rows, step):
+            m = mult[c : c + step]
+            if table is None:
+                spreads = _class_table(fd, reps[c : c + step])
+            else:
+                i = cid[c : c + step]
+                spreads = table.take(i[:, :, None] * u + i[:, None, :])
+            pairs = m[:, :, None] * m[:, None, :]
+            pairs.reshape(len(m), -1)[:, :: width + 1] -= m  # the diagonals
+            slot = (np.arange(lo + c, lo + c + len(m)) // n * (fd.q + 1))[:, None, None]
+            np.add.at(hist, (spreads + slot).ravel(), pairs.ravel())
 
 
 def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
-    """The u x u spreads of all pairs of class representatives reps (u, d;
-    logs), -1 where undefined: int16 while q < 2^15, else int32.  Built in
-    row blocks so temporaries stay near _BLOCK_CELLS cells."""
-    u = len(reps)
-    table = np.empty((u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
-    step = max(1, _BLOCK_CELLS // u)
+    """The spreads of all pairs of class representatives along the last
+    but one axis of reps (..., u, d; logs), shape (..., u, u), with q where
+    undefined: int16 while q < 2^15, else int32.  The spread is symmetric,
+    so each block of rows is evaluated from its diagonal on and mirrored;
+    the blocks keep temporaries near _BLOCK_CELLS cells."""
+    *lead, u, _ = reps.shape
+    table = np.empty((*lead, u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
+    step = max(1, _BLOCK_CELLS * u // table.size)
     for lo in range(0, u, step):
-        table[lo : lo + step] = geom.arm_spreads(fd, reps[lo : lo + step, None], reps[None])
+        rows = table[..., lo : lo + step, lo:]
+        rows[...] = geom.arm_spreads(fd, reps[..., lo : lo + step, None, :], reps[..., None, lo:, :])
+        table[..., lo:, lo : lo + step] = rows.swapaxes(-1, -2)
+    table[table < 0] = fd.q
     return table
 
 
-def _apex_classes(ps: PointSet, apexes: range):
-    """Per apex a in `apexes`, collapse the n-1 arms b - a onto their k
-    projective classes (first nonzero coordinate scaled to 1).
+def _apex_classes(fd: ff.Field, logs: np.ndarray):
+    """Collapse the n-1 arms b - a at every apex a of a stack of point sets,
+    logs (S, n, d), onto their projective classes (first nonzero coordinate
+    scaled to 1).
 
-    Yields (mult, reps) per apex in order: mult[c] is the number of arms in
-    class c, and reps (k, d; logs) holds one representative per class.  The
-    spread is scale-invariant, so the spread of reps c and c' is that of
-    every arm pair drawn from classes c and c'.
+    Apex a of set s is row s * n + a.  Yields (lo, mult, reps) for blocks
+    of consecutive rows lo, lo + 1, ...: mult (B, K) counts the arms in
+    each class of a row, and reps (B, K, d; logs) holds one representative
+    per class.  K is the most classes on any row of the block; a row with
+    fewer is padded with multiplicity 0 and copies of its first class, so
+    padding adds no triple and no class.  The spread is scale-invariant, so
+    the spread of reps c and c' is that of every arm pair drawn from
+    classes c and c'.
     """
-    fd = ps.field
-    pts = fd.log[ps.as_array()]
-    neg = fd.log_neg(pts)
-    n, d = pts.shape
+    s, n, d = logs.shape
+    neg = fd.log_neg(logs.reshape(s * n, 1, d))
     step = max(1, _BLOCK_CELLS // (n * d))
-    for lo in range(0, len(apexes), step):
-        block = np.asarray(apexes[lo : lo + step])
-        arms = fd.log_add(neg[block, None, :], pts[None, :, :])  # (B, n, d)
+    for lo in range(0, s * n, step):
+        rows = np.arange(lo, min(lo + step, s * n))
+        arms = fd.log_add(neg[lo : lo + step], logs[rows // n])  # (B, n, d)
         lead = np.take_along_axis(arms, (arms != fd.zero_log).argmax(axis=2)[..., None], axis=2)
         canon = fd.log_mul(arms, -lead % (fd.q - 1))  # the zero arm b = a stays zero
         code = _codes(canon, fd.zero_log)
         order = np.argsort(code, axis=1)
         code = np.take_along_axis(code, order, axis=1)
-        for r in range(len(block)):
-            # The apex's own zero arm has the least code and sorts first.
-            starts = np.flatnonzero(code[r, 1:] != code[r, :-1]) + 1
-            yield np.diff(starts, append=n), canon[r, order[r, starts]]
+        # The apex's own zero arm sorts first, so sorted arm j + 1 starts a
+        # class where new[:, j] is set, and sorted arm 1 starts class 0.
+        new = code[:, 1:] != code[:, :-1]
+        cls = np.cumsum(new, axis=1) - 1
+        width = cls[:, -1].max() + 1
+        flat = np.arange(len(rows))[:, None] * width + cls
+        mult = np.bincount(flat.ravel(), minlength=len(rows) * width).reshape(len(rows), width)
+        row, start = np.nonzero(new)
+        at = np.ones_like(mult)  # padding reads class 0
+        at[row, cls[row, start]] = start + 1
+        yield lo, mult, np.take_along_axis(canon, np.take_along_axis(order, at, axis=1)[..., None], axis=1)
 
 
 def _codes(canon: np.ndarray, zero: int) -> np.ndarray:
@@ -258,7 +328,7 @@ def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> Dista
     """Distances over unordered pairs of distinct points, reported both with
     and without the value 0 (conventions differ on whether 0 counts)."""
     n = len(ps)
-    _check_pairs(n, budget)
+    check_pairs(n, budget)
     fd = ps.field
     dmat = next(_pair_distances(fd, fd.log[ps.as_array()]))
     values = np.unique(fd.exp[dmat[np.triu_indices(n, k=1)]]).tolist()
@@ -281,7 +351,8 @@ def _pair_distances(fd: ff.Field, pts: np.ndarray):
     yield fd.log_add(norms, fd.log_neg(cross))
 
 
-def _check_pairs(n: int, budget: int) -> None:
+def check_pairs(n: int, budget: int) -> None:
+    """The gate of a pair census of n points."""
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     if n * n > budget:
@@ -293,28 +364,38 @@ def _check_pairs(n: int, budget: int) -> None:
 
 def spanned_lines(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> LineCensus:
     """Distinct affine lines spanned by pairs of points, plus the largest
-    number of spanned lines through any single point of the set.
+    number of spanned lines through any single point of the set."""
+    return line_censuses([ps], budget)[0]
+
+
+def line_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_PAIR_BUDGET) -> list[LineCensus]:
+    """``spanned_lines`` of each of a stack of point sets of one field,
+    dimension and size, drawn from point_sets as the census needs them.
 
     The spanned lines through an apex are its arm classes, so max_degree is
     the most classes at any apex.  A line holding m points appears as m
     (apex, class) pairs, each class holding m - 1 arms; with N_c the number
     of pairs whose class holds c arms, there are sum_c N_c / (c + 1) lines.
     """
-    n = len(ps)
-    _check_pairs(n, budget)
-    pair_counts = np.zeros(n, dtype=np.int64)  # N_c, indexed by c
-    max_degree = 0
-    for mult, _ in _apex_classes(ps, range(n)):
-        pair_counts += np.bincount(mult, minlength=n)
-        max_degree = max(max_degree, len(mult))
-    points_per_line = np.arange(1, n + 1)
-    if (pair_counts % points_per_line).any():
-        raise InternalError("arm-class counts do not partition into lines")
-    return LineCensus(
-        lines=int((pair_counts // points_per_line).sum()),
-        max_degree=max_degree,
-        pairs_scanned=n * (n - 1) // 2,
-    )
+    out = []
+    for fd, logs in _stacks(point_sets, check_pairs, budget):
+        s, n, _ = logs.shape
+        pair_counts = np.zeros(s * n, dtype=np.int64)  # N_c of set i at i * n + c
+        degree = np.zeros(s * n, dtype=np.int64)  # classes per apex row
+        for lo, mult, _ in _apex_classes(fd, logs):
+            degree[lo : lo + len(mult)] = np.count_nonzero(mult, axis=1)
+            slot = (np.arange(lo, lo + len(mult)) // n * n)[:, None] + mult
+            pair_counts += np.bincount(slot[mult > 0], minlength=s * n)
+        pair_counts = pair_counts.reshape(s, n)
+        points_per_line = np.arange(1, n + 1)
+        if (pair_counts % points_per_line).any():
+            raise InternalError("arm-class counts do not partition into lines")
+        lines = (pair_counts // points_per_line).sum(axis=1)
+        out += [
+            LineCensus(lines=int(count), max_degree=int(most), pairs_scanned=n * (n - 1) // 2)
+            for count, most in zip(lines, degree.reshape(s, n).max(axis=1))
+        ]
+    return out
 
 
 def total_affine_lines(q: int, d: int) -> int:

@@ -99,6 +99,15 @@ def ceil_scaled_power(c: Fraction, q: int, d: int) -> int:
     return n
 
 
+def _trial_sets(space: PointSet, size: int, trials: int, seed: int):
+    """The seeded size-point subsets of space of trials 0, 1, ..., drawn
+    lazily, as a stacked census reads them."""
+    return (
+        PointSet(space.field, space.dim, sample_prefix(space.points, size, random.Random(trial_seed(seed, t))))
+        for t in range(trials)
+    )
+
+
 def _verdict(oks) -> str:
     return "pass" if all(oks) else "fail"
 
@@ -124,26 +133,22 @@ def run_bode(
     determines the whole plane's value set."""
     q = fd.q
     size = 2 * q - 1
-    universe = geom.all_points(fd, 2, budget).points
-    per_trial = []
+    plane = geom.all_points(fd, 2, budget)
     if full_plane:
-        subsets = [(0, list(universe))]
+        sets, n = [plane], len(plane)
     else:
-        subsets = [
-            (t, sample_prefix(universe, size, random.Random(trial_seed(seed, t))))
-            for t in range(trials)
-        ]
-    for t, pts in subsets:
-        cen = census.distinct_spreads(PointSet(fd, 2, pts), budget)
-        per_trial.append(
-            {
-                "trial": t,
-                "size": len(pts),
-                "defined_count": cen.defined_count,
-                "defined_values": list(cen.defined_values),
-                "ok": cen.defined_count == q,
-            }
-        )
+        census.check_triples(size, budget)  # before any trial is drawn
+        sets, n = _trial_sets(plane, size, trials, seed), size
+    per_trial = [
+        {
+            "trial": t,
+            "size": n,
+            "defined_count": cen.defined_count,
+            "defined_values": list(cen.defined_values),
+            "ok": cen.defined_count == q,
+        }
+        for t, cen in enumerate(census.spread_censuses(sets, budget))
+    ]
     return ExperimentReport(
         name="bode",
         claim="every subset of the plane with at least 2q-1 points determines exactly q distinct spreads",
@@ -172,11 +177,10 @@ def run_threshold(
     if size < 3:
         raise TooFewPoints(f"epsilon = {epsilon} gives sample size {size}; a spread needs 3 points")
     floor_count = q // 4
-    per_trial = []
     if adversarial:  # the sharp count is checked even where the floor is 0
         ps, _, limit = _extremal_set(fd, d, budget)
         cen = census.distinct_spreads(ps, budget)
-        per_trial.append(
+        per_trial = [
             {
                 "trial": 0,
                 "size": len(ps),
@@ -184,24 +188,19 @@ def run_threshold(
                 "defined_values": list(cen.defined_values),
                 "ok": cen.defined_count <= limit,
             }
-        )
+        ]
     else:
         if size > q**d:
             raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
         if floor_count == 0:
             raise VacuousBound(f"the floor floor(q/4) is 0 on F_{q}, which every set meets")
-        universe = geom.all_points(fd, d, budget).points
-        for t in range(trials):
-            pts = sample_prefix(universe, size, random.Random(trial_seed(seed, t)))
-            cen = census.distinct_spreads(PointSet(fd, d, pts), budget)
-            per_trial.append(
-                {
-                    "trial": t,
-                    "size": size,
-                    "defined_count": cen.defined_count,
-                    "ok": cen.defined_count >= floor_count,
-                }
-            )
+        space = geom.all_points(fd, d, budget)
+        census.check_triples(size, budget)  # before any trial is drawn
+        sets = _trial_sets(space, size, trials, seed)
+        per_trial = [
+            {"trial": t, "size": size, "defined_count": cen.defined_count, "ok": cen.defined_count >= floor_count}
+            for t, cen in enumerate(census.spread_censuses(sets, budget))
+        ]
     return ExperimentReport(
         name="threshold",
         claim="sets of size (1+eps)*q^ceil(d/2) determine at least floor(q/4) distinct spreads",
@@ -236,20 +235,12 @@ def run_beck(
     if size > q**d:
         raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
     bound = alpha(epsilon) * q ** (2 * d - 2)
-    universe = geom.all_points(fd, d, budget).points
-    per_trial = []
-    for t in range(trials):
-        pts = sample_prefix(universe, size, random.Random(trial_seed(seed, t)))
-        cen = census.spanned_lines(PointSet(fd, d, pts), budget)
-        per_trial.append(
-            {
-                "trial": t,
-                "size": size,
-                "lines": cen.lines,
-                "max_degree": cen.max_degree,
-                "ok": cen.lines >= bound,
-            }
-        )
+    space = geom.all_points(fd, d, budget)
+    census.check_pairs(size, budget)  # before any trial is drawn
+    per_trial = [
+        {"trial": t, "size": size, "lines": cen.lines, "max_degree": cen.max_degree, "ok": cen.lines >= bound}
+        for t, cen in enumerate(census.line_censuses(_trial_sets(space, size, trials, seed), budget))
+    ]
     return ExperimentReport(
         name="beck",
         claim="sets of size (1+eps)*q^(d-1) span at least eps^2/(1+eps+eps^2) * q^(2d-2) lines",

@@ -222,7 +222,8 @@ def test_class_tables_never_exceed_per_apex_cells(monkeypatch):
     # class union of two apexes already outgrows their own k^2 cells
     cells = count_spread_cells(monkeypatch)
     ps = random_points(Field(101), 4, 60, 27)
-    per_apex = sum(len(mult) ** 2 for mult, _ in census._apex_classes(ps, range(len(ps))))
+    blocks = census._apex_classes(ps.field, ps.field.log[ps.as_array()][None])
+    per_apex = sum(int((np.count_nonzero(mult, axis=1) ** 2).sum()) for _, mult, _ in blocks)
     cen = distinct_spreads(ps)
     assert 0 < sum(cells) <= per_apex
     # one oracle pass over the 205,320 triples yields the whole census
@@ -247,10 +248,12 @@ def test_class_tables_shared_across_apexes(monkeypatch):
 def test_spread_histogram_must_cover_every_triple(monkeypatch):
     apex_classes = census._apex_classes
 
-    def drop_first_apex(ps, apexes):
-        classes = apex_classes(ps, apexes)
-        next(classes)
-        yield from classes
+    def drop_first_apex(fd, logs):
+        for lo, mult, reps in apex_classes(fd, logs):
+            if lo == 0:
+                mult = mult.copy()
+                mult[0] = 0
+            yield lo, mult, reps
 
     monkeypatch.setattr(census, "_apex_classes", drop_first_apex)
     ps = random_pointset(F5, 2, 8, 9)
@@ -258,6 +261,160 @@ def test_spread_histogram_must_cover_every_triple(monkeypatch):
         distinct_spreads(ps)
     with pytest.raises(errors.InternalError):
         spread_occurrences(ps, 0)
+    with pytest.raises(errors.InternalError):
+        census.spread_censuses([ps, random_pointset(F5, 2, 8, 10)])
+
+
+# -- stacked censuses ----------------------------------------------------------
+
+
+def assert_stack_matches_oracles(sets):
+    spreads = census.spread_censuses(sets)
+    lines = census.line_censuses(sets)
+    assert len(spreads) == len(lines) == len(sets)
+    for ps, cen, ln in zip(sets, spreads, lines):
+        values, undefined, scanned = naive_spread_census(ps)
+        assert list(cen.defined_values) == values
+        assert cen.defined_count == len(values)
+        assert cen.undefined_triples == undefined
+        assert cen.triples_scanned == scanned
+        assert (ln.lines, ln.max_degree) == naive_spanned_lines(ps)
+        assert ln.pairs_scanned == len(ps) * (len(ps) - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "fd, d, n, stack",
+    [
+        (F3, 2, 5, 4), (F3, 3, 6, 3), (F3, 4, 5, 3),
+        (F5, 2, 6, 5), (F5, 3, 7, 3), (F5, 4, 6, 3),
+        (F9, 2, 7, 4), (F9, 3, 6, 3), (F9, 4, 5, 2),
+        (F27, 2, 6, 3), (F27, 3, 5, 2), (F27, 4, 4, 2),
+        (F5, 2, 3, 6), (F9, 3, 3, 4), (F27, 4, 3, 3),  # n = 3
+        (Field(32771), 2, 7, 3),  # q > 2^15: int32 class tables
+    ],
+    ids=lambda x: str(x),
+)
+def test_stacked_censuses_match_naive_oracles(fd, d, n, stack):
+    sets = [random_points(fd, d, n, 100 * n + s) for s in range(stack)]
+    assert_stack_matches_oracles(sets)
+
+
+def test_stacked_censuses_with_isotropic_arms():
+    # subsets of the isotropic cones of F_5^2, F_5^3 and F_9^3: arms of
+    # norm 0 leave triples undefined in some sets of every stack
+    for fd, d in ((F5, 2), (F5, 3), (F9, 3)):
+        cone = geom.sphere_points(fd, d, 0).points
+        rng = random.Random(fd.q + d)
+        sets = [PointSet(fd, d, rng.sample(cone, 6)) for _ in range(4)]
+        assert_stack_matches_oracles(sets)
+        assert any(cen.undefined_triples for cen in census.spread_censuses(sets))
+
+
+def test_stacks_of_one_and_of_identical_sets():
+    ps = random_pointset(F7, 2, 11, 31)
+    one = distinct_spreads(ps)
+    assert census.spread_censuses([ps]) == [one]
+    assert census.spread_censuses([ps] * 3) == [one] * 3
+    assert census.line_censuses([ps] * 3) == [spanned_lines(ps)] * 3
+    # a generator is drawn like a list
+    assert census.spread_censuses(ps for _ in range(2)) == [one] * 2
+
+
+@pytest.mark.parametrize(
+    "block, window, table",
+    [
+        (1, 1 << 19, 1 << 21),  # one apex row per block
+        (40, 1 << 19, 1 << 21),  # blocks straddle the sets
+        (40, 60, 1 << 21),  # windows of one block, stacks of a few sets
+        (40, 60, 1),  # every window builds per-apex tables
+        (300, 2000, 30),  # chunks of a few rows in per-apex tables
+    ],
+)
+def test_stacked_censuses_across_boundaries(block, window, table, monkeypatch):
+    monkeypatch.setattr(census, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(census, "_WINDOW_CELLS", window)
+    monkeypatch.setattr(census, "_TABLE_CELLS", table)
+    sets = [random_pointset(F5, 2, 7, 40 + s) for s in range(5)]
+    sets += [random_pointset(F5, 2, 7, 40)]  # a repeat, in another stack
+    assert_stack_matches_oracles(sets)
+    assert [spread_occurrences(ps, 1) for ps in sets] == [naive_spread_counts(ps)[1] for ps in sets]
+
+
+def test_line_census_max_degree_pinned():
+    # the whole plane: q + 1 lines through every point, q (q + 1) lines
+    for fd in (F3, F5, F9):
+        ln = spanned_lines(geom.all_points(fd, 2))
+        assert (ln.lines, ln.max_degree) == (fd.q * (fd.q + 1), fd.q + 1)
+    # points on one line: one line, one through each point
+    line = PointSet(F7, 3, [(t, 2 * t % 7, 3) for t in range(7)])
+    assert census.line_censuses([line, line]) == [census.LineCensus(1, 1, 21)] * 2
+    # a line of 4 points and one point off it: 5 lines; the point off
+    # the line sees 4 of them
+    star = PointSet(F5, 2, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+    assert spanned_lines(star) == census.LineCensus(lines=5, max_degree=4, pairs_scanned=10)
+
+
+def test_whole_plane_table_has_q_plus_one_squared_cells(monkeypatch):
+    # all q^2 apexes share the q + 1 directions: one table serves them all
+    for fd in (F3, F5, F9, F13):
+        cells = count_spread_cells(monkeypatch)
+        distinct_spreads(geom.all_points(fd, 2))
+        assert sum(cells) == (fd.q + 1) ** 2
+        monkeypatch.undo()
+
+
+def test_stacked_census_guards():
+    ps = random_pointset(F5, 2, 6, 1)
+    for run in (census.spread_censuses, census.line_censuses):
+        with pytest.raises(errors.FormatError):
+            run([])
+        with pytest.raises(errors.FormatError):  # another size
+            run([ps, random_pointset(F5, 2, 7, 2)])
+        with pytest.raises(errors.FormatError):  # another field
+            run([ps, random_pointset(F7, 2, 6, 3)])
+        with pytest.raises(errors.FormatError):  # another dimension
+            run([ps, random_pointset(F5, 3, 6, 4)])
+    with pytest.raises(errors.TooFewPoints):
+        census.spread_censuses([PointSet(F5, 2, [(0, 0), (1, 0)])])
+    with pytest.raises(errors.BudgetExceeded):
+        census.spread_censuses([ps], budget=6**3 - 1)
+    with pytest.raises(errors.BudgetExceeded):
+        census.line_censuses([ps], budget=6**2 - 1)
+
+
+def test_stacked_census_gates_before_drawing_and_draws_lazily(monkeypatch):
+    drawn = []
+
+    def draws(count):
+        for s in range(count):
+            drawn.append(s)
+            yield random_pointset(F5, 2, 6, s)
+
+    def kernel_never_runs(fd, logs):
+        raise AssertionError("kernel ran past the gate")
+
+    with monkeypatch.context() as m:
+        m.setattr(census, "_apex_classes", kernel_never_runs)
+        with pytest.raises(errors.BudgetExceeded):
+            census.spread_censuses(draws(50), budget=100)
+        with pytest.raises(errors.BudgetExceeded):
+            census.line_censuses(draws(50), budget=30)
+    assert drawn == [0, 0]  # only the first set of each call
+    # Stacks of 200 // (6 * 2 + 5 + 1) = 11 sets: each kernel call sees
+    # one stack, drawn just before it.
+    monkeypatch.setattr(census, "_WINDOW_CELLS", 200)
+    histograms = census._spread_histograms
+    seen = []
+
+    def recording(fd, logs):
+        seen.append((len(logs), len(drawn)))
+        return histograms(fd, logs)
+
+    monkeypatch.setattr(census, "_spread_histograms", recording)
+    drawn.clear()
+    cens = census.spread_censuses(draws(30))
+    assert seen == [(11, 11), (11, 22), (8, 30)]
+    assert cens == [distinct_spreads(random_pointset(F5, 2, 6, s)) for s in range(30)]
 
 
 def test_full_plane_spread_census_frozen():

@@ -364,6 +364,26 @@ def test_budget_honoured_by_every_enumerating_command(capsys, tmp_path, argv, bu
     assert err.splitlines()[1].startswith(f"detail: {gate} = ")
 
 
+
+def test_stacked_census_mismatch_reports_its_code(capsys, monkeypatch):
+    # a trial of another size in one report's stack ends in a DomainError
+    # code, never a traceback
+    from fqspread import expt
+
+    sample = expt.sample_prefix
+    calls = []
+
+    def one_short(universe, size, rng):  # the second trial draws one point less
+        calls.append(size)
+        return sample(universe, size - (len(calls) == 2), rng)
+
+    monkeypatch.setattr(expt, "sample_prefix", one_short)
+    code, out, err = run_cli(capsys, "experiment", "threshold", "--field", "7^1", "--d", "2", "--trials", "3")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "FormatError"
+    assert "Traceback" not in err
+
+
 def test_experiment_requires_field_except_all(capsys):
     code, _, err = run_cli(capsys, "experiment", "bode")
     assert code == 2

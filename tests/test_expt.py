@@ -323,3 +323,71 @@ def test_sampling_law_is_shuffle_prefix():
         geom.PointSet(F3, 2, expected_pool[:5])
     ).defined_count
     assert rep.per_trial[0]["defined_count"] == sub
+
+
+def count_draws(monkeypatch):
+    """Wraps expt.sample_prefix; the list returned collects one entry per
+    trial drawn."""
+    drawn = []
+    sample = expt.sample_prefix
+
+    def counting(universe, size, rng):
+        drawn.append(size)
+        return sample(universe, size, rng)
+
+    monkeypatch.setattr(expt, "sample_prefix", counting)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "run, budget",
+    [
+        (lambda budget: run_bode(F5, 50, 0, budget=budget), 100),  # 9^3 triples
+        (lambda budget: run_threshold(F7, 2, Fraction(1), 50, 0, budget=budget), 100),  # 14^3
+        (lambda budget: run_beck(F7, 2, Fraction(1), 50, 0, budget=budget), 100),  # 14^2 pairs
+    ],
+)
+def test_census_gate_runs_before_any_trial_is_drawn(monkeypatch, run, budget):
+    drawn = count_draws(monkeypatch)
+
+    def kernel_never_runs(fd, logs):
+        raise AssertionError("kernel ran past the gate")
+
+    monkeypatch.setattr(census, "_apex_classes", kernel_never_runs)
+    with pytest.raises(errors.BudgetExceeded):
+        run(budget)
+    assert drawn == []
+
+
+def test_stacked_reports_draw_their_trials_lazily(monkeypatch):
+    # stacks of 400 // (9 * 2 + 6) = 16 sets: the first kernel call runs
+    # after 16 of the 40 trials are drawn, not all of them
+    full = [run_bode(F5, 40, 2).to_json(), run_beck(F5, 2, Fraction(1), 40, 2).to_json()]
+    monkeypatch.setattr(census, "_WINDOW_CELLS", 400)
+    drawn = count_draws(monkeypatch)
+    apex_classes = census._apex_classes
+    first = []
+
+    def recording(fd, logs):
+        first.append(len(drawn))
+        return apex_classes(fd, logs)
+
+    monkeypatch.setattr(census, "_apex_classes", recording)
+    assert run_bode(F5, 40, 2).to_json() == full[0]
+    assert first[0] == 16 and len(drawn) == 40
+    first.clear()
+    drawn.clear()
+    assert run_beck(F5, 2, Fraction(1), 40, 2).to_json() == full[1]  # 10 points a set
+    assert first[0] == 400 // (10 * 2 + 6) and len(drawn) == 40
+
+
+def test_stacked_reports_match_one_set_censuses():
+    # each trial's record is what the one-set census of its draw gives
+    universe = geom.all_points(F7, 2).points
+    rep = run_threshold(F7, 2, Fraction(1), 6, 5)
+    beck = run_beck(F7, 2, Fraction(1), 6, 5)
+    for t, (r, b) in enumerate(zip(rep.per_trial, beck.per_trial)):
+        ps = geom.PointSet(F7, 2, expt.sample_prefix(universe, 14, random.Random(trial_seed(5, t))))
+        assert r["defined_count"] == census.distinct_spreads(ps).defined_count
+        ln = census.spanned_lines(ps)
+        assert (b["lines"], b["max_degree"]) == (ln.lines, ln.max_degree)
