@@ -398,11 +398,6 @@ def line_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_PAIR_BUD
     return out
 
 
-def total_affine_lines(q: int, d: int) -> int:
-    """q^(d-1) * (q^d - 1) / (q - 1): every affine line of F_q^d."""
-    return q ** (d - 1) * (q**d - 1) // (q - 1)
-
-
 # -- random projections ----------------------------------------------------------
 
 

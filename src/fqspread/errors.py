@@ -23,10 +23,6 @@ class SizeExceeded(DomainError):
     pass
 
 
-class DivisionByZero(DomainError):
-    pass
-
-
 class NotASquare(DomainError):
     pass
 
@@ -36,10 +32,6 @@ class DimensionMismatch(DomainError):
 
 
 class BadArity(DomainError):
-    pass
-
-
-class IdenticalPoints(DomainError):
     pass
 
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import census, construct, ff, geom
-from .errors import SizeExceeded, SphereTooSmall, TooFewPoints, VacuousBound
+from .errors import FormatError, SizeExceeded, SphereTooSmall, TooFewPoints, VacuousBound
 from .geom import PointSet
 
 
@@ -110,6 +110,12 @@ def _trial_sets(space: PointSet, size: int, trials: int, seed: int):
 
 def _verdict(oks) -> str:
     return "pass" if all(oks) else "fail"
+
+
+def _check_trials(trials: int, what: str = "trials") -> None:
+    """No verdict rests on zero trials: a pass would be vacuous."""
+    if trials < 1:
+        raise FormatError(f"need at least one of the {what}, got {trials}")
 
 
 # -- experiments ---------------------------------------------------------------
@@ -272,6 +278,7 @@ def run_projection(
     the empirical mean collision count against 1.2 * C(n,2) / q^k (20%
     statistical slack).  ``expect_zero`` additionally demands zero collisions
     in every single trial (the k = d control)."""
+    _check_trials(trials)
     q = fd.q
     if n_points < 2:
         raise TooFewPoints(f"need at least 2 points for a collision, got {n_points}")
@@ -368,6 +375,7 @@ def run_sphere_distance(
 ) -> ExperimentReport:
     """Random subsets of the unit sphere of size ceil(C q^(d/2)) must
     determine at least min(floor(q/2), floor(C q/4)) nonzero distances."""
+    _check_trials(trials)
     if d < 3:
         raise SphereTooSmall(f"needs d >= 3, got d = {d}")
     c = Fraction(c)
@@ -481,6 +489,7 @@ def run_properties(fd: ff.Field, cases: int, seed: int) -> ExperimentReport:
     `examples` lists the first three failing (case, law) pairs, by case and
     then in the law order above.
     """
+    _check_trials(cases, "cases")
     q, dims = fd.q, len(PROPERTY_DIMS)
 
     def arms(apex, *points):

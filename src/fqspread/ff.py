@@ -11,10 +11,9 @@ All arithmetic, prime or extension field, runs on one set of O(q) int32
 arrays built at construction from discrete logarithms to a generator of
 F_q^*: logs, exponentials and Zech logarithms (Lidl & Niederreiter, Finite
 Fields, ch. 9).  A product is an add plus a gather, a sum a Zech gather
-plus an add plus a gather.  The scalar ops index the arrays through
-memoryviews; the census kernels gather from them with numpy, on logs.
-Norms, Gram matrices, spreads, isotropy and distances (by polarization)
-downstream all come from the one inner product ``Field.log_dot``.
+plus an add plus a gather, both with numpy on arrays of logs.  Norms, Gram
+matrices, spreads, isotropy and distances (by polarization) downstream
+all come from the one inner product ``Field.log_dot``.
 """
 
 from __future__ import annotations
@@ -23,13 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CharacteristicTwo,
-    DivisionByZero,
-    NotASquare,
-    NotPrime,
-    SizeExceeded,
-)
+from .errors import CharacteristicTwo, NotASquare, NotPrime, SizeExceeded
 
 SIZE_CAP = 1 << 20
 
@@ -54,15 +47,15 @@ def _prime_factors(n: int) -> Iterator[int]:
 
 
 class Field:
-    """Immutable description of F_q with exact element arithmetic.
+    """Immutable description of F_q with exact arithmetic on arrays of logs.
 
     Thread-safe after construction; all operations are pure functions of
-    their integer arguments.
+    their arguments.
     """
 
     __slots__ = (
         "p", "r", "q", "modulus", "zero_log", "log", "exp",
-        "_half", "_red", "_zech", "_one_minus", "_lg", "_ex", "_rd", "_zc",
+        "_half", "_red", "_zech", "_one_minus",
     )
 
     def __init__(self, p: int, r: int = 1):
@@ -89,81 +82,28 @@ class Field:
         for a in arrays:
             a.flags.writeable = False  # shared by every thread using the field
         self.log, self.exp, self._red, self._zech, self._one_minus = arrays
-        # Scalar ops index the same arrays; memoryview lookups return ints.
-        self._lg, self._ex, self._rd, self._zc = map(
-            memoryview, (self.log, self.exp, self._red, self._zech)
-        )
-
-    # -- encoding ----------------------------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of the index: the polynomial coefficients, ascending."""
-        out = []
-        for _ in range(self.r):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c % self.p
-        return v
 
     def elements(self) -> range:
         return range(self.q)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        la = self._lg[a]
-        return self._ex[la + self._zc[self._lg[b] - la]]
-
-    def sub(self, a: int, b: int) -> int:
-        la = self._lg[a]
-        return self._ex[la + self._zc[self._rd[self._lg[b] + self._half] - la]]
+    # -- scalars -------------------------------------------------------------
 
     def neg(self, a: int) -> int:
-        return self._ex[self._lg[a] + self._half]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._ex[self._lg[a] + self._lg[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return self._ex[self.q - 1 - self._lg[a]]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return self._ex[self._lg[a] + -self._lg[b] % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise DivisionByZero("0 has no multiplicative inverse")
-            return 0 if e else 1
-        return self._ex[self._lg[a] * e % (self.q - 1)]
-
-    # -- squares -----------------------------------------------------------
-
-    def is_square(self, a: int) -> bool:
-        """The squares are the even powers of the generator, and 0."""
-        return not self._lg[a] & 1
+        return int(self.exp[self.log[a] + self._half])
 
     def sqrt(self, a: int) -> int:
-        """The square root of smaller index.
+        """The square root of smaller index; the squares are 0 and the even
+        powers of the generator.
 
         Raises NotASquare when no root exists.
         """
         if a == 0:
             return 0
-        la = self._lg[a]
+        la = int(self.log[a])
         if la & 1:
             raise NotASquare(f"{a} is not a square in {self}")
         root = la // 2
-        return min(self._ex[root], self._ex[root + self._half])
+        return int(min(self.exp[root], self.exp[root + self._half]))
 
     # -- numpy arithmetic on logs ---------------------------------------------
     #

@@ -16,7 +16,9 @@ from conftest import (
     naive_spread_census,
     naive_spread_counts,
     norm,
+    reference,
     sphere_size,
+    total_affine_lines,
     vadd,
 )
 
@@ -30,7 +32,6 @@ from fqspread.census import (
     spanned_lines,
     sphere_equiv_check,
     spread_occurrences,
-    total_affine_lines,
 )
 from fqspread.ff import Field
 from fqspread.geom import PointSet
@@ -124,7 +125,8 @@ def plane_points(fd, d, n, seed):
     u = [1] + [rng.randrange(fd.q) for _ in range(d - 1)]
     v = [0] + [rng.randrange(1, fd.q) for _ in range(10)] + [0] * (d - 11)
     coeffs = rng.sample(list(itertools.product(fd.elements(), repeat=2)), n)
-    pts = {tuple(fd.add(fd.mul(x, a), fd.mul(y, b)) for a, b in zip(u, v)) for x, y in coeffs}
+    F = reference(fd)
+    pts = {tuple(F.add(F.mul(x, a), F.mul(y, b)) for a, b in zip(u, v)) for x, y in coeffs}
     assert len(pts) == n  # u and v independent
     return PointSet(fd, d, sorted(pts))
 
@@ -142,11 +144,22 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
         # class ids must hold across apex blocks, each rank-compressing
         # its own arm codes
         monkeypatch.setattr(census, "_BLOCK_CELLS", 1)
+    tables = []  # per _class_table call: 2 for a shared table, 3 for per-apex ones
     if name == "capped-windows":
-        # four 6-apex windows whose class unions outgrow 700 cells, so each
-        # apex builds its own table, then a one-apex window that shares one
+        # 25 apexes in blocks of 6 (6 * n * d = 450 cells), each block its
+        # own window: four 6-apex windows whose class unions outgrow 700
+        # cells, so each apex builds its own table, then a one-apex window
+        # that shares one
+        monkeypatch.setattr(census, "_BLOCK_CELLS", 450)
         monkeypatch.setattr(census, "_WINDOW_CELLS", 300)
         monkeypatch.setattr(census, "_TABLE_CELLS", 700)
+        class_table = census._class_table
+
+        def spy(fd, reps):
+            tables.append(reps.ndim)
+            return class_table(fd, reps)
+
+        monkeypatch.setattr(census, "_class_table", spy)
     make = {
         "prime": lambda: random_pointset(F7, 2, 20, 21),
         "f5-plane": lambda: random_pointset(F5, 2, 10, 4),
@@ -168,6 +181,8 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
     }
     ps = make[name]()
     assert_censuses_match_oracles(ps)
+    if name == "capped-windows":
+        assert {2, 3} <= set(tables)
 
 
 def test_census_starts_no_thread(monkeypatch):
@@ -616,11 +631,12 @@ def test_origin_pinned_occurrences_follow_pair_scaling_band():
             counts[s] += 1
     assert counts == {0: 510, 1: 120, 2: 240, 3: 0, 4: 0}
     lo, hi = n * n / (4 * q), 4 * n * n / q
+    F = reference(F5)
     for gamma in range(q):
-        one_minus = F5.sub(1, gamma)
-        if one_minus != 0 and F5.is_square(one_minus):
+        one_minus = F.sub(1, gamma)
+        if one_minus != 0 and F.is_square(one_minus):
             assert lo <= counts[gamma] <= hi
-        elif not F5.is_square(one_minus):
+        elif not F.is_square(one_minus):
             assert counts[gamma] == 0
 
 

@@ -359,6 +359,26 @@ def test_census_gate_runs_before_any_trial_is_drawn(monkeypatch, run, budget):
     assert drawn == []
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_bode(F5, 0, 0),
+        lambda: run_threshold(F7, 2, Fraction(1), 0, 0),
+        lambda: run_beck(F5, 2, Fraction(1), 0, 0),
+        lambda: run_projection(F5, 4, 2, 25, 0, 0),
+        lambda: run_sphere_distance(F5, 3, Fraction(2), 0, 0),
+        lambda: run_properties(F5, 0, 0),
+    ],
+    ids=["bode", "threshold", "beck", "projection", "sphere-distance", "properties"],
+)
+def test_zero_trials_are_rejected_before_any_draw(monkeypatch, run):
+    # a verdict over no trials would be a vacuous pass
+    drawn = count_draws(monkeypatch)
+    with pytest.raises(errors.FormatError):
+        run()
+    assert drawn == []
+
+
 def test_stacked_reports_draw_their_trials_lazily(monkeypatch):
     # stacks of 400 // (9 * 2 + 6) = 16 sets: the first kernel call runs
     # after 16 of the 40 trials are drawn, not all of them

@@ -17,6 +17,7 @@ from conftest import (
     naive_rank,
     naive_sphere_points,
     norm,
+    reference,
     sphere_size,
     vadd,
     vscale,
@@ -75,6 +76,7 @@ def test_spread_matches_brute_force_formula():
     # Independent check against the defining formula evaluated naively.
     rng = random.Random(3)
     for fd in (F5, F7, F9):
+        F = reference(fd)
         for _ in range(300):
             a, b, c = (
                 tuple(rng.randrange(fd.q) for _ in range(2)) for _ in range(3)
@@ -86,7 +88,7 @@ def test_spread_matches_brute_force_formula():
                 assert spread(fd, a, b, c) is None
             else:
                 duv = dot(fd, u, v)
-                expect = fd.sub(1, fd.mul(fd.mul(duv, duv), fd.inv(fd.mul(nu, nv))))
+                expect = F.sub(1, F.mul(F.mul(duv, duv), F.inv(F.mul(nu, nv))))
                 assert spread(fd, a, b, c) == expect
 
 
@@ -182,6 +184,7 @@ def test_k2_equals_spread_exhaustively_on_f3_plane():
 
 def permutation_det(fd, m):
     """det(m) as the signed sum over permutations of products of entries."""
+    F = reference(fd)
     n = len(m)
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -199,8 +202,8 @@ def permutation_det(fd, m):
             par += clen - 1
         term = 1
         for i in range(n):
-            term = fd.mul(term, m[i][perm[i]])
-        total = fd.add(total, fd.neg(term) if par % 2 else term)
+            term = F.mul(term, m[i][perm[i]])
+        total = F.add(total, F.neg(term) if par % 2 else term)
     return total
 
 
@@ -277,6 +280,7 @@ def test_rank_matches_naive_rank():
     # are combinations of earlier rows.
     rng = random.Random(11)
     for fd in (F5, F7, F9):
+        F = reference(fd)
         for _ in range(150):
             k, d = rng.randint(1, 4), rng.randint(1, 5)
             rows = [[rng.randrange(fd.q) for _ in range(d)] for _ in range(k)]
@@ -287,7 +291,7 @@ def test_rank_matches_naive_rank():
             for i in range(1, k):
                 if rng.random() < 0.3:
                     a, b = rng.randrange(fd.q), rng.randrange(fd.q)
-                    rows[i] = [fd.add(fd.mul(a, x), fd.mul(b, y)) for x, y in zip(rows[0], rows[i - 1])]
+                    rows[i] = [F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(rows[0], rows[i - 1])]
             rows = [tuple(row) for row in rows]
             assert geom.rank(fd, rows) == naive_rank(fd, rows), (fd, rows)
 
@@ -295,7 +299,7 @@ def test_rank_matches_naive_rank():
 def test_line_through_examples():
     assert line_through(F5, (0, 0), (2, 4)) == CanonLine((0, 0), (1, 2))
     assert line_through(F5, (1, 1), (1, 3)) == CanonLine((1, 0), (0, 1))
-    with pytest.raises(errors.IdenticalPoints):
+    with pytest.raises(ValueError):
         line_through(F5, (2, 2), (2, 2))
 
 
