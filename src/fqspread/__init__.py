@@ -14,7 +14,6 @@ from .census import (
     collision_count,
     distinct_distances,
     distinct_spreads,
-    random_projection,
     search_iso_triple,
     spanned_lines,
     sphere_equiv_check,
@@ -23,15 +22,7 @@ from .census import (
 from .construct import con1_set, con2_set, iso_family_1mod4, iso_family_3mod4, span
 from .expt import ExperimentReport, acceptance_suite
 from .ff import Field, parse_field
-from .geom import (
-    PointSet,
-    dot,
-    k_spread,
-    norm,
-    random_orthogonal,
-    sphere_points,
-    spread,
-)
+from .geom import PointSet, k_spread, sphere_points, spread
 
 __all__ = [
     "DistanceCensus",
@@ -48,7 +39,6 @@ __all__ = [
     "construct",
     "distinct_distances",
     "distinct_spreads",
-    "dot",
     "errors",
     "expt",
     "ff",
@@ -56,10 +46,7 @@ __all__ = [
     "iso_family_1mod4",
     "iso_family_3mod4",
     "k_spread",
-    "norm",
     "parse_field",
-    "random_orthogonal",
-    "random_projection",
     "search_iso_triple",
     "span",
     "spanned_lines",

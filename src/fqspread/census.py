@@ -35,10 +35,10 @@ to elements, -1 where an arm norm is 0.  The order-k spread
 ``geom.arm_k_spreads`` lives beside it.  The isotropic-triple search builds
 its orthogonality masks lazily, a block of rows on first use, and checks
 independence by batched ``geom.eliminate`` calls over blocks of candidate
-triples.  Seeded projections are ranked one ``geom.eliminate`` call per
-round of rejection sampling over all their seeds, and their images are
-counted from one ``Field.log_dot``; no census makes a scalar geometry call
-per case.
+triples.  ``random_projections`` ranks the projections of all its seeds
+in one ``geom.eliminate`` call per round of rejection sampling, and their
+images are counted from one ``Field.log_dot``; no census makes a scalar
+geometry call per case.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
@@ -401,17 +401,12 @@ def line_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_PAIR_BUD
 # -- random projections ----------------------------------------------------------
 
 
-def random_projection(fd: ff.Field, d: int, k: int, seed: int) -> geom.Matrix:
-    """Seeded uniform k x d matrix, rejection-sampled until it has rank k;
-    returns its k rows."""
-    return random_projections(fd, d, k, [seed])[0]
-
-
 def random_projections(fd: ff.Field, d: int, k: int, seeds: Sequence[int]) -> list[geom.Matrix]:
-    """``random_projection`` for each seed: each draws from its own
-    ``random.Random(seed)``, k rows of d values below q per sample, until a
-    sample has rank k.  Each round ranks the pending samples in one
-    ``geom.eliminate`` call, and only the rank-deficient ones draw again."""
+    """Per seed, the k rows of a uniform k x d matrix of rank k: each seed
+    draws from its own ``random.Random(seed)``, k rows of d values below q
+    per sample, until a sample has rank k.  Each round ranks the pending
+    samples in one ``geom.eliminate`` call, and only the rank-deficient
+    ones draw again."""
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k = {k}, d = {d}")
     rngs = [random.Random(seed) for seed in seeds]
@@ -584,8 +579,12 @@ def sphere_equiv_check(
         for i in np.flatnonzero(bad.any(axis=1)[inverse])
         for j in np.flatnonzero(bad[inverse[i]][inverse])
     )
-    pairs = list(itertools.product(sph.points, repeat=2))  # by flat index a * m + b
-    violations = [pairs[i] + pairs[j] for i, j in itertools.islice(quads, _MAX_VIOLATIONS)]
+
+    def pair(i):  # origin pair (a, b) by its flat index a * m + b
+        a, b = divmod(int(i), m)
+        return sph.points[a], sph.points[b]
+
+    violations = [(*pair(i), *pair(j)) for i, j in itertools.islice(quads, _MAX_VIOLATIONS)]
     checked = int(counts[defined].sum()) ** 2
     return EquivReport(
         quadruples_checked=checked,

@@ -1,5 +1,10 @@
 """Command-line front end.
 
+A command accepts only the flags it reads, but for ``census --workers``
+(accepted and ignored) and the flags that ``census`` and ``construct``
+share across their kinds.  Each experiment kind's parser and call come
+from its ``_EXPERIMENTS`` entry.
+
 Identical invocations print identical bytes to stdout, with one exception:
 census reports carry an ``elapsed_ms`` timing field.  Domain errors print
 their machine-parsable code alone on the first stderr line, then a detail
@@ -89,13 +94,40 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _common(parser: argparse.ArgumentParser, env: dict, field: bool = True) -> None:
-    if field:
-        parser.add_argument("--field", required=True, help='field spec "p^r", e.g. 5^1 or 3^2')
-    parser.add_argument("--seed", type=int, default=env["seed"])
-    parser.add_argument("--budget", type=int, default=env["budget"])
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", type=_path, default="-", help="output path (default stdout)")
+# Each experiment kind's run_* function and the parameters it takes besides
+# the field and the budget; each is filled from the flag of that dest.
+_EXPERIMENTS = {
+    "bode": (expt.run_bode, ("trials", "seed", "full_plane")),
+    "threshold": (expt.run_threshold, ("d", "epsilon", "trials", "seed", "adversarial")),
+    "beck": (expt.run_beck, ("d", "epsilon", "trials", "seed")),
+    "projection": (expt.run_projection, ("d", "k", "n_points", "trials", "seed")),
+    "constructions": (expt.run_constructions, ("d",)),
+    "sphere-distance": (expt.run_sphere_distance, ("d", "c", "trials", "seed")),
+    "sphere-equiv": (expt.run_sphere_equiv, ("d",)),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, env: dict, *dests: str) -> None:
+    """Add the flags of ``dests``, then --out, which every command reads."""
+    flags = {
+        "field": ("--field", dict(required=True, help='field spec "p^r", e.g. 5^1 or 3^2')),
+        "seed": ("--seed", dict(type=int, default=env["seed"])),
+        "budget": ("--budget", dict(type=int, default=env["budget"])),
+        "format": ("--format", dict(choices=("json", "csv"), default="json")),
+        "out": ("--out", dict(type=_path, default="-", help="output path (default stdout)")),
+        # experiments only: the other commands that take --d require it
+        "d": ("--d", dict(type=_dimension, default=2)),
+        "epsilon": ("--epsilon", dict(type=_rational, default="1", help="rational, e.g. 1, 1/2, 0.5")),
+        "c": ("--C", dict(dest="c", type=_rational, default="2", help="rational sphere-subset constant")),
+        "k": ("--k", dict(type=int, default=2, help="projection target dimension")),
+        "n_points": ("--n-points", dict(type=int, default=25)),
+        "trials": ("--trials", dict(type=_positive_int, default=100)),
+        "adversarial": ("--adversarial", dict(action="store_true")),
+        "full_plane": ("--full-plane", dict(action="store_true")),
+    }
+    for dest in (*dests, "out"):
+        flag, spec = flags[dest]
+        parser.add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,13 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     field_sub = p_field.add_subparsers(dest="subcommand", required=True)
     p_info = field_sub.add_parser("info", help="describe a field and its element encoding")
     p_info.set_defaults(func=_cmd_field_info)
-    _common(p_info, env)
+    _add_flags(p_info, env, "field")
 
     p_spread = sub.add_parser("spread", help="spread of one triple")
     spread_sub = p_spread.add_subparsers(dest="subcommand", required=True)
     p_eval = spread_sub.add_parser("eval")
     p_eval.set_defaults(func=_cmd_spread_eval)
-    _common(p_eval, env)
+    _add_flags(p_eval, env, "field")
     p_eval.add_argument("--d", type=_dimension, required=True)
     p_eval.add_argument("--apex", required=True, help="comma-separated element indices")
     p_eval.add_argument("--b", required=True)
@@ -127,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_keval = kspread_sub.add_parser("eval")
     p_keval.set_defaults(func=_cmd_kspread_eval)
     p_keval.add_argument("--points", type=_path, required=True, help="point-set file of k+1 points")
-    _common(p_keval, env, field=False)
+    _add_flags(p_keval, env, "budget")
 
     p_con = sub.add_parser("construct", help="emit extremal point sets")
     p_con.set_defaults(func=_cmd_construct)
     p_con.add_argument("kind", choices=("con1", "con2", "iso"))
-    _common(p_con, env)
+    _add_flags(p_con, env, "field", "budget")
     p_con.add_argument("--d", type=_dimension, required=True)
 
     p_cen = sub.add_parser("census", help="exhaustive counts over a point file")
@@ -141,34 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--points", type=_path, required=True)
     p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
     p_cen.add_argument("--workers", type=_positive_int, default=1, help="accepted and ignored")
-    _common(p_cen, env, field=False)
+    _add_flags(p_cen, env, "budget", "format")
 
     p_search = sub.add_parser("search", help="exhaustive searches")
     search_sub = p_search.add_subparsers(dest="subcommand", required=True)
     p_iso = search_sub.add_parser("iso-triple")
     p_iso.set_defaults(func=_cmd_search)
-    _common(p_iso, env)
+    _add_flags(p_iso, env, "field", "budget", "format")
     p_iso.add_argument("--d", type=_dimension, required=True)
 
     p_sphere = sub.add_parser("sphere", help="enumerate a sphere |x| = t")
     p_sphere.set_defaults(func=_cmd_sphere)
-    _common(p_sphere, env)
+    _add_flags(p_sphere, env, "field", "budget")
     p_sphere.add_argument("--d", type=_dimension, required=True)
     p_sphere.add_argument("--t", type=int, required=True)
 
     p_expt = sub.add_parser("experiment", help="seeded experiments with pass/fail verdicts")
-    p_expt.set_defaults(func=_cmd_experiment)
-    p_expt.add_argument("kind", choices=(*_EXPERIMENTS, "all"))
-    _common(p_expt, env, field=False)
-    p_expt.add_argument("--field", help='field spec "p^r"; required except for `all`')
-    p_expt.add_argument("--d", type=_dimension, default=2)
-    p_expt.add_argument("--epsilon", type=_rational, default="1", help="rational, e.g. 1, 1/2, 0.5")
-    p_expt.add_argument("--C", type=_rational, default="2", help="rational sphere-subset constant")
-    p_expt.add_argument("--k", type=int, default=2, help="projection target dimension")
-    p_expt.add_argument("--n-points", type=int, default=25)
-    p_expt.add_argument("--trials", type=_positive_int, default=100)
-    p_expt.add_argument("--adversarial", action="store_true")
-    p_expt.add_argument("--full-plane", action="store_true")
+    expt_sub = p_expt.add_subparsers(dest="kind", required=True)
+    for kind, (_, params) in _EXPERIMENTS.items():
+        p_kind = expt_sub.add_parser(kind)
+        p_kind.set_defaults(func=_cmd_experiment)
+        _add_flags(p_kind, env, "field", *params, "budget", "format")
+    p_all = expt_sub.add_parser("all", help="the full acceptance battery")
+    p_all.set_defaults(func=_cmd_experiment_all)
+    _add_flags(p_all, env, "seed", "budget", "format")
     return top
 
 
@@ -301,40 +329,23 @@ def _report_csv(reports) -> str:
     return buf.getvalue()
 
 
-_EXPERIMENTS = {
-    "bode": lambda fd, a: expt.run_bode(fd, a.trials, a.seed, full_plane=a.full_plane, budget=a.budget),
-    "threshold": lambda fd, a: expt.run_threshold(
-        fd, a.d, a.epsilon, a.trials, a.seed, adversarial=a.adversarial, budget=a.budget
-    ),
-    "beck": lambda fd, a: expt.run_beck(fd, a.d, a.epsilon, a.trials, a.seed, budget=a.budget),
-    "projection": lambda fd, a: expt.run_projection(fd, a.d, a.k, a.n_points, a.trials, a.seed, budget=a.budget),
-    "constructions": lambda fd, a: expt.run_constructions(fd, a.d, budget=a.budget),
-    "sphere-distance": lambda fd, a: expt.run_sphere_distance(fd, a.d, a.C, a.trials, a.seed, budget=a.budget),
-    "sphere-equiv": lambda fd, a: expt.run_sphere_equiv(fd, a.d, budget=a.budget),
-}
-
-
 def _cmd_experiment(args) -> int:
-    kind = args.kind
-    if kind == "all":
-        reports = expt.acceptance_suite(seed=args.seed, budget=args.budget)
-        for rep in reports:
-            tag = rep.params.get("field", "-")
-            print(f"{rep.verdict.upper():4s} {rep.name} field={tag}", file=sys.stderr)
-        payload = json.dumps([r.as_dict() for r in reports], sort_keys=True, indent=2) + "\n"
-        if args.format == "csv":
-            payload = _report_csv(reports)
-        _emit(args, payload)
-        return 0 if all(r.passed for r in reports) else 1
-    if not args.field:
-        print("usage error: --field is required for this experiment", file=sys.stderr)
-        return 2
-    rep = _EXPERIMENTS[kind](ff.parse_field(args.field), args)
-    if args.format == "csv":
-        _emit(args, _report_csv([rep]))
-    else:
-        _emit(args, rep.to_json() + "\n")
+    run, params = _EXPERIMENTS[args.kind]
+    rep = run(ff.parse_field(args.field), **{p: getattr(args, p) for p in params}, budget=args.budget)
+    _emit(args, _report_csv([rep]) if args.format == "csv" else rep.to_json() + "\n")
     return 0 if rep.passed else 1
+
+
+def _cmd_experiment_all(args) -> int:
+    reports = expt.acceptance_suite(seed=args.seed, budget=args.budget)
+    for rep in reports:
+        tag = rep.params.get("field", "-")
+        print(f"{rep.verdict.upper():4s} {rep.name} field={tag}", file=sys.stderr)
+    if args.format == "csv":
+        _emit(args, _report_csv(reports))
+    else:
+        _emit(args, json.dumps([r.as_dict() for r in reports], sort_keys=True, indent=2) + "\n")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def main(argv=None) -> int:

@@ -635,9 +635,13 @@ def suite_reproducibility(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET)
     second = run_bode(fd3, 5, seed, budget=budget).to_json()
     json_ok = first == second
     ps = construct.con2_set(ff.Field(5), 3, budget)
-    # The census runs on one thread; the worker-count key and claim keep
-    # their names so the seeded battery JSON stays byte-identical.
-    census_ok = census.distinct_spreads(ps, budget) == census.distinct_spreads(ps, budget)
+    # One census of the set alone against a stack of the set in its own and
+    # in reverse point order.  The census runs on one thread; the
+    # worker-count key and claim keep their names so the seeded battery
+    # JSON stays byte-identical.
+    reversed_ps = geom.PointSet(ps.field, ps.dim, ps.points[::-1])
+    alone = census.distinct_spreads(ps, budget)
+    census_ok = census.spread_censuses([ps, reversed_ps], budget) == [alone, alone]
     ok = json_ok and census_ok
     return ExperimentReport(
         name="reproducibility",

@@ -11,9 +11,9 @@ time, every inner product by ``Field.log_dot``: ``arm_spreads`` gives
 spreads by one gather, ``arm_k_spreads`` order-k spreads from Gram
 matrices, ``eliminate`` is the one forward Gaussian elimination, and
 ``random_orthogonals`` multiplies the reflections of many seeds at once.
-``dot``, ``norm``, ``spread``, ``k_spread``, ``rank`` and
-``random_orthogonal`` are their one-case calls on tuples.  ``index_blocks``
-enumerates F_q^d in blocks, behind spheres and ``construct.span``.
+``spread``, ``k_spread`` and ``rank`` are their one-case calls on tuples.
+``index_blocks`` enumerates F_q^d in blocks, behind spheres and
+``construct.span``.
 """
 
 from __future__ import annotations
@@ -43,22 +43,6 @@ DEFAULT_ENUM_BUDGET = 10**8
 
 def format_spread(s: SpreadValue) -> str:
     return "Undefined" if s is None else f"Value({s})"
-
-
-# -- vector helpers --------------------------------------------------------------
-
-
-def dot(fd: ff.Field, u: Vec, v: Vec) -> int:
-    """u.v: one case of ``Field.log_dot``; 0 for empty vectors."""
-    _check_dims(u, v)
-    if not u:
-        return 0
-    x, y = fd.log[np.array([u, v], dtype=np.int64)]
-    return int(fd.exp[fd.log_dot(x, y)])
-
-
-def norm(fd: ff.Field, v: Vec) -> int:
-    return dot(fd, v, v)
 
 
 def _check_dims(u: Sequence, v: Sequence) -> None:
@@ -211,9 +195,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PointSet)
@@ -316,11 +297,6 @@ def sphere_blocks(fd: ff.Field, d: int, t: int) -> Iterator[np.ndarray]:
 # -- orthogonal matrices -----------------------------------------------------------
 
 Matrix = tuple[Vec, ...]
-
-
-def random_orthogonal(fd: ff.Field, d: int, seed: int) -> Matrix:
-    """One seed's ``random_orthogonals``."""
-    return random_orthogonals(fd, d, [seed])[0]
 
 
 def random_orthogonals(fd: ff.Field, d: int, seeds: Sequence[int]) -> list[Matrix]:

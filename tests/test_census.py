@@ -27,7 +27,6 @@ from fqspread.census import (
     collision_count,
     distinct_distances,
     distinct_spreads,
-    random_projection,
     search_iso_triple,
     spanned_lines,
     sphere_equiv_check,
@@ -477,7 +476,7 @@ def test_distinct_spreads_four_digit_prime_field():
 def test_census_rigid_motion_invariance():
     ps = random_pointset(F5, 2, 10, 7)
     base = distinct_spreads(ps).defined_values
-    m = geom.random_orthogonal(F5, 2, 3)
+    (m,) = geom.random_orthogonals(F5, 2, [3])
     z = (2, 4)
     moved = PointSet(
         F5, 2, [vadd(F5, mat_vec(F5, m, p), z) for p in ps.points]
@@ -644,15 +643,15 @@ def test_origin_pinned_occurrences_follow_pair_scaling_band():
 
 
 def test_random_projection_shape_rank_determinism():
-    proj = random_projection(F5, 4, 2, 7)
+    proj, again, other = census.random_projections(F5, 4, 2, [7, 7, 8])
     assert len(proj) == 2 and all(len(row) == 4 for row in proj)
     assert geom.rank(F5, proj) == 2
-    assert proj == random_projection(F5, 4, 2, 7)
-    assert proj != random_projection(F5, 4, 2, 8)
+    assert proj == again
+    assert proj != other
     with pytest.raises(errors.DimensionMismatch):
-        random_projection(F5, 4, 5, 0)
+        census.random_projections(F5, 4, 5, [0])
     with pytest.raises(errors.DimensionMismatch):
-        random_projection(F5, 4, 0, 0)
+        census.random_projections(F5, 4, 0, [0])
 
 
 def naive_projection(fd, d, k, seed):
@@ -670,7 +669,7 @@ def test_random_projections_match_per_seed(fd, d, k):
     batched = census.random_projections(fd, d, k, seeds)
     want = [naive_projection(fd, d, k, seed) for seed in seeds]
     assert batched == [rows for rows, _ in want]
-    assert batched == [random_projection(fd, d, k, seed) for seed in seeds]
+    assert batched == [census.random_projections(fd, d, k, [seed])[0] for seed in seeds]
     if (fd, d, k) == (F3, 4, 4):  # a singular 4 x 4 over F_3 is common
         assert max(attempts for _, attempts in want) > 2
 
@@ -686,8 +685,7 @@ def test_random_projections_gives_up_after_1000_attempts(monkeypatch):
 
 def test_collision_count_injective_when_k_equals_d():
     ps = random_pointset(F5, 3, 20, 13)
-    for seed in range(10):
-        proj = random_projection(F5, 3, 3, seed)
+    for proj in census.random_projections(F5, 3, 3, range(10)):
         assert collision_count(ps, proj) == 0
         assert census.image_size(ps, proj) == len(ps)
 
@@ -696,8 +694,7 @@ def test_collision_count_injective_when_k_equals_d():
 def test_collision_count_matches_scalar_buckets(fd, d, k):
     # bucket every point by its scalar image, for seeded projections
     ps = random_points(fd, d, 60, fd.q)
-    for seed in range(5):
-        proj = random_projection(fd, d, k, seed)
+    for proj in census.random_projections(fd, d, k, range(5)):
         buckets = {}
         for p in ps.points:
             img = mat_vec(fd, proj, p)
@@ -707,7 +704,7 @@ def test_collision_count_matches_scalar_buckets(fd, d, k):
 
 
 def test_collision_count_detects_kernel_difference():
-    proj = random_projection(F5, 4, 2, 1)
+    (proj,) = census.random_projections(F5, 4, 2, [1])
     kernel_vec = next(
         v
         for v in itertools.product(range(5), repeat=4)

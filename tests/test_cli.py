@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -385,9 +386,10 @@ def test_stacked_census_mismatch_reports_its_code(capsys, monkeypatch):
 
 
 def test_experiment_requires_field_except_all(capsys):
-    code, _, err = run_cli(capsys, "experiment", "bode")
-    assert code == 2
-    assert "usage error" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "bode"])
+    assert exc.value.code == 2
+    assert "--field" in capsys.readouterr().err
 
 
 def test_experiment_all_runs_full_battery(capsys):
@@ -433,7 +435,7 @@ def test_experiment_has_no_workers_flag(capsys):
 @pytest.mark.parametrize("kind", ["bode", "projection"])
 def test_experiment_trials_below_one_is_usage_error(capsys, kind):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["experiment", kind, "--field", "5^1", "--d", "4", "--trials", "0"])
+        cli.main(["experiment", kind, "--field", "5^1", "--trials", "0"])
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
 
@@ -635,26 +637,34 @@ _FLAG_VALUES = {
     "--n-points": st.integers(-1, 30).map(str),
     "--trials": st.integers(0, 3).map(str),
 }
-_SWITCHES = ("--adversarial", "--full-plane")
-_COMMON = ("--seed", "--budget", "--format")
-_EXPERIMENT_FLAGS = ("--epsilon", "--C", "--k", "--n-points", "--trials") + _SWITCHES
-# (command words, required flags, optional flags)
-_COMMANDS = (
-    (("field", "info"), ("--field",), ()),
-    (("spread", "eval"), ("--field", "--d", "--apex", "--b", "--c"), ()),
-    (("kspread", "eval"), ("--points",), ()),
-    (("construct", "con1"), ("--field", "--d"), ()),
-    (("construct", "con2"), ("--field", "--d"), ()),
-    (("construct", "iso"), ("--field", "--d"), ()),
-    (("census", "spreads"), ("--points",), ("--workers",)),
-    (("census", "distances"), ("--points",), ()),
-    (("census", "lines"), ("--points",), ()),
-    (("census", "occurrences"), ("--points", "--gamma"), ("--workers",)),
-    (("search", "iso-triple"), ("--field", "--d"), ()),
-    (("sphere",), ("--field", "--d", "--t"), ()),
-) + tuple(
-    (("experiment", kind), ("--field",), ("--d",) + _EXPERIMENT_FLAGS)
-    for kind in ("bode", "threshold", "beck", "projection", "constructions", "sphere-distance", "sphere-equiv")
+
+
+def _walk(parser, words=()):
+    """(command words, {flag: action}) for every command the parser accepts;
+    a positional kind choice (``construct``, ``census``) is a word too."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if sub is not None:
+        for name, child in sub.choices.items():
+            yield from _walk(child, (*words, name))
+        return
+    flags = {a.option_strings[0]: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    kinds = [a.choices for a in parser._actions if not a.option_strings]
+    for kind in kinds[0] if kinds else [None]:
+        yield (*words, kind) if kind else words, flags
+
+
+_PARSED = list(_walk(cli.build_parser()))
+_SWITCHES = {f for _, flags in _PARSED for f, a in flags.items() if a.nargs == 0}
+# (command words, required flags, optional flags), every command but the
+# whole battery; --out is left out so that no arbitrary path is written
+_COMMANDS = tuple(
+    (
+        words,
+        tuple(f for f, a in flags.items() if a.required),
+        tuple(f for f, a in flags.items() if not a.required and f != "--out"),
+    )
+    for words, flags in _PARSED
+    if words != ("experiment", "all")
 )
 
 
@@ -663,7 +673,9 @@ def _argv(draw, point_files):
     """The required flags and some optional ones; at most one flag is left
     out and at most one gets an arbitrary string."""
     words, required, optional = draw(st.sampled_from(_COMMANDS))
-    flags = list(required) + draw(st.lists(st.sampled_from(optional + _COMMON), unique=True))
+    flags = list(required)
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), unique=True))
     dropped, garbled = (draw(st.one_of(st.none(), st.sampled_from(flags))) for _ in range(2))
     argv = list(words)
     for flag in flags:
@@ -716,3 +728,102 @@ def test_whole_argv_never_tracebacks(point_files, data):
         assert issubclass(getattr(errors, lines[0], type), errors.DomainError), argv
     elif code == 1:
         assert argv[0] == "experiment", argv
+
+
+# -- accepted flags against the flags each command reads ---------------------
+
+_CENSUS_KINDS = ("spreads", "distances", "lines", "occurrences")
+_NEVER_READ = (  # flags the parser accepted on these commands and nothing read
+    *[(("census", kind), ("--seed",)) for kind in _CENSUS_KINDS],
+    *[(("construct", kind), ("--seed", "--format")) for kind in ("con1", "con2", "iso")],
+    (("field", "info"), ("--seed", "--budget", "--format")),
+    (("spread", "eval"), ("--seed", "--budget", "--format")),
+    (("kspread", "eval"), ("--seed", "--format")),
+    (("search", "iso-triple"), ("--seed",)),
+    (("sphere",), ("--seed", "--format")),
+    (("experiment", "bode"), ("--d", "--epsilon", "--C", "--k", "--n-points", "--adversarial")),
+    (("experiment", "threshold"), ("--C", "--k", "--n-points", "--full-plane")),
+    (("experiment", "beck"), ("--C", "--k", "--n-points", "--adversarial", "--full-plane")),
+    (("experiment", "projection"), ("--epsilon", "--C", "--adversarial", "--full-plane")),
+    (("experiment", "sphere-distance"), ("--epsilon", "--k", "--n-points", "--adversarial", "--full-plane")),
+    *[
+        (("experiment", kind), ("--seed", "--epsilon", "--C", "--k", "--n-points", "--trials", "--adversarial", "--full-plane"))
+        for kind in ("constructions", "sphere-equiv")
+    ],
+    (("experiment", "all"), ("--field", "--d", "--epsilon", "--C", "--k", "--n-points", "--trials", "--adversarial", "--full-plane")),
+)
+_VALUES = {
+    "--field": "5", "--d": "3", "--points": "p.txt", "--apex": "0,0", "--b": "1,0", "--c": "0,1", "--t": "1",
+    "--seed": "0", "--budget": "10", "--format": "json", "--epsilon": "1", "--C": "2", "--k": "2",
+    "--n-points": "5", "--trials": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "words, flag",
+    [pytest.param(words, flag, id=" ".join((*words, flag))) for words, flags in _NEVER_READ for flag in flags],
+)
+def test_flag_nothing_reads_is_usage_error(capsys, words, flag):
+    # each was accepted and ignored: `experiment bode --d 3` ran on the plane
+    required = [x for f, a in dict(_PARSED)[words].items() if a.required for x in (f, _VALUES[f])]
+    extra = [flag] if flag in ("--adversarial", "--full-plane") else [flag, _VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*words, *required, *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+# One small run of every command, after its words.
+_SMALL_RUNS = {
+    ("field", "info"): ["--field", "5"],
+    ("spread", "eval"): ["--field", "5", "--d", "2", "--apex", "0,0", "--b", "1,0", "--c", "0,1"],
+    ("kspread", "eval"): ["--points", "SIMPLEX"],
+    ("construct", "con1"): ["--field", "5", "--d", "2"],
+    ("construct", "con2"): ["--field", "5", "--d", "3"],
+    ("construct", "iso"): ["--field", "3", "--d", "4"],
+    ("census", "occurrences"): ["--points", "POINTS", "--gamma", "0"],
+    **{("census", kind): ["--points", "POINTS"] for kind in ("spreads", "distances", "lines")},
+    ("search", "iso-triple"): ["--field", "3", "--d", "4"],
+    ("sphere",): ["--field", "5", "--d", "2", "--t", "1"],
+    ("experiment", "bode"): ["--field", "3", "--trials", "1"],
+    ("experiment", "threshold"): ["--field", "5", "--trials", "1"],
+    ("experiment", "beck"): ["--field", "3", "--trials", "1"],
+    ("experiment", "projection"): ["--field", "5", "--trials", "1"],
+    ("experiment", "constructions"): ["--field", "5", "--d", "3"],
+    ("experiment", "sphere-distance"): ["--field", "5", "--d", "3", "--trials", "1"],
+    ("experiment", "sphere-equiv"): ["--field", "5"],
+    ("experiment", "all"): [],
+}
+
+
+class _Reads:
+    """A parsed namespace that records the names a handler reads from it."""
+
+    def __init__(self, args):
+        self.__dict__.update(_args=args, names=set())
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._args, name)
+
+
+def test_every_accepted_flag_is_read_but_the_kept_ones(tmp_path, capsys):
+    # --workers stays accepted while the benchmark passes it; census and
+    # construct keep one parser each, so --gamma and construct iso --budget
+    # reach kinds that do not read them
+    files = {"POINTS": tmp_path / "p.txt", "SIMPLEX": tmp_path / "k.txt"}
+    PointSet(Field(5), 2, [(0, 0), (1, 0), (0, 1), (2, 3)]).save(files["POINTS"])
+    PointSet(Field(5), 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).save(files["SIMPLEX"])
+    assert set(_SMALL_RUNS) == {words for words, _ in _PARSED}
+    unread = set()
+    for words, flags in _PARSED:
+        argv = [str(files.get(a, a)) for a in _SMALL_RUNS[words]]
+        args = _Reads(cli.build_parser().parse_args([*words, *argv]))
+        assert args.func(args) in (0, 1), words
+        unread |= {(words, f) for f, a in flags.items() if a.dest not in args.names}
+    capsys.readouterr()
+    assert unread == {
+        *[(("census", kind), "--workers") for kind in _CENSUS_KINDS],
+        *[(("census", kind), "--gamma") for kind in ("spreads", "distances", "lines")],
+        (("construct", "iso"), "--budget"),
+    }

@@ -94,6 +94,26 @@ def test_report_json_reproducible():
     assert len(parsed["per_trial"]) == 10
 
 
+def test_reproducibility_census_sees_point_order(monkeypatch):
+    # a census kernel whose result depends on point order fails the check,
+    # which a census compared with itself could not see
+    kernel = census._spread_histograms
+
+    def order_dependent(fd, logs):
+        hist = kernel(fd, logs)
+        for row, first in zip(hist, logs[:, 0, 0]):  # each set's first coordinate, as a log
+            row[int(first) % fd.q] += 1
+            row[-1] -= 1
+        return hist
+
+    assert expt.suite_reproducibility(0).per_trial[0]["census_worker_independent"] is True
+    monkeypatch.setattr(census, "_spread_histograms", order_dependent)
+    rep = expt.suite_reproducibility(0)
+    assert rep.per_trial[0]["census_worker_independent"] is False
+    assert rep.per_trial[0]["json_identical"] is True
+    assert rep.verdict == "fail"
+
+
 def test_run_threshold_even_d():
     rep = run_threshold(F5, 4, Fraction(1, 2), 5, 0)
     assert rep.passed

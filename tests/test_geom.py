@@ -37,26 +37,25 @@ F9 = Field(3, 2)
 
 
 def test_dot_examples():
-    assert geom.dot(F5, (1, 2), (3, 4)) == 1
-    assert geom.dot(F5, (0, 0), (4, 1)) == 0
-    assert geom.dot(F5, (1, 2), (1, 2)) == 0  # isotropic vector
-    assert geom.dot(F5, (), ()) == 0
-    with pytest.raises(errors.DimensionMismatch):
-        geom.dot(F5, (1, 2), (1, 2, 3))
+    u = F5.log[np.array([(1, 2), (0, 0), (1, 2)])]
+    v = F5.log[np.array([(3, 4), (4, 1), (1, 2)])]
+    assert F5.exp[F5.log_dot(u, v)].tolist() == [1, 0, 0]  # (1, 2) is isotropic
 
 
 def test_norm_examples():
-    assert geom.norm(F5, (1, 2)) == 0
-    assert geom.norm(F5, (1, 0)) == 1
-    assert geom.norm(F3, (1, 1, 1)) == 0
+    u = F5.log[np.array([(1, 2), (1, 0)])]
+    assert F5.exp[F5.log_dot(u, u)].tolist() == [0, 1]
+    u = F3.log[np.array([1, 1, 1])]
+    assert F3.exp[F3.log_dot(u, u)] == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([F3, F5, F9, Field(5, 2)]), st.integers(1, 6), st.data())
 def test_dot_and_norm_match_scalar_oracle(fd, d, data):
     u, v = (tuple(data.draw(st.lists(st.integers(0, fd.q - 1), min_size=d, max_size=d))) for _ in range(2))
-    assert geom.dot(fd, u, v) == dot(fd, u, v)
-    assert geom.norm(fd, u) == norm(fd, u)
+    x, y = fd.log[np.array([u, v])]
+    assert fd.exp[fd.log_dot(x, y)] == dot(fd, u, v)
+    assert fd.exp[fd.log_dot(x, x)] == norm(fd, u)
 
 
 def test_dist_examples():
@@ -106,8 +105,7 @@ def test_spread_symmetry_and_scaling(coords, r, s):
 def test_spread_rigid_motion_invariance():
     rng = random.Random(11)
     for fd in (F5, F9):
-        for trial in range(40):
-            m = geom.random_orthogonal(fd, 3, trial)
+        for m in geom.random_orthogonals(fd, 3, range(40)):
             z = tuple(rng.randrange(fd.q) for _ in range(3))
             pts = [tuple(rng.randrange(fd.q) for _ in range(3)) for _ in range(3)]
             moved = [vadd(fd, mat_vec(fd, m, p), z) for p in pts]
@@ -411,12 +409,11 @@ def test_pinned_spread_separates_lines_up_to_reflection():
 def test_random_orthogonal_properties():
     for fd in (F5, F9):
         for d in (1, 2, 3):
-            for seed in range(8):
-                m = geom.random_orthogonal(fd, d, seed)
+            for m in geom.random_orthogonals(fd, d, range(8)):
                 assert is_orthogonal(fd, m)
                 if d == 1:
                     assert m[0][0] in (1, fd.neg(1))
-    assert geom.random_orthogonal(F5, 2, 42) == geom.random_orthogonal(F5, 2, 42)
+    assert geom.random_orthogonals(F5, 2, [42]) == geom.random_orthogonals(F5, 2, [42])
 
 
 @pytest.mark.parametrize("field", expt.PROPERTY_FIELDS)
@@ -434,13 +431,11 @@ def test_random_orthogonal_rejects_dimension_below_one(d):
     # the empty vector's norm is 0, so a redraw loop would never end
     with pytest.raises(errors.BadDimension):
         geom.random_orthogonals(F5, d, [0, 1])
-    with pytest.raises(errors.BadDimension):
-        geom.random_orthogonal(F5, d, 0)
 
 
 def test_random_orthogonal_preserves_norm():
     rng = random.Random(0)
-    m = geom.random_orthogonal(F7, 3, 5)
+    (m,) = geom.random_orthogonals(F7, 3, [5])
     for _ in range(50):
         v = tuple(rng.randrange(7) for _ in range(3))
         assert norm(F7, mat_vec(F7, m, v)) == norm(F7, v)
