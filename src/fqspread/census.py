@@ -21,13 +21,17 @@ The spread of two classes does not depend on the apex either, and the
 arms from all n apexes fall into at most (q^d-1)/(q-1) classes.  So when
 the apexes of a window share their classes, the spread and occurrence
 censuses evaluate each class pair once per window, in one class spread
-table that the apexes read by class id; otherwise each apex gets a table
-of its own classes (``_spread_histograms`` gives the rule and the memory
-bound).  The class pairs of a window are added in chunks of about
-_BLOCK_CELLS cells, one ``np.add.at`` each, to one exact int64 histogram
-per set of the spreads of all its ordered triples, undefined ones in its
-last slot.  It is swept on the calling thread: split over threads, each
-would build its own tables.
+table; otherwise each apex evaluates its own class pairs.  Each window
+takes one of three paths, chosen by one inequality with one constant,
+_GRAM_RATIO (``_spread_histograms`` gives the rule, how it was measured
+and the memory bounds): with a shared table, the Gram path multiplies
+each set's integer matrix of class multiplicities by its transpose and
+adds the products by table value, or each apex gathers its unordered
+class pairs from the table by class id; without one, each apex gathers
+its unordered class pairs from ``geom.arm_spreads``.  Every path adds to
+one exact int64 histogram per set of the spreads of all its ordered
+triples, undefined ones in its last slot.  It is swept on the calling
+thread: split over threads, each would build its own tables.
 
 The class spread tables and the sphere check's origin-pair spreads come
 from ``geom.arm_spreads``, the package's one batched spread: arms in logs
@@ -170,22 +174,49 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     """Exact int64 spread histograms (S, q + 1) of all ordered triples of
     each of the S sets of logs (S, n, d).
 
-    Each apex with k classes reads a k x k block of class spreads.  Arms
-    from classes c and c' form mult[c] * mult[c'] ordered pairs, less the
-    pairs of one arm with itself on the diagonal; two arms of one class
-    have the spread on the class diagonal (0, or undefined when isotropic).
+    An apex whose arms fall into k classes with multiplicities m counts
+    its unordered class pairs: c != c' give 2 m_c m_c' ordered arm pairs,
+    and c = c' gives the m_c (m_c - 1) pairs of two arms of one class,
+    whose spread is on the class diagonal (0, or undefined when isotropic).
 
     The blocks of apex rows from ``_apex_classes`` are buffered into
-    windows of about _WINDOW_CELLS class representative coordinates.  When
-    a window's class union u has u^2 at most both the sum of its apexes'
-    k^2 and _TABLE_CELLS, one u x u table serves the window and each apex
-    gathers its block by class id; otherwise each apex builds a table of
-    its own classes, padded to the most classes on a row of its block.  So
-    a set whose apexes share no classes gets a table per apex.  Memory
-    beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
+    windows of about _WINDOW_CELLS class representative coordinates.  Let
+    a window have rows apex rows, k classes on each and u in all.
+    ``_add_window`` takes one of three paths:
+
+    - when u^2 is at most both sum k^2 and _TABLE_CELLS, one u x u class
+      spread table serves the window; then
+      - if rows * u^2 <= _GRAM_RATIO * sum k (k + 1) / 2, the Gram path:
+        per set s, M_s (its rows in the window, u) holds each row's
+        multiplicities by class id, G_s = M_s^T M_s less M_s's column sums
+        on its diagonal counts the ordered arm pairs of every class pair,
+        and G_s is added to the histogram by table value;
+      - otherwise each apex gathers its pairs c <= c' from the table;
+    - otherwise each apex gathers its pairs c <= c' from
+      ``geom.arm_spreads`` on its class representatives.
+
+    So a set whose apexes share no classes gets no table.  The rule weighs
+    the rows * u^2 multiply-adds of the integer product against the
+    gather's sum k (k + 1) / 2 pairs.  It was measured in-process on 2
+    cores (numpy 2.4) by timing windows with either path forced, on random
+    subsets of F_q^d of 40 to 500 points with u from 32 to 757: the Gram
+    path won by 1.2-4.7x wherever rows * u^2 / (sum k (k + 1) / 2) was at
+    most 15, broke even at 18-30 and lost by 1.6x at 37.  _GRAM_RATIO = 8
+    stays under half the break-even.
+
+    Memory beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
     coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
-    built in row blocks of about _BLOCK_CELLS cells; the class pairs are
-    added in chunks of about _BLOCK_CELLS cells, or one apex's k^2.
+    built in row blocks of about _BLOCK_CELLS cells.  The gather goes in
+    tiles of about _BLOCK_CELLS / 2 cells, or one row of class positions of
+    a block.  The Gram path multiplies batches of sets of about
+    _BLOCK_CELLS cells of M and G, or one set: G_s and its histogram
+    indices are u x u int64, at most _TABLE_CELLS cells each, and as
+    k <= u the rule bounds M by rows * u <= _GRAM_RATIO * sum (k + 1) / 2
+    cells, a small multiple of the window's multiplicity cells.
+
+    Every count is exact int64: a Gram entry sums products of two
+    multiplicities below n over at most n rows, so it stays below n^3, as
+    does every histogram slot, and the triple gate has admitted n^3.
     """
     hist = np.zeros(len(logs) * (fd.q + 1), dtype=np.int64)
     window: list = []
@@ -209,11 +240,17 @@ _BLOCK_CELLS = 1 << 16
 _WINDOW_CELLS = 1 << 19
 # The most cells in one class spread table shared by a window of apexes.
 _TABLE_CELLS = 1 << 21
+# A shared-table window takes the Gram path when its rows * u^2
+# multiply-adds are at most this many times its sum k (k + 1) / 2 gathered
+# class pairs (see _spread_histograms).
+_GRAM_RATIO = 8
 
 
 def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray) -> None:
     """Add the triples at a window of blocks of apex rows, (first row, mult,
-    reps) per block, to hist, q + 1 slots per set of n apex rows."""
+    reps) per block, to hist, q + 1 slots per set of n apex rows, by the
+    Gram path or a gather from a shared or per-apex table, whichever
+    ``_spread_histograms``'s rule picks."""
     d = window[0][2].shape[2]
     all_reps = np.concatenate([r.reshape(-1, d) for _, _, r in window])
     # ids: window-wide class ids; first: the first row of each class
@@ -222,42 +259,118 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray) -> None:
     )
     ids = ids.ravel()  # shaped like its input on some numpy versions
     u = len(first)
-    per_apex = sum(int((np.count_nonzero(mult, axis=1) ** 2).sum()) for _, mult, _ in window)
+    k = np.concatenate([np.count_nonzero(mult, axis=1) for _, mult, _ in window])
     table = None
-    if u * u <= min(per_apex, _TABLE_CELLS):
-        table = _class_table(fd, all_reps[first]).ravel()
+    if u * u <= min(int((k * k).sum()), _TABLE_CELLS):
+        table = _class_table(fd, all_reps[first])
+        if 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
+            _add_gram(fd, n, window, ids, table, hist)
+            return
+    _add_pairs(fd, n, window, ids, table, hist)
+
+
+def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.ndarray, hist: np.ndarray) -> None:
+    """The Gram path of ``_add_window``.  Row r of M_s (rows, u) holds the
+    multiplicities of apex row r of set s by class id, so G_s = M_s^T M_s
+    counts the arm pairs of every class pair; less M_s's column sums on its
+    diagonal (each arm with itself), G_s is added to set s's slots by table
+    value.  G is additive over rows, so a set straddling windows adds the
+    partial G of each.  Each set's rows in the window are padded to the
+    most any set has there, and the sets are multiplied in batches of
+    about _BLOCK_CELLS cells of M and G, or one set."""
+    u = len(table)
+    lo, hi = window[0][0], window[-1][0] + len(window[-1][1])
+    # the window's nonzero multiplicities in row order, each with its row
+    # and class id; padding repeats class 0 of its row with multiplicity 0
+    row, cls, mult, at = [], [], [], 0
+    for b, m, _ in window:
+        r, c = np.nonzero(m)
+        row.append(b + r)
+        cls.append(ids[at : at + m.size].reshape(m.shape)[r, c])
+        mult.append(m[r, c])
+        at += m.size
+    row, cls, mult = (np.concatenate(x) for x in (row, cls, mult))
+    # the window's rows of set s0 + j are start[j], start[j] + 1, ...
+    s0, count = lo // n, (hi - 1) // n - lo // n + 1
+    start = np.maximum(np.arange(s0, s0 + count) * n, lo)
+    most = int(np.diff(start, append=hi).max())
+    step = max(1, _BLOCK_CELLS // (most * u + u * u))
+    for s in range(0, count, step):
+        sets = min(step, count - s)
+        a, b = np.searchsorted(row, [start[s], (s0 + s + sets) * n])
+        j = row[a:b] // n - s0
+        mt = np.zeros(sets * u * most, dtype=np.int64)  # M^T of each set
+        mt[((j - s) * u + cls[a:b]) * most + row[a:b] - start[j]] = mult[a:b]
+        mt = mt.reshape(sets, u, most)
+        # one batched integer product; einsum reads both factors along
+        # their contiguous rows, ~1.7x np.matmul's M^T M at u = 651
+        gram = np.einsum("sir,sjr->sij", mt, mt).reshape(sets, u * u)
+        gram[:, :: u + 1] -= mt.sum(axis=2)
+        slot = (np.arange(sets) * (fd.q + 1))[:, None] + table.ravel()
+        np.add.at(hist[(s0 + s) * (fd.q + 1) :], slot.ravel(), gram.ravel())
+
+
+def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[np.ndarray], hist: np.ndarray) -> None:
+    """The gather path of ``_add_window``: each apex row visits its class
+    pairs c <= c', m_c (m_c - 1) ordered arm pairs on the diagonal and
+    2 m_c m_c' off it, and reads their spreads from the window's table by
+    class id or, without one, from ``geom.arm_spreads`` on its class
+    representatives.
+
+    A block's pairs go in tiles over all its rows at once: class positions
+    a0 <= c < a1 against c' >= a0, as broadcast slices with no index array,
+    so ``arm_spreads`` takes each representative's norm once per tile.  A
+    tile has about _BLOCK_CELLS / 2 cells, or a block's rows x 1 x k, and
+    spans at most a quarter of its c' positions, so under an eighth of its
+    cells (c' < c, weight 0) hold no pair.  Its histogram indices and
+    weights go through two buffers kept for the window: a fresh array per
+    tile costs page faults."""
+    cells = max(_BLOCK_CELLS // 2, max(m.size for _, m, _ in window))
+    idx, weight = np.empty((2, cells), dtype=np.int64)
+    if table is not None:
+        u, spreads = len(table), np.empty(cells, dtype=table.dtype)
     at = 0
     for lo, mult, reps in window:
         rows, width = mult.shape
         cid = ids[at : at + mult.size].reshape(mult.shape)
         at += mult.size
-        step = max(1, _BLOCK_CELLS // (width * width))
-        for c in range(0, rows, step):
-            m = mult[c : c + step]
+        slot = (np.arange(lo, lo + rows) // n * (fd.q + 1))[:, None, None]
+        a0 = 0
+        while a0 < width:
+            c = width - a0  # the tile's c' positions
+            a1 = a0 + max(1, min(cells // (rows * c), c // 4))
+            x = idx[: rows * (a1 - a0) * c].reshape(rows, a1 - a0, c)
+            w = weight[: x.size].reshape(x.shape)
             if table is None:
-                spreads = _class_table(fd, reps[c : c + step])
+                s = geom.arm_spreads(fd, reps[:, a0:a1, None], reps[:, None, a0:])
+                s[s < 0] = fd.q
             else:
-                i = cid[c : c + step]
-                spreads = table.take(i[:, :, None] * u + i[:, None, :])
-            pairs = m[:, :, None] * m[:, None, :]
-            pairs.reshape(len(m), -1)[:, :: width + 1] -= m  # the diagonals
-            slot = (np.arange(lo + c, lo + c + len(m)) // n * (fd.q + 1))[:, None, None]
-            np.add.at(hist, (spreads + slot).ravel(), pairs.ravel())
+                np.add(cid[:, a0:a1, None] * u, cid[:, None, a0:], out=x)
+                # every index is in range; in "raise" mode take would buffer
+                s = table.take(x, out=spreads[: x.size].reshape(x.shape), mode="clip")
+            np.add(s, slot, out=x)
+            # pairs per m_c m_c': 2 past the diagonal, 1 on it, 0 before it
+            np.multiply(mult[:, a0:a1, None], mult[:, None, a0:], out=w)
+            j, t = np.arange(c), np.arange(a1 - a0)[:, None]
+            w *= 1 * (j >= t) + (j > t)
+            w.reshape(rows, -1)[:, :: c + 1][:, : a1 - a0] -= mult[:, a0:a1]  # an arm with itself
+            np.add.at(hist, x.ravel(), w.ravel())
+            a0 = a1
 
 
 def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
-    """The spreads of all pairs of class representatives along the last
-    but one axis of reps (..., u, d; logs), shape (..., u, u), with q where
-    undefined: int16 while q < 2^15, else int32.  The spread is symmetric,
-    so each block of rows is evaluated from its diagonal on and mirrored;
-    the blocks keep temporaries near _BLOCK_CELLS cells."""
-    *lead, u, _ = reps.shape
-    table = np.empty((*lead, u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
-    step = max(1, _BLOCK_CELLS * u // table.size)
+    """The spreads of all pairs of the u class representatives reps (u, d;
+    logs), shape (u, u), with q where undefined: int16 while q < 2^15, else
+    int32.  The spread is symmetric, so each block of rows is evaluated
+    from its diagonal on and mirrored; the blocks keep temporaries near
+    _BLOCK_CELLS cells."""
+    u = len(reps)
+    table = np.empty((u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
+    step = max(1, _BLOCK_CELLS // u)
     for lo in range(0, u, step):
-        rows = table[..., lo : lo + step, lo:]
-        rows[...] = geom.arm_spreads(fd, reps[..., lo : lo + step, None, :], reps[..., None, lo:, :])
-        table[..., lo:, lo : lo + step] = rows.swapaxes(-1, -2)
+        rows = table[lo : lo + step, lo:]
+        rows[...] = geom.arm_spreads(fd, reps[lo : lo + step, None, :], reps[None, lo:, :])
+        table[lo:, lo : lo + step] = rows.T
     table[table < 0] = fd.q
     return table
 
@@ -467,7 +580,7 @@ def search_iso_triple(
     non-proportionality is not enough.  The orthogonality masks are built
     in row blocks of about _MASK_CELLS cells as the scan first reads them,
     and the candidates are ranked in batched eliminations over blocks of
-    consecutive triples, which double from 16 triples up to about
+    consecutive triples, which grow twofold from 16 triples up to about
     _BLOCK_CELLS coordinates, so an early find costs one small block of
     each.
     """

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CharacteristicTwo, NotASquare, NotPrime, SizeExceeded
+from .errors import CharacteristicTwo, FormatError, NotASquare, NotPrime, SizeExceeded
 
 SIZE_CAP = 1 << 20
 
@@ -170,7 +170,7 @@ def parse_field(spec: str) -> Field:
     try:
         p, r = int(p_str), int(r_str)
     except ValueError:
-        raise NotPrime(f"malformed field spec {spec!r}") from None
+        raise FormatError(f"malformed field spec {spec!r}") from None
     return Field(p, r)
 
 
@@ -305,8 +305,8 @@ def _generator_powers(p: int, r: int, modulus) -> np.ndarray:
 
 def _powers(p: int, step: np.ndarray, count: int) -> np.ndarray:
     """g^0, ..., g^(count-1) as element indices, where ``step`` is the
-    multiplication matrix of g: each pass multiplies the known prefix by
-    the next power g^k and doubles it."""
+    multiplication matrix of g: each pass multiplies the known prefix of k
+    powers by the next power g^k, which makes it 2k long."""
     weights = p ** np.arange(len(step), dtype=np.int64)
     out = np.empty(count, dtype=np.int32)
     out[0] = 1

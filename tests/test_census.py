@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import random
 import threading
@@ -130,6 +132,29 @@ def plane_points(fd, d, n, seed):
     return PointSet(fd, d, sorted(pts))
 
 
+def record_paths(monkeypatch):
+    """Spies on the census kernel's three paths; the list returned collects
+    (path, first row, end row) per window: "gram", "pairs" (gathered from a
+    shared table) or "per-apex"."""
+    paths = []
+    add_gram, add_pairs = census._add_gram, census._add_pairs
+
+    def rows(window):
+        return window[0][0], window[-1][0] + len(window[-1][1])
+
+    def gram(fd, n, window, ids, table, hist):
+        paths.append(("gram", *rows(window)))
+        add_gram(fd, n, window, ids, table, hist)
+
+    def pairs(fd, n, window, ids, table, hist):
+        paths.append(("per-apex" if table is None else "pairs", *rows(window)))
+        add_pairs(fd, n, window, ids, table, hist)
+
+    monkeypatch.setattr(census, "_add_gram", gram)
+    monkeypatch.setattr(census, "_add_pairs", pairs)
+    return paths
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -143,22 +168,18 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
         # class ids must hold across apex blocks, each rank-compressing
         # its own arm codes
         monkeypatch.setattr(census, "_BLOCK_CELLS", 1)
-    tables = []  # per _class_table call: 2 for a shared table, 3 for per-apex ones
     if name == "capped-windows":
         # 25 apexes in blocks of 6 (6 * n * d = 450 cells), each block its
-        # own window: four 6-apex windows whose class unions outgrow 700
-        # cells, so each apex builds its own table, then a one-apex window
-        # that shares one
+        # own window.  Four 6-apex windows have class unions of 31, 30, 31
+        # and 31 classes: the 30 share a table of 900 <= 930 cells and
+        # gather from it (rows * u^2 = 5,400 > 4/2 * sum k (k + 1) = 4,344
+        # cells), the others build per-apex tables; the last, one-apex
+        # window shares a table of 20^2 cells and takes the Gram path.
         monkeypatch.setattr(census, "_BLOCK_CELLS", 450)
         monkeypatch.setattr(census, "_WINDOW_CELLS", 300)
-        monkeypatch.setattr(census, "_TABLE_CELLS", 700)
-        class_table = census._class_table
-
-        def spy(fd, reps):
-            tables.append(reps.ndim)
-            return class_table(fd, reps)
-
-        monkeypatch.setattr(census, "_class_table", spy)
+        monkeypatch.setattr(census, "_TABLE_CELLS", 930)
+        monkeypatch.setattr(census, "_GRAM_RATIO", 4)
+        paths = record_paths(monkeypatch)
     make = {
         "prime": lambda: random_pointset(F7, 2, 20, 21),
         "f5-plane": lambda: random_pointset(F5, 2, 10, 4),
@@ -181,7 +202,92 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
     ps = make[name]()
     assert_censuses_match_oracles(ps)
     if name == "capped-windows":
-        assert {2, 3} <= set(tables)
+        # per window of the spread census and of each occurrence count
+        assert [path for path, _, _ in paths[:5]] == ["per-apex", "pairs", "per-apex", "per-apex", "gram"]
+        assert {path for path, _, _ in paths} == {"gram", "pairs", "per-apex"}
+
+
+# Each path forced on every window: the Gram path on every shared-table
+# window, the gather on every window, and per-apex tables everywhere.
+FORCED_PATHS = {
+    "gram": ("_GRAM_RATIO", 10**9),
+    "pairs": ("_GRAM_RATIO", 0),
+    "per-apex": ("_TABLE_CELLS", 0),
+}
+
+# Every window of these shares its class table, so each forced path runs
+# on all of them.
+PATH_INPUTS = {
+    # 59 arms per apex over F_11^3's 133 classes
+    "dense-11^3": lambda: [random_points(Field(11), 3, 60, 61)],
+    # nearly one class per arm among the 212 directions
+    "sparse-211^2": lambda: [random_points(Field(211), 2, 45, 62)],
+    "ext-9^3": lambda: [random_points(F9, 3, 30, 63)],
+    # windows of about 12 apex rows over sets of 9: sets straddle windows
+    "straddling-stack": lambda: [random_pointset(F5, 2, 9, 64 + s) for s in range(5)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def path_input(name):
+    """The sets of a PATH_INPUTS entry, each with its naive histogram."""
+    sets = PATH_INPUTS[name]()
+    hists = []
+    for ps in sets:
+        counts = naive_spread_counts(ps)
+        hists.append([counts[v] for v in range(ps.field.q)] + [counts[None]])
+    return sets, hists
+
+
+@pytest.mark.parametrize("path", FORCED_PATHS)
+@pytest.mark.parametrize("name", PATH_INPUTS)
+def test_each_kernel_path_matches_naive_oracles(name, path, monkeypatch):
+    sets, hists = path_input(name)
+    if name == "straddling-stack":
+        # blocks of 4 apex rows, windows of 3 blocks, stacks of 4 sets
+        monkeypatch.setattr(census, "_BLOCK_CELLS", 72)
+        monkeypatch.setattr(census, "_WINDOW_CELLS", 100)
+    monkeypatch.setattr(census, *FORCED_PATHS[path])
+    paths = record_paths(monkeypatch)
+    fd = sets[0].field
+    assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
+    assert {p for p, _, _ in paths} == {path}
+    n = len(sets[0])
+    if name == "straddling-stack":
+        assert any(lo % n or end % n for _, lo, end in paths)
+    cens = census.spread_censuses(sets)
+    for hist, cen in zip(hists, cens):
+        assert cen.defined_values == tuple(v for v in range(fd.q) if hist[v])
+        assert cen.undefined_triples == hist[-1]
+        assert cen.triples_scanned == n * (n - 1) * (n - 2)
+    ps, hist, cen = sets[-1], hists[-1], cens[-1]
+    assert distinct_spreads(ps) == cen
+    gammas = sorted({0, 1, fd.q - 1, *cen.defined_values[:2], *cen.defined_values[-2:]})
+    assert [spread_occurrences(ps, g) for g in gammas] == [hist[g] for g in gammas]
+
+
+@pytest.mark.parametrize("path", FORCED_PATHS)
+@pytest.mark.parametrize("fd, d", [(F5, 3), (F3, 4)], ids=str)
+def test_each_kernel_path_on_whole_space(fd, d, path, monkeypatch):
+    # Every class of F_5^3 and F_3^4 holds q - 1 arms at every apex, so a
+    # lost diagonal correction (an arm paired with itself) shows.  The
+    # whole space is translation invariant: its histogram is q^d times the
+    # origin's, and the undefined count has the closed form of
+    # test_whole_space_census_matches_closed_form.
+    monkeypatch.setattr(census, *FORCED_PATHS[path])
+    paths = record_paths(monkeypatch)
+    space = geom.all_points(fd, d)
+    origin, arms = space.points[0], space.points[1:]
+    assert origin == (0,) * d
+    F = reference(fd)
+    counts = collections.Counter(naive_spread(F, origin, b, c) for b, c in itertools.permutations(arms, 2))
+    q, n, iso = fd.q, fd.q**d, sphere_size(fd, d, 0) - 1
+    hist = next(census._sweep([space], census.DEFAULT_TRIPLE_BUDGET))
+    assert hist.tolist() == [n * counts[v] for v in range(q)] + [n * counts[None]]
+    assert hist[-1] == n * ((n - 1) * (n - 2) - (n - 1 - iso) * (n - 2 - iso))
+    assert (hist[:-1] > 0).all()  # all q values for d >= 3
+    assert {p for p, _, _ in paths} == {path}
+    assert [spread_occurrences(space, g) for g in (0, 1, q - 1)] == [hist[0], hist[1], hist[q - 1]]
 
 
 def test_census_starts_no_thread(monkeypatch):

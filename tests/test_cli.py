@@ -64,6 +64,13 @@ def test_error_code_is_first_stderr_line(capsys):
     assert err.splitlines()[0] == "NotPrime"
 
 
+@pytest.mark.parametrize("spec", ["", "abc", "5^", "5^x"])
+def test_malformed_field_spec_is_format_error(capsys, spec):
+    code, out, err = run_cli(capsys, "field", "info", "--field", spec)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[:2] == ["FormatError", f"detail: malformed field spec {spec!r}"]
+
+
 def test_construct_con1_output(capsys):
     code, out, _ = run_cli(capsys, "construct", "con1", "--field", "5^1", "--d", "2")
     assert code == 0

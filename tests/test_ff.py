@@ -86,8 +86,13 @@ def test_parse_field():
     assert parse_field("5^1") == F5
     assert parse_field("3^2") == F9
     assert parse_field("7") == F7
+    # a spec that is not "p" or "p^r" in integers is malformed, not a
+    # non-prime order
+    for spec in ("", "abc", "5^", "5^x", "^2", "5^1^2"):
+        with pytest.raises(errors.FormatError):
+            parse_field(spec)
     with pytest.raises(errors.NotPrime):
-        parse_field("abc")
+        parse_field("4^1")
 
 
 def test_field_for_order():
