@@ -10,10 +10,15 @@ fixed apex it depends only on the projective classes of the two arms: the
 kernel scales every arm so its first nonzero coordinate is 1 and
 collapses the n-1 arms onto their k <= min(n-1, (q^d-1)/(q-1)) classes
 with multiplicities.  The classes at an apex are exactly the spanned
-lines through it.  The apexes of all sets of a stack are canonicalized
-together, in blocks of apex rows, each block giving padded arrays of
-multiplicities and representatives for all its rows; temporaries stay
-O(block * n * d).  The sets are drawn and stacked lazily, about
+lines through it.  Two producers give the same blocks of apex rows, each
+block padded arrays of multiplicities and representatives for all its
+rows, for all sets of a stack at once: ``_apex_classes`` canonicalizes and
+sorts the n (n - 1) arms of a set, ``_direction_classes`` counts the
+points of a set on each line of each of the U = (q^d - 1)/(q - 1)
+projective directions, U n cells.  ``_arm_classes`` takes the directions
+when U <= n - 1, as for d <= 3 sets of about the paper's threshold size
+(1 + eps) q^ceil(d/2) and up are.  Either keeps its temporaries near
+_BLOCK_CELLS cells.  The sets are drawn and stacked lazily, about
 _WINDOW_CELLS coordinates and histogram slots at a time, so memory does
 not grow with the number of sets.
 
@@ -46,7 +51,9 @@ geometry call per case.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``), and every inner product is ``Field.log_dot``.  Distances
-come by polarization |x -+ y| = |x| + |y| -+ 2 x.y from one Gram matrix.
+come by polarization |x -+ y| = |x| + |y| -+ 2 x.y from Gram blocks; the
+distance census visits the pairs i < j in blocks of about _BLOCK_CELLS
+and keeps only q flags for the values seen.
 The sphere check compares the K distinct (spread, |a - b|, |a + b|) keys
 of its m^2 origin pairs: O(m^2 + K^2) memory, never m^4.
 """
@@ -179,8 +186,21 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     and c = c' gives the m_c (m_c - 1) pairs of two arms of one class,
     whose spread is on the class diagonal (0, or undefined when isotropic).
 
-    The blocks of apex rows from ``_apex_classes`` are buffered into
-    windows of about _WINDOW_CELLS class representative coordinates.  Let
+    The blocks of apex rows come from one of two producers, picked by
+    ``_arm_classes`` from U = (q^d - 1)/(q - 1) and n alone:
+    ``_direction_classes`` when U <= n - 1, else ``_apex_classes``.  They
+    fill U n and n (n - 1) cells a set, and each keeps its temporaries
+    near _BLOCK_CELLS cells (``_direction_classes`` adds U q^(d-1) line
+    counts per set, fewer than its U n cells).  The break-even, measured
+    in-process on 2 cores (numpy 2.4) by timing both producers on random
+    sets of F_31^2, F_101^2, F_5^3, F_11^3, F_13^3, F_25^3, F_7^4 and
+    F_3^5, lies at U / (n - 1) from 1 (small sets) to 3 (large ones), and
+    on stacks of 100-400 sets of 5-25 points of F_3^2 ... F_13^2 the
+    directions were 1.4-2x faster up to U / (n - 1) = 1.2; the rule needs
+    no constant.
+
+    The blocks are buffered into windows of about _WINDOW_CELLS class
+    representative coordinates.  Let
     a window have rows apex rows, k classes on each and u in all.
     ``_add_window`` takes one of three paths:
 
@@ -221,7 +241,7 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     hist = np.zeros(len(logs) * (fd.q + 1), dtype=np.int64)
     window: list = []
     cells = 0
-    for block in _apex_classes(fd, logs):
+    for block in _arm_classes(fd, logs):
         window.append(block)
         cells += block[2].size
         if cells >= _WINDOW_CELLS:
@@ -413,6 +433,105 @@ def _apex_classes(fd: ff.Field, logs: np.ndarray):
         yield lo, mult, np.take_along_axis(canon, np.take_along_axis(order, at, axis=1)[..., None], axis=1)
 
 
+def _arm_classes(fd: ff.Field, logs: np.ndarray):
+    """The blocks of arm classes of a stack logs (S, n, d) from the
+    producer with fewer cells a set: n (n - 1) arms for ``_apex_classes``,
+    U n (point, direction) pairs for ``_direction_classes``, U = (q^d - 1)
+    / (q - 1).  U is an exact int, known before anything is allocated, so
+    no direction is enumerated unless U <= n - 1."""
+    n, d = logs.shape[1:]
+    by_direction = (fd.q**d - 1) // (fd.q - 1) <= n - 1
+    return (_direction_classes if by_direction else _apex_classes)(fd, logs)
+
+
+def _direction_classes(fd: ff.Field, logs: np.ndarray):
+    """The blocks of ``_apex_classes``, counted by direction instead of by
+    apex.  For a canonical direction v (first nonzero coordinate 1, at
+    position j) the key of a point p is p - p_j v, p with coordinate j
+    zeroed: points with equal keys lie on one line in direction v, and the
+    class of v at apex p holds the other points of p's line.
+
+    The rows go in blocks of about _BLOCK_CELLS / (U d), so a block's
+    (rows, U) keys and (rows, K, d) representatives stay near _BLOCK_CELLS
+    cells, and the sets in chunks of as many rows, or one set.  Per chunk,
+    a first pass over its blocks counts the points of each set on each of
+    its U q^(d-1) lines, fewer cells than the chunk's U n, and a second
+    reads each row's line sizes back and keeps its nonzero classes."""
+    s, n, d = logs.shape
+    dirs, cols = _directions(fd, d)
+    u, lines = len(dirs), fd.q ** (d - 1)
+    sets = max(1, _BLOCK_CELLS // (n * u * d))
+    rows = max(1, _BLOCK_CELLS // (u * d))
+
+    def slots(pts, r0):  # (rows, U): set, direction and key of each line
+        block = pts[r0 : r0 + rows]
+        first = np.arange(r0, r0 + len(block)) // n * u
+        return (first[:, None] + np.arange(u)) * lines + _line_keys(fd, block, cols)
+
+    for s0 in range(0, s, sets):
+        pts = logs[s0 : s0 + sets].reshape(-1, d)
+        count = np.zeros(len(pts) // n * u * lines, dtype=np.int64)
+        for r0 in range(0, len(pts), rows):
+            np.add.at(count, slots(pts, r0), 1)
+        for r0 in range(0, len(pts), rows):
+            slot = slots(pts, r0)
+            mult = count[slot] - 1  # (rows, U): the other points on each line
+            r, c = np.nonzero(mult)
+            k = np.bincount(r, minlength=len(mult))  # at least 1: n >= 2
+            start = np.cumsum(k) - k
+            at = np.arange(len(r)) - np.repeat(start, k)
+            cls = np.repeat(c[start], k.max()).reshape(len(mult), -1)  # padding reads class 0
+            cls[r, at] = c
+            packed = np.zeros(cls.shape, dtype=np.int64)
+            packed[r, at] = mult[r, c]
+            yield s0 * n + r0, packed, dirs[cls]
+
+
+def _directions(fd: ff.Field, d: int):
+    """The U canonical directions of F_q^d, (U, d; logs), and for each the
+    d - 1 columns of ``_line_keys``'s table that sum to its key codes.
+
+    The table has a column q^i e(p_i) per coordinate i, then q columns per
+    coordinate pair j < i, q^(i-1) e(p_i - x p_j) for each element x; e()
+    the element index.  A direction with lead j and coordinates x_i reads
+    coordinate i < j from its own column and i > j from pair (j, i) at
+    x_i, so its key code is the base-q number of p - p_j v without digit
+    j, below q^(d-1)."""
+    q, pair = fd.q, d
+    dirs, cols = [], []
+    for j in range(d):
+        tail = d - 1 - j
+        grid = np.zeros((q**tail, d), dtype=np.int64)
+        grid[:, j] = 1
+        grid[:, j + 1 :] = np.arange(q**tail)[:, None] // q ** np.arange(tail) % q
+        col = np.empty((q**tail, d - 1), dtype=np.int64)
+        col[:, :j] = np.arange(j)
+        col[:, j:] = pair + q * np.arange(tail) + grid[:, j + 1 :]
+        pair += q * tail
+        dirs.append(grid)
+        cols.append(col)
+    return fd.log[np.concatenate(dirs)], np.concatenate(cols)
+
+
+def _line_keys(fd: ff.Field, pts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The key codes (B, U) of the lines through the points pts (B, d;
+    logs) in every canonical direction, as ``_directions`` lays them out:
+    the table of O(B q d^2) cells carries the field arithmetic, and each
+    key is a sum of d - 1 of its columns."""
+    q, d = fd.q, pts.shape[1]
+    neg = fd.log_neg(fd.log[np.arange(q)])  # -x for every element x
+    table = [fd.exp[pts].astype(np.int64) * q ** np.arange(d)]
+    for j in range(d):
+        for i in range(j + 1, d):
+            diff = fd.log_add(pts[:, i, None], fd.log_mul(pts[:, j, None], neg))
+            table.append(fd.exp[diff] * q ** (i - 1))
+    table = np.concatenate(table, axis=1)
+    keys = np.zeros((len(pts), len(cols)), dtype=np.int64)
+    for t in range(d - 1):
+        keys += table[:, cols[:, t]]
+    return keys
+
+
 def _codes(canon: np.ndarray, zero: int) -> np.ndarray:
     """Integer codes (B, N) of the canonical arms canon (B, N, d; logs,
     `zero` the log of 0): equal exactly for equal arms across the whole
@@ -439,12 +558,23 @@ def _codes(canon: np.ndarray, zero: int) -> np.ndarray:
 
 def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> DistanceCensus:
     """Distances over unordered pairs of distinct points, reported both with
-    and without the value 0 (conventions differ on whether 0 counts)."""
+    and without the value 0 (conventions differ on whether 0 counts).
+
+    Every pair i < j is visited, in blocks of rows i against the columns
+    j >= the block's first row, about _BLOCK_CELLS pairs a block; each block
+    marks the values it finds in one array of q flags."""
     n = len(ps)
     check_pairs(n, budget)
     fd = ps.field
-    dmat = next(_pair_distances(fd, fd.log[ps.as_array()]))
-    values = np.unique(fd.exp[dmat[np.triu_indices(n, k=1)]]).tolist()
+    pts = fd.log[ps.as_array()]
+    seen = np.zeros(fd.q, dtype=bool)
+    lo = 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, _BLOCK_CELLS // (n - lo)))
+        dmat = next(_pair_distances(fd, pts[lo:hi], pts[lo:]))
+        seen[fd.exp[dmat[np.triu_indices(hi - lo, 1, n - lo)]]] = True
+        lo = hi
+    values = np.flatnonzero(seen).tolist()
     return DistanceCensus(
         values=tuple(values),
         nonzero_values=tuple(v for v in values if v != 0),
@@ -452,14 +582,14 @@ def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> Dista
     )
 
 
-def _pair_distances(fd: ff.Field, pts: np.ndarray):
-    """Yields the logs of |x - y|, then (only if asked for) of |x + y|, for all
-    pairs of rows of pts (n, d; logs), by polarization from one Gram matrix."""
-    gram = fd.log_dot(pts[:, None, :], pts[None, :, :])
-    nrm = gram.diagonal()
-    norms = fd.log_add(nrm[:, None], nrm[None, :])
+def _pair_distances(fd: ff.Field, rows: np.ndarray, cols: np.ndarray):
+    """Yields the logs of |x - y|, then (only if asked for) of |x + y|, for
+    every row x of rows (R, d; logs) against every row y of cols (C, d), by
+    polarization from one Gram block."""
+    gram = fd.log_dot(rows[:, None, :], cols[None, :, :])
+    norms = fd.log_add(fd.log_dot(rows, rows)[:, None], fd.log_dot(cols, cols)[None, :])
     cross = fd.log_mul(gram, fd.log[fd.neg(2)])  # -2 x.y
-    del gram, nrm
+    del gram
     yield fd.log_add(norms, cross)
     yield fd.log_add(norms, fd.log_neg(cross))
 
@@ -495,7 +625,7 @@ def line_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_PAIR_BUD
         s, n, _ = logs.shape
         pair_counts = np.zeros(s * n, dtype=np.int64)  # N_c of set i at i * n + c
         degree = np.zeros(s * n, dtype=np.int64)  # classes per apex row
-        for lo, mult, _ in _apex_classes(fd, logs):
+        for lo, mult, _ in _arm_classes(fd, logs):
             degree[lo : lo + len(mult)] = np.count_nonzero(mult, axis=1)
             slot = (np.arange(lo, lo + len(mult)) // n * n)[:, None] + mult
             pair_counts += np.bincount(slot[mult > 0], minlength=s * n)
@@ -677,7 +807,7 @@ def sphere_equiv_check(
     pts = fd.log[sph.as_array()]
     # The verdict on origin pairs (a, b), (c, e) depends only on their keys
     # (spread, |a - b|, |a + b|); undefined pairs have spread -1.
-    pair_keys = np.stack([geom.arm_spreads(fd, pts[:, None], pts[None]), *_pair_distances(fd, pts)], axis=-1)
+    pair_keys = np.stack([geom.arm_spreads(fd, pts[:, None], pts[None]), *_pair_distances(fd, pts, pts)], axis=-1)
     keys, inverse, counts = np.unique(
         pair_keys.reshape(-1, 3), axis=0, return_inverse=True, return_counts=True
     )

@@ -3,6 +3,8 @@ import functools
 import itertools
 import random
 import threading
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -215,6 +217,24 @@ FORCED_PATHS = {
     "per-apex": ("_TABLE_CELLS", 0),
 }
 
+# The two producers of arm classes, each forced through the rule's helper.
+PRODUCERS = {"apex": census._apex_classes, "direction": census._direction_classes}
+
+
+def force_producer(monkeypatch, producer):
+    monkeypatch.setattr(census, "_arm_classes", PRODUCERS[producer])
+
+
+def by_producer(*params):
+    """pytest params of params under each producer: apex-major keeps the
+    bare id, direction-major adds -by-direction."""
+    return [
+        pytest.param(producer, *p, id="-".join(map(str, p)) + ("" if producer == "apex" else "-by-direction"))
+        for producer in PRODUCERS
+        for p in params
+    ]
+
+
 # Every window of these shares its class table, so each forced path runs
 # on all of them.
 PATH_INPUTS = {
@@ -239,14 +259,18 @@ def path_input(name):
     return sets, hists
 
 
-@pytest.mark.parametrize("path", FORCED_PATHS)
+@pytest.mark.parametrize("producer, path", by_producer(*[(p,) for p in FORCED_PATHS]))
 @pytest.mark.parametrize("name", PATH_INPUTS)
-def test_each_kernel_path_matches_naive_oracles(name, path, monkeypatch):
+def test_each_kernel_path_matches_naive_oracles(name, producer, path, monkeypatch):
     sets, hists = path_input(name)
     if name == "straddling-stack":
-        # blocks of 4 apex rows, windows of 3 blocks, stacks of 4 sets
+        # apex-major: blocks of 4 apex rows, windows of 3 blocks, stacks of
+        # 4 sets; direction-major: blocks of 6 and 3 rows per set, each
+        # window one block and the next, so the 3-row block of one set
+        # shares a window with the first block of the next
         monkeypatch.setattr(census, "_BLOCK_CELLS", 72)
-        monkeypatch.setattr(census, "_WINDOW_CELLS", 100)
+        monkeypatch.setattr(census, "_WINDOW_CELLS", 100 if producer == "apex" else 50)
+    force_producer(monkeypatch, producer)
     monkeypatch.setattr(census, *FORCED_PATHS[path])
     paths = record_paths(monkeypatch)
     fd = sets[0].field
@@ -266,14 +290,15 @@ def test_each_kernel_path_matches_naive_oracles(name, path, monkeypatch):
     assert [spread_occurrences(ps, g) for g in gammas] == [hist[g] for g in gammas]
 
 
-@pytest.mark.parametrize("path", FORCED_PATHS)
+@pytest.mark.parametrize("producer, path", by_producer(*[(p,) for p in FORCED_PATHS]))
 @pytest.mark.parametrize("fd, d", [(F5, 3), (F3, 4)], ids=str)
-def test_each_kernel_path_on_whole_space(fd, d, path, monkeypatch):
+def test_each_kernel_path_on_whole_space(fd, d, producer, path, monkeypatch):
     # Every class of F_5^3 and F_3^4 holds q - 1 arms at every apex, so a
     # lost diagonal correction (an arm paired with itself) shows.  The
     # whole space is translation invariant: its histogram is q^d times the
     # origin's, and the undefined count has the closed form of
     # test_whole_space_census_matches_closed_form.
+    force_producer(monkeypatch, producer)
     monkeypatch.setattr(census, *FORCED_PATHS[path])
     paths = record_paths(monkeypatch)
     space = geom.all_points(fd, d)
@@ -365,24 +390,124 @@ def test_class_tables_shared_across_apexes(monkeypatch):
     assert cen.undefined_triples == 0  # q = 3 mod 4: no isotropic arms
 
 
-def test_spread_histogram_must_cover_every_triple(monkeypatch):
-    apex_classes = census._apex_classes
+def drop_first_row(producer):
+    """The producer's blocks with every class of the first apex row emptied."""
 
-    def drop_first_apex(fd, logs):
-        for lo, mult, reps in apex_classes(fd, logs):
+    def dropping(fd, logs):
+        for lo, mult, reps in PRODUCERS[producer](fd, logs):
             if lo == 0:
                 mult = mult.copy()
                 mult[0] = 0
             yield lo, mult, reps
 
-    monkeypatch.setattr(census, "_apex_classes", drop_first_apex)
+    return dropping
+
+
+def test_spread_histogram_must_cover_every_triple(monkeypatch):
     ps = random_pointset(F5, 2, 8, 9)
-    with pytest.raises(errors.InternalError):
-        distinct_spreads(ps)
-    with pytest.raises(errors.InternalError):
-        spread_occurrences(ps, 0)
-    with pytest.raises(errors.InternalError):
-        census.spread_censuses([ps, random_pointset(F5, 2, 8, 10)])
+    for producer in PRODUCERS:
+        monkeypatch.setattr(census, "_arm_classes", drop_first_row(producer))
+        with pytest.raises(errors.InternalError):
+            distinct_spreads(ps)
+        with pytest.raises(errors.InternalError):
+            spread_occurrences(ps, 0)
+        with pytest.raises(errors.InternalError):
+            census.spread_censuses([ps, random_pointset(F5, 2, 8, 10)])
+
+
+def test_line_census_must_partition_into_lines(monkeypatch):
+    # the first point of this set lies on three lines of two points and
+    # one of five, so without its row neither count divides into lines
+    ps = random_pointset(F5, 2, 8, 9)
+    assert spanned_lines(ps) == census.LineCensus(lines=14, max_degree=5, pairs_scanned=28)
+    for producer in PRODUCERS:
+        monkeypatch.setattr(census, "_arm_classes", drop_first_row(producer))
+        with pytest.raises(errors.InternalError):
+            spanned_lines(ps)
+        with pytest.raises(errors.InternalError):
+            census.line_censuses([random_pointset(F5, 2, 8, 10), ps])
+
+
+# (field, d, n) of each input of the benchmark's census workload, and the
+# producer the rule picks: U <= n - 1 goes by direction.
+RULE_CASES = {
+    "dense-11^1-d3": ((11, 1), 3, 300, "direction"),  # U = 133
+    "prime-31^1-d2": ((31, 1), 2, 700, "direction"),  # U = 32
+    "sparse-1021^1-d2": ((1021, 1), 2, 200, "apex"),  # U = 1022
+    "ext-3^3-d3": ((3, 3), 3, 200, "apex"),  # U = 757
+    "ext-5^2-d3": ((5, 2), 3, 250, "apex"),  # U = 651
+}
+
+
+def spy_producers(monkeypatch):
+    """Wraps both producers; the list returned collects the name of each
+    one called."""
+    picked = []
+    for name, producer in PRODUCERS.items():
+
+        def spy(fd, logs, name=name, producer=producer):
+            picked.append(name)
+            return producer(fd, logs)
+
+        monkeypatch.setattr(census, f"_{name}_classes", spy)
+    return picked
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_producer_rule_on_benchmark_inputs(name, monkeypatch):
+    (p, r), d, n, want = RULE_CASES[name]
+    picked = spy_producers(monkeypatch)
+    census.line_censuses([random_points(Field(p, r), d, n, 90)])
+    assert picked == [want]
+
+
+def test_producer_rule_reads_only_directions_and_size(monkeypatch):
+    # the rule sees only q (through U) and the stack's shape: a stand-in
+    # field with nothing but q, and all-zero coordinates, pick the same
+    picked = spy_producers(monkeypatch)
+    cases = [(fd_pr, d, n, want) for fd_pr, d, n, want in RULE_CASES.values()]
+    cases += [((5, 1), 2, 7, "direction"), ((5, 1), 2, 6, "apex")]  # U = 6
+    cases += [((3, 1), 1, 2, "direction"), ((3, 1), 9, 9841, "apex"), ((3, 1), 9, 9842, "direction")]  # U = 9841
+    for (p, r), d, n, want in cases:
+        census._arm_classes(types.SimpleNamespace(q=p**r), np.zeros((2, n, d), dtype=np.int32))
+        assert picked.pop() == want, (p**r, d, n)
+    # q near 2^20 and d = 64: U has 385 digits, and no direction is built
+    monkeypatch.setattr(census, "_directions", None)
+    census._arm_classes(types.SimpleNamespace(q=1048573), np.zeros((1, 3, 64), dtype=np.int32))
+    assert picked == ["apex"]
+
+
+def test_direction_classes_stay_within_block_cells(monkeypatch):
+    # 700 random points of F_31^2 (U = 32): blocks of 2048 // 64 = 32 rows;
+    # one block of all 700 rows would hold 22,400 cells per array
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 2048)
+    key_cells = []
+    line_keys = census._line_keys
+
+    def recording(fd, pts, cols):
+        out = line_keys(fd, pts, cols)
+        key_cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(census, "_line_keys", recording)
+    ps = random_points(Field(31), 2, 700, 91)
+    fd = ps.field
+    logs = fd.log[ps.as_array()][None]
+    rows = 0
+    tracemalloc.start()
+    for lo, mult, reps in census._direction_classes(fd, logs):
+        assert lo == rows and reps.size <= 2048 and mult.size <= 1024
+        rows += len(mult)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rows == 700
+    assert max(key_cells) <= 1024 and len(key_cells) == 2 * 22  # two passes
+    # every live temporary together: a few block-sized arrays of int64,
+    # where one unblocked array alone takes 179,200 bytes
+    assert peak <= 16 * 8 * 2048
+    blocked = spanned_lines(ps)
+    force_producer(monkeypatch, "apex")
+    assert blocked == spanned_lines(ps)
 
 
 # -- stacked censuses ----------------------------------------------------------
@@ -419,13 +544,18 @@ def test_stacked_censuses_match_naive_oracles(fd, d, n, stack):
     assert_stack_matches_oracles(sets)
 
 
+def cone_subsets(fd, d):
+    """Four seeded 6-point subsets of the isotropic cone of F_q^d."""
+    cone = geom.sphere_points(fd, d, 0).points
+    rng = random.Random(fd.q + d)
+    return [PointSet(fd, d, rng.sample(cone, 6)) for _ in range(4)]
+
+
 def test_stacked_censuses_with_isotropic_arms():
     # subsets of the isotropic cones of F_5^2, F_5^3 and F_9^3: arms of
     # norm 0 leave triples undefined in some sets of every stack
     for fd, d in ((F5, 2), (F5, 3), (F9, 3)):
-        cone = geom.sphere_points(fd, d, 0).points
-        rng = random.Random(fd.q + d)
-        sets = [PointSet(fd, d, rng.sample(cone, 6)) for _ in range(4)]
+        sets = cone_subsets(fd, d)
         assert_stack_matches_oracles(sets)
         assert any(cen.undefined_triples for cen in census.spread_censuses(sets))
 
@@ -441,16 +571,19 @@ def test_stacks_of_one_and_of_identical_sets():
 
 
 @pytest.mark.parametrize(
-    "block, window, table",
-    [
+    "producer, block, window, table",
+    by_producer(
+        # direction-major (6 directions, 2 coordinates) takes blocks of
+        # block // 12 rows, at least 1, and chunks of block // 84 sets
         (1, 1 << 19, 1 << 21),  # one apex row per block
-        (40, 1 << 19, 1 << 21),  # blocks straddle the sets
+        (40, 1 << 19, 1 << 21),  # blocks straddle the sets; 3 rows by direction
         (40, 60, 1 << 21),  # windows of one block, stacks of a few sets
         (40, 60, 1),  # every window builds per-apex tables
-        (300, 2000, 30),  # chunks of a few rows in per-apex tables
-    ],
+        (300, 2000, 30),  # chunks of a few rows in per-apex tables; 3 sets by direction
+    ),
 )
-def test_stacked_censuses_across_boundaries(block, window, table, monkeypatch):
+def test_stacked_censuses_across_boundaries(producer, block, window, table, monkeypatch):
+    force_producer(monkeypatch, producer)
     monkeypatch.setattr(census, "_BLOCK_CELLS", block)
     monkeypatch.setattr(census, "_WINDOW_CELLS", window)
     monkeypatch.setattr(census, "_TABLE_CELLS", table)
@@ -458,6 +591,67 @@ def test_stacked_censuses_across_boundaries(block, window, table, monkeypatch):
     sets += [random_pointset(F5, 2, 7, 40)]  # a repeat, in another stack
     assert_stack_matches_oracles(sets)
     assert [spread_occurrences(ps, 1) for ps in sets] == [naive_spread_counts(ps)[1] for ps in sets]
+
+
+# Inputs that each producer must census exactly as the naive oracles do.
+PRODUCER_INPUTS = {
+    "f9-plane": lambda: [random_pointset(F9, 2, 12, 70 + s) for s in range(3)],
+    "f27-plane": lambda: [random_points(F27, 2, 12, 73 + s) for s in range(2)],
+    "f27-space": lambda: [random_points(F27, 3, 8, 75)],
+    # one direction: every set is one line
+    "d1": lambda: [PointSet(F7, 1, [(x,) for x in order]) for order in (range(7), (3, 1, 4, 0, 5, 2, 6))],
+    "d1-f9": lambda: [PointSet(F9, 1, [(x,) for x in (8, 1, 4, 0, 5)])],
+    # arms of norm 0 leave triples undefined
+    "isotropic-5^2": lambda: cone_subsets(F5, 2),
+    "isotropic-9^3": lambda: cone_subsets(F9, 3),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+@pytest.mark.parametrize("name", PRODUCER_INPUTS)
+def test_both_producers_match_naive_oracles(name, producer, monkeypatch):
+    force_producer(monkeypatch, producer)
+    sets = PRODUCER_INPUTS[name]()
+    assert_stack_matches_oracles(sets)
+    if name.startswith("d1"):
+        assert census.line_censuses(sets) == [census.LineCensus(1, 1, len(sets[0]) * (len(sets[0]) - 1) // 2)] * len(sets)
+    if name.startswith("isotropic"):
+        assert any(cen.undefined_triples for cen in census.spread_censuses(sets))
+
+
+def producer_rows(producer, sets):
+    """Per apex row of the stack, {class representative: multiplicity}
+    from the producer's blocks; padding must repeat a class of its row."""
+    fd = sets[0].field
+    logs = fd.log[np.stack([ps.as_array() for ps in sets])]
+    rows = []
+    for lo, mult, reps in PRODUCERS[producer](fd, logs):
+        assert lo == len(rows)
+        for m, r in zip(mult.tolist(), reps.tolist()):
+            classes = {tuple(rep): k for k, rep in zip(m, r) if k}
+            assert {tuple(rep) for rep in r} == set(classes)  # no class from padding
+            rows.append(classes)
+    return rows
+
+
+@pytest.mark.parametrize("name", PRODUCER_INPUTS)
+def test_producers_yield_the_same_classes(name):
+    sets = PRODUCER_INPUTS[name]()
+    rows = producer_rows("apex", sets)
+    assert len(rows) == len(sets) * len(sets[0])
+    assert producer_rows("direction", sets) == rows
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_both_producers_on_whole_planes(producer, monkeypatch):
+    # q (q + 1) lines, q + 1 through each point, and the frozen value sets
+    force_producer(monkeypatch, producer)
+    frozen = {F3: (0, 1, 2), F5: (0, 1, 3), F7: (0, 1, 3, 4, 5), F9: (0, 1, 2, 5, 8)}
+    for fd, values in frozen.items():
+        plane = geom.all_points(fd, 2)
+        n = fd.q**2
+        assert spanned_lines(plane) == census.LineCensus(fd.q * (fd.q + 1), fd.q + 1, n * (n - 1) // 2)
+        assert distinct_spreads(plane).defined_values == values
 
 
 def test_line_census_max_degree_pinned():
@@ -514,7 +708,7 @@ def test_stacked_census_gates_before_drawing_and_draws_lazily(monkeypatch):
         raise AssertionError("kernel ran past the gate")
 
     with monkeypatch.context() as m:
-        m.setattr(census, "_apex_classes", kernel_never_runs)
+        m.setattr(census, "_arm_classes", kernel_never_runs)
         with pytest.raises(errors.BudgetExceeded):
             census.spread_censuses(draws(50), budget=100)
         with pytest.raises(errors.BudgetExceeded):
@@ -653,16 +847,38 @@ def test_distinct_distances_in_space_match_naive_oracle(make):
     assert cen.nonzero_values == tuple(v for v in cen.values if v)
 
 
+@pytest.mark.parametrize("block", [1, 5, 40])
+def test_distinct_distances_in_row_blocks_match_naive_oracle(block, monkeypatch):
+    # one row, a few rows, or a few hundred pairs a block: every pair still
+    # counts once, and the diagonal's zero distances never enter
+    monkeypatch.setattr(census, "_BLOCK_CELLS", block)
+    cases = [
+        random_pointset(F7, 2, 12, 9),
+        random_pointset(F9, 2, 9, 10),
+        random_pointset(F25, 3, 30, 11),
+        geom.sphere_points(F3, 3, 0),
+        PointSet(F5, 2, [(0, 0), (1, 0)]),
+    ]
+    for ps in cases:
+        cen = distinct_distances(ps)
+        assert list(cen.values) == naive_distances(ps)
+        assert cen.pairs_scanned == len(ps) * (len(ps) - 1) // 2
+
+
 @pytest.mark.parametrize("fd", [F3, F25, F27], ids=lambda fd: fd.label())
 def test_pair_distances_match_scalar_polarization(fd):
     # |a - b| and |a + b| for every ordered pair, against scalar geom; in
-    # characteristic 3 the doubled Gram term is -x.y
+    # characteristic 3 the doubled Gram term is -x.y.  Rows 0-3 against
+    # rows 2-6 as well: the blocks of distinct_distances
     for seed in range(3):
         ps = random_pointset(fd, 3, 7, seed)
-        minus, plus = census._pair_distances(fd, fd.log[ps.as_array()])
+        logs = fd.log[ps.as_array()]
+        minus, plus = census._pair_distances(fd, logs, logs)
         for (i, a), (j, b) in itertools.product(enumerate(ps.points), repeat=2):
             assert fd.exp[minus[i, j]] == dist(fd, a, b)
             assert fd.exp[plus[i, j]] == norm(fd, vadd(fd, a, b))
+        block = census._pair_distances(fd, logs[:4], logs[2:])
+        assert [x.tolist() for x in block] == [minus[:4, 2:].tolist(), plus[:4, 2:].tolist()]
 
 
 # -- lines ----------------------------------------------------------------------
@@ -913,8 +1129,8 @@ def test_sphere_equiv_violations_match_naive_listing(monkeypatch):
     seen = {}
     pair_distances, arm_spreads = census._pair_distances, geom.arm_spreads
 
-    def corrupt_distances(fd, pts):
-        minus, plus = pair_distances(fd, pts)
+    def corrupt_distances(fd, rows, cols):
+        minus, plus = pair_distances(fd, rows, cols)
         plus[0] = fd.log[3]
         seen["minus"], seen["plus"] = minus, plus
         yield from (minus, plus)

@@ -373,7 +373,7 @@ def test_census_gate_runs_before_any_trial_is_drawn(monkeypatch, run, budget):
     def kernel_never_runs(fd, logs):
         raise AssertionError("kernel ran past the gate")
 
-    monkeypatch.setattr(census, "_apex_classes", kernel_never_runs)
+    monkeypatch.setattr(census, "_arm_classes", kernel_never_runs)
     with pytest.raises(errors.BudgetExceeded):
         run(budget)
     assert drawn == []
@@ -405,14 +405,14 @@ def test_stacked_reports_draw_their_trials_lazily(monkeypatch):
     full = [run_bode(F5, 40, 2).to_json(), run_beck(F5, 2, Fraction(1), 40, 2).to_json()]
     monkeypatch.setattr(census, "_WINDOW_CELLS", 400)
     drawn = count_draws(monkeypatch)
-    apex_classes = census._apex_classes
+    arm_classes = census._arm_classes
     first = []
 
     def recording(fd, logs):
         first.append(len(drawn))
-        return apex_classes(fd, logs)
+        return arm_classes(fd, logs)
 
-    monkeypatch.setattr(census, "_apex_classes", recording)
+    monkeypatch.setattr(census, "_arm_classes", recording)
     assert run_bode(F5, 40, 2).to_json() == full[0]
     assert first[0] == 16 and len(drawn) == 40
     first.clear()
