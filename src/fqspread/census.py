@@ -2,60 +2,28 @@
 projection collisions, isotropic-triple search, and the sphere
 spread/distance equivalence check.
 
-The spread, line and occurrence censuses share one kernel, which takes a
-stack of equal-size point sets (``spread_censuses`` and ``line_censuses``;
-``distinct_spreads``, ``spread_occurrences`` and ``spanned_lines`` are
-their one-set calls).  The spread is scale-invariant in each arm, so at a
-fixed apex it depends only on the projective classes of the two arms: the
-kernel scales every arm so its first nonzero coordinate is 1 and
-collapses the n-1 arms onto their k <= min(n-1, (q^d-1)/(q-1)) classes
-with multiplicities.  The classes at an apex are exactly the spanned
-lines through it.  Two producers give the same blocks of apex rows, each
-block padded arrays of multiplicities and representatives for all its
-rows, for all sets of a stack at once: ``_apex_classes`` canonicalizes and
-sorts the n (n - 1) arms of a set, ``_direction_classes`` counts the
-points of a set on each line of each of the U = (q^d - 1)/(q - 1)
-projective directions, U n cells.  ``_arm_classes`` takes the directions
-when U <= n - 1, as for d <= 3 sets of about the paper's threshold size
-(1 + eps) q^ceil(d/2) and up are.  Either keeps its temporaries near
-_BLOCK_CELLS cells.  The sets are drawn and stacked lazily, about
-_WINDOW_CELLS coordinates and histogram slots at a time, so memory does
-not grow with the number of sets.
+A map of the module:
 
-The spread of two classes does not depend on the apex either, and the
-arms from all n apexes fall into at most (q^d-1)/(q-1) classes.  So when
-the apexes of a window share their classes, the spread and occurrence
-censuses evaluate each class pair once per window, in one class spread
-table; otherwise each apex evaluates its own class pairs.  Each window
-takes one of three paths, chosen by one inequality with one constant,
-_GRAM_RATIO (``_spread_histograms`` gives the rule, how it was measured
-and the memory bounds): with a shared table, the Gram path multiplies
-each set's integer matrix of class multiplicities by its transpose and
-adds the products by table value, or each apex gathers its unordered
-class pairs from the table by class id; without one, each apex gathers
-its unordered class pairs from ``geom.arm_spreads``.  Every path adds to
-one exact int64 histogram per set of the spreads of all its ordered
-triples, undefined ones in its last slot.  It is swept on the calling
-thread: split over threads, each would build its own tables.
-
-The class spread tables and the sphere check's origin-pair spreads come
-from ``geom.arm_spreads``, the package's one batched spread: arms in logs
-to elements, -1 where an arm norm is 0.  The order-k spread
-``geom.arm_k_spreads`` lives beside it.  The isotropic-triple search builds
-its orthogonality masks lazily, a block of rows on first use, and checks
-independence by batched ``geom.eliminate`` calls over blocks of candidate
-triples.  ``random_projections`` ranks the projections of all its seeds
-in one ``geom.eliminate`` call per round of rejection sampling, and their
-images are counted from one ``Field.log_dot``; no census makes a scalar
-geometry call per case.
+- ``spread_censuses`` and ``line_censuses`` census a stack of equal-size
+  point sets in one kernel; ``distinct_spreads``, ``spread_occurrences``
+  and ``spanned_lines`` are their one-set calls.  ``_stacks`` draws the
+  sets lazily behind the gate ``check_triples`` or ``check_pairs``.
+- ``_spread_histograms`` is the spread kernel, and its docstring states
+  every rule of it with its measurements and memory bounds: the arm-class
+  producer ``_arm_classes`` picks (``_apex_classes`` or
+  ``_direction_classes``), and the window path ``_add_window`` picks
+  (``_add_gram`` or ``_add_pairs``, over a ``_class_table`` or without).
+- ``distinct_distances`` visits the pairs in blocks, by polarization from
+  Gram blocks (``_pair_distances``).
+- ``random_projections`` ranks seeded projections in batches;
+  ``collision_count`` and ``image_size`` count their images.
+- ``search_iso_triple`` scans isotropic representatives with lazy
+  orthogonality masks; ``sphere_equiv_check`` compares the distinct
+  (spread, |a - b|, |a + b|) keys of the unit sphere's origin pairs.
 
 Every kernel runs one code path for all fields, on discrete logs
-(``Field.log``), and every inner product is ``Field.log_dot``.  Distances
-come by polarization |x -+ y| = |x| + |y| -+ 2 x.y from Gram blocks; the
-distance census visits the pairs i < j in blocks of about _BLOCK_CELLS
-and keeps only q flags for the values seen.
-The sphere check compares the K distinct (spread, |a - b|, |a + b|) keys
-of its m^2 origin pairs: O(m^2 + K^2) memory, never m^4.
+(``Field.log``): every inner product is ``Field.log_dot`` and every spread
+comes from ``geom.arm_spreads``.
 """
 
 from __future__ import annotations
@@ -200,8 +168,8 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     no constant.
 
     The blocks are buffered into windows of about _WINDOW_CELLS class
-    representative coordinates.  Let
-    a window have rows apex rows, k classes on each and u in all.
+    representative coordinates.  Let a window have rows apex rows, k
+    classes on each and u in all.
     ``_add_window`` takes one of three paths:
 
     - when u^2 is at most both sum k^2 and _TABLE_CELLS, one u x u class
@@ -232,7 +200,9 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     _BLOCK_CELLS cells of M and G, or one set: G_s and its histogram
     indices are u x u int64, at most _TABLE_CELLS cells each, and as
     k <= u the rule bounds M by rows * u <= _GRAM_RATIO * sum (k + 1) / 2
-    cells, a small multiple of the window's multiplicity cells.
+    cells, a small multiple of the window's multiplicity cells.  The sweep
+    runs on the calling thread: split over threads, each would build its
+    own tables.
 
     Every count is exact int64: a Gram entry sums products of two
     multiplicities below n over at most n rows, so it stays below n^3, as
@@ -435,10 +405,9 @@ def _apex_classes(fd: ff.Field, logs: np.ndarray):
 
 def _arm_classes(fd: ff.Field, logs: np.ndarray):
     """The blocks of arm classes of a stack logs (S, n, d) from the
-    producer with fewer cells a set: n (n - 1) arms for ``_apex_classes``,
-    U n (point, direction) pairs for ``_direction_classes``, U = (q^d - 1)
-    / (q - 1).  U is an exact int, known before anything is allocated, so
-    no direction is enumerated unless U <= n - 1."""
+    producer ``_spread_histograms``'s rule picks.  U is an exact int, known
+    before anything is allocated, so no direction is enumerated unless the
+    rule picks the directions."""
     n, d = logs.shape[1:]
     by_direction = (fd.q**d - 1) // (fd.q - 1) <= n - 1
     return (_direction_classes if by_direction else _apex_classes)(fd, logs)

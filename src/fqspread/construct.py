@@ -87,21 +87,13 @@ def iso_family(fd: ff.Field, d: int) -> list[Vec]:
     return iso_family_3mod4(fd, d)
 
 
-def span(
-    fd: ff.Field,
-    vectors: list[Vec],
-    d: int | None = None,
-    budget: int = geom.DEFAULT_ENUM_BUDGET,
-) -> PointSet:
-    """All q^m linear combinations of m independent vectors, in lexicographic
-    coefficient order (so emitted files are byte-for-byte reproducible), one
-    ``log_dot`` per block of ``geom.index_blocks`` coefficient rows."""
-    if vectors:
-        d = len(vectors[0])
-    elif d is None:
-        raise DependentInput("empty span needs an explicit dimension")
-    else:
-        return PointSet(fd, d, [tuple([0] * d)])
+def span(fd: ff.Field, vectors: list[Vec], budget: int = geom.DEFAULT_ENUM_BUDGET) -> PointSet:
+    """All q^m linear combinations of m >= 1 independent vectors, in
+    lexicographic coefficient order (so emitted files are byte-for-byte
+    reproducible), one ``log_dot`` per block of ``geom.index_blocks``
+    coefficient rows."""
+    if not vectors:
+        raise DependentInput("a span needs at least one vector")
     m = len(vectors)
     if geom.rank(fd, vectors) != m:
         raise DependentInput("vectors are linearly dependent")
@@ -109,7 +101,7 @@ def span(
         raise BudgetExceeded(f"q^m = {fd.q ** m} exceeds budget {budget}")
     basis = fd.log[np.array(vectors, dtype=np.int64)].T  # (d, m)
     blocks = (fd.exp[fd.log_dot(fd.log[c][:, None], basis)].tolist() for c in geom.index_blocks(fd, m))
-    return PointSet(fd, d, [p for b in blocks for p in b])
+    return PointSet(fd, len(vectors[0]), [p for b in blocks for p in b])
 
 
 def con1_set(fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET) -> PointSet:

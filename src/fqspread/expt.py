@@ -241,6 +241,8 @@ def run_beck(
     if size > q**d:
         raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
     bound = alpha(epsilon) * q ** (2 * d - 2)
+    if bound == 0:
+        raise VacuousBound(f"the line bound is 0 at epsilon = {epsilon}, which every set meets")
     space = geom.all_points(fd, d, budget)
     census.check_pairs(size, budget)  # before any trial is drawn
     per_trial = [
@@ -271,19 +273,19 @@ def run_projection(
     n_points: int,
     trials: int,
     seed: int,
-    expect_zero: bool = False,
     budget: int = geom.DEFAULT_ENUM_BUDGET,
 ) -> ExperimentReport:
     """Fix one random n-point set, sample seeded rank-k projections, and check
     the empirical mean collision count against 1.2 * C(n,2) / q^k (20%
-    statistical slack).  ``expect_zero`` additionally demands zero collisions
-    in every single trial (the k = d control)."""
+    statistical slack).  For k = d a projection is injective, so every
+    single trial must also show zero collisions (``expect_zero``)."""
     _check_trials(trials)
     q = fd.q
     if n_points < 2:
         raise TooFewPoints(f"need at least 2 points for a collision, got {n_points}")
     if n_points > q**d:
         raise SizeExceeded(f"n_points = {n_points} exceeds |F_q^d| = {q ** d}")
+    expect_zero = k == d
     universe = geom.all_points(fd, d, budget).points
     pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
     per_trial = []
@@ -563,82 +565,32 @@ def _uniform_below(rng: random.Random, bound: int, shape: tuple) -> np.ndarray:
 
 # -- acceptance suite ------------------------------------------------------------
 
-CONSTRUCTION_CASES = ((5, 2), (5, 4), (13, 2), (3, 4), (7, 4), (5, 3), (13, 3), (3, 5))
-TWO_Q_FIELDS = ("3^1", "5^1", "7^1", "3^2")
-ISO_SEARCH_CASES = ((3, 6, False), (5, 6, True), (3, 8, True))
-LINE_FLOOR_FIELDS = (5, 7, 11)
-SPHERE_EQUIV_CASES = ((5, 2), (7, 2), (5, 3), (7, 3))
-PROPERTY_FIELDS = ("5^1", "7^1", "3^2", "13^1")
-SPHERE_DISTANCE_FIELDS = (5, 7)
+
+def _plane_lines(fd: ff.Field, budget: int) -> ExperimentReport:
+    """The full plane F_q^2 spans exactly q (q + 1) lines."""
+    cen = census.spanned_lines(geom.all_points(fd, 2, budget), budget)
+    expected = fd.q * (fd.q + 1)
+    ok = cen.lines == expected
+    return ExperimentReport(
+        name="plane-lines",
+        claim="the full plane spans exactly q*(q+1) lines",
+        params={"field": fd.label(), "d": 2},
+        per_trial=[{"trial": 0, "lines": cen.lines, "expected": expected, "ok": ok}],
+        verdict=_verdict([ok]),
+    )
 
 
-def suite_constructions(budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    return [run_constructions(ff.Field(q), d, budget) for q, d in CONSTRUCTION_CASES]
-
-
-def suite_two_q_minus_one(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    return [run_bode(ff.parse_field(s), 100, seed, budget=budget) for s in TWO_Q_FIELDS]
-
-
-def suite_iso_search(budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    return [run_iso_search(ff.Field(p), d, expect, budget) for p, d, expect in ISO_SEARCH_CASES]
-
-
-def suite_line_floor(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    out = []
-    for q in LINE_FLOOR_FIELDS:
-        fd = ff.Field(q)
-        out.append(run_beck(fd, 2, Fraction(1), 100, seed, budget))
-        cen = census.spanned_lines(geom.all_points(fd, 2, budget), budget)
-        expected = q * (q + 1)
-        ok = cen.lines == expected
-        out.append(
-            ExperimentReport(
-                name="plane-lines",
-                claim="the full plane spans exactly q*(q+1) lines",
-                params={"field": fd.label(), "d": 2},
-                per_trial=[
-                    {"trial": 0, "lines": cen.lines, "expected": expected, "ok": ok}
-                ],
-                verdict=_verdict([ok]),
-            )
-        )
-    return out
-
-
-def suite_projection(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    fd = ff.Field(5)
-    return [
-        run_projection(fd, 4, 2, 25, 200, seed, budget=budget),
-        run_projection(fd, 4, 4, 25, 200, seed, expect_zero=True, budget=budget),
-    ]
-
-
-def suite_sphere_equiv(budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    return [run_sphere_equiv(ff.Field(q), d, budget) for q, d in SPHERE_EQUIV_CASES]
-
-
-def suite_properties(seed: int = 0) -> list[ExperimentReport]:
-    return [run_properties(ff.parse_field(s), 10_000, seed) for s in PROPERTY_FIELDS]
-
-
-def suite_sphere_distance(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    return [
-        run_sphere_distance(ff.Field(q), 3, Fraction(2), 20, seed, budget)
-        for q in SPHERE_DISTANCE_FIELDS
-    ]
-
-
-def suite_reproducibility(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> ExperimentReport:
+def _reproducibility(seed: int, budget: int) -> ExperimentReport:
+    """Two seeded bode runs serialize to the same bytes, and a census of
+    con2 on F_5^3 matches a stacked census of the set in its own and in
+    reverse point order."""
     fd3 = ff.Field(3)
     first = run_bode(fd3, 5, seed, budget=budget).to_json()
     second = run_bode(fd3, 5, seed, budget=budget).to_json()
     json_ok = first == second
     ps = construct.con2_set(ff.Field(5), 3, budget)
-    # One census of the set alone against a stack of the set in its own and
-    # in reverse point order.  The census runs on one thread; the
-    # worker-count key and claim keep their names so the seeded battery
-    # JSON stays byte-identical.
+    # The census runs on one thread; the worker-count key and claim keep
+    # their names so the seeded battery JSON stays byte-identical.
     reversed_ps = geom.PointSet(ps.field, ps.dim, ps.points[::-1])
     alone = census.distinct_spreads(ps, budget)
     census_ok = census.spread_censuses([ps, reversed_ps], budget) == [alone, alone]
@@ -655,16 +607,23 @@ def suite_reproducibility(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET)
 
 
 def acceptance_suite(seed: int = 0, budget: int = geom.DEFAULT_ENUM_BUDGET) -> list[ExperimentReport]:
-    """The full desk-scale verification battery, in a fixed order; `budget`
-    bounds every enumeration and census in it."""
-    reports: list[ExperimentReport] = []
-    reports += suite_constructions(budget)
-    reports += suite_two_q_minus_one(seed, budget)
-    reports += suite_iso_search(budget)
-    reports += suite_line_floor(seed, budget)
-    reports += suite_projection(seed, budget)
-    reports += suite_sphere_equiv(budget)
-    reports += suite_properties(seed)
-    reports += suite_sphere_distance(seed, budget)
-    reports.append(suite_reproducibility(seed, budget))
-    return reports
+    """The full desk-scale verification battery, 34 reports in a fixed
+    order; `budget` bounds every enumeration and census in it."""
+    return [
+        *(
+            run_constructions(ff.Field(q), d, budget)
+            for q, d in ((5, 2), (5, 4), (13, 2), (3, 4), (7, 4), (5, 3), (13, 3), (3, 5))
+        ),
+        *(run_bode(ff.parse_field(s), 100, seed, budget=budget) for s in ("3^1", "5^1", "7^1", "3^2")),
+        *(run_iso_search(ff.Field(p), d, found, budget) for p, d, found in ((3, 6, False), (5, 6, True), (3, 8, True))),
+        *(
+            report
+            for fd in map(ff.Field, (5, 7, 11))
+            for report in (run_beck(fd, 2, Fraction(1), 100, seed, budget), _plane_lines(fd, budget))
+        ),
+        *(run_projection(ff.Field(5), 4, k, 25, 200, seed, budget) for k in (2, 4)),
+        *(run_sphere_equiv(ff.Field(q), d, budget) for q, d in ((5, 2), (7, 2), (5, 3), (7, 3))),
+        *(run_properties(ff.parse_field(s), 10_000, seed) for s in ("5^1", "7^1", "3^2", "13^1")),
+        *(run_sphere_distance(ff.Field(q), 3, Fraction(2), 20, seed, budget) for q in (5, 7)),
+        _reproducibility(seed, budget),
+    ]

@@ -555,6 +555,24 @@ def test_experiment_threshold_zero_floor_rejected(capsys):
     assert err.splitlines()[0] == "VacuousBound"
 
 
+def test_experiment_beck_zero_epsilon_rejected(capsys):
+    # alpha(0) = 0: the line bound 0 is met by any set
+    code, out, err = run_cli(capsys, "experiment", "beck", "--field", "7", "--d", "2", "--epsilon", "0", "--trials", "3")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "VacuousBound"
+
+
+def test_experiment_projection_k_equals_d_expects_zero(capsys):
+    # a rank-d projection is injective, so every trial is held to zero collisions
+    code, out, _ = run_cli(
+        capsys, "experiment", "projection", "--field", "5", "--d", "2", "--k", "2", "--n-points", "10", "--trials", "5"
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["params"]["expect_zero"] is True
+    assert all(r["collisions"] == 0 and r["ok"] for r in rep["per_trial"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -106,9 +106,10 @@ def test_reproducibility_census_sees_point_order(monkeypatch):
             row[-1] -= 1
         return hist
 
-    assert expt.suite_reproducibility(0).per_trial[0]["census_worker_independent"] is True
+    budget = geom.DEFAULT_ENUM_BUDGET
+    assert expt._reproducibility(0, budget).per_trial[0]["census_worker_independent"] is True
     monkeypatch.setattr(census, "_spread_histograms", order_dependent)
-    rep = expt.suite_reproducibility(0)
+    rep = expt._reproducibility(0, budget)
     assert rep.per_trial[0]["census_worker_independent"] is False
     assert rep.per_trial[0]["json_identical"] is True
     assert rep.verdict == "fail"
@@ -164,6 +165,14 @@ def test_run_beck():
     assert all(r["lines"] >= 9 for r in rep.per_trial)
 
 
+def test_run_beck_rejects_zero_epsilon(monkeypatch):
+    # alpha(0) = 0 makes the line bound 0, which every set meets
+    drawn = count_draws(monkeypatch)
+    with pytest.raises(errors.VacuousBound):
+        run_beck(F7, 2, Fraction(0), 3, 0)
+    assert drawn == []
+
+
 def test_run_projection_bounds():
     rep = run_projection(F5, 4, 2, 25, 50, 0)
     assert rep.passed
@@ -174,16 +183,20 @@ def test_run_projection_bounds():
 
 
 def test_run_projection_k_equals_d_zero_collisions():
-    rep = run_projection(F5, 4, 4, 25, 50, 0, expect_zero=True)
+    # a rank-d projection is injective, so k = d demands zero collisions in
+    # every trial, and only k = d does
+    rep = run_projection(F5, 4, 4, 25, 50, 0)
     assert rep.passed
+    assert rep.params["expect_zero"] is True
     assert all(r["collisions"] == 0 for r in rep.per_trial)
+    assert run_projection(F5, 4, 3, 25, 5, 0).params["expect_zero"] is False
 
 
 def test_run_projection_rejects_degenerate_sizes():
     # fewer than 2 points have no pair to collide, so any verdict is vacuous
     for n_points in (0, 1):
         with pytest.raises(errors.TooFewPoints):
-            run_projection(F5, 4, 2, n_points, 20, 0, expect_zero=True)
+            run_projection(F5, 4, 4, n_points, 20, 0)
     with pytest.raises(errors.SizeExceeded):
         run_projection(F5, 4, 2, 5**4 + 1, 2, 0)
     assert run_projection(F5, 4, 2, 5**4, 1, 0).params["n_points"] == 5**4

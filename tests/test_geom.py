@@ -416,7 +416,7 @@ def test_random_orthogonal_properties():
     assert geom.random_orthogonals(F5, 2, [42]) == geom.random_orthogonals(F5, 2, [42])
 
 
-@pytest.mark.parametrize("field", expt.PROPERTY_FIELDS)
+@pytest.mark.parametrize("field", ["5^1", "7^1", "3^2", "13^1"])
 def test_random_orthogonals_match_scalar_oracle(field):
     # every (field, d, seed) of the battery's pools at seeds 0 and 1, and d = 1
     fd = parse_field(field)
