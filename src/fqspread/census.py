@@ -18,8 +18,10 @@ A map of the module:
 - ``random_projections`` ranks seeded projections in batches;
   ``collision_count`` and ``image_size`` count their images.
 - ``search_iso_triple`` scans isotropic representatives with lazy
-  orthogonality masks; ``sphere_equiv_check`` compares the distinct
-  (spread, |a - b|, |a + b|) keys of the unit sphere's origin pairs.
+  per-row orthogonality masks, each built when the scan first reads it;
+  ``sphere_equiv_check`` compares the distinct (spread, |a - b|, |a + b|)
+  keys of the unit sphere's origin pairs.  Both gate on closed-form
+  sphere sizes (``geom.sphere_size``) before they walk F_q^d.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``): every inner product is ``Field.log_dot`` and every spread
@@ -28,6 +30,7 @@ comes from ``geom.arm_spreads``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -676,23 +679,24 @@ def search_iso_triple(
     returns the lexicographically first triple of representatives.
     Independence is re-verified by a rank check: the sum of two orthogonal
     isotropic vectors is again orthogonal isotropic, so pairwise
-    non-proportionality is not enough.  The orthogonality masks are built
-    in row blocks of about _MASK_CELLS cells as the scan first reads them,
-    and the candidates are ranked in batched eliminations over blocks of
-    consecutive triples, which grow twofold from 16 triples up to about
-    _BLOCK_CELLS coordinates, so an early find costs one small block of
-    each.
+    non-proportionality is not enough.  The representatives number
+    m = (|S_0| - 1) / (q - 1), which ``geom.sphere_size`` gives in closed
+    form, so the m < 3 answer and the m^2 budget gate come before any walk
+    of F_q^d.  Each representative's orthogonality mask is one row of inner
+    products, built when the scan first reads it, and the candidates are
+    ranked in batched eliminations over blocks of consecutive triples,
+    which grow twofold from 16 triples up to about _BLOCK_CELLS
+    coordinates, so an early find costs a few rows and one small block.
     """
-    if fd.q**d > budget:
-        raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
-    reps = _isotropic_reps(fd, d)
-    m = len(reps)
+    geom.check_space(fd, d, budget)
+    m = (geom.sphere_size(fd, d, 0) - 1) // (fd.q - 1)
     if m < 3:
         return None
     if m * m > budget:
         raise BudgetExceeded(
             f"pair scan over {m}^2 = {m * m} representatives exceeds budget {budget}"
         )
+    reps = _isotropic_reps(fd, d)
     arr = fd.log[np.array(reps, dtype=np.int32)]
     mask = _orthogonality_masks(fd, arr)
     triples = (  # i < j < k, pairwise orthogonal, in lexicographic order
@@ -729,28 +733,17 @@ def _isotropic_reps(fd: ff.Field, d: int) -> list[Vec]:
     return out
 
 
-# Rows per block of orthogonality masks are chosen so block * m stays near
-# this many cells.
-_MASK_CELLS = 1 << 18
-
-
 def _orthogonality_masks(fd: ff.Field, arr: np.ndarray):
     """Lazy per-representative bitmasks of orthogonal partners among the rows
     of arr (m, d; logs): mask(i) has bit j set when rows i and j are
-    orthogonal.  The first call in a block of rows builds the masks of the
-    whole block, so memory stays proportional to block x m and a search
-    that ends early builds only the blocks it read."""
-    m = len(arr)
-    step = max(1, _MASK_CELLS // m)
-    masks: list[Optional[int]] = [None] * m
+    orthogonal.  Each mask is one row of inner products, built on its first
+    read and cached, so a search that ends early builds only the rows it
+    read."""
 
+    @functools.cache
     def mask(i: int) -> int:
-        if masks[i] is None:
-            lo = i - i % step
-            g = fd.log_dot(arr[lo : lo + step, None, :], arr[None, :, :])
-            for r, row in enumerate(g == fd.zero_log, lo):
-                masks[r] = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        return masks[i]
+        row = fd.log_dot(arr[i], arr) == fd.zero_log
+        return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
     return mask
 
@@ -768,11 +761,13 @@ def sphere_equiv_check(
     """Exhaustively test, over quadruples (a, b, c, e) on the unit sphere with
     both origin-apex spreads defined, that spread(0,a,b) = spread(0,c,e) holds
     exactly when |a-b| = |c-e| or |a-b| = |c+e|.  The report lists the first
-    _MAX_VIOLATIONS violations."""
-    sph = geom.sphere_points(fd, d, 1, budget=budget)
-    m = len(sph)
+    _MAX_VIOLATIONS violations.  |S_1| comes in closed form, so the |S_1|^4
+    gate comes before the sphere is walked."""
+    geom.check_space(fd, d, budget)
+    m = geom.sphere_size(fd, d, 1)
     if m**4 > budget:
         raise BudgetExceeded(f"|S1|^4 = {m ** 4} exceeds budget {budget}")
+    sph = geom.sphere_points(fd, d, 1, budget=budget)
     pts = fd.log[sph.as_array()]
     # The verdict on origin pairs (a, b), (c, e) depends only on their keys
     # (spread, |a - b|, |a + b|); undefined pairs have spread -1.

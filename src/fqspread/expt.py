@@ -387,12 +387,11 @@ def run_sphere_distance(
     threshold = min(q // 2, math.floor(c * q / 4))
     if threshold == 0:
         raise TooFewPoints(f"C = {c} gives threshold 0 on F_{q}, which every set meets; need C >= 4/q")
+    geom.check_space(fd, d, budget)
+    size, sphere_size = ceil_scaled_power(c, q, d), geom.sphere_size(fd, d, 1)
+    if size > sphere_size:
+        raise SphereTooSmall(f"sample size {size} exceeds |S1| = {sphere_size} in F_{q}^{d}")
     sphere = geom.sphere_points(fd, d, 1, budget)
-    size = ceil_scaled_power(c, q, d)
-    if size > len(sphere):
-        raise SphereTooSmall(
-            f"sample size {size} exceeds |S1| = {len(sphere)} in F_{q}^{d}"
-        )
     per_trial = []
     for t in range(trials):
         pts = sample_prefix(sphere.points, size, random.Random(trial_seed(seed, t)))

@@ -250,10 +250,15 @@ class PointSet:
         return cls.loads(Path(path).read_text(errors="replace"))
 
 
-def all_points(fd: ff.Field, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointSet:
-    """All of F_q^d in lexicographic order."""
+def check_space(fd: ff.Field, d: int, budget: int) -> None:
+    """The gate of every walk over F_q^d: BudgetExceeded when q^d > budget."""
     if fd.q**d > budget:
         raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
+
+
+def all_points(fd: ff.Field, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointSet:
+    """All of F_q^d in lexicographic order."""
+    check_space(fd, d, budget)
     return PointSet(fd, d, itertools.product(fd.elements(), repeat=d))
 
 
@@ -263,9 +268,24 @@ def sphere_points(
     """All x in F_q^d with |x| = t, enumerated in index order."""
     if not 0 <= t < fd.q:
         raise FormatError(f"t = {t} is not an element index of F_{fd.q}")
-    if fd.q**d > budget:
-        raise BudgetExceeded(f"q^d = {fd.q ** d} exceeds budget {budget}")
+    check_space(fd, d, budget)
     return PointSet(fd, d, [p for b in sphere_blocks(fd, d, t) for p in b.tolist()])
+
+
+def sphere_size(fd: ff.Field, d: int, t: int) -> int:
+    """|S_t|, the number of x in F_q^d with |x| = t, in closed form (Lidl &
+    Niederreiter, Finite Fields, Thms 6.26 and 6.27), without a walk: the
+    quadratic character of a nonzero element is +1 or -1 by the parity of
+    its log, and -1 has the log (q - 1) / 2."""
+    if d < 1:
+        raise BadDimension(f"needs d >= 1, got d = {d}")
+    q, half = fd.q, (fd.q - 1) // 2
+    if d % 2 == 0:
+        nu = q - 1 if t == 0 else -1
+        return q ** (d - 1) + nu * q ** ((d - 2) // 2) * (-1) ** (d // 2 * half)
+    if t == 0:
+        return q ** (d - 1)
+    return q ** (d - 1) + q ** ((d - 1) // 2) * (-1) ** ((d - 1) // 2 * half + int(fd.log[t]))
 
 
 # Indices of F_q^d per block of the index enumeration (spheres and spans).

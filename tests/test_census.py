@@ -1069,25 +1069,26 @@ def test_search_agrees_with_constructed_families():
 
 
 def test_search_iso_triple_same_in_small_blocks(monkeypatch):
-    # candidate triples ranked two at a time, and orthogonality masks built
-    # one row at a time, keep the lexicographic order
+    # candidate triples ranked two at a time keep the lexicographic order
     want = [search_iso_triple(fd, d) for fd, d in ((F3, 6), (F5, 6), (F3, 8))]
     monkeypatch.setattr(census, "_BLOCK_CELLS", 50)
-    monkeypatch.setattr(census, "_MASK_CELLS", 1)
     assert [search_iso_triple(fd, d) for fd, d in ((F3, 6), (F5, 6), (F3, 8))] == want
 
 
-def test_orthogonality_masks_match_scalar_dots():
-    # every row block size gives each representative's scalar partner set
+def test_orthogonality_masks_match_scalar_dots(monkeypatch):
+    # each representative's scalar partner set, read in reversed order
     for fd, d in ((F3, 4), (F5, 3), (F9, 3)):
         reps = census._isotropic_reps(fd, d)
         arr = fd.log[np.array(reps)]
         want = [sum(1 << j for j, v in enumerate(reps) if dot(fd, u, v) == 0) for u in reps]
-        for cells in (1, 2 * len(reps) + 1, 1 << 18):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(census, "_MASK_CELLS", cells)
-                mask = census._orthogonality_masks(fd, arr)
-                assert [mask(i) for i in reversed(range(len(reps)))] == want[::-1]
+        mask = census._orthogonality_masks(fd, arr)
+        assert [mask(i) for i in reversed(range(len(reps)))] == want[::-1]
+    # a row read twice is built once
+    calls = []
+    log_dot = Field.log_dot
+    monkeypatch.setattr(Field, "log_dot", lambda self, x, y: calls.append(1) or log_dot(self, x, y))
+    mask = census._orthogonality_masks(fd, arr)
+    assert mask(2) == mask(2) == want[2] and len(calls) == 1
 
 
 def test_search_budget():
@@ -1096,6 +1097,21 @@ def test_search_budget():
     with pytest.raises(errors.BudgetExceeded):
         # point enumeration fits but the representative pair scan does not
         search_iso_triple(F13, 6)
+
+
+def test_closed_form_gates_come_before_any_walk(monkeypatch):
+    # F_3^16 passes the q^d gate; the sphere sizes alone settle each call
+    def walked(*args):
+        raise AssertionError("walked F_q^d")
+
+    monkeypatch.setattr(geom, "sphere_blocks", walked)
+    with pytest.raises(errors.BudgetExceeded, match="pair scan"):
+        search_iso_triple(F3, 16)
+    assert search_iso_triple(F5, 2) is None  # two isotropic lines
+    with pytest.raises(errors.BudgetExceeded, match="S1"):
+        sphere_equiv_check(F3, 16)
+    with pytest.raises(errors.SphereTooSmall):
+        expt.run_sphere_distance(F3, 16, 3000, 1, 0)
 
 
 # -- sphere equivalence ------------------------------------------------------------------

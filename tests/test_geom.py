@@ -358,6 +358,7 @@ def test_sphere_sizes_match_closed_form(fd, top):
     for d in range(1, top + 1):
         got = [sum(len(b) for b in geom.sphere_blocks(fd, d, t)) for t in fd.elements()]
         assert got == [sphere_size(fd, d, t) for t in fd.elements()], d
+        assert got == [geom.sphere_size(fd, d, t) for t in fd.elements()], d
         assert len(census._isotropic_reps(fd, d)) == (sphere_size(fd, d, 0) - 1) // (fd.q - 1)
 
 
