@@ -12,11 +12,14 @@ A map of the module:
   every rule of it with its measurements and memory bounds: the arm-class
   producer ``_arm_classes`` picks (``_apex_classes`` or
   ``_direction_classes``), and the window path ``_add_window`` picks
-  (``_add_gram`` or ``_add_pairs``, over a ``_class_table`` or without).
+  (``_add_gram`` or ``_add_pairs``, the latter gathering from a
+  ``_class_table`` in ``_add_table_pairs`` or without one).
 - ``distinct_distances`` visits the pairs in blocks, by polarization from
   Gram blocks (``_pair_distances``).
-- ``random_projections`` ranks seeded projections in batches;
-  ``collision_count`` and ``image_size`` count their images.
+- ``random_projections`` ranks seeded projections in batches, and
+  ``projection_images`` counts the collisions and image sizes of many
+  projections at once; ``collision_count`` and ``image_size`` are its
+  one-projection calls.
 - ``search_iso_triple`` scans isotropic representatives with lazy
   per-row orthogonality masks, each built when the scan first reads it;
   ``sphere_equiv_check`` compares the distinct (spread, |a - b|, |a + b|)
@@ -186,6 +189,23 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     - otherwise each apex gathers its pairs c <= c' from
       ``geom.arm_spreads`` on its class representatives.
 
+    Class ids are window-wide: where U <= n - 1 each representative's
+    index among the directions, compacted to those present
+    (``_direction_ids``, no sort), else the ranks of the representatives'
+    codes (``np.unique``).  ``_class_table`` builds the table on int32
+    logs through ``Field``'s arithmetic, each norm once, in one buffer of
+    about _BLOCK_CELLS cells reused by its row blocks.  The table gather
+    (``_add_table_pairs``) visits only cells that hold pairs: per block,
+    the diagonal's m_c (m_c - 1) / 2 in one pass, then tiles of class
+    positions [a0, a1), each the rectangle c < a1 <= c' plus the triangle
+    c < c' inside [a0, a1), weighted m_c m_c', into a histogram of the
+    window's sets that is added twice over into hist.  Measured
+    in-process on 2 cores (numpy 2.4) on the benchmark's 200-point sets of
+    F_1021^2 (u = 1022) and F_27^3 (u = 757), against the earlier table
+    (through ``geom.arm_spreads``) and gather (c' >= c tiles with 0/1/2
+    weights): the table took 4.9 and 4.3 ms for 10.7 and 9.1, the gather
+    18.0 and 17.5 ms for 23.6 and 21.4.
+
     So a set whose apexes share no classes gets no table.  The rule weighs
     the rows * u^2 multiply-adds of the integer product against the
     gather's sum k (k + 1) / 2 pairs.  It was measured in-process on 2
@@ -199,7 +219,8 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
     built in row blocks of about _BLOCK_CELLS cells.  The gather goes in
     tiles of about _BLOCK_CELLS / 2 cells, or one row of class positions of
-    a block.  The Gram path multiplies batches of sets of about
+    a block; from a table it adds one histogram of the window's sets, no
+    larger than hist.  The Gram path multiplies batches of sets of about
     _BLOCK_CELLS cells of M and G, or one set: G_s and its histogram
     indices are u x u int64, at most _TABLE_CELLS cells each, and as
     k <= u the rule bounds M by rows * u <= _GRAM_RATIO * sum (k + 1) / 2
@@ -246,11 +267,14 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray) -> None:
     ``_spread_histograms``'s rule picks."""
     d = window[0][2].shape[2]
     all_reps = np.concatenate([r.reshape(-1, d) for _, _, r in window])
-    # ids: window-wide class ids; first: the first row of each class
-    _, first, ids = np.unique(
-        _codes(all_reps[None], fd.zero_log)[0], return_index=True, return_inverse=True
-    )
-    ids = ids.ravel()  # shaped like its input on some numpy versions
+    # ids: window-wide class ids; first: a row of each class
+    if _by_direction(fd.q, d, n):
+        ids, first = _direction_ids(fd, all_reps)
+    else:
+        _, first, ids = np.unique(
+            _codes(all_reps[None], fd.zero_log)[0], return_index=True, return_inverse=True
+        )
+        ids = ids.ravel()  # shaped like its input on some numpy versions
     u = len(first)
     k = np.concatenate([np.count_nonzero(mult, axis=1) for _, mult, _ in window])
     table = None
@@ -260,6 +284,29 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray) -> None:
             _add_gram(fd, n, window, ids, table, hist)
             return
     _add_pairs(fd, n, window, ids, table, hist)
+
+
+def _direction_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids of the canonical representatives reps (N, d; logs) with
+    no sort, for windows of few directions: each representative's index
+    among the U directions as ``_directions`` lays them out, compacted to
+    the directions that occur, in that order; and a row of each.
+
+    With e the element indices of a direction of lead j (e_j = 1, zeros
+    before it), R = sum e_i q^i is q^j + q^(j+1) T, T the base-q number of
+    its tail, which sits at position T past the q^(d-1) + ... + q^(d-j)
+    directions of the leads before j."""
+    q, d = fd.q, reps.shape[1]
+    e = fd.exp.take(reps).astype(np.int64)
+    lead = (e != 0).argmax(axis=1)
+    power = q ** np.arange(d + 1, dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum(power[d - 1 : 0 : -1])))
+    index = start[lead] + e @ power[:d] // power[lead + 1]
+    where = np.zeros((q**d - 1) // (q - 1), dtype=np.int64)
+    where[index] = np.arange(len(index))
+    present = np.zeros(len(where), dtype=bool)
+    present[index] = True
+    return np.cumsum(present)[index] - 1, where[present]
 
 
 def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.ndarray, hist: np.ndarray) -> None:
@@ -307,26 +354,24 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     """The gather path of ``_add_window``: each apex row visits its class
     pairs c <= c', m_c (m_c - 1) ordered arm pairs on the diagonal and
     2 m_c m_c' off it, and reads their spreads from the window's table by
-    class id or, without one, from ``geom.arm_spreads`` on its class
-    representatives.
+    class id (``_add_table_pairs``) or, without one, from
+    ``geom.arm_spreads`` on its class representatives.
 
-    A block's pairs go in tiles over all its rows at once: class positions
-    a0 <= c < a1 against c' >= a0, as broadcast slices with no index array,
-    so ``arm_spreads`` takes each representative's norm once per tile.  A
-    tile has about _BLOCK_CELLS / 2 cells, or a block's rows x 1 x k, and
-    spans at most a quarter of its c' positions, so under an eighth of its
-    cells (c' < c, weight 0) hold no pair.  Its histogram indices and
-    weights go through two buffers kept for the window: a fresh array per
-    tile costs page faults."""
+    Without a table, a block's pairs go in tiles over all its rows at once:
+    class positions a0 <= c < a1 against c' >= a0, as broadcast slices with
+    no index array, so ``arm_spreads`` takes each representative's norm
+    once per tile.  A tile has about _BLOCK_CELLS / 2 cells, or a block's
+    rows x 1 x k, and spans at most a quarter of its c' positions, so under
+    an eighth of its cells (c' < c, weight 0) hold no pair.  Its histogram
+    indices and weights go through two buffers kept for the window: a fresh
+    array per tile costs page faults."""
+    if table is not None:
+        _add_table_pairs(fd, n, window, ids, table, hist)
+        return
     cells = max(_BLOCK_CELLS // 2, max(m.size for _, m, _ in window))
     idx, weight = np.empty((2, cells), dtype=np.int64)
-    if table is not None:
-        u, spreads = len(table), np.empty(cells, dtype=table.dtype)
-    at = 0
     for lo, mult, reps in window:
         rows, width = mult.shape
-        cid = ids[at : at + mult.size].reshape(mult.shape)
-        at += mult.size
         slot = (np.arange(lo, lo + rows) // n * (fd.q + 1))[:, None, None]
         a0 = 0
         while a0 < width:
@@ -334,13 +379,8 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             a1 = a0 + max(1, min(cells // (rows * c), c // 4))
             x = idx[: rows * (a1 - a0) * c].reshape(rows, a1 - a0, c)
             w = weight[: x.size].reshape(x.shape)
-            if table is None:
-                s = geom.arm_spreads(fd, reps[:, a0:a1, None], reps[:, None, a0:])
-                s[s < 0] = fd.q
-            else:
-                np.add(cid[:, a0:a1, None] * u, cid[:, None, a0:], out=x)
-                # every index is in range; in "raise" mode take would buffer
-                s = table.take(x, out=spreads[: x.size].reshape(x.shape), mode="clip")
+            s = geom.arm_spreads(fd, reps[:, a0:a1, None], reps[:, None, a0:])
+            s[s < 0] = fd.q
             np.add(s, slot, out=x)
             # pairs per m_c m_c': 2 past the diagonal, 1 on it, 0 before it
             np.multiply(mult[:, a0:a1, None], mult[:, None, a0:], out=w)
@@ -351,20 +391,94 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             a0 = a1
 
 
+def _add_table_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.ndarray, hist: np.ndarray) -> None:
+    """The gather of ``_add_pairs`` from the window's class table.  Every
+    cell it visits holds a pair: per block, one pass over its class
+    positions adds m_c (m_c - 1) / 2 at the table's diagonal, then the
+    pairs c < c' go in tiles of class positions [a0, a1), each the
+    rectangle c < a1 <= c' plus the triangle c < c' inside [a0, a1) (its
+    indices kept per width for the window), weighted m_c m_c'.  All of it goes to a
+    histogram of the window's sets, added twice over into hist at the end.
+
+    A tile has about _BLOCK_CELLS / 2 cells, or a block's rows x k, through
+    buffers kept for the window.  A block whose rows all belong to one set
+    adds the table's spreads into that set's slots as they are; one that
+    straddles sets first adds each row's set offset."""
+    u, slots = len(table), fd.q + 1
+    s0 = window[0][0] // n
+    # the window's sets' slots, each unordered pair once
+    half = np.zeros(((window[-1][0] + len(window[-1][1]) - 1) // n + 1 - s0) * slots, dtype=np.int64)
+    cells = max(_BLOCK_CELLS // 2, max(m.size for _, m, _ in window))
+    idx, weight = np.empty((2, cells), dtype=np.int64)
+    spreads = np.empty(cells, dtype=table.dtype)
+    diagonal = np.ascontiguousarray(table.diagonal())
+    triangles: dict = {}  # per tile width, the positions i < j of its pairs
+
+    def add(s: np.ndarray, w: np.ndarray, ends) -> None:
+        """Add the flat spreads s with weights w, row-major (rows, m)
+        regions ending at ends, to the current block's slots."""
+        if offset is not None:
+            for a, b in itertools.pairwise((0, *ends)):
+                np.add(s[a:b].reshape(rows, -1), offset, out=idx[a:b].reshape(rows, -1))
+            s = idx[: s.size]
+        np.add.at(into, s, w)
+
+    at = 0
+    for lo, mult, _ in window:
+        rows, width = mult.shape
+        cid = ids[at : at + mult.size].reshape(mult.shape)
+        at += mult.size
+        sets = np.arange(lo, lo + rows) // n - s0
+        into, offset = half, (sets * slots)[:, None]
+        if sets[0] == sets[-1]:
+            into, offset = half[sets[0] * slots : (sets[0] + 1) * slots], None
+        add(diagonal.take(cid.ravel()), (mult * (mult - 1) // 2).ravel(), [mult.size])
+        cu = cid * u
+        a0 = 0
+        while a0 < width - 1:
+            a1 = a0 + max(1, min(width - a0, cells // (rows * (width - a0))))
+            if a1 - a0 not in triangles:
+                triangles[a1 - a0] = np.triu_indices(a1 - a0, 1)
+            i, j = triangles[a1 - a0]
+            rect = rows * (a1 - a0) * (width - a1)
+            end = rect + rows * len(i)
+            x, w = idx[:end], weight[:end]
+            box = (rows, a1 - a0, width - a1)
+            np.add(cu[:, a0:a1, None], cid[:, None, a1:], out=x[:rect].reshape(box))
+            np.multiply(mult[:, a0:a1, None], mult[:, None, a1:], out=w[:rect].reshape(box))
+            if len(i):
+                np.add(cu[:, a0:a1][:, i], cid[:, a0:a1][:, j], out=x[rect:].reshape(rows, -1))
+                np.multiply(mult[:, a0:a1][:, i], mult[:, a0:a1][:, j], out=w[rect:].reshape(rows, -1))
+            # every index is in range; in "raise" mode take would buffer
+            add(table.take(x, out=spreads[:end], mode="clip"), w, [rect, end])
+            a0 = a1
+    half *= 2
+    hist[s0 * slots : s0 * slots + len(half)] += half
+
+
 def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
     """The spreads of all pairs of the u class representatives reps (u, d;
     logs), shape (u, u), with q where undefined: int16 while q < 2^15, else
     int32.  The spread is symmetric, so each block of rows is evaluated
-    from its diagonal on and mirrored; the blocks keep temporaries near
-    _BLOCK_CELLS cells."""
+    from its diagonal on and mirrored.  The blocks run the formula of
+    ``geom.arm_spreads`` through ``Field``'s arithmetic with each norm taken
+    once, in one int32 buffer of about _BLOCK_CELLS cells reused by every
+    block; a spread is undefined exactly where a norm is 0."""
     u = len(reps)
     table = np.empty((u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
+    norms = fd.log_dot(reps, reps)
     step = max(1, _BLOCK_CELLS // u)
+    buf = np.empty(min(step, u) * u, dtype=norms.dtype)
     for lo in range(0, u, step):
-        rows = table[lo : lo + step, lo:]
-        rows[...] = geom.arm_spreads(fd, reps[lo : lo + step, None, :], reps[None, lo:, :])
-        table[lo:, lo : lo + step] = rows.T
-    table[table < 0] = fd.q
+        hi = min(lo + step, u)
+        s = buf[: (hi - lo) * (u - lo)].reshape(hi - lo, u - lo)
+        fd.log_dot(reps[lo:hi, None], reps[None, lo:], out=s)
+        fd.spread_from_logs(s, norms[lo:hi, None], norms[None, lo:], out=s)
+        table[lo:hi, lo:] = s
+        table[lo:, lo:hi] = s.T
+    iso = np.flatnonzero(norms == fd.zero_log)
+    table[iso] = fd.q
+    table[:, iso] = fd.q
     return table
 
 
@@ -412,8 +526,14 @@ def _arm_classes(fd: ff.Field, logs: np.ndarray):
     before anything is allocated, so no direction is enumerated unless the
     rule picks the directions."""
     n, d = logs.shape[1:]
-    by_direction = (fd.q**d - 1) // (fd.q - 1) <= n - 1
-    return (_direction_classes if by_direction else _apex_classes)(fd, logs)
+    return (_direction_classes if _by_direction(fd.q, d, n) else _apex_classes)(fd, logs)
+
+
+def _by_direction(q: int, d: int, n: int) -> bool:
+    """The rule of ``_spread_histograms``: sets of n points count by
+    direction when the U = (q^d - 1)/(q - 1) directions of F_q^d number at
+    most n - 1."""
+    return (q**d - 1) // (q - 1) <= n - 1
 
 
 def _direction_classes(fd: ff.Field, logs: np.ndarray):
@@ -428,7 +548,9 @@ def _direction_classes(fd: ff.Field, logs: np.ndarray):
     cells, and the sets in chunks of as many rows, or one set.  Per chunk,
     a first pass over its blocks counts the points of each set on each of
     its U q^(d-1) lines, fewer cells than the chunk's U n, and a second
-    reads each row's line sizes back and keeps its nonzero classes."""
+    reads each row's line sizes back and keeps its nonzero classes.  The
+    second pass reuses the first's line keys when the chunk's (rows, U)
+    keys fit in _BLOCK_CELLS cells, and builds them again otherwise."""
     s, n, d = logs.shape
     dirs, cols = _directions(fd, d)
     u, lines = len(dirs), fd.q ** (d - 1)
@@ -443,10 +565,14 @@ def _direction_classes(fd: ff.Field, logs: np.ndarray):
     for s0 in range(0, s, sets):
         pts = logs[s0 : s0 + sets].reshape(-1, d)
         count = np.zeros(len(pts) // n * u * lines, dtype=np.int64)
-        for r0 in range(0, len(pts), rows):
-            np.add.at(count, slots(pts, r0), 1)
+        kept = []  # the first pass's keys, when the chunk's fit in _BLOCK_CELLS
         for r0 in range(0, len(pts), rows):
             slot = slots(pts, r0)
+            np.add.at(count, slot, 1)
+            if len(pts) * u <= _BLOCK_CELLS:
+                kept.append(slot)
+        for b, r0 in enumerate(range(0, len(pts), rows)):
+            slot = kept[b] if kept else slots(pts, r0)
             mult = count[slot] - 1  # (rows, U): the other points on each line
             r, c = np.nonzero(mult)
             k = np.bincount(r, minlength=len(mult))  # at least 1: n >= 2
@@ -646,23 +772,39 @@ def random_projections(fd: ff.Field, d: int, k: int, seeds: Sequence[int]) -> li
 
 def collision_count(ps: PointSet, rows: geom.Matrix) -> int:
     """Unordered pairs of points with equal images under the projection rows."""
-    m = _image_counts(ps, rows)
-    return int((m * (m - 1) // 2).sum())
+    return projection_images(ps, [rows])[0][0]
 
 
 def image_size(ps: PointSet, rows: geom.Matrix) -> int:
-    return len(_image_counts(ps, rows))
+    return projection_images(ps, [rows])[1][0]
 
 
-def _image_counts(ps: PointSet, rows: geom.Matrix) -> np.ndarray:
-    """The number of points on each distinct image under the projection rows."""
-    if len(rows[0]) != ps.dim:
-        raise DimensionMismatch(
-            f"projection expects dimension {len(rows[0])}, point set has {ps.dim}"
-        )
+def projection_images(ps: PointSet, projections: Sequence[geom.Matrix]) -> tuple[list[int], list[int]]:
+    """Per projection (k rows of length d, one k for all), the collision
+    count and the image size of ps under it.  The projections go in
+    batches of about _BLOCK_CELLS image coordinates: each batch sorts the
+    codes of its images per projection, and a run of m equal images holds
+    m (m - 1) / 2 colliding pairs."""
+    for rows in projections:
+        if len(rows[0]) != ps.dim:
+            raise DimensionMismatch(
+                f"projection expects dimension {len(rows[0])}, point set has {ps.dim}"
+            )
     fd = ps.field
-    images = fd.log_dot(fd.log[ps.as_array()][:, None], fd.log[np.array(rows)][None])
-    return np.unique(_codes(images[None], fd.zero_log)[0], return_counts=True)[1]
+    pts = fd.log[ps.as_array()][None, :, None]
+    n = len(ps)
+    at = np.arange(n)
+    collisions, sizes = [], []
+    step = max(1, _BLOCK_CELLS // (n * len(projections[0]))) if projections else 1
+    for lo in range(0, len(projections), step):
+        images = fd.log_dot(pts, fd.log[np.array(projections[lo : lo + step])][:, None])  # (B, n, k)
+        code = np.sort(_codes(images, fd.zero_log), axis=1)
+        new = np.ones(code.shape, dtype=bool)  # where a run of equal images starts
+        new[:, 1:] = code[:, 1:] != code[:, :-1]
+        start = np.maximum.accumulate(np.where(new, at, 0), axis=1)
+        collisions += (at - start).sum(axis=1).tolist()
+        sizes += new.sum(axis=1).tolist()
+    return collisions, sizes
 
 
 # -- isotropic triple search -------------------------------------------------------

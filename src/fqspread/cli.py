@@ -3,7 +3,9 @@
 A command accepts only the flags it reads, but for ``census --workers``
 (accepted and ignored) and the flags that ``census`` and ``construct``
 share across their kinds.  Each experiment kind's parser and call come
-from its ``_EXPERIMENTS`` entry.
+from its ``_EXPERIMENTS`` entry.  One call builds one parser: every
+command is listed, but only the one the arguments name gets its flags
+and subcommands, so usage, help and errors read as from the full tree.
 
 Identical invocations print identical bytes to stdout, with one exception:
 census reports carry an ``elapsed_ms`` timing field.  Domain errors print
@@ -22,6 +24,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Optional
 
 from . import census, construct, expt, ff, geom
 from .errors import DomainError, FormatError
@@ -130,7 +133,10 @@ def _add_flags(parser: argparse.ArgumentParser, env: dict, *dests: str) -> None:
         parser.add_argument(flag, **spec)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(words=None) -> argparse.ArgumentParser:
+    """The parser of every command; given words, only the commands that
+    one of them names get their flags, subcommands and -h.  Every command
+    is listed either way, so usage, help and choice errors read the same."""
     top = argparse.ArgumentParser(
         prog="fqspread",
         description="spread geometry over odd finite fields: censuses, constructions, experiments",
@@ -138,65 +144,72 @@ def build_parser() -> argparse.ArgumentParser:
     env = {"seed": _env_int(ENV_SEED, 0), "budget": _env_int(ENV_BUDGET, geom.DEFAULT_ENUM_BUDGET)}
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_field = sub.add_parser("field", help="field utilities")
-    field_sub = p_field.add_subparsers(dest="subcommand", required=True)
-    p_info = field_sub.add_parser("info", help="describe a field and its element encoding")
-    p_info.set_defaults(func=_cmd_field_info)
-    _add_flags(p_info, env, "field")
+    def command(name: str, text: str) -> Optional[argparse.ArgumentParser]:
+        """The parser of a command, or None when no word names it: then it
+        is never parsed, so it is listed with no flags and no -h."""
+        named = words is None or name in words
+        parser = sub.add_parser(name, help=text, add_help=named)
+        return parser if named else None
 
-    p_spread = sub.add_parser("spread", help="spread of one triple")
-    spread_sub = p_spread.add_subparsers(dest="subcommand", required=True)
-    p_eval = spread_sub.add_parser("eval")
-    p_eval.set_defaults(func=_cmd_spread_eval)
-    _add_flags(p_eval, env, "field")
-    p_eval.add_argument("--d", type=_dimension, required=True)
-    p_eval.add_argument("--apex", required=True, help="comma-separated element indices")
-    p_eval.add_argument("--b", required=True)
-    p_eval.add_argument("--c", required=True)
+    if p_field := command("field", "field utilities"):
+        field_sub = p_field.add_subparsers(dest="subcommand", required=True)
+        p_info = field_sub.add_parser("info", help="describe a field and its element encoding")
+        p_info.set_defaults(func=_cmd_field_info)
+        _add_flags(p_info, env, "field")
 
-    p_kspread = sub.add_parser("kspread", help="order-k spread of a point file")
-    kspread_sub = p_kspread.add_subparsers(dest="subcommand", required=True)
-    p_keval = kspread_sub.add_parser("eval")
-    p_keval.set_defaults(func=_cmd_kspread_eval)
-    p_keval.add_argument("--points", type=_path, required=True, help="point-set file of k+1 points")
-    _add_flags(p_keval, env, "budget")
+    if p_spread := command("spread", "spread of one triple"):
+        spread_sub = p_spread.add_subparsers(dest="subcommand", required=True)
+        p_eval = spread_sub.add_parser("eval")
+        p_eval.set_defaults(func=_cmd_spread_eval)
+        _add_flags(p_eval, env, "field")
+        p_eval.add_argument("--d", type=_dimension, required=True)
+        p_eval.add_argument("--apex", required=True, help="comma-separated element indices")
+        p_eval.add_argument("--b", required=True)
+        p_eval.add_argument("--c", required=True)
 
-    p_con = sub.add_parser("construct", help="emit extremal point sets")
-    p_con.set_defaults(func=_cmd_construct)
-    p_con.add_argument("kind", choices=("con1", "con2", "iso"))
-    _add_flags(p_con, env, "field", "budget")
-    p_con.add_argument("--d", type=_dimension, required=True)
+    if p_kspread := command("kspread", "order-k spread of a point file"):
+        kspread_sub = p_kspread.add_subparsers(dest="subcommand", required=True)
+        p_keval = kspread_sub.add_parser("eval")
+        p_keval.set_defaults(func=_cmd_kspread_eval)
+        p_keval.add_argument("--points", type=_path, required=True, help="point-set file of k+1 points")
+        _add_flags(p_keval, env, "budget")
 
-    p_cen = sub.add_parser("census", help="exhaustive counts over a point file")
-    p_cen.set_defaults(func=_cmd_census)
-    p_cen.add_argument("kind", choices=("spreads", "distances", "lines", "occurrences"))
-    p_cen.add_argument("--points", type=_path, required=True)
-    p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
-    p_cen.add_argument("--workers", type=_positive_int, default=1, help="accepted and ignored")
-    _add_flags(p_cen, env, "budget", "format")
+    if p_con := command("construct", "emit extremal point sets"):
+        p_con.set_defaults(func=_cmd_construct)
+        p_con.add_argument("kind", choices=("con1", "con2", "iso"))
+        _add_flags(p_con, env, "field", "budget")
+        p_con.add_argument("--d", type=_dimension, required=True)
 
-    p_search = sub.add_parser("search", help="exhaustive searches")
-    search_sub = p_search.add_subparsers(dest="subcommand", required=True)
-    p_iso = search_sub.add_parser("iso-triple")
-    p_iso.set_defaults(func=_cmd_search)
-    _add_flags(p_iso, env, "field", "budget", "format")
-    p_iso.add_argument("--d", type=_dimension, required=True)
+    if p_cen := command("census", "exhaustive counts over a point file"):
+        p_cen.set_defaults(func=_cmd_census)
+        p_cen.add_argument("kind", choices=("spreads", "distances", "lines", "occurrences"))
+        p_cen.add_argument("--points", type=_path, required=True)
+        p_cen.add_argument("--gamma", type=int, help="spread value for `occurrences`")
+        p_cen.add_argument("--workers", type=_positive_int, default=1, help="accepted and ignored")
+        _add_flags(p_cen, env, "budget", "format")
 
-    p_sphere = sub.add_parser("sphere", help="enumerate a sphere |x| = t")
-    p_sphere.set_defaults(func=_cmd_sphere)
-    _add_flags(p_sphere, env, "field", "budget")
-    p_sphere.add_argument("--d", type=_dimension, required=True)
-    p_sphere.add_argument("--t", type=int, required=True)
+    if p_search := command("search", "exhaustive searches"):
+        search_sub = p_search.add_subparsers(dest="subcommand", required=True)
+        p_iso = search_sub.add_parser("iso-triple")
+        p_iso.set_defaults(func=_cmd_search)
+        _add_flags(p_iso, env, "field", "budget", "format")
+        p_iso.add_argument("--d", type=_dimension, required=True)
 
-    p_expt = sub.add_parser("experiment", help="seeded experiments with pass/fail verdicts")
-    expt_sub = p_expt.add_subparsers(dest="kind", required=True)
-    for kind, (_, params) in _EXPERIMENTS.items():
-        p_kind = expt_sub.add_parser(kind)
-        p_kind.set_defaults(func=_cmd_experiment)
-        _add_flags(p_kind, env, "field", *params, "budget", "format")
-    p_all = expt_sub.add_parser("all", help="the full acceptance battery")
-    p_all.set_defaults(func=_cmd_experiment_all)
-    _add_flags(p_all, env, "seed", "budget", "format")
+    if p_sphere := command("sphere", "enumerate a sphere |x| = t"):
+        p_sphere.set_defaults(func=_cmd_sphere)
+        _add_flags(p_sphere, env, "field", "budget")
+        p_sphere.add_argument("--d", type=_dimension, required=True)
+        p_sphere.add_argument("--t", type=int, required=True)
+
+    if p_expt := command("experiment", "seeded experiments with pass/fail verdicts"):
+        expt_sub = p_expt.add_subparsers(dest="kind", required=True)
+        for kind, (_, params) in _EXPERIMENTS.items():
+            p_kind = expt_sub.add_parser(kind)
+            p_kind.set_defaults(func=_cmd_experiment)
+            _add_flags(p_kind, env, "field", *params, "budget", "format")
+        p_all = expt_sub.add_parser("all", help="the full acceptance battery")
+        p_all.set_defaults(func=_cmd_experiment_all)
+        _add_flags(p_all, env, "seed", "budget", "format")
     return top
 
 
@@ -349,7 +362,10 @@ def _cmd_experiment_all(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes the command from the first positional word, which
+    # need not be argv[0]; a command any word names is built in full
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.func(args)
     except DomainError as err:

@@ -16,7 +16,8 @@ checks that one-gather batch against ``geom.arm_k_spreads``, the order-2
 spread of the same cases from their Gram determinants by elimination.
 Its orthogonal pools come from one ``geom.random_orthogonals`` call each.
 ``run_projection`` ranks the samples of all its trials together
-(``census.random_projections``), each trial drawing from its own rng.
+(``census.random_projections``), each trial drawing from its own rng, and
+counts all their images in one ``census.projection_images`` call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,12 +140,11 @@ def run_bode(
     determines the whole plane's value set."""
     q = fd.q
     size = 2 * q - 1
+    n = q * q if full_plane else size
+    geom.check_space(fd, 2, budget)
+    census.check_triples(n, budget)  # before the plane is built
     plane = geom.all_points(fd, 2, budget)
-    if full_plane:
-        sets, n = [plane], len(plane)
-    else:
-        census.check_triples(size, budget)  # before any trial is drawn
-        sets, n = _trial_sets(plane, size, trials, seed), size
+    sets = [plane] if full_plane else _trial_sets(plane, size, trials, seed)
     per_trial = [
         {
             "trial": t,
@@ -200,9 +200,9 @@ def run_threshold(
             raise SizeExceeded(f"sample size {size} exceeds |F_q^d| = {q ** d}")
         if floor_count == 0:
             raise VacuousBound(f"the floor floor(q/4) is 0 on F_{q}, which every set meets")
-        space = geom.all_points(fd, d, budget)
-        census.check_triples(size, budget)  # before any trial is drawn
-        sets = _trial_sets(space, size, trials, seed)
+        geom.check_space(fd, d, budget)
+        census.check_triples(size, budget)  # before F_q^d is built
+        sets = _trial_sets(geom.all_points(fd, d, budget), size, trials, seed)
         per_trial = [
             {"trial": t, "size": size, "defined_count": cen.defined_count, "ok": cen.defined_count >= floor_count}
             for t, cen in enumerate(census.spread_censuses(sets, budget))
@@ -243,8 +243,9 @@ def run_beck(
     bound = alpha(epsilon) * q ** (2 * d - 2)
     if bound == 0:
         raise VacuousBound(f"the line bound is 0 at epsilon = {epsilon}, which every set meets")
+    geom.check_space(fd, d, budget)
+    census.check_pairs(size, budget)  # before F_q^d is built
     space = geom.all_points(fd, d, budget)
-    census.check_pairs(size, budget)  # before any trial is drawn
     per_trial = [
         {"trial": t, "size": size, "lines": cen.lines, "max_degree": cen.max_degree, "ok": cen.lines >= bound}
         for t, cen in enumerate(census.line_censuses(_trial_sets(space, size, trials, seed), budget))
@@ -288,22 +289,15 @@ def run_projection(
     expect_zero = k == d
     universe = geom.all_points(fd, d, budget).points
     pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
-    per_trial = []
-    best: Optional[dict] = None
-    total = 0
     projections = census.random_projections(fd, d, k, [trial_seed(seed, t) for t in range(trials)])
-    for t, proj in enumerate(projections):
-        coll = census.collision_count(pts, proj)
-        total += coll
-        rec = {"trial": t, "collisions": coll, "ok": (coll == 0) if expect_zero else True}
-        per_trial.append(rec)
-        if best is None or coll < best["collisions"]:
-            best = {
-                "trial": t,
-                "collisions": coll,
-                "image_size": census.image_size(pts, proj),
-            }
-    mean = Fraction(total, trials)
+    collisions, sizes = census.projection_images(pts, projections)
+    per_trial = [
+        {"trial": t, "collisions": coll, "ok": (coll == 0) if expect_zero else True}
+        for t, coll in enumerate(collisions)
+    ]
+    first = collisions.index(min(collisions))  # the first trial of fewest collisions
+    best = {"trial": first, "collisions": collisions[first], "image_size": sizes[first]}
+    mean = Fraction(sum(collisions), trials)
     bound = Fraction(6, 5) * math.comb(n_points, 2) * Fraction(1, q**k)  # k checked by the projections
     mean_ok = mean <= bound
     oks = [mean_ok] + [r["ok"] for r in per_trial]

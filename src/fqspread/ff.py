@@ -18,7 +18,7 @@ all come from the one inner product ``Field.log_dot``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -110,35 +110,52 @@ class Field:
     # Arrays of logs (``log[elements]``; 0 has the log ``zero_log``) combine
     # without leaving the log domain, every result again a log of this
     # form; ``exp[logs]`` maps them back to elements.  Equal logs are equal
-    # elements.
+    # elements.  Every gather is a ``take`` in "wrap" mode: the index sums
+    # stay inside their arrays (see ``_log_arrays``) but for the Zech
+    # differences below 0, which wrap as Python indices do, and a take
+    # reads int32 indices ~3x faster than fancy indexing (numpy 2.4).  An
+    # ``out`` array receives the result in place.
 
-    def log_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._red[x + y]
+    def log_mul(self, x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._red.take(np.add(x, y, out=out), out=out, mode="wrap")
 
-    def log_add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._red[x + self._zech[y - x]]
+    def log_add(self, x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The logs of the sums; ``out`` may be y, never x."""
+        z = self._zech.take(np.subtract(y, x, out=out), out=out, mode="wrap")
+        return self._red.take(np.add(x, z, out=out), out=out, mode="wrap")
 
     def log_neg(self, x: np.ndarray) -> np.ndarray:
-        return self._red[x + self._half]
+        return self._red.take(x + self._half, mode="wrap")
 
-    def log_dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def log_dot(self, x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Logs of sum_i x_i y_i over the common last axis (length >= 1) of
         two arrays of logs whose other axes broadcast.  The loop runs over
-        coordinates, so no temporary carries that axis."""
-        acc = self.log_mul(x[..., 0], y[..., 0])
+        coordinates, so no temporary carries that axis; with ``out`` it
+        keeps one product temporary."""
+        acc = self.log_mul(x[..., 0], y[..., 0], out=out)
         for c in range(1, x.shape[-1]):
-            acc = self.log_add(acc, self.log_mul(x[..., c], y[..., c]))
+            acc = self.log_add(self.log_mul(x[..., c], y[..., c]), acc, out=out)
         return acc
 
-    def spread_from_logs(self, dot: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    def spread_from_logs(
+        self, dot: np.ndarray, nu: np.ndarray, nv: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Elements 1 - dot^2 / (nu * nv) from the logs of a dot product and
         two norms (broadcast), in one gather; -1 where a norm is 0.  A zero
         norm moves the index past the table's last entry, -1, and the index
-        is clipped there; the zero test reads the norms, not the products."""
+        is clipped there; the zero test reads the norms, not the products.
+        An ``out`` array has dot's shape, which then spans the broadcast
+        shape, and may be dot itself."""
         n = self.q - 1
         tu, tv = (np.where(x == self.zero_log, 6 * n, -x % n) for x in (nu, nv))
-        idx = 2 * dot + (tu + tv)
-        return self._one_minus[np.minimum(idx, 6 * n - 1, out=idx)]
+        if out is None:
+            idx = 2 * dot + (tu + tv)
+        else:
+            idx = np.multiply(dot, 2, out=out)
+            idx += tu
+            idx += tv
+        np.minimum(idx, 6 * n - 1, out=idx)
+        return self._one_minus.take(idx, out=out, mode="wrap")
 
     # -- identity ------------------------------------------------------------
 

@@ -348,17 +348,23 @@ def test_arm_spreads_matches_scalar_spread():
 
 
 def count_spread_cells(monkeypatch):
-    """Wraps geom.arm_spreads; the list returned collects the number of
-    spreads each call evaluates."""
+    """Wraps geom.arm_spreads and census._class_table; the list returned
+    collects the number of spreads each call evaluates, u^2 per table."""
     cells = []
-    arm_spreads = geom.arm_spreads
+    arm_spreads, class_table = geom.arm_spreads, census._class_table
 
     def counting(fd, u, v):
         out = arm_spreads(fd, u, v)
         cells.append(out.size)
         return out
 
+    def counting_table(fd, reps):
+        out = class_table(fd, reps)
+        cells.append(out.size)
+        return out
+
     monkeypatch.setattr(geom, "arm_spreads", counting)
+    monkeypatch.setattr(census, "_class_table", counting_table)
     return cells
 
 
@@ -675,6 +681,114 @@ def test_whole_plane_table_has_q_plus_one_squared_cells(monkeypatch):
         distinct_spreads(geom.all_points(fd, 2))
         assert sum(cells) == (fd.q + 1) ** 2
         monkeypatch.undo()
+
+
+def canonical_reps(fd, d, seed):
+    """Distinct canonical representatives of F_p^d (p prime, d 2 or 3;
+    first nonzero coordinate 1), in seeded order, as logs, with isotropic
+    ones among them: (1, +-sqrt(-1)) for d = 2 (p = 1 mod 4), and four
+    (1, a, b) with 1 + a^2 + b^2 = 0 for d = 3."""
+    p, rng = fd.q, random.Random(seed)
+    reps = {(1, *(rng.randrange(p) for _ in range(d - 1))) for _ in range(60)}
+    reps |= {(0, 1, *(rng.randrange(p) for _ in range(d - 2))) for _ in range(5)}
+    iso = set()
+    while len(iso) < 2 * (d - 1):
+        a = rng.randrange(p) if d == 3 else 0
+        try:
+            b = fd.sqrt(-(1 + a * a) % p)
+        except errors.NotASquare:
+            continue
+        head = (1, a) if d == 3 else (1,)
+        iso |= {(*head, b), (*head, -b % p)}
+    reps = sorted(reps | iso)
+    rng.shuffle(reps)
+    return fd.log[np.array(reps)]
+
+
+@pytest.mark.parametrize(
+    "p, d, dtype", [(13, 2, np.int16), (11, 3, np.int16), (32789, 2, np.int32), (32771, 3, np.int32)]
+)
+def test_class_table_matches_arm_spreads(p, d, dtype, monkeypatch):
+    # the table's int32 log arithmetic against the one-gather batch, in
+    # blocks of 7 rows, so that each block's mirror meets the next block
+    fd = Field(p)
+    reps = canonical_reps(fd, d, p)
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 7 * len(reps))
+    table = census._class_table(fd, reps)
+    want = geom.arm_spreads(fd, reps[:, None], reps[None])
+    want[want < 0] = p
+    assert table.dtype == dtype
+    assert (table == want).all()
+    iso = np.flatnonzero(fd.log_dot(reps, reps) == fd.zero_log)
+    assert len(iso) >= 2 * (d - 1) and (table[iso] == p).all() and (table[:, iso] == p).all()
+
+
+@pytest.mark.parametrize("block, straddling", [(80, True), (100, False)])
+def test_table_gather_on_straddling_and_single_set_blocks(block, straddling, monkeypatch):
+    # 10-point sets of F_7^2 by apex: blocks of 80 // 20 = 4 apex rows
+    # straddle the sets, blocks of 5 rows sit inside one set; windows of
+    # about two blocks, and tiles of 40 cells, rectangles and triangles
+    sets = [random_pointset(F7, 2, 10, 80 + s) for s in range(6)]
+    hists = []
+    for ps in sets:
+        counts = naive_spread_counts(ps)
+        hists.append([counts[v] for v in range(7)] + [counts[None]])
+    force_producer(monkeypatch, "apex")
+    monkeypatch.setattr(census, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(census, "_WINDOW_CELLS", 100)
+    monkeypatch.setattr(census, *FORCED_PATHS["pairs"])
+    blocks = []
+    gather = census._add_table_pairs
+
+    def spy(fd, n, window, ids, table, hist):
+        blocks.extend((lo, lo + len(mult) - 1) for lo, mult, _ in window)
+        gather(fd, n, window, ids, table, hist)
+
+    monkeypatch.setattr(census, "_add_table_pairs", spy)
+    assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
+    assert any(lo // 10 != last // 10 for lo, last in blocks) == straddling
+
+
+@pytest.mark.parametrize("path", ["gram", "pairs"])
+def test_direction_windows_where_directions_never_occur(path, monkeypatch):
+    # 7-point sets of F_5^2 count by direction (U = 6 <= n - 1); one apex
+    # row a window, so a window's table holds only its apex's directions
+    sets = [random_pointset(F5, 2, 7, 90 + s) for s in range(4)]
+    hists = []
+    for ps in sets:
+        counts = naive_spread_counts(ps)
+        hists.append([counts[v] for v in range(5)] + [counts[None]])
+    force_producer(monkeypatch, "direction")
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 12)  # one row a block
+    monkeypatch.setattr(census, "_WINDOW_CELLS", 1)
+    monkeypatch.setattr(census, *FORCED_PATHS[path])
+    sizes = []
+    class_table = census._class_table
+
+    def recording(fd, reps):
+        sizes.append(len(reps))
+        return class_table(fd, reps)
+
+    monkeypatch.setattr(census, "_class_table", recording)
+    paths = record_paths(monkeypatch)
+    assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
+    assert {p for p, _, _ in paths} == {path} and len(paths) == 28
+    assert min(sizes) < 6
+
+
+@pytest.mark.parametrize("fd, d", [(F7, 1), (F5, 2), (F9, 2), (F3, 3), (F5, 3)], ids=str)
+def test_direction_ids_index_the_direction_layout(fd, d):
+    # representatives drawn with repeats, some directions absent: ids
+    # number the directions present in _directions' order
+    dirs = census._directions(fd, d)[0]
+    rng = random.Random(fd.q * d)
+    picks = [rng.randrange(len(dirs)) for _ in range(len(dirs) * 3 // 2)]
+    ids, first = census._direction_ids(fd, dirs[picks])
+    present = sorted(set(picks))
+    assert ids.tolist() == [present.index(i) for i in picks]
+    assert (dirs[picks][first] == dirs[present]).all()
+    if d > 1:
+        assert len(present) < len(dirs)
 
 
 def test_stacked_census_guards():
@@ -1023,6 +1137,20 @@ def test_collision_count_matches_scalar_buckets(fd, d, k):
             buckets[img] = buckets.get(img, 0) + 1
         assert collision_count(ps, proj) == sum(m * (m - 1) // 2 for m in buckets.values())
         assert census.image_size(ps, proj) == len(buckets)
+
+
+def test_projection_images_match_one_projection_calls(monkeypatch):
+    # batches of 180 // (30 * 2) = 3 projections, the last one short
+    ps = random_points(F7, 3, 30, 7)
+    projections = census.random_projections(F7, 3, 2, range(40))
+    want = (
+        [collision_count(ps, proj) for proj in projections],
+        [census.image_size(ps, proj) for proj in projections],
+    )
+    assert sum(want[0]) > 0
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 180)
+    assert census.projection_images(ps, projections) == want
+    assert census.projection_images(ps, []) == ([], [])
 
 
 def test_collision_count_detects_kernel_difference():

@@ -431,6 +431,50 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+# argv that end in usage, help or a parse error
+USAGE_PATHS = {
+    "none": [],
+    "help": ["--help"],
+    "unknown-command": ["nosuch"],
+    "unknown-flag": ["census", "--bogus"],
+    "no-kind": ["experiment"],
+    "command-help": ["census", "--help"],
+    "kind-help": ["experiment", "bode", "-h"],
+    "help-before-command": ["-h", "census"],
+    "flag-before-command": ["--bogus", "census", "spreads", "--points", "p.txt"],
+    "after-double-dash": ["--", "census", "lines"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_PATHS.values(), ids=USAGE_PATHS)
+def test_one_command_parser_reads_as_the_full_tree(argv, capsys, monkeypatch):
+    def outcome():
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    built = []
+    build = cli.build_parser
+
+    def recording(words=None):
+        built.append(words)
+        return build(words)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    one = outcome()
+    assert built == [set(argv)] and one[0] in (0, 2)
+    monkeypatch.setattr(cli, "build_parser", lambda words=None: build())
+    assert outcome() == one
+
+
+def test_one_command_parser_fills_only_the_named_commands():
+    filled = {words[0] for words, flags in _walk(cli.build_parser({"census", "x"})) if flags}
+    assert filled == {"census"}
+    assert {words[0] for words, _ in _walk(cli.build_parser(set()))} == {words[0] for words, _ in _PARSED}
+
+
 def test_experiment_has_no_workers_flag(capsys):
     # only `census` splits its sweep over threads
     with pytest.raises(SystemExit) as exc:

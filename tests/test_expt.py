@@ -372,6 +372,28 @@ def count_draws(monkeypatch):
     return drawn
 
 
+def test_census_gates_come_before_the_space_is_built(monkeypatch):
+    # F_31^4 and F_1021^2 pass the q^d gate, but no set of their sample
+    # sizes passes the census gate: each refuses before F_q^d is built
+    def built(*args, **kwargs):
+        raise AssertionError("built F_q^d")
+
+    monkeypatch.setattr(geom, "all_points", built)
+    with pytest.raises(errors.BudgetExceeded, match=r"n\^3 = 7100029448 "):
+        run_threshold(Field(31), 4, Fraction(1), 1, 0)
+    with pytest.raises(errors.BudgetExceeded, match=r"n\^2 = 3550014724 "):
+        run_beck(Field(31), 4, Fraction(1), 1, 0)
+    with pytest.raises(errors.BudgetExceeded, match=r"n\^3 = 8502154921 "):
+        run_bode(Field(1021), 1, 0)
+    with pytest.raises(errors.BudgetExceeded, match=r"n\^3 = 148035889 "):  # the 529-point plane
+        run_bode(Field(23), 1, 0, full_plane=True)
+    # the q^d gate keeps its place ahead of the census gate
+    with pytest.raises(errors.BudgetExceeded, match=r"q\^d = 923521 "):
+        run_threshold(Field(31), 4, Fraction(1), 1, 0, budget=10**5)
+    with pytest.raises(errors.BudgetExceeded, match=r"q\^d = 923521 "):
+        run_beck(Field(31), 4, Fraction(1), 1, 0, budget=10**5)
+
+
 @pytest.mark.parametrize(
     "run, budget",
     [
