@@ -12,8 +12,8 @@ A map of the module:
   every rule of it with its measurements and memory bounds: the arm-class
   producer ``_arm_classes`` picks (``_apex_classes`` or
   ``_direction_classes``), and the window path ``_add_window`` picks
-  (``_add_gram`` or ``_add_pairs``, the latter gathering from a
-  ``_class_table`` in ``_add_table_pairs`` or without one).
+  (``_add_gram``, or ``_add_pairs``, whose one gather reads its spreads
+  from a ``_class_table`` or evaluates them on the representatives).
 - ``distinct_distances`` visits the pairs in blocks, by polarization from
   Gram blocks (``_pair_distances``).
 - ``random_projections`` ranks seeded projections in batches, and
@@ -175,36 +175,40 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
 
     The blocks are buffered into windows of about _WINDOW_CELLS class
     representative coordinates.  Let a window have rows apex rows, k
-    classes on each and u in all.
-    ``_add_window`` takes one of three paths:
+    classes on each and u in all.  ``_add_window`` takes one of two paths:
 
-    - when u^2 is at most both sum k^2 and _TABLE_CELLS, one u x u class
-      spread table serves the window; then
-      - if rows * u^2 <= _GRAM_RATIO * sum k (k + 1) / 2, the Gram path:
-        per set s, M_s (its rows in the window, u) holds each row's
-        multiplicities by class id, G_s = M_s^T M_s less M_s's column sums
-        on its diagonal counts the ordered arm pairs of every class pair,
-        and G_s is added to the histogram by table value;
-      - otherwise each apex gathers its pairs c <= c' from the table;
-    - otherwise each apex gathers its pairs c <= c' from
-      ``geom.arm_spreads`` on its class representatives.
+    - the Gram path, when u^2 is at most both sum k^2 and _TABLE_CELLS
+      and rows * u^2 <= _GRAM_RATIO * sum k (k + 1) / 2: one u x u class
+      spread table serves the window; per set s, M_s (its rows in the
+      window, u) holds each row's multiplicities by class id,
+      G_s = M_s^T M_s less M_s's column sums on its diagonal counts the
+      ordered arm pairs of every class pair, and G_s is added to the
+      histogram by table value;
+    - otherwise one gather (``_add_pairs``), in which each apex visits
+      its pairs c <= c'.  Their spreads come from the shared table when
+      u^2 is at most both sum k^2 and _TABLE_CELLS, and else from
+      ``Field.log_dot`` and ``Field.spread_from_logs`` on the block's
+      class representatives.
 
     Class ids are window-wide: where U <= n - 1 each representative's
     index among the directions, compacted to those present
     (``_direction_ids``, no sort), else the ranks of the representatives'
     codes (``np.unique``).  ``_class_table`` builds the table on int32
     logs through ``Field``'s arithmetic, each norm once, in one buffer of
-    about _BLOCK_CELLS cells reused by its row blocks.  The table gather
-    (``_add_table_pairs``) visits only cells that hold pairs: per block,
-    the diagonal's m_c (m_c - 1) / 2 in one pass, then tiles of class
-    positions [a0, a1), each the rectangle c < a1 <= c' plus the triangle
-    c < c' inside [a0, a1), weighted m_c m_c', into a histogram of the
-    window's sets that is added twice over into hist.  Measured
-    in-process on 2 cores (numpy 2.4) on the benchmark's 200-point sets of
-    F_1021^2 (u = 1022) and F_27^3 (u = 757), against the earlier table
-    (through ``geom.arm_spreads``) and gather (c' >= c tiles with 0/1/2
-    weights): the table took 4.9 and 4.3 ms for 10.7 and 9.1, the gather
-    18.0 and 17.5 ms for 23.6 and 21.4.
+    about _BLOCK_CELLS cells reused by its row blocks.  The gather visits
+    only cells that hold pairs: per block, the diagonal's
+    m_c (m_c - 1) / 2 in one pass, then tiles of class positions
+    [a0, a1), each the rectangle c < a1 <= c' plus the triangle c < c'
+    inside [a0, a1), weighted m_c m_c', into a histogram of the window's
+    sets that is added twice over into hist.  Measured in-process on 2
+    cores (numpy 2.4) on the benchmark's 200-point sets of F_1021^2
+    (u = 1022) and F_27^3 (u = 757), against the earlier table (through
+    ``geom.arm_spreads``) and gather (c' >= c tiles with 0/1/2 weights):
+    the table took 4.9 and 4.3 ms for 10.7 and 9.1, the gather 18.0 and
+    17.5 ms for 23.6 and 21.4.  Without a table the same tiles, each
+    representative's norm taken once per block, took 100, 49 and 136 ms
+    for 146, 69 and 179 (a census of random sets of F_101^3, F_1021^3
+    and F_31^4 of 200, 150 and 200 points, best of 7).
 
     So a set whose apexes share no classes gets no table.  The rule weighs
     the rows * u^2 multiply-adds of the integer product against the
@@ -219,8 +223,8 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
     built in row blocks of about _BLOCK_CELLS cells.  The gather goes in
     tiles of about _BLOCK_CELLS / 2 cells, or one row of class positions of
-    a block; from a table it adds one histogram of the window's sets, no
-    larger than hist.  The Gram path multiplies batches of sets of about
+    a block, and adds one histogram of the window's sets, no larger than
+    hist.  The Gram path multiplies batches of sets of about
     _BLOCK_CELLS cells of M and G, or one set: G_s and its histogram
     indices are u x u int64, at most _TABLE_CELLS cells each, and as
     k <= u the rule bounds M by rows * u <= _GRAM_RATIO * sum (k + 1) / 2
@@ -351,68 +355,44 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.nda
 
 
 def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[np.ndarray], hist: np.ndarray) -> None:
-    """The gather path of ``_add_window``: each apex row visits its class
-    pairs c <= c', m_c (m_c - 1) ordered arm pairs on the diagonal and
-    2 m_c m_c' off it, and reads their spreads from the window's table by
-    class id (``_add_table_pairs``) or, without one, from
-    ``geom.arm_spreads`` on its class representatives.
+    """The gather path of ``_add_window``; every cell it visits holds a
+    pair.  Per block, one pass over its class positions adds
+    m_c (m_c - 1) / 2 on the class diagonal, then the pairs c < c' go in
+    tiles of class positions [a0, a1), each the rectangle c < a1 <= c'
+    plus the triangle c < c' inside [a0, a1) (its indices kept per width
+    for the window), weighted m_c m_c'.  All of it goes to a histogram of
+    the window's sets, added twice over into hist at the end.
 
-    Without a table, a block's pairs go in tiles over all its rows at once:
-    class positions a0 <= c < a1 against c' >= a0, as broadcast slices with
-    no index array, so ``arm_spreads`` takes each representative's norm
-    once per tile.  A tile has about _BLOCK_CELLS / 2 cells, or a block's
-    rows x 1 x k, and spans at most a quarter of its c' positions, so under
-    an eighth of its cells (c' < c, weight 0) hold no pair.  Its histogram
-    indices and weights go through two buffers kept for the window: a fresh
-    array per tile costs page faults."""
-    if table is not None:
-        _add_table_pairs(fd, n, window, ids, table, hist)
-        return
-    cells = max(_BLOCK_CELLS // 2, max(m.size for _, m, _ in window))
-    idx, weight = np.empty((2, cells), dtype=np.int64)
-    for lo, mult, reps in window:
-        rows, width = mult.shape
-        slot = (np.arange(lo, lo + rows) // n * (fd.q + 1))[:, None, None]
-        a0 = 0
-        while a0 < width:
-            c = width - a0  # the tile's c' positions
-            a1 = a0 + max(1, min(cells // (rows * c), c // 4))
-            x = idx[: rows * (a1 - a0) * c].reshape(rows, a1 - a0, c)
-            w = weight[: x.size].reshape(x.shape)
-            s = geom.arm_spreads(fd, reps[:, a0:a1, None], reps[:, None, a0:])
-            s[s < 0] = fd.q
-            np.add(s, slot, out=x)
-            # pairs per m_c m_c': 2 past the diagonal, 1 on it, 0 before it
-            np.multiply(mult[:, a0:a1, None], mult[:, None, a0:], out=w)
-            j, t = np.arange(c), np.arange(a1 - a0)[:, None]
-            w *= 1 * (j >= t) + (j > t)
-            w.reshape(rows, -1)[:, :: c + 1][:, : a1 - a0] -= mult[:, a0:a1]  # an arm with itself
-            np.add.at(hist, x.ravel(), w.ravel())
-            a0 = a1
-
-
-def _add_table_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.ndarray, hist: np.ndarray) -> None:
-    """The gather of ``_add_pairs`` from the window's class table.  Every
-    cell it visits holds a pair: per block, one pass over its class
-    positions adds m_c (m_c - 1) / 2 at the table's diagonal, then the
-    pairs c < c' go in tiles of class positions [a0, a1), each the
-    rectangle c < a1 <= c' plus the triangle c < c' inside [a0, a1) (its
-    indices kept per width for the window), weighted m_c m_c'.  All of it goes to a
-    histogram of the window's sets, added twice over into hist at the end.
-
-    A tile has about _BLOCK_CELLS / 2 cells, or a block's rows x k, through
-    buffers kept for the window.  A block whose rows all belong to one set
-    adds the table's spreads into that set's slots as they are; one that
-    straddles sets first adds each row's set offset."""
-    u, slots = len(table), fd.q + 1
+    A tile's spreads are read from the window's table by class id, or
+    without one evaluated on the block's class representatives by
+    ``Field.log_dot`` and ``Field.spread_from_logs``, each norm taken once
+    per block; on the diagonal the spread is 0, or undefined where the
+    norm is 0.  A tile has about _BLOCK_CELLS / 2 cells, or a block's rows
+    x k, through buffers kept for the window.  A block whose rows all
+    belong to one set adds its spreads into that set's slots as they are;
+    one that straddles sets first adds each row's set offset."""
+    slots = fd.q + 1
     s0 = window[0][0] // n
     # the window's sets' slots, each unordered pair once
     half = np.zeros(((window[-1][0] + len(window[-1][1]) - 1) // n + 1 - s0) * slots, dtype=np.int64)
     cells = max(_BLOCK_CELLS // 2, max(m.size for _, m, _ in window))
     idx, weight = np.empty((2, cells), dtype=np.int64)
-    spreads = np.empty(cells, dtype=table.dtype)
-    diagonal = np.ascontiguousarray(table.diagonal())
+    spreads = np.empty(cells, dtype=window[0][2].dtype if table is None else table.dtype)
+    if table is not None:
+        diagonal = np.ascontiguousarray(table.diagonal())
     triangles: dict = {}  # per tile width, the positions i < j of its pairs
+
+    def pairs(left, right, at: slice, shape) -> None:
+        """Fill region at of the buffers, shaped as shape, with the
+        spreads (without a table) or the table indices, then the weights,
+        of the current block's pairs of class positions left(...) and
+        right(...)."""
+        s, x, w = (b[at].reshape(shape) for b in (spreads, idx, weight))
+        if table is None:
+            fd.spread_from_logs(fd.log_dot(left(reps), right(reps), out=s), left(norms), right(norms), out=s)
+        else:
+            np.add(left(cu), right(cid), out=x)
+        np.multiply(left(mult), right(mult), out=w)
 
     def add(s: np.ndarray, w: np.ndarray, ends) -> None:
         """Add the flat spreads s with weights w, row-major (rows, m)
@@ -424,7 +404,7 @@ def _add_table_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table:
         np.add.at(into, s, w)
 
     at = 0
-    for lo, mult, _ in window:
+    for lo, mult, reps in window:
         rows, width = mult.shape
         cid = ids[at : at + mult.size].reshape(mult.shape)
         at += mult.size
@@ -432,8 +412,13 @@ def _add_table_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table:
         into, offset = half, (sets * slots)[:, None]
         if sets[0] == sets[-1]:
             into, offset = half[sets[0] * slots : (sets[0] + 1) * slots], None
-        add(diagonal.take(cid.ravel()), (mult * (mult - 1) // 2).ravel(), [mult.size])
-        cu = cid * u
+        if table is None:
+            norms = fd.log_dot(reps, reps)
+            on_diagonal = np.where(norms == fd.zero_log, fd.q, 0).ravel()
+        else:
+            cu = cid * len(table)
+            on_diagonal = diagonal.take(cid.ravel())
+        add(on_diagonal, (mult * (mult - 1) // 2).ravel(), [mult.size])
         a0 = 0
         while a0 < width - 1:
             a1 = a0 + max(1, min(width - a0, cells // (rows * (width - a0))))
@@ -442,15 +427,16 @@ def _add_table_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table:
             i, j = triangles[a1 - a0]
             rect = rows * (a1 - a0) * (width - a1)
             end = rect + rows * len(i)
-            x, w = idx[:end], weight[:end]
-            box = (rows, a1 - a0, width - a1)
-            np.add(cu[:, a0:a1, None], cid[:, None, a1:], out=x[:rect].reshape(box))
-            np.multiply(mult[:, a0:a1, None], mult[:, None, a1:], out=w[:rect].reshape(box))
+            pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(rect), (rows, a1 - a0, width - a1))
             if len(i):
-                np.add(cu[:, a0:a1][:, i], cid[:, a0:a1][:, j], out=x[rect:].reshape(rows, -1))
-                np.multiply(mult[:, a0:a1][:, i], mult[:, a0:a1][:, j], out=w[rect:].reshape(rows, -1))
-            # every index is in range; in "raise" mode take would buffer
-            add(table.take(x, out=spreads[:end], mode="clip"), w, [rect, end])
+                pairs(lambda a: a[:, a0:a1][:, i], lambda a: a[:, a0:a1][:, j], slice(rect, end), (rows, -1))
+            s, x, w = spreads[:end], idx[:end], weight[:end]
+            if table is None:
+                s[s < 0] = fd.q
+            else:
+                # every index is in range; in "raise" mode take would buffer
+                table.take(x, out=s, mode="clip")
+            add(s, w, [rect, end])
             a0 = a1
     half *= 2
     hist[s0 * slots : s0 * slots + len(half)] += half
@@ -618,11 +604,11 @@ def _line_keys(fd: ff.Field, pts: np.ndarray, cols: np.ndarray) -> np.ndarray:
     key is a sum of d - 1 of its columns."""
     q, d = fd.q, pts.shape[1]
     neg = fd.log_neg(fd.log[np.arange(q)])  # -x for every element x
-    table = [fd.exp[pts].astype(np.int64) * q ** np.arange(d)]
+    table = [fd.exp.take(pts, mode="wrap").astype(np.int64) * q ** np.arange(d)]
     for j in range(d):
         for i in range(j + 1, d):
             diff = fd.log_add(pts[:, i, None], fd.log_mul(pts[:, j, None], neg))
-            table.append(fd.exp[diff] * q ** (i - 1))
+            table.append(fd.exp.take(diff, mode="wrap") * q ** (i - 1))
     table = np.concatenate(table, axis=1)
     keys = np.zeros((len(pts), len(cols)), dtype=np.int64)
     for t in range(d - 1):
@@ -670,7 +656,7 @@ def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> Dista
     while lo < n - 1:
         hi = min(n - 1, lo + max(1, _BLOCK_CELLS // (n - lo)))
         dmat = next(_pair_distances(fd, pts[lo:hi], pts[lo:]))
-        seen[fd.exp[dmat[np.triu_indices(hi - lo, 1, n - lo)]]] = True
+        seen[fd.exp.take(dmat[np.triu_indices(hi - lo, 1, n - lo)], mode="wrap")] = True
         lo = hi
     values = np.flatnonzero(seen).tolist()
     return DistanceCensus(

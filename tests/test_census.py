@@ -348,22 +348,24 @@ def test_arm_spreads_matches_scalar_spread():
 
 
 def count_spread_cells(monkeypatch):
-    """Wraps geom.arm_spreads and census._class_table; the list returned
-    collects the number of spreads each call evaluates, u^2 per table."""
+    """Wraps Field.spread_from_logs and census._class_table; the list
+    returned collects the number of spreads each call evaluates, u^2 per
+    table in place of its blocks' calls."""
     cells = []
-    arm_spreads, class_table = geom.arm_spreads, census._class_table
+    spread_from_logs, class_table = Field.spread_from_logs, census._class_table
 
-    def counting(fd, u, v):
-        out = arm_spreads(fd, u, v)
+    def counting(fd, dot, nu, nv, out=None):
+        out = spread_from_logs(fd, dot, nu, nv, out=out)
         cells.append(out.size)
         return out
 
     def counting_table(fd, reps):
+        mark = len(cells)
         out = class_table(fd, reps)
-        cells.append(out.size)
+        cells[mark:] = [out.size]
         return out
 
-    monkeypatch.setattr(geom, "arm_spreads", counting)
+    monkeypatch.setattr(Field, "spread_from_logs", counting)
     monkeypatch.setattr(census, "_class_table", counting_table)
     return cells
 
@@ -723,11 +725,13 @@ def test_class_table_matches_arm_spreads(p, d, dtype, monkeypatch):
     assert len(iso) >= 2 * (d - 1) and (table[iso] == p).all() and (table[:, iso] == p).all()
 
 
+@pytest.mark.parametrize("path", ["pairs", "per-apex"])
 @pytest.mark.parametrize("block, straddling", [(80, True), (100, False)])
-def test_table_gather_on_straddling_and_single_set_blocks(block, straddling, monkeypatch):
+def test_gather_on_straddling_and_single_set_blocks(block, straddling, path, monkeypatch):
     # 10-point sets of F_7^2 by apex: blocks of 80 // 20 = 4 apex rows
     # straddle the sets, blocks of 5 rows sit inside one set; windows of
-    # about two blocks, and tiles of 40 cells, rectangles and triangles
+    # about two blocks, and tiles of 40 cells, rectangles and triangles,
+    # read from the shared table or evaluated per apex
     sets = [random_pointset(F7, 2, 10, 80 + s) for s in range(6)]
     hists = []
     for ps in sets:
@@ -736,17 +740,48 @@ def test_table_gather_on_straddling_and_single_set_blocks(block, straddling, mon
     force_producer(monkeypatch, "apex")
     monkeypatch.setattr(census, "_BLOCK_CELLS", block)
     monkeypatch.setattr(census, "_WINDOW_CELLS", 100)
-    monkeypatch.setattr(census, *FORCED_PATHS["pairs"])
-    blocks = []
-    gather = census._add_table_pairs
+    monkeypatch.setattr(census, *FORCED_PATHS[path])
+    blocks, tables = [], set()
+    gather = census._add_pairs
 
     def spy(fd, n, window, ids, table, hist):
         blocks.extend((lo, lo + len(mult) - 1) for lo, mult, _ in window)
+        tables.add(table is not None)
         gather(fd, n, window, ids, table, hist)
 
-    monkeypatch.setattr(census, "_add_table_pairs", spy)
+    monkeypatch.setattr(census, "_add_pairs", spy)
     assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
     assert any(lo // 10 != last // 10 for lo, last in blocks) == straddling
+    assert tables == {path == "pairs"}
+
+
+def test_per_apex_gather_evaluates_only_pairs(monkeypatch):
+    # 40 points of the moment curve (i, i^2, i^3) of F_101^3: no three are
+    # collinear, so every apex has 39 classes of one arm, no window shares
+    # a table, and each window evaluates exactly its rows' k (k - 1) / 2
+    # class pairs: no diagonal, no cell c' < c
+    fd = Field(101)
+    ps = PointSet(fd, 3, [(i, i * i % 101, i**3 % 101) for i in range(40)])
+    windows = []
+    cells = count_spread_cells(monkeypatch)
+    gather = census._add_pairs
+
+    def spy(fd, n, window, ids, table, hist):
+        assert table is None
+        mark = len(cells)
+        gather(fd, n, window, ids, table, hist)
+        k = np.concatenate([np.count_nonzero(mult, axis=1) for _, mult, _ in window])
+        windows.append((sum(cells[mark:]), int((k * (k - 1) // 2).sum())))
+
+    monkeypatch.setattr(census, "_add_pairs", spy)
+    cen = distinct_spreads(ps)
+    got, want = zip(*windows)
+    assert got == want and sum(want) == 40 * 39 * 38 // 2
+    counts = naive_spread_counts(ps)
+    assert list(cen.defined_values) == sorted(v for v in counts if v is not None)
+    assert (cen.defined_count, cen.undefined_triples, cen.triples_scanned) == (101, 758, 59280)
+    assert cen.undefined_triples == counts[None]
+    assert cen.triples_scanned == sum(counts.values())
 
 
 @pytest.mark.parametrize("path", ["gram", "pairs"])
