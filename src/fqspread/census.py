@@ -12,8 +12,13 @@ A map of the module:
   every rule of it with its measurements and memory bounds: the arm-class
   producer ``_arm_classes`` picks (``_apex_classes`` or
   ``_direction_classes``), and the window path ``_add_window`` picks
-  (``_add_gram``, or ``_add_pairs``, whose one gather reads its spreads
-  from a ``_class_table`` or evaluates them on the representatives).
+  (``_add_gram``, or ``_add_pairs``, whose one gather counts the arm pairs
+  unweighted, their spreads read from a class table or evaluated on the
+  repeated representatives, or without a table, where classes hold many
+  arms, the class pairs weighted).  A class table is (left, right, flat):
+  for planes the cyclic closed form ``_plane_table``, read through the
+  call's ``_plane_cycle``, whose F_(q^2) logs come from ``_cyclic_powers``
+  when q = 3 mod 4, or the u x u ``_class_table`` raveled.
 - ``distinct_distances`` visits the pairs in blocks, by polarization from
   Gram blocks (``_pair_distances``).
 - ``random_projections`` ranks seeded projections in batches, and
@@ -148,17 +153,17 @@ def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
         for ps in stack:
             if (ps.field, ps.dim, len(ps)) != (fd, d, n):
                 raise FormatError(f"a stacked census needs one field, dimension and size: {ps!r} after {head!r}")
-        yield fd, fd.log[np.stack([ps.as_array() for ps in stack])]
+        yield fd, fd.log.take(np.stack([ps.as_array() for ps in stack]), mode="wrap")
 
 
 def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     """Exact int64 spread histograms (S, q + 1) of all ordered triples of
     each of the S sets of logs (S, n, d).
 
-    An apex whose arms fall into k classes with multiplicities m counts
-    its unordered class pairs: c != c' give 2 m_c m_c' ordered arm pairs,
-    and c = c' gives the m_c (m_c - 1) pairs of two arms of one class,
-    whose spread is on the class diagonal (0, or undefined when isotropic).
+    Every apex holds n - 1 arms, and counts each unordered pair of them
+    once, then twice over.  The arms fall into k projective classes with
+    multiplicities m; two arms of one class have the spread on the class
+    table's diagonal, 0, or undefined when the class is isotropic.
 
     The blocks of apex rows come from one of two producers, picked by
     ``_arm_classes`` from U = (q^d - 1)/(q - 1) and n alone:
@@ -175,40 +180,68 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
 
     The blocks are buffered into windows of about _WINDOW_CELLS class
     representative coordinates.  Let a window have rows apex rows, k
-    classes on each and u in all.  ``_add_window`` takes one of two paths:
+    classes on each and u in all.  Its class ids are window-wide: where U
+    is at most the window's class rows, each representative's index among
+    the directions, compacted to those present (``_direction_ids``, no
+    sort), else the ranks of the representatives' codes (``np.unique``).
+    A class table is (left, right, flat), the spread of classes c and c'
+    being flat[left_c + right_c'] (q where undefined): the cyclic closed
+    form of ``_plane_table`` for d = 2, 2N cells for the plane's N = q - 1
+    (q = 1 mod 4) or q + 1 (q = 3 mod 4) non-isotropic directions whatever
+    u, its window-independent part built once per call
+    (``_plane_cycle``); else the u x u ``_class_table`` raveled, left = c u
+    and right = c, u^2 cells.  A window builds the first of these whose
+    cells are at most both sum k^2 and _TABLE_CELLS: so a plane window of
+    few directions at a large q, a line of q points say, where 2N outgrows
+    sum k^2, still gets its small u x u table and the Gram path.  Then
+    ``_add_window`` takes one of two paths:
 
-    - the Gram path, when u^2 is at most both sum k^2 and _TABLE_CELLS
-      and rows * u^2 <= _GRAM_RATIO * sum k (k + 1) / 2: one u x u class
-      spread table serves the window; per set s, M_s (its rows in the
-      window, u) holds each row's multiplicities by class id,
-      G_s = M_s^T M_s less M_s's column sums on its diagonal counts the
-      ordered arm pairs of every class pair, and G_s is added to the
-      histogram by table value;
-    - otherwise one gather (``_add_pairs``), in which each apex visits
-      its pairs c <= c'.  Their spreads come from the shared table when
-      u^2 is at most both sum k^2 and _TABLE_CELLS, and else from
-      ``Field.log_dot`` and ``Field.spread_from_logs`` on the block's
-      class representatives.
+    - the Gram path, when also u^2 is at most both sum k^2 and
+      _TABLE_CELLS and rows * u^2 <= _GRAM_RATIO * sum k (k + 1) / 2: per
+      set s, M_s (its rows in the window, u) holds each row's
+      multiplicities by class id, G_s = M_s^T M_s less M_s's column sums on
+      its diagonal counts the ordered arm pairs of every class pair, and
+      G_s is added to the histogram by the value of the u x u table, one
+      take of flat at left_c + right_c';
+    - otherwise one gather (``_add_pairs``): a block's class ids repeated
+      by their multiplicities give its (rows, n - 1) arm ids, the arm pairs
+      go in tiles of arm positions, the rectangle beyond the tile plus the
+      triangle inside it, and each tile's spreads, read from the table or,
+      without one, evaluated by ``Field.log_dot`` and
+      ``Field.spread_from_terms`` on the repeated representatives, each
+      arm's norm term taken once per block, are counted by one unweighted
+      ``np.bincount`` into a histogram of the window's sets.  A block
+      without a table whose rows' K class positions satisfy
+      3 K^2 <= 2 (n - 1)^2 runs the same tiles over its class positions,
+      each spread evaluated once and added m_c m_c' times by ``np.add.at``.
 
-    Class ids are window-wide: where U <= n - 1 each representative's
-    index among the directions, compacted to those present
-    (``_direction_ids``, no sort), else the ranks of the representatives'
-    codes (``np.unique``).  ``_class_table`` builds the table on int32
-    logs through ``Field``'s arithmetic, each norm once, in one buffer of
-    about _BLOCK_CELLS cells reused by its row blocks.  The gather visits
-    only cells that hold pairs: per block, the diagonal's
-    m_c (m_c - 1) / 2 in one pass, then tiles of class positions
-    [a0, a1), each the rectangle c < a1 <= c' plus the triangle c < c'
-    inside [a0, a1), weighted m_c m_c', into a histogram of the window's
-    sets that is added twice over into hist.  Measured in-process on 2
-    cores (numpy 2.4) on the benchmark's 200-point sets of F_1021^2
-    (u = 1022) and F_27^3 (u = 757), against the earlier table (through
-    ``geom.arm_spreads``) and gather (c' >= c tiles with 0/1/2 weights):
-    the table took 4.9 and 4.3 ms for 10.7 and 9.1, the gather 18.0 and
-    17.5 ms for 23.6 and 21.4.  Without a table the same tiles, each
-    representative's norm taken once per block, took 100, 49 and 136 ms
-    for 146, 69 and 179 (a census of random sets of F_101^3, F_1021^3
-    and F_31^4 of 200, 150 and 200 points, best of 7).
+    Measured in-process on 2 cores (numpy 2.4.6, best of 9) on the
+    benchmark's 200-point sets of F_1021^2 (u = 1022) and F_27^3
+    (u = 757), against class pairs weighted m_c m_c' and added by
+    ``np.add.at`` after a diagonal pass: the gather took 13.3 and 13.5 ms
+    for 19.3 and 18.5; the plane's table, 2,040 cells, took 0.1 ms for
+    the 4.6 ms of its u x u table (F_27^3's stays at about 4.5 ms); the
+    window ids 0.9 and 1.0 ms for np.unique's 1.7; ``_apex_classes`` 3.5 and
+    3.9 ms for 4.3 and 4.6.  Per tile cell the gather spends about 0.6 ns
+    on its index, 1 ns on the take and 1.5 ns in ``np.bincount``.  Without
+    a table the tiles took 73, 33 and 100 ms for 98, 45 and 130 (a census
+    of random sets of F_101^3, F_1021^3 and F_31^4 of 200, 150 and 200
+    points, best of 7).  Where classes hold several arms the gather visits
+    more cells than class pairs: on 200 points on 20 lines of F_101^3,
+    3,940,200 arm pairs for 3,561,521 class pairs (u = 8,694, so no table
+    even with the Gram path switched off), the census took 72 ms for 93;
+    on 200 points on 20 lines of F_31^3 the table gather took 26 ms for 33
+    and the per-apex one 69 for 83.  Without a table an arm gather visits
+    (n - 1)^2 / K^2 times the cells of a class gather, each an evaluation:
+    on 200 points of F_1021^3 on 2 lines (K = 101) the census took 70 ms
+    by arms and 28 by class pairs weighted as above (30 with the weights,
+    the norm terms per tile and the diagonal pass of the earlier class
+    gather); on 4 lines (K = 150) 75, 54-62 and 60-66 (2 cores, numpy
+    2.4.6, best of 5).  Weighting costs about 1.13x per cell (83 for 73 ms on 100
+    points of a line and 100 random ones, K = n - 1), so class pairs win
+    beyond (n - 1)^2 / K^2 of about 1.15, and the rule takes them from 1.5
+    on.  With a table arms stay: a cell costs a take and a bincount, and
+    20 lines of F_31^3 or 4 of F_1021^2 ran at parity.
 
     So a set whose apexes share no classes gets no table.  The rule weighs
     the rows * u^2 multiply-adds of the integer product against the
@@ -222,36 +255,38 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     Memory beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
     coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
     built in row blocks of about _BLOCK_CELLS cells.  The gather goes in
-    tiles of about _BLOCK_CELLS / 2 cells, or one row of class positions of
-    a block, and adds one histogram of the window's sets, no larger than
-    hist.  The Gram path multiplies batches of sets of about
-    _BLOCK_CELLS cells of M and G, or one set: G_s and its histogram
-    indices are u x u int64, at most _TABLE_CELLS cells each, and as
-    k <= u the rule bounds M by rows * u <= _GRAM_RATIO * sum (k + 1) / 2
-    cells, a small multiple of the window's multiplicity cells.  The sweep
-    runs on the calling thread: split over threads, each would build its
-    own tables.
+    tiles of about _BLOCK_CELLS / 2 cells, or one row of arm positions of
+    a block, into buffers of at least that many cells and as many as the
+    histogram of the window's sets, which it adds, no larger than hist;
+    without a table an int64 buffer of as many weights.
+    The Gram path multiplies batches of sets of about _BLOCK_CELLS cells of
+    M and G, or one set: G_s and its histogram indices are u x u int64, at
+    most _TABLE_CELLS cells each, and as k <= u the rule bounds M by
+    rows * u <= _GRAM_RATIO * sum (k + 1) / 2 cells, a small multiple of
+    the window's multiplicity cells.  The sweep runs on the calling
+    thread: split over threads, each would build its own tables.
 
     Every count is exact int64: a Gram entry sums products of two
     multiplicities below n over at most n rows, so it stays below n^3, as
     does every histogram slot, and the triple gate has admitted n^3.
     """
     hist = np.zeros(len(logs) * (fd.q + 1), dtype=np.int64)
+    plane = functools.cache(functools.partial(_plane_cycle, fd))  # built by the first window that needs it
     window: list = []
     cells = 0
     for block in _arm_classes(fd, logs):
         window.append(block)
         cells += block[2].size
         if cells >= _WINDOW_CELLS:
-            _add_window(fd, logs.shape[1], window, hist)
+            _add_window(fd, logs.shape[1], window, hist, plane)
             window, cells = [], 0
     if window:
-        _add_window(fd, logs.shape[1], window, hist)
+        _add_window(fd, logs.shape[1], window, hist, plane)
     return hist.reshape(len(logs), fd.q + 1)
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells,
-# and class pairs are added in chunks of about this many.
+# and arm pairs are counted in tiles of about half this many.
 _BLOCK_CELLS = 1 << 16
 # About the most cells in one stack of point sets (coordinates and histogram
 # slots), and the most class representative coordinates buffered at once.
@@ -264,30 +299,33 @@ _TABLE_CELLS = 1 << 21
 _GRAM_RATIO = 8
 
 
-def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray) -> None:
+def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> None:
     """Add the triples at a window of blocks of apex rows, (first row, mult,
     reps) per block, to hist, q + 1 slots per set of n apex rows, by the
     Gram path or a gather from a shared or per-apex table, whichever
-    ``_spread_histograms``'s rule picks."""
-    d = window[0][2].shape[2]
-    all_reps = np.concatenate([r.reshape(-1, d) for _, _, r in window])
+    ``_spread_histograms``'s rule picks; plane() gives the call's
+    ``_plane_cycle``."""
+    q, d = fd.q, window[0][2].shape[2]
+    reps = np.concatenate([r.reshape(-1, d) for _, _, r in window])
     # ids: window-wide class ids; first: a row of each class
-    if _by_direction(fd.q, d, n):
-        ids, first = _direction_ids(fd, all_reps)
+    if (q**d - 1) // (q - 1) <= len(reps):
+        ids, first = _direction_ids(fd, reps)
     else:
-        _, first, ids = np.unique(
-            _codes(all_reps[None], fd.zero_log)[0], return_index=True, return_inverse=True
-        )
+        _, first, ids = np.unique(_codes(reps[None], fd.zero_log)[0], return_index=True, return_inverse=True)
         ids = ids.ravel()  # shaped like its input on some numpy versions
     u = len(first)
     k = np.concatenate([np.count_nonzero(mult, axis=1) for _, mult, _ in window])
+    limit = min(int((k * k).sum()), _TABLE_CELLS)
     table = None
-    if u * u <= min(int((k * k).sum()), _TABLE_CELLS):
-        table = _class_table(fd, all_reps[first])
-        if 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
-            _add_gram(fd, n, window, ids, table, hist)
-            return
-    _add_pairs(fd, n, window, ids, table, hist)
+    if d == 2 and 2 * (q - 1 if q % 4 == 1 else q + 1) <= limit:
+        table = _plane_table(fd, reps[first], plane())
+    elif u * u <= limit:
+        c = np.arange(u, dtype=np.int32)
+        table = c * u, c, _class_table(fd, reps[first]).ravel()
+    if table is not None and u * u <= limit and 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
+        _add_gram(fd, n, window, ids, table, hist)
+    else:
+        _add_pairs(fd, n, window, ids, table, hist)
 
 
 def _direction_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,16 +351,19 @@ def _direction_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.cumsum(present)[index] - 1, where[present]
 
 
-def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.ndarray, hist: np.ndarray) -> None:
+def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple, hist: np.ndarray) -> None:
     """The Gram path of ``_add_window``.  Row r of M_s (rows, u) holds the
     multiplicities of apex row r of set s by class id, so G_s = M_s^T M_s
     counts the arm pairs of every class pair; less M_s's column sums on its
-    diagonal (each arm with itself), G_s is added to set s's slots by table
-    value.  G is additive over rows, so a set straddling windows adds the
-    partial G of each.  Each set's rows in the window are padded to the
-    most any set has there, and the sets are multiplied in batches of
-    about _BLOCK_CELLS cells of M and G, or one set."""
-    u = len(table)
+    diagonal (each arm with itself), G_s is added to set s's slots by the
+    value of the u x u table the class table (left, right, flat) spans.  G
+    is additive over rows, so a set straddling windows adds the partial G
+    of each.  Each set's rows in the window are padded to the most any set
+    has there, and the sets are multiplied in batches of about _BLOCK_CELLS
+    cells of M and G, or one set."""
+    left, right, flat = table
+    u = len(left)
+    spreads = flat.take(left[:, None] + right[None, :], mode="clip").ravel()
     lo, hi = window[0][0], window[-1][0] + len(window[-1][1])
     # the window's nonzero multiplicities in row order, each with its row
     # and class id; padding repeats class 0 of its row with multiplicity 0
@@ -350,94 +391,116 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: np.nda
         # their contiguous rows, ~1.7x np.matmul's M^T M at u = 651
         gram = np.einsum("sir,sjr->sij", mt, mt).reshape(sets, u * u)
         gram[:, :: u + 1] -= mt.sum(axis=2)
-        slot = (np.arange(sets) * (fd.q + 1))[:, None] + table.ravel()
+        slot = (np.arange(sets) * (fd.q + 1))[:, None] + spreads
         np.add.at(hist[(s0 + s) * (fd.q + 1) :], slot.ravel(), gram.ravel())
 
 
-def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[np.ndarray], hist: np.ndarray) -> None:
-    """The gather path of ``_add_window``; every cell it visits holds a
-    pair.  Per block, one pass over its class positions adds
-    m_c (m_c - 1) / 2 on the class diagonal, then the pairs c < c' go in
-    tiles of class positions [a0, a1), each the rectangle c < a1 <= c'
-    plus the triangle c < c' inside [a0, a1) (its indices kept per width
-    for the window), weighted m_c m_c'.  All of it goes to a histogram of
-    the window's sets, added twice over into hist at the end.
+def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[tuple], hist: np.ndarray) -> None:
+    """The gather path of ``_add_window``.  Every apex row holds n - 1
+    arms, so a block's class ids, or its representatives, repeated by their
+    multiplicities give (rows, n - 1) arms with no padding.  Their pairs
+    i < j go in tiles of arm positions [a0, a1), each the rectangle
+    i < a1 <= j plus the triangle i < j inside [a0, a1) (its indices kept
+    per width for the window); two arms of one class meet on the class
+    table's diagonal, 0 or undefined.  A tile's spreads are read from the
+    window's table (left, right, flat) as flat[left_c + right_c'], or
+    without one evaluated on the repeated representatives by
+    ``Field.log_dot`` and ``Field.spread_from_terms``, each arm's norm term
+    taken once per block.  A tile has about _BLOCK_CELLS / 2 cells, or one
+    row of arm positions of a block; a block's tiles fill buffers kept for
+    the window, at least as long as the histogram of the window's sets,
+    and each time they are full, and at the block's end, one unweighted
+    ``np.bincount`` counts them into that histogram, added twice over into
+    hist at the end: the spreads of a block whose rows all belong to one
+    set as they are, those of a block that straddles sets after each row's
+    set offset.  So the slots a bincount sweeps are paid once per full
+    buffer, or once per block, however large q is.
 
-    A tile's spreads are read from the window's table by class id, or
-    without one evaluated on the block's class representatives by
-    ``Field.log_dot`` and ``Field.spread_from_logs``, each norm taken once
-    per block; on the diagonal the spread is 0, or undefined where the
-    norm is 0.  A tile has about _BLOCK_CELLS / 2 cells, or a block's rows
-    x k, through buffers kept for the window.  A block whose rows all
-    belong to one set adds its spreads into that set's slots as they are;
-    one that straddles sets first adds each row's set offset."""
-    slots = fd.q + 1
+    A block without a table whose K class positions satisfy
+    3 K^2 <= 2 (n - 1)^2 runs the same tiles over its class positions
+    instead, each spread evaluated once for its m_c m_c' arm pairs, which
+    ``np.add.at`` adds from an int64 weight buffer as long as the others,
+    and adds the m_c (m_c - 1) / 2 pairs inside each class at 0, or q
+    where the class is isotropic; padding has weight 0."""
+    slots, w, tile = fd.q + 1, n - 1, _BLOCK_CELLS // 2
     s0 = window[0][0] // n
     # the window's sets' slots, each unordered pair once
     half = np.zeros(((window[-1][0] + len(window[-1][1]) - 1) // n + 1 - s0) * slots, dtype=np.int64)
-    cells = max(_BLOCK_CELLS // 2, max(m.size for _, m, _ in window))
-    idx, weight = np.empty((2, cells), dtype=np.int64)
-    spreads = np.empty(cells, dtype=window[0][2].dtype if table is None else table.dtype)
-    if table is not None:
-        diagonal = np.ascontiguousarray(table.diagonal())
+    cells = max(tile, len(half), max(len(m) for _, m, _ in window) * w)
+    idx = np.empty(cells, dtype=np.int32)
+    spreads = idx if table is None else np.empty(cells, dtype=table[2].dtype)
+    weight = np.empty(cells, dtype=np.int64) if table is None else None  # of class pairs
     triangles: dict = {}  # per tile width, the positions i < j of its pairs
 
-    def pairs(left, right, at: slice, shape) -> None:
-        """Fill region at of the buffers, shaped as shape, with the
-        spreads (without a table) or the table indices, then the weights,
-        of the current block's pairs of class positions left(...) and
-        right(...)."""
-        s, x, w = (b[at].reshape(shape) for b in (spreads, idx, weight))
+    def pairs(first, second, at: slice, shape) -> None:
+        """Fill region at of idx, shaped as shape, with the spreads
+        (without a table) or the table indices of the current block's
+        pairs of positions first(...) and second(...), and their weights
+        when they are classes."""
+        x = idx[at].reshape(shape)
         if table is None:
-            fd.spread_from_logs(fd.log_dot(left(reps), right(reps), out=s), left(norms), right(norms), out=s)
+            fd.log_dot(first(arms), second(arms), out=x)
+            fd.spread_from_terms(x, first(terms), second(terms), out=x)
         else:
-            np.add(left(cu), right(cid), out=x)
-        np.multiply(left(mult), right(mult), out=w)
+            np.add(first(lhs), second(rhs), out=x)
+        if classes:
+            np.multiply(first(mult), second(mult), out=weight[at].reshape(shape))
 
-    def add(s: np.ndarray, w: np.ndarray, ends) -> None:
-        """Add the flat spreads s with weights w, row-major (rows, m)
-        regions ending at ends, to the current block's slots."""
-        if offset is not None:
-            for a, b in itertools.pairwise((0, *ends)):
-                np.add(s[a:b].reshape(rows, -1), offset, out=idx[a:b].reshape(rows, -1))
-            s = idx[: s.size]
-        np.add.at(into, s, w)
+    def count(stop: int) -> None:
+        """Count the current block's first stop cells into its slots, by
+        their weights when they are class pairs."""
+        if classes:
+            np.add.at(into, counted[:stop], weight[:stop])
+        else:
+            np.add(into, np.bincount(counted[:stop], minlength=len(into)), out=into)
 
     at = 0
     for lo, mult, reps in window:
         rows, width = mult.shape
-        cid = ids[at : at + mult.size].reshape(mult.shape)
-        at += mult.size
         sets = np.arange(lo, lo + rows) // n - s0
-        into, offset = half, (sets * slots)[:, None]
-        if sets[0] == sets[-1]:
-            into, offset = half[sets[0] * slots : (sets[0] + 1) * slots], None
-        if table is None:
+        into = half[sets[0] * slots : (sets[-1] + 1) * slots]
+        offset = ((sets - sets[0]) * slots)[:, None] if sets[0] != sets[-1] else None
+        classes = table is None and 3 * width * width <= 2 * w * w
+        if classes:
+            arms, positions = reps, width
             norms = fd.log_dot(reps, reps)
-            on_diagonal = np.where(norms == fd.zero_log, fd.q, 0).ravel()
+            terms = fd.spread_terms(norms)
+            inside = np.where(norms == fd.zero_log, fd.q, 0)
+            np.add.at(into, (inside if offset is None else inside + offset).ravel(), (mult * (mult - 1) // 2).ravel())
+        elif table is None:
+            arms, positions = np.repeat(reps.reshape(mult.size, -1), mult.ravel(), axis=0).reshape(rows, w, -1), w
+            terms = fd.spread_terms(fd.log_dot(arms, arms))
         else:
-            cu = cid * len(table)
-            on_diagonal = diagonal.take(cid.ravel())
-        add(on_diagonal, (mult * (mult - 1) // 2).ravel(), [mult.size])
-        a0 = 0
-        while a0 < width - 1:
-            a1 = a0 + max(1, min(width - a0, cells // (rows * (width - a0))))
+            arm, positions = np.repeat(ids[at : at + mult.size], mult.ravel()), w
+            lhs, rhs = (side.take(arm).reshape(rows, w) for side in table[:2])
+        at += mult.size
+        counted = spreads if offset is None else idx  # what count reads
+        a0 = fill = 0
+        while a0 < positions - 1:
+            a1 = a0 + max(1, min(positions - a0, tile // (rows * (positions - a0))))
             if a1 - a0 not in triangles:
                 triangles[a1 - a0] = np.triu_indices(a1 - a0, 1)
             i, j = triangles[a1 - a0]
-            rect = rows * (a1 - a0) * (width - a1)
+            rect = fill + rows * (a1 - a0) * (positions - a1)
             end = rect + rows * len(i)
-            pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(rect), (rows, a1 - a0, width - a1))
+            if end > cells:
+                count(fill)
+                rect, end, fill = rect - fill, end - fill, 0
+            pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(fill, rect), (rows, a1 - a0, positions - a1))
             if len(i):
                 pairs(lambda a: a[:, a0:a1][:, i], lambda a: a[:, a0:a1][:, j], slice(rect, end), (rows, -1))
-            s, x, w = spreads[:end], idx[:end], weight[:end]
+            s = spreads[fill:end]
             if table is None:
                 s[s < 0] = fd.q
             else:
-                # every index is in range; in "raise" mode take would buffer
-                table.take(x, out=s, mode="clip")
-            add(s, w, [rect, end])
-            a0 = a1
+                # every index is in range but the sentinels past the end,
+                # which read its last cell; in "raise" mode take would buffer
+                table[2].take(idx[fill:end], out=s, mode="clip")
+            if offset is not None:
+                for a, b in itertools.pairwise((fill, rect, end)):
+                    np.add(spreads[a:b].reshape(rows, -1), offset, out=idx[a:b].reshape(rows, -1))
+            a0, fill = a1, end
+        count(fill)
     half *= 2
     hist[s0 * slots : s0 * slots + len(half)] += half
 
@@ -447,25 +510,127 @@ def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
     logs), shape (u, u), with q where undefined: int16 while q < 2^15, else
     int32.  The spread is symmetric, so each block of rows is evaluated
     from its diagonal on and mirrored.  The blocks run the formula of
-    ``geom.arm_spreads`` through ``Field``'s arithmetic with each norm taken
-    once, in one int32 buffer of about _BLOCK_CELLS cells reused by every
-    block; a spread is undefined exactly where a norm is 0."""
+    ``geom.arm_spreads`` through ``Field``'s arithmetic with each norm term
+    taken once, in one int32 buffer of about _BLOCK_CELLS cells reused by
+    every block; a spread is undefined exactly where a norm is 0."""
     u = len(reps)
     table = np.empty((u, u), dtype=np.int16 if fd.q < 1 << 15 else np.int32)
     norms = fd.log_dot(reps, reps)
+    terms = fd.spread_terms(norms)
     step = max(1, _BLOCK_CELLS // u)
     buf = np.empty(min(step, u) * u, dtype=norms.dtype)
     for lo in range(0, u, step):
         hi = min(lo + step, u)
         s = buf[: (hi - lo) * (u - lo)].reshape(hi - lo, u - lo)
         fd.log_dot(reps[lo:hi, None], reps[None, lo:], out=s)
-        fd.spread_from_logs(s, norms[lo:hi, None], norms[None, lo:], out=s)
+        fd.spread_from_terms(s, terms[lo:hi, None], terms[None, lo:], out=s)
         table[lo:hi, lo:] = s
         table[lo:, lo:hi] = s.T
     iso = np.flatnonzero(norms == fd.zero_log)
     table[iso] = fd.q
     table[:, iso] = fd.q
     return table
+
+
+def _plane_cycle(fd: ff.Field) -> tuple:
+    """The part of a plane's class table that no window changes: (flat,
+    log_of), flat as ``_plane_table`` reads it and, where q = 3 mod 4,
+    log_of the cyclic log of each direction by its ``_slope``; None where
+    q = 1 mod 4, whose logs need no table.  ``_spread_histograms`` builds
+    it once per call, when the first window builds a plane table.
+
+    With i^2 = -1, the direction (x : y) is the class of x + iy in
+    F_q[i]^* / F_q^*.  Where q = 1 mod 4, i is in F_q and the class is
+    g^a = (x + iy) / (x - iy) in F_q^*, order N = q - 1; the directions
+    with x + iy = 0 or x - iy = 0 are isotropic.  Where q = 3 mod 4,
+    F_q[i] = F_(q^2), the class is that of (x - iy) / (x + iy) in its
+    norm-1 subgroup, order N = q + 1, and its log a is read from a table
+    of the q + 1 directions by the powers of a generator
+    (``_cyclic_powers``).  Multiplying by x + iy scales every inner product
+    and norm by |x + iy|, so the spread of the directions of logs a and b
+    is f(a - b) = (2 - t - 1/t) / 4, t the group element of log a - b;
+    f(k) is 1 - (1 + g^k)^2 / (4 g^k) where q = 1 mod 4, and the spread of
+    (1 : 0) and the k-th power where q = 3 mod 4.  flat holds f(1 - N),
+    ..., f(N - 1) and then q: 2N cells, int16 while q < 2^15, else
+    int32."""
+    q, n = fd.q, fd.q - 1
+    if q % 4 == 1:
+        # i = g^(n/4); f(k) = 1 - (1 + t)^2 / (4t) for t = g^k
+        order, log_of = n, None
+        k = np.arange(n, dtype=np.int32)
+        f = fd.spread_from_logs(fd.log_add(k, 0), k, fd.log[4 % fd.p])
+    else:
+        x, y = _cyclic_powers(fd)
+        order = len(x)
+        log_of = np.empty(q + 1, dtype=np.int32)
+        log_of[_slope(fd, x, y)] = np.arange(order)
+        f = fd.spread_from_logs(x, fd.log_add(fd.log_mul(x, x), fd.log_mul(y, y)), 0)
+    flat = np.full(2 * order, q, dtype=np.int16 if q < 1 << 15 else np.int32)
+    flat[:-1] = f.take(np.arange(1 - order, order), mode="wrap")
+    return flat, log_of
+
+
+def _slope(fd: ff.Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The element y / x of the directions (x : y) (logs), or q for x = 0."""
+    return np.where(x == fd.zero_log, fd.q, fd.exp.take(fd.log_mul(y, -x % (fd.q - 1)), mode="wrap"))
+
+
+def _plane_table(fd: ff.Field, reps: np.ndarray, cycle: tuple) -> tuple:
+    """The class table (left, right, flat) of the u directions reps (u, 2;
+    logs) of F_q^2 in cyclic closed form, cycle = (flat, log_of) from
+    ``_plane_cycle``: the spread of classes c and c' is flat[left_c +
+    right_c'], read by ``take`` in "clip" mode.  With a the cyclic log of
+    class c, left_c = a and right_c = N - 1 - a, so that left_c + right_c'
+    = a - a' + N - 1; an isotropic class has left_c = right_c = 2N - 1,
+    whose sums clip to flat's last cell, q."""
+    flat, log_of = cycle
+    order = len(flat) // 2
+    x, y = reps[:, 0], reps[:, 1]
+    if log_of is None:
+        plus, minus = (fd.log_add(x, fd.log_mul(y, e)) for e in (order // 4, 3 * order // 4))
+        left = np.where((plus == fd.zero_log) | (minus == fd.zero_log), 2 * order - 1, (plus - minus) % order)
+    else:
+        left = log_of.take(_slope(fd, x, y))
+    right = np.where(left < order, order - 1 - left, left)
+    return left, right, flat
+
+
+def _cyclic_powers(fd: ff.Field) -> tuple[np.ndarray, np.ndarray]:
+    """For q = 3 mod 4, the logs (x, y) of g^k = x + iy, k < N = q + 1, in
+    F_q[i] = F_(q^2), for g the least 1 + it (t < q) whose class generates
+    F_(q^2)^* / F_q^*: no g^(N / l), l a prime dividing N, lies in F_q.  The
+    candidates are tried 64 at a time, each power by squaring on all of
+    them at once, and the table of powers of g is filled in runs, each as
+    long as all before it, g squared after each, as ``ff._powers`` does."""
+    q, order = fd.q, fd.q + 1
+
+    def mul(a, b):  # (x + iy)(u + iv), on pairs of logs
+        (x, y), (u, v) = a, b
+        return (
+            fd.log_add(fd.log_mul(x, u), fd.log_neg(fd.log_mul(y, v))),
+            fd.log_add(fd.log_mul(x, v), fd.log_mul(y, u)),
+        )
+
+    exponents = np.array([order // prime for prime in ff._prime_factors(order)])
+    for lo in range(1, q, 64):
+        t = fd.log[lo : lo + 64, None]  # (C, 1): one candidate 1 + it a row
+        power, base, e = (0, fd.zero_log), (0, t), exponents
+        while e.any():
+            step = mul(power, base)
+            power = tuple(np.where(e & 1, s, p) for s, p in zip(step, power))
+            base, e = mul(base, base), e >> 1
+        found = (power[1] != fd.zero_log).all(axis=1)
+        if found.any():
+            break
+    g = (0, t[found.argmax(), 0])
+    x, y = np.zeros(order, dtype=np.int32), np.full(order, fd.zero_log, dtype=np.int32)
+    k = 1
+    while k < order:
+        m = min(k, order - k)
+        x[k : k + m], y[k : k + m] = mul((x[:m], y[:m]), g)
+        g = mul(g, g)
+        k += m
+    return x, y
 
 
 def _apex_classes(fd: ff.Field, logs: np.ndarray):
@@ -488,11 +653,14 @@ def _apex_classes(fd: ff.Field, logs: np.ndarray):
     for lo in range(0, s * n, step):
         rows = np.arange(lo, min(lo + step, s * n))
         arms = fd.log_add(neg[lo : lo + step], logs[rows // n])  # (B, n, d)
-        lead = np.take_along_axis(arms, (arms != fd.zero_log).argmax(axis=2)[..., None], axis=2)
-        canon = fd.log_mul(arms, -lead % (fd.q - 1))  # the zero arm b = a stays zero
+        lead = arms[..., d - 1].copy()  # the first nonzero coordinate
+        for c in range(d - 2, -1, -1):
+            np.copyto(lead, arms[..., c], where=arms[..., c] != fd.zero_log)
+        canon = fd.log_mul(arms, (-lead % (fd.q - 1))[..., None])  # the zero arm b = a stays zero
         code = _codes(canon, fd.zero_log)
         order = np.argsort(code, axis=1)
-        code = np.take_along_axis(code, order, axis=1)
+        offset = np.arange(0, len(rows) * n, n)[:, None]  # of each row in the block's flat arms
+        code = code.take(order + offset)
         # The apex's own zero arm sorts first, so sorted arm j + 1 starts a
         # class where new[:, j] is set, and sorted arm 1 starts class 0.
         new = code[:, 1:] != code[:, :-1]
@@ -503,23 +671,17 @@ def _apex_classes(fd: ff.Field, logs: np.ndarray):
         row, start = np.nonzero(new)
         at = np.ones_like(mult)  # padding reads class 0
         at[row, cls[row, start]] = start + 1
-        yield lo, mult, np.take_along_axis(canon, np.take_along_axis(order, at, axis=1)[..., None], axis=1)
+        yield lo, mult, canon.reshape(-1, d).take(order.take(at + offset) + offset, axis=0)
 
 
 def _arm_classes(fd: ff.Field, logs: np.ndarray):
     """The blocks of arm classes of a stack logs (S, n, d) from the
-    producer ``_spread_histograms``'s rule picks.  U is an exact int, known
-    before anything is allocated, so no direction is enumerated unless the
-    rule picks the directions."""
+    producer ``_spread_histograms``'s rule picks: by direction when the
+    U = (q^d - 1)/(q - 1) directions of F_q^d number at most n - 1.  U is an
+    exact int, known before anything is allocated, so no direction is
+    enumerated unless the rule picks the directions."""
     n, d = logs.shape[1:]
-    return (_direction_classes if _by_direction(fd.q, d, n) else _apex_classes)(fd, logs)
-
-
-def _by_direction(q: int, d: int, n: int) -> bool:
-    """The rule of ``_spread_histograms``: sets of n points count by
-    direction when the U = (q^d - 1)/(q - 1) directions of F_q^d number at
-    most n - 1."""
-    return (q**d - 1) // (q - 1) <= n - 1
+    return (_direction_classes if (fd.q**d - 1) // (fd.q - 1) <= n - 1 else _apex_classes)(fd, logs)
 
 
 def _direction_classes(fd: ff.Field, logs: np.ndarray):
@@ -594,7 +756,7 @@ def _directions(fd: ff.Field, d: int):
         pair += q * tail
         dirs.append(grid)
         cols.append(col)
-    return fd.log[np.concatenate(dirs)], np.concatenate(cols)
+    return fd.log.take(np.concatenate(dirs), mode="wrap"), np.concatenate(cols)
 
 
 def _line_keys(fd: ff.Field, pts: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -100,7 +100,10 @@ def span(fd: ff.Field, vectors: list[Vec], budget: int = geom.DEFAULT_ENUM_BUDGE
     if fd.q**m > budget:
         raise BudgetExceeded(f"q^m = {fd.q ** m} exceeds budget {budget}")
     basis = fd.log[np.array(vectors, dtype=np.int64)].T  # (d, m)
-    blocks = (fd.exp[fd.log_dot(fd.log[c][:, None], basis)].tolist() for c in geom.index_blocks(fd, m))
+    blocks = (
+        fd.exp.take(fd.log_dot(fd.log.take(c, mode="wrap")[:, None], basis), mode="wrap").tolist()
+        for c in geom.index_blocks(fd, m)
+    )
     return PointSet(fd, len(vectors[0]), [p for b in blocks for p in b])
 
 

@@ -146,8 +146,20 @@ class Field:
         is clipped there; the zero test reads the norms, not the products.
         An ``out`` array has dot's shape, which then spans the broadcast
         shape, and may be dot itself."""
+        return self.spread_from_terms(dot, self.spread_terms(nu), self.spread_terms(nv), out=out)
+
+    def spread_terms(self, norms: np.ndarray) -> np.ndarray:
+        """The terms ``spread_from_terms`` adds for the logs of norms:
+        -log mod q - 1, or 6 (q - 1) for the norm 0."""
         n = self.q - 1
-        tu, tv = (np.where(x == self.zero_log, 6 * n, -x % n) for x in (nu, nv))
+        return np.where(norms == self.zero_log, 6 * n, -norms % n)
+
+    def spread_from_terms(
+        self, dot: np.ndarray, tu: np.ndarray, tv: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``spread_from_logs`` with the norms' ``spread_terms`` taken
+        beforehand, so norms met again cost no second pass."""
+        n = self.q - 1
         if out is None:
             idx = 2 * dot + (tu + tv)
         else:

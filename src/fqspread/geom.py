@@ -119,7 +119,7 @@ def arm_k_spreads(fd: ff.Field, arms: np.ndarray, budget: int = DEFAULT_ENUM_BUD
     gram = fd.log_dot(arms[:, :, None], arms[:, None])
     rank, det = eliminate(fd, gram)
     diag = gram.diagonal(axis1=1, axis2=2)
-    value = fd.exp[np.where(rank == k, (det - diag.sum(axis=1)) % (fd.q - 1), fd.zero_log)]
+    value = fd.exp.take(np.where(rank == k, (det - diag.sum(axis=1)) % (fd.q - 1), fd.zero_log), mode="wrap")
     return np.where((diag == fd.zero_log).any(axis=1), -1, value)
 
 
@@ -310,7 +310,7 @@ def sphere_blocks(fd: ff.Field, d: int, t: int) -> Iterator[np.ndarray]:
     """The x in F_q^d with |x| = t, in index order, one array (k, d) per
     block of ``index_blocks``."""
     for coords in index_blocks(fd, d):
-        logs = fd.log[coords]
+        logs = fd.log.take(coords, mode="wrap")
         yield coords[fd.log_dot(logs, logs) == fd.log[t]]
 
 
@@ -342,4 +342,4 @@ def random_orthogonals(fd: ff.Field, d: int, seeds: Sequence[int]) -> list[Matri
         scale = fd.log_mul(fd.log[2], -fd.log_dot(v, v) % (fd.q - 1))
         vtm = fd.log_dot(v[:, None, :], m.transpose(0, 2, 1))
         m = fd.log_add(m, fd.log_neg(fd.log_mul(fd.log_mul(scale[:, None], v)[:, :, None], vtm[:, None])))
-    return [tuple(map(tuple, x)) for x in fd.exp[m].tolist()]
+    return [tuple(map(tuple, x)) for x in fd.exp.take(m, mode="wrap").tolist()]

@@ -14,6 +14,7 @@ from conftest import (
     line_through,
     mat_vec,
     naive_distances,
+    naive_plane_spread_values,
     naive_rank,
     naive_spanned_lines,
     naive_spread,
@@ -36,7 +37,7 @@ from fqspread.census import (
     sphere_equiv_check,
     spread_occurrences,
 )
-from fqspread.ff import Field
+from fqspread.ff import Field, field_for_order
 from fqspread.geom import PointSet
 
 F3 = Field(3)
@@ -348,25 +349,32 @@ def test_arm_spreads_matches_scalar_spread():
 
 
 def count_spread_cells(monkeypatch):
-    """Wraps Field.spread_from_logs and census._class_table; the list
-    returned collects the number of spreads each call evaluates, u^2 per
-    table in place of its blocks' calls."""
+    """Wraps Field.spread_from_terms, census._class_table,
+    census._plane_cycle and census._plane_table; the list returned collects
+    the number of spreads each call evaluates, and each table's cells in
+    place of the calls that built it: u^2 for a table of u classes, 2N for
+    a plane's flat table, none for the plane cycle it reads."""
     cells = []
-    spread_from_logs, class_table = Field.spread_from_logs, census._class_table
+    spread_from_terms = Field.spread_from_terms
 
-    def counting(fd, dot, nu, nv, out=None):
-        out = spread_from_logs(fd, dot, nu, nv, out=out)
+    def counting(fd, dot, tu, tv, out=None):
+        out = spread_from_terms(fd, dot, tu, tv, out=out)
         cells.append(out.size)
         return out
 
-    def counting_table(fd, reps):
-        mark = len(cells)
-        out = class_table(fd, reps)
-        cells[mark:] = [out.size]
-        return out
+    def counting_table(build, size):
+        def count(fd, *args):
+            mark = len(cells)
+            out = build(fd, *args)
+            cells[mark:] = [size(out)]
+            return out
 
-    monkeypatch.setattr(Field, "spread_from_logs", counting)
-    monkeypatch.setattr(census, "_class_table", counting_table)
+        return count
+
+    monkeypatch.setattr(Field, "spread_from_terms", counting)
+    monkeypatch.setattr(census, "_class_table", counting_table(census._class_table, np.size))
+    monkeypatch.setattr(census, "_plane_cycle", counting_table(census._plane_cycle, lambda c: 0))
+    monkeypatch.setattr(census, "_plane_table", counting_table(census._plane_table, lambda t: t[2].size))
     return cells
 
 
@@ -390,10 +398,10 @@ def test_class_tables_never_exceed_per_apex_cells(monkeypatch):
 
 def test_class_tables_shared_across_apexes(monkeypatch):
     # the whole plane: every apex sees all q + 1 classes, so one table
-    # of (q + 1)^2 cells serves all q^2 apexes
+    # serves all q^2 apexes: 2N = 2 (q + 1) cells in cyclic form
     cells = count_spread_cells(monkeypatch)
     cen = distinct_spreads(geom.all_points(F7, 2))
-    assert sum(cells) == 8 * 8
+    assert sum(cells) == 2 * 8
     assert cen.defined_values == (0, 1, 3, 4, 5)  # as in the frozen census below
     assert cen.undefined_triples == 0  # q = 3 mod 4: no isotropic arms
 
@@ -676,12 +684,14 @@ def test_line_census_max_degree_pinned():
     assert spanned_lines(star) == census.LineCensus(lines=5, max_degree=4, pairs_scanned=10)
 
 
-def test_whole_plane_table_has_q_plus_one_squared_cells(monkeypatch):
-    # all q^2 apexes share the q + 1 directions: one table serves them all
+def test_whole_plane_table_has_twice_the_cyclic_order_cells(monkeypatch):
+    # all q^2 apexes share the q + 1 directions: one flat table of 2N
+    # cells serves them all, N = q + 1 for q = 3 mod 4 and q - 1 for
+    # q = 1 mod 4
     for fd in (F3, F5, F9, F13):
         cells = count_spread_cells(monkeypatch)
         distinct_spreads(geom.all_points(fd, 2))
-        assert sum(cells) == (fd.q + 1) ** 2
+        assert sum(cells) == 2 * (fd.q + 1 if fd.q % 4 == 3 else fd.q - 1)
         monkeypatch.undo()
 
 
@@ -723,6 +733,143 @@ def test_class_table_matches_arm_spreads(p, d, dtype, monkeypatch):
     assert (table == want).all()
     iso = np.flatnonzero(fd.log_dot(reps, reps) == fd.zero_log)
     assert len(iso) >= 2 * (d - 1) and (table[iso] == p).all() and (table[:, iso] == p).all()
+
+
+def plane_directions(fd, count=None, seed=0):
+    """The canonical directions (1, t) and (0, 1) of F_q^2 as logs in a
+    seeded order: all q + 1 of them, or count of them drawn with (0, 1)
+    and, for q = 1 mod 4, the isotropic (1, +-sqrt(-1))."""
+    rng = random.Random(seed)
+    if count is None:
+        dirs = [(1, t) for t in range(fd.q)]
+    else:
+        dirs = [(1, t) for t in rng.sample(range(fd.q), count)]
+        if fd.q % 4 == 1:
+            i = fd.sqrt(fd.neg(1))
+            dirs += [(1, i), (1, fd.neg(i))]
+    dirs = sorted(set(dirs)) + [(0, 1)]
+    rng.shuffle(dirs)
+    return fd.log[np.array(dirs)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 1021, 32789, 32771])
+def test_plane_table_matches_class_table(q):
+    # the cyclic flat table read at left + right, against the u x u class
+    # table, isotropic rows and columns included; the int32 fields on a
+    # sample of the directions
+    fd = field_for_order(q)
+    reps = plane_directions(fd, 300 if q > 1 << 15 else None, q)
+    left, right, flat = census._plane_table(fd, reps, census._plane_cycle(fd))
+    want = census._class_table(fd, reps)
+    assert flat.dtype == want.dtype == (np.int16 if q < 1 << 15 else np.int32)
+    assert len(flat) == 2 * (q - 1 if q % 4 == 1 else q + 1)
+    assert (flat.take(left[:, None] + right[None, :], mode="clip") == want).all()
+    isotropic = (want == q).all(axis=1)
+    assert isotropic.sum() == (2 if q % 4 == 1 else 0)
+    assert (want[:, isotropic] == q).all()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49])
+def test_plane_spread_function_image(q):
+    # f on the cyclic group takes (q + 3)/2 values for q = 3 mod 4 and
+    # (q + 1)/2 for q = 1 mod 4: the whole plane's defined values
+    fd = field_for_order(q)
+    image = sorted(set(census._plane_cycle(fd)[0][:-1].tolist()))
+    assert len(image) == ((q + 3) // 2 if q % 4 == 3 else (q + 1) // 2)
+    assert image == naive_plane_spread_values(fd)
+
+
+def points_on_lines(fd, d, lines, n, seed):
+    """n distinct points of F_q^d on `lines` seeded lines, drawn in turn
+    from each line, so an apex on a line sees classes of several arms."""
+    rng = random.Random(seed)
+    F = reference(fd)
+    base = [[rng.randrange(fd.q) for _ in range(d)] for _ in range(lines)]
+    step = [[rng.randrange(fd.q) for _ in range(d - 1)] + [1] for _ in range(lines)]
+    pts: dict = {}
+    for i in range(100 * n):
+        a, v, t = base[i % lines], step[i % lines], rng.randrange(fd.q)
+        pts.setdefault(tuple(F.add(x, F.mul(t, y)) for x, y in zip(a, v)), None)
+        if len(pts) == n:
+            return PointSet(fd, d, list(pts))
+    raise AssertionError("the lines hold fewer than n points")
+
+
+@pytest.mark.parametrize("path", ["pairs", "per-apex"])
+@pytest.mark.parametrize("fd, d", [(F7, 2), (F13, 2), (F5, 3)], ids=str)
+def test_arm_gather_on_classes_of_several_arms(fd, d, path, monkeypatch):
+    # 12 points on 3 lines: an apex on a line holds several arms in that
+    # line's class, so arm pairs meet on the class table's diagonal as well
+    # as across classes; blocks of 5 apex rows straddle the sets
+    sets = [points_on_lines(fd, d, 3, 12, 120 + s) for s in range(4)]
+    hists = []
+    for ps in sets:
+        counts = naive_spread_counts(ps)
+        hists.append([counts[v] for v in range(fd.q)] + [counts[None]])
+    force_producer(monkeypatch, "apex")
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 5 * 12 * d)
+    monkeypatch.setattr(census, *FORCED_PATHS[path])
+    blocks, tables = [], set()
+    gather = census._add_pairs
+
+    def spy(fd, n, window, ids, table, hist):
+        blocks.extend((lo, lo + len(mult) - 1, int(mult.max())) for lo, mult, _ in window)
+        tables.add(table is not None)
+        gather(fd, n, window, ids, table, hist)
+
+    monkeypatch.setattr(census, "_add_pairs", spy)
+    assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
+    assert tables == {path == "pairs"}
+    assert any(lo // 12 != last // 12 for lo, last, _ in blocks)
+    assert all(most > 1 for _, _, most in blocks)
+
+
+@pytest.mark.parametrize("fd, d", [(Field(11), 2), (F13, 2), (F9, 3), (Field(101), 3)], ids=str)
+def test_per_apex_gather_weights_class_pairs_where_classes_hold_many_arms(fd, d, monkeypatch):
+    # 14 points on 2 lines: an apex on a line holds one class of its own
+    # line's 6 other points and at most 7 classes for the other line, so
+    # its blocks' K <= 8 class positions stay under two thirds of the 13
+    # arms and the windows without a table gather class pairs weighted
+    # m_c m_c'; blocks of 5 apex rows straddle the sets
+    sets = [points_on_lines(fd, d, 2, 14, 140 + s) for s in range(4)]
+    hists = []
+    for ps in sets:
+        counts = naive_spread_counts(ps)
+        hists.append([counts[v] for v in range(fd.q)] + [counts[None]])
+    force_producer(monkeypatch, "apex")
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 5 * 14 * d)
+    monkeypatch.setattr(census, *FORCED_PATHS["per-apex"])
+    cells = count_spread_cells(monkeypatch)
+    blocks = []
+    gather = census._add_pairs
+
+    def spy(fd, n, window, ids, table, hist):
+        assert table is None
+        blocks.extend((lo, lo + len(mult) - 1, mult.shape[1]) for lo, mult, _ in window)
+        gather(fd, n, window, ids, table, hist)
+
+    monkeypatch.setattr(census, "_add_pairs", spy)
+    assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
+    assert any(lo // 14 != last // 14 for lo, last, _ in blocks)
+    assert all(3 * width * width <= 2 * 13 * 13 for _, _, width in blocks)
+    # each pair of class positions, padding included, evaluated once, not
+    # once per arm pair
+    rows = [last - lo + 1 for lo, last, _ in blocks]
+    assert sum(cells) == sum(r * w * (w - 1) // 2 for r, (_, _, w) in zip(rows, blocks))
+    assert sum(cells) < 4 * 14 * 13 * 12 // 2
+
+
+@pytest.mark.parametrize("fd", [Field(101), Field(103)], ids=str)
+def test_plane_lines_take_the_gram_path(fd, monkeypatch):
+    # a line of q points of F_q^2 (for q = 1 mod 4 the isotropic line of
+    # con1_set): every apex holds one class, so a window's plane table of
+    # 2N cells outgrows its sum k^2 = rows cells, and its 1 x 1 class
+    # table takes the Gram path
+    ps = construct.con1_set(fd, 2) if fd.q % 4 == 1 else PointSet(fd, 2, [(t, 2 * t % fd.q) for t in range(fd.q)])
+    paths = record_paths(monkeypatch)
+    cen = distinct_spreads(ps)
+    assert {p for p, _, _ in paths} == {"gram"}
+    assert (cen.defined_count, cen.undefined_triples) == ((0, fd.q * (fd.q - 1) * (fd.q - 2)) if fd.q % 4 == 1 else (1, 0))
 
 
 @pytest.mark.parametrize("path", ["pairs", "per-apex"])
@@ -797,18 +944,26 @@ def test_direction_windows_where_directions_never_occur(path, monkeypatch):
     monkeypatch.setattr(census, "_BLOCK_CELLS", 12)  # one row a block
     monkeypatch.setattr(census, "_WINDOW_CELLS", 1)
     monkeypatch.setattr(census, *FORCED_PATHS[path])
-    sizes = []
-    class_table = census._class_table
+    sizes, cycles = [], []
+    plane_table, plane_cycle = census._plane_table, census._plane_cycle
 
-    def recording(fd, reps):
+    def recording(fd, reps, cycle):
         sizes.append(len(reps))
-        return class_table(fd, reps)
+        return plane_table(fd, reps, cycle)
 
-    monkeypatch.setattr(census, "_class_table", recording)
+    def building(fd):
+        cycles.append(fd)
+        return plane_cycle(fd)
+
+    monkeypatch.setattr(census, "_plane_table", recording)
+    monkeypatch.setattr(census, "_plane_cycle", building)
     paths = record_paths(monkeypatch)
     assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
     assert {p for p, _, _ in paths} == {path} and len(paths) == 28
     assert min(sizes) < 6
+    # the window-independent part of the 28 plane tables, once per call
+    # of the kernel: these window cells stack the sets one at a time
+    assert cycles == [F5] * 4
 
 
 @pytest.mark.parametrize("fd, d", [(F7, 1), (F5, 2), (F9, 2), (F3, 3), (F5, 3)], ids=str)
