@@ -11,11 +11,13 @@ A map of the module:
 - ``_spread_histograms`` is the spread kernel, and its docstring states
   every rule of it with its measurements and memory bounds: the arm-class
   producer ``_arm_classes`` picks (``_apex_classes`` or
-  ``_direction_classes``), and the window path ``_add_window`` picks
+  ``_direction_classes``, each yielding blocks of flat class lists
+  (lo, k, mult, reps)), and the window path ``_add_window`` picks
   (``_add_gram``, or ``_add_pairs``, whose one gather counts the arm pairs
   unweighted, their spreads read from a class table or evaluated on the
   repeated representatives, or without a table, where classes hold many
-  arms, the class pairs weighted).  A class table is (left, right, flat):
+  arms, the class pairs weighted, the one consumer that pads a block into
+  rectangles).  A class table is (left, right, flat):
   for planes the cyclic closed form ``_plane_table``, read through the
   call's ``_plane_cycle``, whose F_(q^2) logs come from ``_cyclic_powers``
   when q = 3 mod 4, or the u x u ``_class_table`` raveled.
@@ -32,8 +34,11 @@ A map of the module:
   sphere sizes (``geom.sphere_size``) before they walk F_q^d.
 
 Every kernel runs one code path for all fields, on discrete logs
-(``Field.log``): every inner product is ``Field.log_dot`` and every spread
-comes from ``geom.arm_spreads``.
+(``Field.log``): every inner product is ``Field.log_dot``.  The spread
+kernel evaluates spreads by ``Field.spread_from_terms``, in
+``_class_table`` and in the per-apex gather, and a plane's closed form by
+``Field.spread_from_logs`` in ``_plane_cycle``; only
+``sphere_equiv_check`` calls ``geom.arm_spreads``.
 """
 
 from __future__ import annotations
@@ -165,7 +170,11 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     multiplicities m; two arms of one class have the spread on the class
     table's diagonal, 0, or undefined when the class is isotropic.
 
-    The blocks of apex rows come from one of two producers, picked by
+    A block of apex rows lo, lo + 1, ... is a flat, row-major class list
+    (lo, k, mult, reps): k (rows,) counts the classes at each row, mult
+    (sum k,) and reps (sum k, d; logs) hold each class's multiplicity, at
+    least 1, and canonical representative, and each row's multiplicities
+    sum to n - 1.  The blocks come from one of two producers, picked by
     ``_arm_classes`` from U = (q^d - 1)/(q - 1) and n alone:
     ``_direction_classes`` when U <= n - 1, else ``_apex_classes``.  They
     fill U n and n (n - 1) cells a set, and each keeps its temporaries
@@ -181,7 +190,7 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     The blocks are buffered into windows of about _WINDOW_CELLS class
     representative coordinates.  Let a window have rows apex rows, k
     classes on each and u in all.  Its class ids are window-wide: where U
-    is at most the window's class rows, each representative's index among
+    is at most the window's classes, each representative's index among
     the directions, compacted to those present (``_direction_ids``, no
     sort), else the ranks of the representatives' codes (``np.unique``).
     A class table is (left, right, flat), the spread of classes c and c'
@@ -211,9 +220,10 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
       ``Field.spread_from_terms`` on the repeated representatives, each
       arm's norm term taken once per block, are counted by one unweighted
       ``np.bincount`` into a histogram of the window's sets.  A block
-      without a table whose rows' K class positions satisfy
-      3 K^2 <= 2 (n - 1)^2 runs the same tiles over its class positions,
-      each spread evaluated once and added m_c m_c' times by ``np.add.at``.
+      without a table whose K, the most classes at one of its apexes,
+      satisfies 3 K^2 <= 2 (n - 1)^2 is padded to (rows, K) class
+      positions and runs the same tiles over them, each spread evaluated
+      once and added m_c m_c' times by ``np.add.at``.
 
     Measured in-process on 2 cores (numpy 2.4.6, best of 9) on the
     benchmark's 200-point sets of F_1021^2 (u = 1022) and F_27^3
@@ -276,7 +286,7 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     cells = 0
     for block in _arm_classes(fd, logs):
         window.append(block)
-        cells += block[2].size
+        cells += block[3].size
         if cells >= _WINDOW_CELLS:
             _add_window(fd, logs.shape[1], window, hist, plane)
             window, cells = [], 0
@@ -300,13 +310,13 @@ _GRAM_RATIO = 8
 
 
 def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> None:
-    """Add the triples at a window of blocks of apex rows, (first row, mult,
-    reps) per block, to hist, q + 1 slots per set of n apex rows, by the
-    Gram path or a gather from a shared or per-apex table, whichever
-    ``_spread_histograms``'s rule picks; plane() gives the call's
+    """Add the triples at a window of blocks of apex rows, flat class lists
+    (lo, k, mult, reps) per block, to hist, q + 1 slots per set of n apex
+    rows, by the Gram path or a gather from a shared or per-apex table,
+    whichever ``_spread_histograms``'s rule picks; plane() gives the call's
     ``_plane_cycle``."""
-    q, d = fd.q, window[0][2].shape[2]
-    reps = np.concatenate([r.reshape(-1, d) for _, _, r in window])
+    q, d = fd.q, window[0][3].shape[1]
+    reps = np.concatenate([r for _, _, _, r in window])
     # ids: window-wide class ids; first: a row of each class
     if (q**d - 1) // (q - 1) <= len(reps):
         ids, first = _direction_ids(fd, reps)
@@ -314,7 +324,7 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> 
         _, first, ids = np.unique(_codes(reps[None], fd.zero_log)[0], return_index=True, return_inverse=True)
         ids = ids.ravel()  # shaped like its input on some numpy versions
     u = len(first)
-    k = np.concatenate([np.count_nonzero(mult, axis=1) for _, mult, _ in window])
+    k = np.concatenate([k for _, k, _, _ in window])
     limit = min(int((k * k).sum()), _TABLE_CELLS)
     table = None
     if d == 2 and 2 * (q - 1 if q % 4 == 1 else q + 1) <= limit:
@@ -358,23 +368,17 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple,
     diagonal (each arm with itself), G_s is added to set s's slots by the
     value of the u x u table the class table (left, right, flat) spans.  G
     is additive over rows, so a set straddling windows adds the partial G
-    of each.  Each set's rows in the window are padded to the most any set
-    has there, and the sets are multiplied in batches of about _BLOCK_CELLS
+    of each.  Each M_s has as many rows as the most any set has in the
+    window, and the sets are multiplied in batches of about _BLOCK_CELLS
     cells of M and G, or one set."""
     left, right, flat = table
     u = len(left)
     spreads = flat.take(left[:, None] + right[None, :], mode="clip").ravel()
-    lo, hi = window[0][0], window[-1][0] + len(window[-1][1])
-    # the window's nonzero multiplicities in row order, each with its row
-    # and class id; padding repeats class 0 of its row with multiplicity 0
-    row, cls, mult, at = [], [], [], 0
-    for b, m, _ in window:
-        r, c = np.nonzero(m)
-        row.append(b + r)
-        cls.append(ids[at : at + m.size].reshape(m.shape)[r, c])
-        mult.append(m[r, c])
-        at += m.size
-    row, cls, mult = (np.concatenate(x) for x in (row, cls, mult))
+    k = np.concatenate([k for _, k, _, _ in window])
+    lo, hi = window[0][0], window[0][0] + len(k)
+    # the row of each of the window's classes, in the order of ids and mult
+    row = np.repeat(np.arange(lo, hi), k)
+    mult = np.concatenate([m for _, _, m, _ in window])
     # the window's rows of set s0 + j are start[j], start[j] + 1, ...
     s0, count = lo // n, (hi - 1) // n - lo // n + 1
     start = np.maximum(np.arange(s0, s0 + count) * n, lo)
@@ -385,7 +389,7 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple,
         a, b = np.searchsorted(row, [start[s], (s0 + s + sets) * n])
         j = row[a:b] // n - s0
         mt = np.zeros(sets * u * most, dtype=np.int64)  # M^T of each set
-        mt[((j - s) * u + cls[a:b]) * most + row[a:b] - start[j]] = mult[a:b]
+        mt[((j - s) * u + ids[a:b]) * most + row[a:b] - start[j]] = mult[a:b]
         mt = mt.reshape(sets, u, most)
         # one batched integer product; einsum reads both factors along
         # their contiguous rows, ~1.7x np.matmul's M^T M at u = 651
@@ -397,8 +401,8 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple,
 
 def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[tuple], hist: np.ndarray) -> None:
     """The gather path of ``_add_window``.  Every apex row holds n - 1
-    arms, so a block's class ids, or its representatives, repeated by their
-    multiplicities give (rows, n - 1) arms with no padding.  Their pairs
+    arms, so a block's flat class ids, or its representatives, repeated by
+    their multiplicities give (rows, n - 1) arms.  Their pairs
     i < j go in tiles of arm positions [a0, a1), each the rectangle
     i < a1 <= j plus the triangle i < j inside [a0, a1) (its indices kept
     per width for the window); two arms of one class meet on the class
@@ -416,17 +420,19 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     set offset.  So the slots a bincount sweeps are paid once per full
     buffer, or once per block, however large q is.
 
-    A block without a table whose K class positions satisfy
-    3 K^2 <= 2 (n - 1)^2 runs the same tiles over its class positions
-    instead, each spread evaluated once for its m_c m_c' arm pairs, which
-    ``np.add.at`` adds from an int64 weight buffer as long as the others,
-    and adds the m_c (m_c - 1) / 2 pairs inside each class at 0, or q
-    where the class is isotropic; padding has weight 0."""
+    A block without a table whose K, the most classes at one of its
+    apexes, satisfies 3 K^2 <= 2 (n - 1)^2 is the one place that pads:
+    its classes go into (rows, K) class positions, each row padded with
+    its first class at multiplicity 0, and the same tiles run over those
+    positions instead, each spread evaluated once for its m_c m_c' arm
+    pairs, which ``np.add.at`` adds from an int64 weight buffer as long as
+    the others, and the m_c (m_c - 1) / 2 pairs inside each class are
+    added at 0, or q where the class is isotropic; padding has weight 0."""
     slots, w, tile = fd.q + 1, n - 1, _BLOCK_CELLS // 2
     s0 = window[0][0] // n
     # the window's sets' slots, each unordered pair once
     half = np.zeros(((window[-1][0] + len(window[-1][1]) - 1) // n + 1 - s0) * slots, dtype=np.int64)
-    cells = max(tile, len(half), max(len(m) for _, m, _ in window) * w)
+    cells = max(tile, len(half), max(len(k) for _, k, _, _ in window) * w)
     idx = np.empty(cells, dtype=np.int32)
     spreads = idx if table is None else np.empty(cells, dtype=table[2].dtype)
     weight = np.empty(cells, dtype=np.int64) if table is None else None  # of class pairs
@@ -455,25 +461,30 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             np.add(into, np.bincount(counted[:stop], minlength=len(into)), out=into)
 
     at = 0
-    for lo, mult, reps in window:
-        rows, width = mult.shape
+    for lo, k, mult, reps in window:
+        rows, width = len(k), int(k.max())
         sets = np.arange(lo, lo + rows) // n - s0
         into = half[sets[0] * slots : (sets[-1] + 1) * slots]
         offset = ((sets - sets[0]) * slots)[:, None] if sets[0] != sets[-1] else None
         classes = table is None and 3 * width * width <= 2 * w * w
         if classes:
-            arms, positions = reps, width
-            norms = fd.log_dot(reps, reps)
+            # (rows, width) class positions, each row padded with its
+            # first class at multiplicity 0
+            first = (np.cumsum(k) - k)[:, None]
+            real = np.arange(width) < k[:, None]
+            cls = np.where(real, first + np.arange(width), first)
+            arms, mult, positions = reps[cls], np.where(real, mult[cls], 0), width
+            norms = fd.log_dot(arms, arms)
             terms = fd.spread_terms(norms)
             inside = np.where(norms == fd.zero_log, fd.q, 0)
             np.add.at(into, (inside if offset is None else inside + offset).ravel(), (mult * (mult - 1) // 2).ravel())
         elif table is None:
-            arms, positions = np.repeat(reps.reshape(mult.size, -1), mult.ravel(), axis=0).reshape(rows, w, -1), w
+            arms, positions = np.repeat(reps, mult, axis=0).reshape(rows, w, -1), w
             terms = fd.spread_terms(fd.log_dot(arms, arms))
         else:
-            arm, positions = np.repeat(ids[at : at + mult.size], mult.ravel()), w
+            arm, positions = np.repeat(ids[at : at + len(reps)], mult), w
             lhs, rhs = (side.take(arm).reshape(rows, w) for side in table[:2])
-        at += mult.size
+        at += len(reps)
         counted = spreads if offset is None else idx  # what count reads
         a0 = fill = 0
         while a0 < positions - 1:
@@ -638,14 +649,10 @@ def _apex_classes(fd: ff.Field, logs: np.ndarray):
     logs (S, n, d), onto their projective classes (first nonzero coordinate
     scaled to 1).
 
-    Apex a of set s is row s * n + a.  Yields (lo, mult, reps) for blocks
-    of consecutive rows lo, lo + 1, ...: mult (B, K) counts the arms in
-    each class of a row, and reps (B, K, d; logs) holds one representative
-    per class.  K is the most classes on any row of the block; a row with
-    fewer is padded with multiplicity 0 and copies of its first class, so
-    padding adds no triple and no class.  The spread is scale-invariant, so
-    the spread of reps c and c' is that of every arm pair drawn from
-    classes c and c'.
+    Apex a of set s is row s * n + a.  Yields the flat class lists
+    (lo, k, mult, reps) of ``_spread_histograms`` for blocks of consecutive
+    rows lo, lo + 1, ....  The spread is scale-invariant, so the spread of
+    reps c and c' is that of every arm pair drawn from classes c and c'.
     """
     s, n, d = logs.shape
     neg = fd.log_neg(logs.reshape(s * n, 1, d))
@@ -659,19 +666,15 @@ def _apex_classes(fd: ff.Field, logs: np.ndarray):
         canon = fd.log_mul(arms, (-lead % (fd.q - 1))[..., None])  # the zero arm b = a stays zero
         code = _codes(canon, fd.zero_log)
         order = np.argsort(code, axis=1)
-        offset = np.arange(0, len(rows) * n, n)[:, None]  # of each row in the block's flat arms
-        code = code.take(order + offset)
+        order += np.arange(0, len(rows) * n, n)[:, None]  # into the block's flat arms
+        code = code.take(order)
         # The apex's own zero arm sorts first, so sorted arm j + 1 starts a
-        # class where new[:, j] is set, and sorted arm 1 starts class 0.
+        # class where new[:, j] is set, and every row starts one at j = 0:
+        # a class holds the arms up to the next flat start.
         new = code[:, 1:] != code[:, :-1]
-        cls = np.cumsum(new, axis=1) - 1
-        width = cls[:, -1].max() + 1
-        flat = np.arange(len(rows))[:, None] * width + cls
-        mult = np.bincount(flat.ravel(), minlength=len(rows) * width).reshape(len(rows), width)
-        row, start = np.nonzero(new)
-        at = np.ones_like(mult)  # padding reads class 0
-        at[row, cls[row, start]] = start + 1
-        yield lo, mult, canon.reshape(-1, d).take(order.take(at + offset) + offset, axis=0)
+        start = np.flatnonzero(new)
+        arm = order[:, 1:].ravel()[start]
+        yield lo, new.sum(axis=1), np.diff(start, append=new.size), canon.reshape(-1, d).take(arm, axis=0)
 
 
 def _arm_classes(fd: ff.Field, logs: np.ndarray):
@@ -692,13 +695,14 @@ def _direction_classes(fd: ff.Field, logs: np.ndarray):
     class of v at apex p holds the other points of p's line.
 
     The rows go in blocks of about _BLOCK_CELLS / (U d), so a block's
-    (rows, U) keys and (rows, K, d) representatives stay near _BLOCK_CELLS
-    cells, and the sets in chunks of as many rows, or one set.  Per chunk,
-    a first pass over its blocks counts the points of each set on each of
-    its U q^(d-1) lines, fewer cells than the chunk's U n, and a second
-    reads each row's line sizes back and keeps its nonzero classes.  The
-    second pass reuses the first's line keys when the chunk's (rows, U)
-    keys fit in _BLOCK_CELLS cells, and builds them again otherwise."""
+    (rows, U) keys and its at most rows * U representatives stay near
+    _BLOCK_CELLS cells, and the sets in chunks of as many rows, or one
+    set.  Per chunk, a first pass over its blocks counts the points of
+    each set on each of its U q^(d-1) lines, fewer cells than the chunk's
+    U n, and a second reads each row's line sizes back and lists its
+    nonzero classes.  The second pass reuses the first's line keys when
+    the chunk's (rows, U) keys fit in _BLOCK_CELLS cells, and builds them
+    again otherwise."""
     s, n, d = logs.shape
     dirs, cols = _directions(fd, d)
     u, lines = len(dirs), fd.q ** (d - 1)
@@ -723,14 +727,7 @@ def _direction_classes(fd: ff.Field, logs: np.ndarray):
             slot = kept[b] if kept else slots(pts, r0)
             mult = count[slot] - 1  # (rows, U): the other points on each line
             r, c = np.nonzero(mult)
-            k = np.bincount(r, minlength=len(mult))  # at least 1: n >= 2
-            start = np.cumsum(k) - k
-            at = np.arange(len(r)) - np.repeat(start, k)
-            cls = np.repeat(c[start], k.max()).reshape(len(mult), -1)  # padding reads class 0
-            cls[r, at] = c
-            packed = np.zeros(cls.shape, dtype=np.int64)
-            packed[r, at] = mult[r, c]
-            yield s0 * n + r0, packed, dirs[cls]
+            yield s0 * n + r0, np.bincount(r, minlength=len(mult)), mult[r, c], dirs[c]
 
 
 def _directions(fd: ff.Field, d: int):
@@ -871,10 +868,10 @@ def line_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_PAIR_BUD
         s, n, _ = logs.shape
         pair_counts = np.zeros(s * n, dtype=np.int64)  # N_c of set i at i * n + c
         degree = np.zeros(s * n, dtype=np.int64)  # classes per apex row
-        for lo, mult, _ in _arm_classes(fd, logs):
-            degree[lo : lo + len(mult)] = np.count_nonzero(mult, axis=1)
-            slot = (np.arange(lo, lo + len(mult)) // n * n)[:, None] + mult
-            pair_counts += np.bincount(slot[mult > 0], minlength=s * n)
+        for lo, k, mult, _ in _arm_classes(fd, logs):
+            degree[lo : lo + len(k)] = k
+            slot = np.repeat(np.arange(lo, lo + len(k)) // n * n, k) + mult
+            pair_counts += np.bincount(slot, minlength=s * n)
         pair_counts = pair_counts.reshape(s, n)
         points_per_line = np.arange(1, n + 1)
         if (pair_counts % points_per_line).any():

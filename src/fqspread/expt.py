@@ -385,6 +385,7 @@ def run_sphere_distance(
     size, sphere_size = ceil_scaled_power(c, q, d), geom.sphere_size(fd, d, 1)
     if size > sphere_size:
         raise SphereTooSmall(f"sample size {size} exceeds |S1| = {sphere_size} in F_{q}^{d}")
+    census.check_pairs(size, budget)
     sphere = geom.sphere_points(fd, d, 1, budget)
     per_trial = []
     for t in range(trials):

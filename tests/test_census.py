@@ -384,7 +384,7 @@ def test_class_tables_never_exceed_per_apex_cells(monkeypatch):
     cells = count_spread_cells(monkeypatch)
     ps = random_points(Field(101), 4, 60, 27)
     blocks = census._apex_classes(ps.field, ps.field.log[ps.as_array()][None])
-    per_apex = sum(int((np.count_nonzero(mult, axis=1) ** 2).sum()) for _, mult, _ in blocks)
+    per_apex = sum(int((k**2).sum()) for _, k, _, _ in blocks)
     cen = distinct_spreads(ps)
     assert 0 < sum(cells) <= per_apex
     # one oracle pass over the 205,320 triples yields the whole census
@@ -407,14 +407,13 @@ def test_class_tables_shared_across_apexes(monkeypatch):
 
 
 def drop_first_row(producer):
-    """The producer's blocks with every class of the first apex row emptied."""
+    """The producer's blocks without the classes of the first apex row."""
 
     def dropping(fd, logs):
-        for lo, mult, reps in PRODUCERS[producer](fd, logs):
+        for lo, k, mult, reps in PRODUCERS[producer](fd, logs):
             if lo == 0:
-                mult = mult.copy()
-                mult[0] = 0
-            yield lo, mult, reps
+                lo, k, mult, reps = 1, k[1:], mult[k[0] :], reps[k[0] :]
+            yield lo, k, mult, reps
 
     return dropping
 
@@ -511,9 +510,9 @@ def test_direction_classes_stay_within_block_cells(monkeypatch):
     logs = fd.log[ps.as_array()][None]
     rows = 0
     tracemalloc.start()
-    for lo, mult, reps in census._direction_classes(fd, logs):
+    for lo, k, mult, reps in census._direction_classes(fd, logs):
         assert lo == rows and reps.size <= 2048 and mult.size <= 1024
-        rows += len(mult)
+        rows += len(k)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rows == 700
@@ -637,25 +636,35 @@ def test_both_producers_match_naive_oracles(name, producer, monkeypatch):
 
 def producer_rows(producer, sets):
     """Per apex row of the stack, {class representative: multiplicity}
-    from the producer's blocks; padding must repeat a class of its row."""
-    fd = sets[0].field
+    from the producer's blocks (lo, k, mult, reps), each row's k classes
+    flat in row order: every row holds at least one class, every class at
+    least one arm and the row's classes n - 1 arms, and its
+    representatives are canonical (lead log 0) and distinct."""
+    fd, n = sets[0].field, len(sets[0])
     logs = fd.log[np.stack([ps.as_array() for ps in sets])]
     rows = []
-    for lo, mult, reps in PRODUCERS[producer](fd, logs):
+    for lo, k, mult, reps in PRODUCERS[producer](fd, logs):
         assert lo == len(rows)
-        for m, r in zip(mult.tolist(), reps.tolist()):
-            classes = {tuple(rep): k for k, rep in zip(m, r) if k}
-            assert {tuple(rep) for rep in r} == set(classes)  # no class from padding
+        assert len(mult) == len(reps) == k.sum()
+        ends = np.cumsum(k)[:-1]
+        for m, r in zip(np.split(mult, ends), np.split(reps, ends)):
+            assert len(m) >= 1 and m.min() >= 1 and m.sum() == n - 1
+            assert all(next(x for x in rep if x != fd.zero_log) == 0 for rep in r.tolist())
+            classes = {tuple(rep): c for c, rep in zip(m.tolist(), r.tolist())}
+            assert len(classes) == len(m)
             rows.append(classes)
     return rows
 
 
 @pytest.mark.parametrize("name", PRODUCER_INPUTS)
-def test_producers_yield_the_same_classes(name):
+def test_producers_yield_the_same_classes(name, monkeypatch):
     sets = PRODUCER_INPUTS[name]()
     rows = producer_rows("apex", sets)
     assert len(rows) == len(sets) * len(sets[0])
     assert producer_rows("direction", sets) == rows
+    # apex blocks of 5 rows, which start and end inside the sets
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 5 * len(sets[0]) * sets[0].dim)
+    assert producer_rows("apex", sets) == producer_rows("direction", sets) == rows
 
 
 @pytest.mark.parametrize("producer", PRODUCERS)
@@ -813,7 +822,7 @@ def test_arm_gather_on_classes_of_several_arms(fd, d, path, monkeypatch):
     gather = census._add_pairs
 
     def spy(fd, n, window, ids, table, hist):
-        blocks.extend((lo, lo + len(mult) - 1, int(mult.max())) for lo, mult, _ in window)
+        blocks.extend((lo, lo + len(k) - 1, int(mult.max())) for lo, k, mult, _ in window)
         tables.add(table is not None)
         gather(fd, n, window, ids, table, hist)
 
@@ -845,7 +854,7 @@ def test_per_apex_gather_weights_class_pairs_where_classes_hold_many_arms(fd, d,
 
     def spy(fd, n, window, ids, table, hist):
         assert table is None
-        blocks.extend((lo, lo + len(mult) - 1, mult.shape[1]) for lo, mult, _ in window)
+        blocks.extend((lo, lo + len(k) - 1, int(k.max())) for lo, k, _, _ in window)
         gather(fd, n, window, ids, table, hist)
 
     monkeypatch.setattr(census, "_add_pairs", spy)
@@ -892,7 +901,7 @@ def test_gather_on_straddling_and_single_set_blocks(block, straddling, path, mon
     gather = census._add_pairs
 
     def spy(fd, n, window, ids, table, hist):
-        blocks.extend((lo, lo + len(mult) - 1) for lo, mult, _ in window)
+        blocks.extend((lo, lo + len(k) - 1) for lo, k, _, _ in window)
         tables.add(table is not None)
         gather(fd, n, window, ids, table, hist)
 
@@ -917,7 +926,7 @@ def test_per_apex_gather_evaluates_only_pairs(monkeypatch):
         assert table is None
         mark = len(cells)
         gather(fd, n, window, ids, table, hist)
-        k = np.concatenate([np.count_nonzero(mult, axis=1) for _, mult, _ in window])
+        k = np.concatenate([k for _, k, _, _ in window])
         windows.append((sum(cells[mark:]), int((k * (k - 1) // 2).sum())))
 
     monkeypatch.setattr(census, "_add_pairs", spy)

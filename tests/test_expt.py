@@ -392,6 +392,11 @@ def test_census_gates_come_before_the_space_is_built(monkeypatch):
         run_threshold(Field(31), 4, Fraction(1), 1, 0, budget=10**5)
     with pytest.raises(errors.BudgetExceeded, match=r"q\^d = 923521 "):
         run_beck(Field(31), 4, Fraction(1), 1, 0, budget=10**5)
+    # the 1,458-point samples of F_3^12's unit sphere fail the pair gate
+    # before the sphere is walked
+    monkeypatch.setattr(geom, "sphere_points", built)
+    with pytest.raises(errors.BudgetExceeded, match=r"n\^2 = 2125764 "):
+        run_sphere_distance(Field(3), 12, Fraction(2), 1, 0, budget=10**6)
 
 
 @pytest.mark.parametrize(
