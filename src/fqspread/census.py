@@ -25,8 +25,7 @@ A map of the module:
   Gram blocks (``_pair_distances``).
 - ``random_projections`` ranks seeded projections in batches, and
   ``projection_images`` counts the collisions and image sizes of many
-  projections at once; ``collision_count`` and ``image_size`` are its
-  one-projection calls.
+  projections at once.
 - ``search_iso_triple`` scans isotropic representatives with lazy
   per-row orthogonality masks, each built when the scan first reads it;
   ``sphere_equiv_check`` compares the distinct (spread, |a - b|, |a + b|)
@@ -913,15 +912,6 @@ def random_projections(fd: ff.Field, d: int, k: int, seeds: Sequence[int]) -> li
     if pending:
         raise InternalError("rank-k sample not found in 1000 attempts")
     return found
-
-
-def collision_count(ps: PointSet, rows: geom.Matrix) -> int:
-    """Unordered pairs of points with equal images under the projection rows."""
-    return projection_images(ps, [rows])[0][0]
-
-
-def image_size(ps: PointSet, rows: geom.Matrix) -> int:
-    return projection_images(ps, [rows])[1][0]
 
 
 def projection_images(ps: PointSet, projections: Sequence[geom.Matrix]) -> tuple[list[int], list[int]]:

@@ -6,6 +6,8 @@ share across their kinds.  Each experiment kind's parser and call come
 from its ``_EXPERIMENTS`` entry.  One call builds one parser: every
 command is listed, but only the one the arguments name gets its flags
 and subcommands, so usage, help and errors read as from the full tree.
+Each command's handler imports the modules it runs on (``census``,
+``construct``, ``expt``), so a call compiles only what its command uses.
 
 Identical invocations print identical bytes to stdout, with one exception:
 census reports carry an ``elapsed_ms`` timing field.  Domain errors print
@@ -26,7 +28,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import census, construct, expt, ff, geom
+from . import ff, geom
 from .errors import DomainError, FormatError
 from .geom import PointSet
 
@@ -97,16 +99,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-# Each experiment kind's run_* function and the parameters it takes besides
-# the field and the budget; each is filled from the flag of that dest.
+# Each experiment kind's expt.run_* function and the parameters it takes
+# besides the field and the budget; each is filled from the flag of that dest.
 _EXPERIMENTS = {
-    "bode": (expt.run_bode, ("trials", "seed", "full_plane")),
-    "threshold": (expt.run_threshold, ("d", "epsilon", "trials", "seed", "adversarial")),
-    "beck": (expt.run_beck, ("d", "epsilon", "trials", "seed")),
-    "projection": (expt.run_projection, ("d", "k", "n_points", "trials", "seed")),
-    "constructions": (expt.run_constructions, ("d",)),
-    "sphere-distance": (expt.run_sphere_distance, ("d", "c", "trials", "seed")),
-    "sphere-equiv": (expt.run_sphere_equiv, ("d",)),
+    "bode": ("run_bode", ("trials", "seed", "full_plane")),
+    "threshold": ("run_threshold", ("d", "epsilon", "trials", "seed", "adversarial")),
+    "beck": ("run_beck", ("d", "epsilon", "trials", "seed")),
+    "projection": ("run_projection", ("d", "k", "n_points", "trials", "seed")),
+    "constructions": ("run_constructions", ("d",)),
+    "sphere-distance": ("run_sphere_distance", ("d", "c", "trials", "seed")),
+    "sphere-equiv": ("run_sphere_equiv", ("d",)),
 }
 
 
@@ -249,6 +251,8 @@ def _cmd_kspread_eval(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct
+
     fd = ff.parse_field(args.field)
     if args.kind == "con1":
         ps = construct.con1_set(fd, args.d, budget=args.budget)
@@ -261,6 +265,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     if args.format == "csv" and args.kind in ("lines", "occurrences"):
         raise FormatError(f"`census {args.kind}` has no value list; use --format json")
     ps = PointSet.load(args.points)
@@ -306,6 +312,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import census
+
     fd = ff.parse_field(args.field)
     found = census.search_iso_triple(fd, args.d, budget=args.budget)
     if args.format == "json":
@@ -343,13 +351,18 @@ def _report_csv(reports) -> str:
 
 
 def _cmd_experiment(args) -> int:
-    run, params = _EXPERIMENTS[args.kind]
+    from . import expt
+
+    name, params = _EXPERIMENTS[args.kind]
+    run = getattr(expt, name)
     rep = run(ff.parse_field(args.field), **{p: getattr(args, p) for p in params}, budget=args.budget)
     _emit(args, _report_csv([rep]) if args.format == "csv" else rep.to_json() + "\n")
     return 0 if rep.passed else 1
 
 
 def _cmd_experiment_all(args) -> int:
+    from . import expt
+
     reports = expt.acceptance_suite(seed=args.seed, budget=args.budget)
     for rep in reports:
         tag = rep.params.get("field", "-")

@@ -236,6 +236,8 @@ class PointSet:
         except ValueError:
             raise FormatError(f"bad header {lines[0]!r}") from None
         fd = ff.field_for_order(q)
+        if d < 1:
+            raise BadDimension(f"needs d >= 1, got d = {d}")
         pts = []
         for ln in lines[1:]:
             try:

@@ -29,7 +29,6 @@ from conftest import (
 
 from fqspread import census, construct, errors, expt, geom
 from fqspread.census import (
-    collision_count,
     distinct_distances,
     distinct_spreads,
     search_iso_triple,
@@ -1320,9 +1319,8 @@ def test_random_projections_gives_up_after_1000_attempts(monkeypatch):
 
 def test_collision_count_injective_when_k_equals_d():
     ps = random_pointset(F5, 3, 20, 13)
-    for proj in census.random_projections(F5, 3, 3, range(10)):
-        assert collision_count(ps, proj) == 0
-        assert census.image_size(ps, proj) == len(ps)
+    projections = census.random_projections(F5, 3, 3, range(10))
+    assert census.projection_images(ps, projections) == ([0] * 10, [len(ps)] * 10)
 
 
 @pytest.mark.parametrize("fd, d, k", [(F5, 4, 2), (F9, 3, 1), (F7, 3, 3), (F27, 2, 1)], ids=str)
@@ -1334,18 +1332,16 @@ def test_collision_count_matches_scalar_buckets(fd, d, k):
         for p in ps.points:
             img = mat_vec(fd, proj, p)
             buckets[img] = buckets.get(img, 0) + 1
-        assert collision_count(ps, proj) == sum(m * (m - 1) // 2 for m in buckets.values())
-        assert census.image_size(ps, proj) == len(buckets)
+        want = ([sum(m * (m - 1) // 2 for m in buckets.values())], [len(buckets)])
+        assert census.projection_images(ps, [proj]) == want
 
 
 def test_projection_images_match_one_projection_calls(monkeypatch):
     # batches of 180 // (30 * 2) = 3 projections, the last one short
     ps = random_points(F7, 3, 30, 7)
     projections = census.random_projections(F7, 3, 2, range(40))
-    want = (
-        [collision_count(ps, proj) for proj in projections],
-        [census.image_size(ps, proj) for proj in projections],
-    )
+    one = [census.projection_images(ps, [proj]) for proj in projections]
+    want = ([c for (c,), _ in one], [s for _, (s,) in one])
     assert sum(want[0]) > 0
     monkeypatch.setattr(census, "_BLOCK_CELLS", 180)
     assert census.projection_images(ps, projections) == want
@@ -1361,10 +1357,9 @@ def test_collision_count_detects_kernel_difference():
     )
     a = (1, 2, 3, 4)
     ps = PointSet(F5, 4, [a, vadd(F5, a, kernel_vec)])
-    assert collision_count(ps, proj) == 1
-    assert census.image_size(ps, proj) == 1
+    assert census.projection_images(ps, [proj]) == ([1], [1])
     with pytest.raises(errors.DimensionMismatch):
-        collision_count(PointSet(F5, 2, [(0, 0)]), proj)
+        census.projection_images(PointSet(F5, 2, [(0, 0)]), [proj])
 
 
 # -- isotropic triple search ------------------------------------------------------------

@@ -205,6 +205,17 @@ def test_census_point_file_header_needs_one_q_and_one_d(tmp_path, capsys, header
     assert err.splitlines()[0] == "FormatError"
 
 
+@pytest.mark.parametrize("d", [0, -3])
+@pytest.mark.parametrize("command", [("census", "spreads"), ("kspread", "eval")], ids=" ".join)
+def test_point_file_dimension_below_one_is_bad_dimension(tmp_path, capsys, d, command):
+    # rejected at load time, not as TooFewPoints or BadArity of an empty set
+    path = tmp_path / "bad.txt"
+    path.write_text(f"q=5 d={d}\n")
+    code, out, err = run_cli(capsys, *command, "--points", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "BadDimension"
+
+
 def test_census_duplicate_points_rejected(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("q=5 d=2\n0,0\n0,0\n")
