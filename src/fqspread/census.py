@@ -9,8 +9,8 @@ A map of the module:
   and ``spanned_lines`` are their one-set calls.  ``_stacks`` draws the
   sets lazily behind the gate ``check_triples`` or ``check_pairs``.
 - ``_spread_histograms`` is the spread kernel, and its docstring states
-  every rule of it with its measurements and memory bounds: the arm-class
-  producer ``_arm_classes`` picks (``_apex_classes`` or
+  every rule of it and its memory bounds: the arm-class producer
+  ``_arm_classes`` picks (``_apex_classes`` or
   ``_direction_classes``, each yielding blocks of flat class lists
   (lo, k, mult, reps)), and the window path ``_add_window`` picks
   (``_add_gram``, or ``_add_pairs``, whose one gather counts the arm pairs
@@ -178,25 +178,18 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     ``_direction_classes`` when U <= n - 1, else ``_apex_classes``.  They
     fill U n and n (n - 1) cells a set, and each keeps its temporaries
     near _BLOCK_CELLS cells (``_direction_classes`` adds U q^(d-1) line
-    counts per set, fewer than its U n cells).  The break-even, measured
-    in-process on 2 cores (numpy 2.4) by timing both producers on random
-    sets of F_31^2, F_101^2, F_5^3, F_11^3, F_13^3, F_25^3, F_7^4 and
-    F_3^5, lies at U / (n - 1) from 1 (small sets) to 3 (large ones), and
-    on stacks of 100-400 sets of 5-25 points of F_3^2 ... F_13^2 the
-    directions were 1.4-2x faster up to U / (n - 1) = 1.2; the rule needs
-    no constant.
+    counts per set, fewer than its U n cells).  The rule sits at the low
+    end of the measured break-even of the two and needs no constant.
 
     The blocks are buffered into windows of about _WINDOW_CELLS class
     representative coordinates.  Let a window have rows apex rows, k
-    classes on each and u in all.  Its class ids are window-wide: where U
-    is at most the window's classes, each representative's index among
-    the directions, compacted to those present (``_direction_ids``, no
-    sort), else the ranks of the representatives' codes (``np.unique``).
-    A class table is (left, right, flat), the spread of classes c and c'
-    being flat[left_c + right_c'] (q where undefined): the cyclic closed
-    form of ``_plane_table`` for d = 2, 2N cells for the plane's N = q - 1
-    (q = 1 mod 4) or q + 1 (q = 3 mod 4) non-isotropic directions whatever
-    u, its window-independent part built once per call
+    classes on each and u in all.  Its class ids are window-wide, the ranks
+    of the representatives' codes (``_class_ids``), whichever producer made
+    the blocks.  A class table is (left, right, flat), the spread of
+    classes c and c' being flat[left_c + right_c'] (q where undefined): the
+    cyclic closed form of ``_plane_table`` for d = 2, 2N cells for the
+    plane's N = q - 1 (q = 1 mod 4) or q + 1 (q = 3 mod 4) non-isotropic
+    directions whatever u, its window-independent part built once per call
     (``_plane_cycle``); else the u x u ``_class_table`` raveled, left = c u
     and right = c, u^2 cells.  A window builds the first of these whose
     cells are at most both sum k^2 and _TABLE_CELLS: so a plane window of
@@ -224,42 +217,16 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
       positions and runs the same tiles over them, each spread evaluated
       once and added m_c m_c' times by ``np.add.at``.
 
-    Measured in-process on 2 cores (numpy 2.4.6, best of 9) on the
-    benchmark's 200-point sets of F_1021^2 (u = 1022) and F_27^3
-    (u = 757), against class pairs weighted m_c m_c' and added by
-    ``np.add.at`` after a diagonal pass: the gather took 13.3 and 13.5 ms
-    for 19.3 and 18.5; the plane's table, 2,040 cells, took 0.1 ms for
-    the 4.6 ms of its u x u table (F_27^3's stays at about 4.5 ms); the
-    window ids 0.9 and 1.0 ms for np.unique's 1.7; ``_apex_classes`` 3.5 and
-    3.9 ms for 4.3 and 4.6.  Per tile cell the gather spends about 0.6 ns
-    on its index, 1 ns on the take and 1.5 ns in ``np.bincount``.  Without
-    a table the tiles took 73, 33 and 100 ms for 98, 45 and 130 (a census
-    of random sets of F_101^3, F_1021^3 and F_31^4 of 200, 150 and 200
-    points, best of 7).  Where classes hold several arms the gather visits
-    more cells than class pairs: on 200 points on 20 lines of F_101^3,
-    3,940,200 arm pairs for 3,561,521 class pairs (u = 8,694, so no table
-    even with the Gram path switched off), the census took 72 ms for 93;
-    on 200 points on 20 lines of F_31^3 the table gather took 26 ms for 33
-    and the per-apex one 69 for 83.  Without a table an arm gather visits
-    (n - 1)^2 / K^2 times the cells of a class gather, each an evaluation:
-    on 200 points of F_1021^3 on 2 lines (K = 101) the census took 70 ms
-    by arms and 28 by class pairs weighted as above (30 with the weights,
-    the norm terms per tile and the diagonal pass of the earlier class
-    gather); on 4 lines (K = 150) 75, 54-62 and 60-66 (2 cores, numpy
-    2.4.6, best of 5).  Weighting costs about 1.13x per cell (83 for 73 ms on 100
-    points of a line and 100 random ones, K = n - 1), so class pairs win
-    beyond (n - 1)^2 / K^2 of about 1.15, and the rule takes them from 1.5
-    on.  With a table arms stay: a cell costs a take and a bincount, and
-    20 lines of F_31^3 or 4 of F_1021^2 ran at parity.
-
-    So a set whose apexes share no classes gets no table.  The rule weighs
-    the rows * u^2 multiply-adds of the integer product against the
-    gather's sum k (k + 1) / 2 pairs.  It was measured in-process on 2
-    cores (numpy 2.4) by timing windows with either path forced, on random
-    subsets of F_q^d of 40 to 500 points with u from 32 to 757: the Gram
-    path won by 1.2-4.7x wherever rows * u^2 / (sum k (k + 1) / 2) was at
-    most 15, broke even at 18-30 and lost by 1.6x at 37.  _GRAM_RATIO = 8
-    stays under half the break-even.
+    So a set whose apexes share no classes gets no table.  The Gram rule
+    weighs the rows * u^2 multiply-adds of the integer product against the
+    gather's sum k (k + 1) / 2 pairs, and _GRAM_RATIO = 8 stays under half
+    their measured break-even.  Without a table an arm gather visits
+    (n - 1)^2 / K^2 times the cells of a class gather, each an evaluation,
+    and a weighted cell costs a little more than an unweighted one, so the
+    rule takes class pairs from (n - 1)^2 / K^2 = 1.5 on, above the
+    measured break-even.  With a table arms stay: a cell costs a take and a
+    bincount either way.  README "Census kernel" and CHANGES.md hold the
+    measurements.
 
     Memory beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
     coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
@@ -316,12 +283,7 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> 
     ``_plane_cycle``."""
     q, d = fd.q, window[0][3].shape[1]
     reps = np.concatenate([r for _, _, _, r in window])
-    # ids: window-wide class ids; first: a row of each class
-    if (q**d - 1) // (q - 1) <= len(reps):
-        ids, first = _direction_ids(fd, reps)
-    else:
-        _, first, ids = np.unique(_codes(reps[None], fd.zero_log)[0], return_index=True, return_inverse=True)
-        ids = ids.ravel()  # shaped like its input on some numpy versions
+    ids, first = _class_ids(fd, reps)
     u = len(first)
     k = np.concatenate([k for _, k, _, _ in window])
     limit = min(int((k * k).sum()), _TABLE_CELLS)
@@ -337,27 +299,15 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> 
         _add_pairs(fd, n, window, ids, table, hist)
 
 
-def _direction_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class ids of the canonical representatives reps (N, d; logs) with
-    no sort, for windows of few directions: each representative's index
-    among the U directions as ``_directions`` lays them out, compacted to
-    the directions that occur, in that order; and a row of each.
-
-    With e the element indices of a direction of lead j (e_j = 1, zeros
-    before it), R = sum e_i q^i is q^j + q^(j+1) T, T the base-q number of
-    its tail, which sits at position T past the q^(d-1) + ... + q^(d-j)
-    directions of the leads before j."""
-    q, d = fd.q, reps.shape[1]
-    e = fd.exp.take(reps).astype(np.int64)
-    lead = (e != 0).argmax(axis=1)
-    power = q ** np.arange(d + 1, dtype=np.int64)
-    start = np.concatenate(([0], np.cumsum(power[d - 1 : 0 : -1])))
-    index = start[lead] + e @ power[:d] // power[lead + 1]
-    where = np.zeros((q**d - 1) // (q - 1), dtype=np.int64)
-    where[index] = np.arange(len(index))
-    present = np.zeros(len(where), dtype=bool)
-    present[index] = True
-    return np.cumsum(present)[index] - 1, where[present]
+def _class_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Window-wide class ids of the canonical representatives reps (N, d;
+    logs), the ranks of their codes, and a row of each class: equal codes
+    mean equal representatives, so any row of a class serves."""
+    classes, ids = np.unique(_codes(reps[None], fd.zero_log)[0], return_inverse=True)
+    ids = ids.ravel()  # shaped like its input on some numpy versions
+    first = np.empty(len(classes), dtype=np.intp)
+    first[ids] = np.arange(len(ids))
+    return ids, first
 
 
 def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple, hist: np.ndarray) -> None:

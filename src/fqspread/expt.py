@@ -102,7 +102,7 @@ def ceil_scaled_power(c: Fraction, q: int, d: int) -> int:
 
 def _trial_sets(space: PointSet, size: int, trials: int, seed: int):
     """The seeded size-point subsets of space of trials 0, 1, ..., drawn
-    lazily, as a stacked census reads them."""
+    lazily, as a stacked census or a per-trial loop reads them."""
     return (
         PointSet(space.field, space.dim, sample_prefix(space.points, size, random.Random(trial_seed(seed, t))))
         for t in range(trials)
@@ -287,9 +287,10 @@ def run_projection(
     if n_points > q**d:
         raise SizeExceeded(f"n_points = {n_points} exceeds |F_q^d| = {q ** d}")
     expect_zero = k == d
+    geom.check_space(fd, d, budget)
+    projections = census.random_projections(fd, d, k, [trial_seed(seed, t) for t in range(trials)])
     universe = geom.all_points(fd, d, budget).points
     pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
-    projections = census.random_projections(fd, d, k, [trial_seed(seed, t) for t in range(trials)])
     collisions, sizes = census.projection_images(pts, projections)
     per_trial = [
         {"trial": t, "collisions": coll, "ok": (coll == 0) if expect_zero else True}
@@ -388,10 +389,8 @@ def run_sphere_distance(
     census.check_pairs(size, budget)
     sphere = geom.sphere_points(fd, d, 1, budget)
     per_trial = []
-    for t in range(trials):
-        pts = sample_prefix(sphere.points, size, random.Random(trial_seed(seed, t)))
-        cen = census.distinct_distances(PointSet(fd, d, pts), budget)
-        got = len(cen.nonzero_values)
+    for t, pts in enumerate(_trial_sets(sphere, size, trials, seed)):
+        got = len(census.distinct_distances(pts, budget).nonzero_values)
         per_trial.append(
             {"trial": t, "size": size, "nonzero_distances": got, "ok": got >= threshold}
         )

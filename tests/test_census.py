@@ -974,19 +974,27 @@ def test_direction_windows_where_directions_never_occur(path, monkeypatch):
     assert cycles == [F5] * 4
 
 
-@pytest.mark.parametrize("fd, d", [(F7, 1), (F5, 2), (F9, 2), (F3, 3), (F5, 3)], ids=str)
-def test_direction_ids_index_the_direction_layout(fd, d):
-    # representatives drawn with repeats, some directions absent: ids
-    # number the directions present in _directions' order
-    dirs = census._directions(fd, d)[0]
+@pytest.mark.parametrize("fd, d", [(F7, 1), (F5, 2), (F9, 2), (F3, 3), (F5, 3), (F5, 60)], ids=str)
+def test_class_ids_number_the_distinct_reps(fd, d):
+    # representatives drawn with repeats, some of the pool absent: the
+    # directions of F_q^d, or at d = 60 random canonical representatives,
+    # whose codes _codes rank-compresses
     rng = random.Random(fd.q * d)
-    picks = [rng.randrange(len(dirs)) for _ in range(len(dirs) * 3 // 2)]
-    ids, first = census._direction_ids(fd, dirs[picks])
-    present = sorted(set(picks))
-    assert ids.tolist() == [present.index(i) for i in picks]
-    assert (dirs[picks][first] == dirs[present]).all()
+    if d < 60:
+        pool = census._directions(fd, d)[0]
+    else:
+        assert (fd.zero_log + 1) ** d >= 1 << 62
+        leads = [rng.randrange(d) for _ in range(40)]
+        pool = fd.log.take([[0] * j + [1] + [rng.randrange(fd.q) for _ in range(d - 1 - j)] for j in leads])
+    picks = [rng.randrange(len(pool)) for _ in range(len(pool) * 3 // 2)]
+    reps = pool[picks]
+    ids, first = census._class_ids(fd, reps)
+    u = len(first)
+    assert u == len(np.unique(reps, axis=0)) and 0 <= ids.min() and ids.max() < u
+    assert len(np.unique(reps[first], axis=0)) == u
+    assert (reps[first][ids] == reps).all()
     if d > 1:
-        assert len(present) < len(dirs)
+        assert len(set(picks)) < len(pool)
 
 
 def test_stacked_census_guards():

@@ -392,6 +392,12 @@ def test_census_gates_come_before_the_space_is_built(monkeypatch):
         run_threshold(Field(31), 4, Fraction(1), 1, 0, budget=10**5)
     with pytest.raises(errors.BudgetExceeded, match=r"q\^d = 923521 "):
         run_beck(Field(31), 4, Fraction(1), 1, 0, budget=10**5)
+    # a projection's k is checked after the q^d gate and before F_q^d is built
+    for k in (0, 5):
+        with pytest.raises(errors.DimensionMismatch):
+            run_projection(Field(31), 4, k, 10, 1, 0)
+    with pytest.raises(errors.BudgetExceeded, match=r"q\^d = 923521 "):
+        run_projection(Field(31), 4, 0, 10, 1, 0, budget=10**5)
     # the 1,458-point samples of F_3^12's unit sphere fail the pair gate
     # before the sphere is walked
     monkeypatch.setattr(geom, "sphere_points", built)
