@@ -8,6 +8,8 @@ A map of the module:
   point sets in one kernel; ``distinct_spreads``, ``spread_occurrences``
   and ``spanned_lines`` are their one-set calls.  ``_stacks`` draws the
   sets lazily behind the gate ``check_triples`` or ``check_pairs``.
+  ``spread_censuses`` runs the kernel's value mode, which stops a set once
+  it holds all ``spread_value_count`` values F_q^d attains.
 - ``_spread_histograms`` is the spread kernel, and its docstring states
   every rule of it and its memory bounds: the arm-class producer
   ``_arm_classes`` picks (``_apex_classes`` or
@@ -22,7 +24,8 @@ A map of the module:
   call's ``_plane_cycle``, whose F_(q^2) logs come from ``_cyclic_powers``
   when q = 3 mod 4, or the u x u ``_class_table`` raveled.
 - ``distinct_distances`` visits the pairs in blocks, by polarization from
-  Gram blocks (``_pair_distances``).
+  Gram blocks (``_pair_distances``), until it has seen all
+  ``distance_value_count`` values.
 - ``random_projections`` ranks seeded projections in batches, and
   ``projection_images`` counts the collisions and image sizes of many
   projections at once.
@@ -46,7 +49,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,12 +107,34 @@ def distinct_spreads(ps: PointSet, budget: int = DEFAULT_TRIPLE_BUDGET) -> Sprea
 
 def spread_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_TRIPLE_BUDGET) -> list[SpreadCensus]:
     """``distinct_spreads`` of each of a stack of point sets of one field,
-    dimension and size, drawn from point_sets as the census needs them."""
+    dimension and size, drawn from point_sets as the census needs them.
+
+    A census reports which values occur, not how often, so the kernel stops
+    gathering a set once it holds all ``spread_value_count`` values F_q^d
+    attains: no value is left to find.  undefined_triples comes in closed
+    form from each apex's isotropic arms, and triples_scanned is
+    n (n - 1) (n - 2), the ordered triples the census decides."""
     out = []
-    for hist in _sweep(point_sets, budget):
-        values = tuple(int(v) for v in np.flatnonzero(hist[:-1]))
-        out.append(SpreadCensus(values, len(values), undefined_triples=int(hist[-1]), triples_scanned=int(hist.sum())))
+    for fd, logs in _stacks(point_sets, check_triples, budget):
+        n, d = logs.shape[1:]
+        for hist in _spread_histograms(fd, logs, spread_value_count(fd, d)):
+            values = tuple(int(v) for v in np.flatnonzero(hist[:-1]))
+            out.append(SpreadCensus(values, len(values), int(hist[-1]), triples_scanned=n * (n - 1) * (n - 2)))
     return out
+
+
+def spread_value_count(fd: ff.Field, d: int) -> int:
+    """The number of defined spread values that triples of F_q^d attain:
+    1 on a line, where every spread is 0; on the plane the image of the
+    cyclic closed form (``_plane_cycle``), (q + 3)/2 for q = 3 mod 4 and
+    (q + 1)/2 for q = 1 mod 4; q for d >= 3.  No point set determines
+    more."""
+    q = fd.q
+    if d == 1:
+        return 1
+    if d == 2:
+        return (q + 3) // 2 if q % 4 == 3 else (q + 1) // 2
+    return q
 
 
 def spread_occurrences(ps: PointSet, gamma: int, budget: int = DEFAULT_TRIPLE_BUDGET) -> int:
@@ -128,8 +153,8 @@ def check_triples(n: int, budget: int) -> None:
 
 
 def _sweep(point_sets: Iterable[PointSet], budget: int):
-    """Yields the spread histogram of each set in turn: entry v < q counts
-    the triples with spread v, entry q the undefined ones."""
+    """Yields the exact spread histogram of each set in turn: entry v < q
+    counts the triples with spread v, entry q the undefined ones."""
     for fd, logs in _stacks(point_sets, check_triples, budget):
         n = logs.shape[1]
         hist = _spread_histograms(fd, logs)
@@ -160,9 +185,10 @@ def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
         yield fd, fd.log.take(np.stack([ps.as_array() for ps in stack]), mode="wrap")
 
 
-def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
+def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = None) -> np.ndarray:
     """Exact int64 spread histograms (S, q + 1) of all ordered triples of
-    each of the S sets of logs (S, n, d).
+    each of the S sets of logs (S, n, d); with values, a count of defined
+    values no set can exceed, the value sets and undefined slots only.
 
     Every apex holds n - 1 arms, and counts each unordered pair of them
     once, then twice over.  The arms fall into k projective classes with
@@ -245,8 +271,30 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
     Every count is exact int64: a Gram entry sums products of two
     multiplicities below n over at most n rows, so it stays below n^3, as
     does every histogram slot, and the triple gate has admitted n^3.
+
+    With values, the value mode, a set is finished once its defined slots
+    hold that many nonzero counts, and its slots then stay as they are: a
+    value slot is nonzero exactly where the value occurs, but it counts
+    only the triples gathered before the set finished.  A window whose
+    sets are all finished builds no class ids or table; the gather checks
+    a block's sets after each full buffer, on the window's own counts plus
+    what earlier windows added to hist, so a set straddling windows is
+    judged whole, and skips the rest of a block whose sets are finished.
+    The Gram path runs its windows whole.  The undefined slot comes in
+    closed form instead: an apex whose classes with isotropic
+    representatives hold i of its arms has (n - 1)(n - 2) - (n - 1 - i)
+    (n - 2 - i) ordered arm pairs with an isotropic arm, the undefined
+    ones.  A window reads its isotropic classes off its class table's
+    diagonal, q there and 0 elsewhere, or from their representatives'
+    norms.  The producer runs on every apex row for this count, and the
+    rows' multiplicities must sum to n (n - 1) a set, the triples
+    covered.
     """
-    hist = np.zeros(len(logs) * (fd.q + 1), dtype=np.int64)
+    s, n = logs.shape[:2]
+    arms = iso = None
+    if values is not None:
+        arms, iso = np.zeros((2, s * n), dtype=np.int64)
+    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, arms, iso)
     plane = functools.cache(functools.partial(_plane_cycle, fd))  # built by the first window that needs it
     window: list = []
     cells = 0
@@ -254,11 +302,50 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray) -> np.ndarray:
         window.append(block)
         cells += block[3].size
         if cells >= _WINDOW_CELLS:
-            _add_window(fd, logs.shape[1], window, hist, plane)
+            _add_window(fd, n, window, tally, plane)
             window, cells = [], 0
     if window:
-        _add_window(fd, logs.shape[1], window, hist, plane)
-    return hist.reshape(len(logs), fd.q + 1)
+        _add_window(fd, n, window, tally, plane)
+    hist = tally.hist.reshape(s, fd.q + 1)
+    if values is not None:
+        if (arms.reshape(s, n).sum(axis=1) != n * (n - 1)).any():
+            raise InternalError("spread histogram does not cover every ordered triple")
+        defined = n - 1 - iso
+        hist[:, -1] = ((n - 1) * (n - 2) - defined * (defined - 1)).reshape(s, n).sum(axis=1)
+    return hist
+
+
+class _Tally(NamedTuple):
+    """The flat histograms of a kernel call, slots = q + 1 a set, and
+    values, the defined count that finishes a set; in the value mode also
+    the arms and the isotropic arms of each apex row, and None where every
+    triple is counted."""
+
+    hist: np.ndarray
+    slots: int
+    values: Optional[int]
+    arms: Optional[np.ndarray]
+    iso: Optional[np.ndarray]
+
+    def finished(self, s0: int, s1: int, partial: Optional[np.ndarray] = None) -> bool:
+        """Whether each set s0 <= s < s1 holds values defined values in
+        hist, plus partial, slots of those sets not yet added to it."""
+        if self.values is None:
+            return False
+        got = self.hist[s0 * self.slots : s1 * self.slots]
+        if partial is not None:
+            got = got + partial
+        return bool((np.count_nonzero(got.reshape(s1 - s0, self.slots)[:, :-1], axis=1) >= self.values).all())
+
+    def add_arms(self, window: list, k: np.ndarray, isotropic: np.ndarray) -> None:
+        """Record the arms and the isotropic arms of the window's apex
+        rows, with k classes a row: the multiplicities of each row's
+        classes, and of those flagged isotropic (sum k,)."""
+        lo, mult = window[0][0], np.concatenate([m for _, _, m, _ in window])
+        ends = np.cumsum(k)
+        self.arms[lo : lo + len(k)] = np.add.reduceat(mult, ends - k)
+        hit = np.flatnonzero(isotropic)
+        np.add.at(self.iso, lo + np.searchsorted(ends, hit, side="right"), mult[hit])
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells,
@@ -275,17 +362,22 @@ _TABLE_CELLS = 1 << 21
 _GRAM_RATIO = 8
 
 
-def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> None:
+def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> None:
     """Add the triples at a window of blocks of apex rows, flat class lists
-    (lo, k, mult, reps) per block, to hist, q + 1 slots per set of n apex
-    rows, by the Gram path or a gather from a shared or per-apex table,
-    whichever ``_spread_histograms``'s rule picks; plane() gives the call's
+    (lo, k, mult, reps) per block, to the tally's histograms, q + 1 slots
+    per set of n apex rows, by the Gram path or a gather from a shared or
+    per-apex table, whichever ``_spread_histograms``'s rule picks, unless
+    the window's sets are all finished; plane() gives the call's
     ``_plane_cycle``."""
     q, d = fd.q, window[0][3].shape[1]
     reps = np.concatenate([r for _, _, _, r in window])
+    k = np.concatenate([k for _, k, _, _ in window])
+    lo = window[0][0]
+    if tally.finished(lo // n, (lo + len(k) - 1) // n + 1):
+        tally.add_arms(window, k, fd.log_dot(reps, reps) == fd.zero_log)
+        return
     ids, first = _class_ids(fd, reps)
     u = len(first)
-    k = np.concatenate([k for _, k, _, _ in window])
     limit = min(int((k * k).sum()), _TABLE_CELLS)
     table = None
     if d == 2 and 2 * (q - 1 if q % 4 == 1 else q + 1) <= limit:
@@ -293,10 +385,17 @@ def _add_window(fd: ff.Field, n: int, window: list, hist: np.ndarray, plane) -> 
     elif u * u <= limit:
         c = np.arange(u, dtype=np.int32)
         table = c * u, c, _class_table(fd, reps[first]).ravel()
+    if tally.values is not None:
+        # a class's spread with itself is 0, or q where it is isotropic
+        if table is None:
+            isotropic = fd.log_dot(reps[first], reps[first]) == fd.zero_log
+        else:
+            isotropic = table[2].take(table[0] + table[1], mode="clip") == q
+        tally.add_arms(window, k, isotropic[ids])
     if table is not None and u * u <= limit and 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
-        _add_gram(fd, n, window, ids, table, hist)
+        _add_gram(fd, n, window, ids, table, tally)
     else:
-        _add_pairs(fd, n, window, ids, table, hist)
+        _add_pairs(fd, n, window, ids, table, tally)
 
 
 def _class_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,16 +409,17 @@ def _class_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, first
 
 
-def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple, hist: np.ndarray) -> None:
+def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple, tally: _Tally) -> None:
     """The Gram path of ``_add_window``.  Row r of M_s (rows, u) holds the
     multiplicities of apex row r of set s by class id, so G_s = M_s^T M_s
     counts the arm pairs of every class pair; less M_s's column sums on its
-    diagonal (each arm with itself), G_s is added to set s's slots by the
-    value of the u x u table the class table (left, right, flat) spans.  G
-    is additive over rows, so a set straddling windows adds the partial G
-    of each.  Each M_s has as many rows as the most any set has in the
-    window, and the sets are multiplied in batches of about _BLOCK_CELLS
-    cells of M and G, or one set."""
+    diagonal (each arm with itself), G_s is added to set s's slots of the
+    tally by the value of the u x u table the class table (left, right,
+    flat) spans.  G is additive over rows, so a set straddling windows adds
+    the partial G of each.  Each M_s has as many rows as the most any set
+    has in the window, and the sets are multiplied in batches of about
+    _BLOCK_CELLS cells of M and G, or one set."""
+    hist = tally.hist
     left, right, flat = table
     u = len(left)
     spreads = flat.take(left[:, None] + right[None, :], mode="clip").ravel()
@@ -348,7 +448,7 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple,
         np.add.at(hist[(s0 + s) * (fd.q + 1) :], slot.ravel(), gram.ravel())
 
 
-def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[tuple], hist: np.ndarray) -> None:
+def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[tuple], tally: _Tally) -> None:
     """The gather path of ``_add_window``.  Every apex row holds n - 1
     arms, so a block's flat class ids, or its representatives, repeated by
     their multiplicities give (rows, n - 1) arms.  Their pairs
@@ -364,10 +464,12 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     the window, at least as long as the histogram of the window's sets,
     and each time they are full, and at the block's end, one unweighted
     ``np.bincount`` counts them into that histogram, added twice over into
-    hist at the end: the spreads of a block whose rows all belong to one
-    set as they are, those of a block that straddles sets after each row's
-    set offset.  So the slots a bincount sweeps are paid once per full
-    buffer, or once per block, however large q is.
+    the tally's at the end: the spreads of a block whose rows all belong to
+    one set as they are, those of a block that straddles sets after each
+    row's set offset.  So the slots a bincount sweeps are paid once per
+    full buffer, or once per block, however large q is.  In the value mode
+    a block whose sets are finished, at its start or after a full buffer,
+    gathers no further tile.
 
     A block without a table whose K, the most classes at one of its
     apexes, satisfies 3 K^2 <= 2 (n - 1)^2 is the one place that pads:
@@ -409,11 +511,18 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
         else:
             np.add(into, np.bincount(counted[:stop], minlength=len(into)), out=into)
 
+    def finished() -> bool:
+        """Whether the current block's sets are all finished."""
+        return tally.finished(s0 + sets[0], s0 + sets[-1] + 1, into)
+
     at = 0
     for lo, k, mult, reps in window:
+        block, at = ids[at : at + len(reps)], at + len(reps)
         rows, width = len(k), int(k.max())
         sets = np.arange(lo, lo + rows) // n - s0
         into = half[sets[0] * slots : (sets[-1] + 1) * slots]
+        if finished():
+            continue
         offset = ((sets - sets[0]) * slots)[:, None] if sets[0] != sets[-1] else None
         classes = table is None and 3 * width * width <= 2 * w * w
         if classes:
@@ -431,9 +540,8 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             arms, positions = np.repeat(reps, mult, axis=0).reshape(rows, w, -1), w
             terms = fd.spread_terms(fd.log_dot(arms, arms))
         else:
-            arm, positions = np.repeat(ids[at : at + len(reps)], mult), w
+            arm, positions = np.repeat(block, mult), w
             lhs, rhs = (side.take(arm).reshape(rows, w) for side in table[:2])
-        at += len(reps)
         counted = spreads if offset is None else idx  # what count reads
         a0 = fill = 0
         while a0 < positions - 1:
@@ -445,6 +553,8 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             end = rect + rows * len(i)
             if end > cells:
                 count(fill)
+                if finished():
+                    break
                 rect, end, fill = rect - fill, end - fill, 0
             pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(fill, rect), (rows, a1 - a0, positions - a1))
             if len(i):
@@ -460,9 +570,10 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
                 for a, b in itertools.pairwise((fill, rect, end)):
                     np.add(spreads[a:b].reshape(rows, -1), offset, out=idx[a:b].reshape(rows, -1))
             a0, fill = a1, end
-        count(fill)
+        else:
+            count(fill)
     half *= 2
-    hist[s0 * slots : s0 * slots + len(half)] += half
+    tally.hist[s0 * slots : s0 * slots + len(half)] += half
 
 
 def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:
@@ -752,16 +863,19 @@ def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> Dista
     """Distances over unordered pairs of distinct points, reported both with
     and without the value 0 (conventions differ on whether 0 counts).
 
-    Every pair i < j is visited, in blocks of rows i against the columns
+    The pairs i < j are visited in blocks of rows i against the columns
     j >= the block's first row, about _BLOCK_CELLS pairs a block; each block
-    marks the values it finds in one array of q flags."""
+    marks the values it finds in one array of q flags, and the visit stops
+    once all ``distance_value_count`` values are marked: no pair can add
+    one.  pairs_scanned is n (n - 1) / 2, the pairs the census decides."""
     n = len(ps)
     check_pairs(n, budget)
     fd = ps.field
     pts = fd.log[ps.as_array()]
     seen = np.zeros(fd.q, dtype=bool)
+    most = distance_value_count(fd, ps.dim)
     lo = 0
-    while lo < n - 1:
+    while lo < n - 1 and np.count_nonzero(seen) < most:
         hi = min(n - 1, lo + max(1, _BLOCK_CELLS // (n - lo)))
         dmat = next(_pair_distances(fd, pts[lo:hi], pts[lo:]))
         seen[fd.exp.take(dmat[np.triu_indices(hi - lo, 1, n - lo)], mode="wrap")] = True
@@ -772,6 +886,15 @@ def distinct_distances(ps: PointSet, budget: int = DEFAULT_PAIR_BUDGET) -> Dista
         nonzero_values=tuple(v for v in values if v != 0),
         pairs_scanned=n * (n - 1) // 2,
     )
+
+
+def distance_value_count(fd: ff.Field, d: int) -> int:
+    """The number of distances |x - y| that pairs of distinct points of
+    F_q^d attain: on a line the (q - 1)/2 nonzero squares; for d >= 2 every
+    nonzero element, and 0 where a nonzero isotropic vector exists."""
+    if d == 1:
+        return (fd.q - 1) // 2
+    return fd.q - 1 + (geom.sphere_size(fd, d, 0) > 1)
 
 
 def _pair_distances(fd: ff.Field, rows: np.ndarray, cols: np.ndarray):

@@ -204,8 +204,11 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
     ps = make[name]()
     assert_censuses_match_oracles(ps)
     if name == "capped-windows":
-        # per window of the spread census and of each occurrence count
-        assert [path for path, _, _ in paths[:5]] == ["per-apex", "pairs", "per-apex", "per-apex", "gram"]
+        # per window of an exact census: the spread census stops once it
+        # has seen all q values
+        paths.clear()
+        next(census._sweep([ps], census.DEFAULT_TRIPLE_BUDGET))
+        assert [path for path, _, _ in paths] == ["per-apex", "pairs", "per-apex", "per-apex", "gram"]
         assert {path for path, _, _ in paths} == {"gram", "pairs", "per-apex"}
 
 
@@ -785,6 +788,94 @@ def test_plane_spread_function_image(q):
     image = sorted(set(census._plane_cycle(fd)[0][:-1].tolist()))
     assert len(image) == ((q + 3) // 2 if q % 4 == 3 else (q + 1) // 2)
     assert image == naive_plane_spread_values(fd)
+    assert census.spread_value_count(fd, 2) == len(image)
+
+
+@pytest.mark.parametrize(
+    "fd, d", [(fd, d) for fd in (F3, F5, F7, F9) for d in (1, 2, 3)] + [(F3, 4)], ids=str
+)
+def test_spread_value_count_is_the_whole_space_census(fd, d):
+    # the value mode stops at this count, so it is pinned against the
+    # exact histogram of all of F_q^d, which no point set can exceed
+    space = geom.all_points(fd, d)
+    hist = next(census._sweep([space], census.DEFAULT_TRIPLE_BUDGET))
+    assert census.spread_value_count(fd, d) == np.count_nonzero(hist[:-1]) == distinct_spreads(space).defined_count
+
+
+def count_gathered(monkeypatch):
+    """Spies on np.bincount, which counts the gathered arm pairs; the list
+    returned collects the pairs of each call."""
+    gathered = []
+    bincount = np.bincount
+
+    def counting(x, *args, **kwargs):
+        gathered.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    return gathered
+
+
+def assert_census_is_the_exact_histogram(sets):
+    hists = list(census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET))
+    for cen, hist in zip(census.spread_censuses(sets), hists):
+        assert cen.defined_values == tuple(np.flatnonzero(hist[:-1]).tolist())
+        assert cen.undefined_triples == hist[-1]
+        assert cen.triples_scanned == hist.sum()
+
+
+@pytest.mark.parametrize("fd, d", [(Field(1021), 2), (F27, 3)], ids=str)
+def test_spread_census_stops_once_every_value_is_seen(fd, d, monkeypatch):
+    # 200 random points see all (q + 1)/2 or q values within the first
+    # buffer of arm pairs, so the census gathers a sliver of the pairs an
+    # exact histogram does; the undefined slot comes in closed form
+    ps = random_points(fd, d, 200, 29)
+    gathered = count_gathered(monkeypatch)
+    next(census._sweep([ps], census.DEFAULT_TRIPLE_BUDGET))
+    assert sum(gathered) == 200 * 199 * 198 // 2
+    gathered.clear()
+    cen = distinct_spreads(ps)
+    assert cen.defined_count == census.spread_value_count(fd, d)
+    assert 0 < sum(gathered) < 200 * 199 * 198 // 20
+    monkeypatch.undo()
+    assert_census_is_the_exact_histogram([ps])
+
+
+@pytest.mark.parametrize("make", [lambda: construct.con1_set(F5, 4), lambda: construct.con2_set(F13, 3)], ids=["con1", "con2"])
+def test_spread_census_of_a_set_that_never_finishes_gathers_every_pair(make, monkeypatch):
+    # con1 determines no defined value and con2 one: every window gathers
+    # all its arm pairs, forced onto the gather path
+    ps = make()
+    n = len(ps)
+    monkeypatch.setattr(census, *FORCED_PATHS["pairs"])
+    paths = record_paths(monkeypatch)
+    gathered = count_gathered(monkeypatch)
+    cen = distinct_spreads(ps)
+    assert cen.defined_count < census.spread_value_count(ps.field, ps.dim)
+    assert {p for p, _, _ in paths} == {"pairs"}
+    assert sum(gathered) == n * (n - 1) * (n - 2) // 2
+    assert_census_is_the_exact_histogram([ps])
+
+
+def test_straddling_stack_finishes_one_set_and_gathers_its_neighbour(monkeypatch):
+    # con1 of F_13^2, which never finishes, then 13 random points, which
+    # see all 7 values at their first few apexes, in one stack: 4-row
+    # blocks, and windows of 80 representative coordinates, rows 0-19 and
+    # 20-25, so the first straddles the sets.  The random set is finished
+    # by its rows gathered there, which the second window's check reads
+    # from hist, so the second window never runs
+    sets = [construct.con1_set(F13, 2), random_pointset(F13, 2, 13, 30)]
+    force_producer(monkeypatch, "apex")
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 4 * 13 * 2)
+    monkeypatch.setattr(census, "_WINDOW_CELLS", 80)
+    paths = record_paths(monkeypatch)
+    cens = census.spread_censuses(sets)
+    assert [(lo, end) for _, lo, end in paths] == [(0, 20)]
+    assert [cen.defined_count for cen in cens] == [0, 7]
+    for ps, cen in zip(sets, cens):
+        values, undefined, scanned = naive_spread_census(ps)
+        assert (list(cen.defined_values), cen.undefined_triples, cen.triples_scanned) == (values, undefined, scanned)
+    assert_census_is_the_exact_histogram(sets)
 
 
 def points_on_lines(fd, d, lines, n, seed):
@@ -1040,9 +1131,9 @@ def test_stacked_census_gates_before_drawing_and_draws_lazily(monkeypatch):
     histograms = census._spread_histograms
     seen = []
 
-    def recording(fd, logs):
+    def recording(fd, logs, *mode):
         seen.append((len(logs), len(drawn)))
-        return histograms(fd, logs)
+        return histograms(fd, logs, *mode)
 
     monkeypatch.setattr(census, "_spread_histograms", recording)
     drawn.clear()
@@ -1183,6 +1274,35 @@ def test_distinct_distances_in_row_blocks_match_naive_oracle(block, monkeypatch)
         cen = distinct_distances(ps)
         assert list(cen.values) == naive_distances(ps)
         assert cen.pairs_scanned == len(ps) * (len(ps) - 1) // 2
+
+
+@pytest.mark.parametrize("fd, d", [(fd, d) for fd in (F3, F5, F7, F9) for d in (1, 2, 3)], ids=str)
+def test_distance_value_count_is_the_whole_space_distance_set(fd, d):
+    # the distances of F_q^d are the norms of its nonzero vectors: 0 only
+    # where one is isotropic, so F_3^2 and F_7^2 miss it and F_5^2 and
+    # F_9^2 hold it
+    F = reference(fd)
+    norms = {norm(F, v) for v in itertools.product(range(fd.q), repeat=d) if any(v)}
+    assert census.distance_value_count(fd, d) == len(norms)
+    assert (0 in norms) == (d >= 3 or d == 2 and fd.q % 4 == 1)
+
+
+def test_distinct_distances_stop_once_every_value_is_seen(monkeypatch):
+    # 700 random points of F_31^2 see all 30 nonzero values in their first
+    # row block of pairs, and F_31^2 has no isotropic vector
+    ps = random_points(Field(31), 2, 700, 31)
+    calls = []
+    pair_distances = census._pair_distances
+
+    def counting(fd, rows, cols):
+        calls.append(len(rows))
+        return pair_distances(fd, rows, cols)
+
+    monkeypatch.setattr(census, "_pair_distances", counting)
+    cen = distinct_distances(ps)
+    assert len(calls) == 1 and calls[0] < 699
+    assert cen.values == cen.nonzero_values == tuple(range(1, 31))
+    assert cen.pairs_scanned == 700 * 699 // 2
 
 
 @pytest.mark.parametrize("fd", [F3, F25, F27], ids=lambda fd: fd.label())

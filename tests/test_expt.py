@@ -99,8 +99,8 @@ def test_reproducibility_census_sees_point_order(monkeypatch):
     # which a census compared with itself could not see
     kernel = census._spread_histograms
 
-    def order_dependent(fd, logs):
-        hist = kernel(fd, logs)
+    def order_dependent(fd, logs, *mode):
+        hist = kernel(fd, logs, *mode)
         for row, first in zip(hist, logs[:, 0, 0]):  # each set's first coordinate, as a log
             row[int(first) % fd.q] += 1
             row[-1] -= 1
