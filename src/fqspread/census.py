@@ -114,12 +114,13 @@ def spread_censuses(point_sets: Iterable[PointSet], budget: int = DEFAULT_TRIPLE
     attains: no value is left to find.  undefined_triples comes in closed
     form from each apex's isotropic arms, and triples_scanned is
     n (n - 1) (n - 2), the ordered triples the census decides."""
+    sets = iter(point_sets)
+    head = list(itertools.islice(sets, 1))  # the first set, whose size n every set shares
+    n = len(head[0]) if head else 0
     out = []
-    for fd, logs in _stacks(point_sets, check_triples, budget):
-        n, d = logs.shape[1:]
-        for hist in _spread_histograms(fd, logs, spread_value_count(fd, d)):
-            values = tuple(int(v) for v in np.flatnonzero(hist[:-1]))
-            out.append(SpreadCensus(values, len(values), int(hist[-1]), triples_scanned=n * (n - 1) * (n - 2)))
+    for hist in _sweep(itertools.chain(head, sets), budget, values=True):
+        values = tuple(int(v) for v in np.flatnonzero(hist[:-1]))
+        out.append(SpreadCensus(values, len(values), undefined_triples=int(hist[-1]), triples_scanned=n * (n - 1) * (n - 2)))
     return out
 
 
@@ -152,15 +153,12 @@ def check_triples(n: int, budget: int) -> None:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
 
 
-def _sweep(point_sets: Iterable[PointSet], budget: int):
-    """Yields the exact spread histogram of each set in turn: entry v < q
-    counts the triples with spread v, entry q the undefined ones."""
+def _sweep(point_sets: Iterable[PointSet], budget: int, values: bool = False):
+    """Yields the spread histogram of each set in turn: entry v < q counts
+    the triples with spread v, entry q the undefined ones; exact, or with
+    values the kernel's value mode, stopped at ``spread_value_count``."""
     for fd, logs in _stacks(point_sets, check_triples, budget):
-        n = logs.shape[1]
-        hist = _spread_histograms(fd, logs)
-        if (hist.sum(axis=1) != n * (n - 1) * (n - 2)).any():
-            raise InternalError("spread histogram does not cover every ordered triple")
-        yield from hist
+        yield from _spread_histograms(fd, logs, spread_value_count(fd, logs.shape[2]) if values else None)
 
 
 def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
@@ -281,20 +279,20 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     what earlier windows added to hist, so a set straddling windows is
     judged whole, and skips the rest of a block whose sets are finished.
     The Gram path runs its windows whole.  The undefined slot comes in
-    closed form instead: an apex whose classes with isotropic
-    representatives hold i of its arms has (n - 1)(n - 2) - (n - 1 - i)
-    (n - 2 - i) ordered arm pairs with an isotropic arm, the undefined
-    ones.  A window reads its isotropic classes off its class table's
-    diagonal, q there and 0 elsewhere, or from their representatives'
-    norms.  The producer runs on every apex row for this count, and the
-    rows' multiplicities must sum to n (n - 1) a set, the triples
-    covered.
+    closed form instead, from the representatives' norms: an apex whose
+    classes with isotropic representatives hold i of its arms has
+    (n - 1)(n - 2) - (n - 1 - i)(n - 2 - i) ordered arm pairs with an
+    isotropic arm, the undefined ones.  The producer runs on every apex
+    row for this count.
+
+    A set's rows' multiplicities must sum to n (n - 1), and the histogram
+    of a set whose every triple was gathered, each set of an exact call
+    and each unfinished set of the value mode, to n (n - 1) (n - 2), or
+    the call raises ``InternalError``: the triples are not all covered.
     """
     s, n = logs.shape[:2]
-    arms = iso = None
-    if values is not None:
-        arms, iso = np.zeros((2, s * n), dtype=np.int64)
-    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, arms, iso)
+    arms = None if values is None else np.zeros((2, s * n), dtype=np.int64)
+    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, arms)
     plane = functools.cache(functools.partial(_plane_cycle, fd))  # built by the first window that needs it
     window: list = []
     cells = 0
@@ -307,25 +305,29 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     if window:
         _add_window(fd, n, window, tally, plane)
     hist = tally.hist.reshape(s, fd.q + 1)
+    short = hist.sum(axis=1) != n * (n - 1) * (n - 2)
     if values is not None:
-        if (arms.reshape(s, n).sum(axis=1) != n * (n - 1)).any():
-            raise InternalError("spread histogram does not cover every ordered triple")
+        # a finished set stops short; its rows must still hold every arm
+        short &= np.count_nonzero(hist[:, :-1], axis=1) < values
+        total, iso = arms.reshape(2, s, n)
+        short |= total.sum(axis=1) != n * (n - 1)
         defined = n - 1 - iso
-        hist[:, -1] = ((n - 1) * (n - 2) - defined * (defined - 1)).reshape(s, n).sum(axis=1)
+        hist[:, -1] = ((n - 1) * (n - 2) - defined * (defined - 1)).sum(axis=1)
+    if short.any():
+        raise InternalError("spread histogram does not cover every ordered triple")
     return hist
 
 
 class _Tally(NamedTuple):
     """The flat histograms of a kernel call, slots = q + 1 a set, and
     values, the defined count that finishes a set; in the value mode also
-    the arms and the isotropic arms of each apex row, and None where every
-    triple is counted."""
+    arms (2, S n), the arms and the isotropic arms of each apex row, and
+    None where every triple is counted."""
 
     hist: np.ndarray
     slots: int
     values: Optional[int]
     arms: Optional[np.ndarray]
-    iso: Optional[np.ndarray]
 
     def finished(self, s0: int, s1: int, partial: Optional[np.ndarray] = None) -> bool:
         """Whether each set s0 <= s < s1 holds values defined values in
@@ -340,12 +342,10 @@ class _Tally(NamedTuple):
     def add_arms(self, window: list, k: np.ndarray, isotropic: np.ndarray) -> None:
         """Record the arms and the isotropic arms of the window's apex
         rows, with k classes a row: the multiplicities of each row's
-        classes, and of those flagged isotropic (sum k,)."""
+        classes, and of those flagged isotropic (sum k,).  Every row has a
+        class, so no reduceat span is empty."""
         lo, mult = window[0][0], np.concatenate([m for _, _, m, _ in window])
-        ends = np.cumsum(k)
-        self.arms[lo : lo + len(k)] = np.add.reduceat(mult, ends - k)
-        hit = np.flatnonzero(isotropic)
-        np.add.at(self.iso, lo + np.searchsorted(ends, hit, side="right"), mult[hit])
+        self.arms[:, lo : lo + len(k)] = np.add.reduceat(np.stack([mult, mult * isotropic]), np.cumsum(k) - k, axis=1)
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells,
@@ -373,9 +373,10 @@ def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> Non
     reps = np.concatenate([r for _, _, _, r in window])
     k = np.concatenate([k for _, k, _, _ in window])
     lo = window[0][0]
-    if tally.finished(lo // n, (lo + len(k) - 1) // n + 1):
+    if tally.values is not None:
         tally.add_arms(window, k, fd.log_dot(reps, reps) == fd.zero_log)
-        return
+        if tally.finished(lo // n, (lo + len(k) - 1) // n + 1):
+            return
     ids, first = _class_ids(fd, reps)
     u = len(first)
     limit = min(int((k * k).sum()), _TABLE_CELLS)
@@ -385,13 +386,6 @@ def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> Non
     elif u * u <= limit:
         c = np.arange(u, dtype=np.int32)
         table = c * u, c, _class_table(fd, reps[first]).ravel()
-    if tally.values is not None:
-        # a class's spread with itself is 0, or q where it is isotropic
-        if table is None:
-            isotropic = fd.log_dot(reps[first], reps[first]) == fd.zero_log
-        else:
-            isotropic = table[2].take(table[0] + table[1], mode="clip") == q
-        tally.add_arms(window, k, isotropic[ids])
     if table is not None and u * u <= limit and 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
         _add_gram(fd, n, window, ids, table, tally)
     else:

@@ -857,6 +857,24 @@ def test_spread_census_of_a_set_that_never_finishes_gathers_every_pair(make, mon
     assert_census_is_the_exact_histogram([ps])
 
 
+@pytest.mark.parametrize("path", ["gram", "pairs"])
+def test_spread_census_checks_the_gather_of_a_set_that_never_finishes(path, monkeypatch):
+    # con1 determines no defined value, so every triple is gathered: a
+    # path that loses one of them must fail the coverage guard although
+    # every row's arms are there
+    ps = construct.con1_set(F5, 4)
+    monkeypatch.setattr(census, *FORCED_PATHS[path])
+    add = getattr(census, f"_add_{path}")
+
+    def losing_one(fd, n, window, ids, table, tally):
+        add(fd, n, window, ids, table, tally)
+        tally.hist[np.flatnonzero(tally.hist)[0]] -= 1
+
+    monkeypatch.setattr(census, f"_add_{path}", losing_one)
+    with pytest.raises(errors.InternalError):
+        distinct_spreads(ps)
+
+
 def test_straddling_stack_finishes_one_set_and_gathers_its_neighbour(monkeypatch):
     # con1 of F_13^2, which never finishes, then 13 random points, which
     # see all 7 values at their first few apexes, in one stack: 4-row
