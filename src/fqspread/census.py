@@ -17,9 +17,7 @@ A map of the module:
   (lo, k, mult, reps)), and the window path ``_add_window`` picks
   (``_add_gram``, or ``_add_pairs``, whose one gather counts the arm pairs
   unweighted, their spreads read from a class table or evaluated on the
-  repeated representatives, or without a table, where classes hold many
-  arms, the class pairs weighted, the one consumer that pads a block into
-  rectangles).  A class table is (left, right, flat):
+  repeated representatives).  A class table is (left, right, flat):
   for planes the cyclic closed form ``_plane_table``, read through the
   call's ``_plane_cycle``, whose F_(q^2) logs come from ``_cyclic_powers``
   when q = 3 mod 4, or the u x u ``_class_table`` raveled.
@@ -235,30 +233,20 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
       without one, evaluated by ``Field.log_dot`` and
       ``Field.spread_from_terms`` on the repeated representatives, each
       arm's norm term taken once per block, are counted by one unweighted
-      ``np.bincount`` into a histogram of the window's sets.  A block
-      without a table whose K, the most classes at one of its apexes,
-      satisfies 3 K^2 <= 2 (n - 1)^2 is padded to (rows, K) class
-      positions and runs the same tiles over them, each spread evaluated
-      once and added m_c m_c' times by ``np.add.at``.
+      ``np.bincount`` into a histogram of the window's sets.
 
     So a set whose apexes share no classes gets no table.  The Gram rule
     weighs the rows * u^2 multiply-adds of the integer product against the
     gather's sum k (k + 1) / 2 pairs, and _GRAM_RATIO = 8 stays under half
-    their measured break-even.  Without a table an arm gather visits
-    (n - 1)^2 / K^2 times the cells of a class gather, each an evaluation,
-    and a weighted cell costs a little more than an unweighted one, so the
-    rule takes class pairs from (n - 1)^2 / K^2 = 1.5 on, above the
-    measured break-even.  With a table arms stay: a cell costs a take and a
-    bincount either way.  README "Census kernel" and CHANGES.md hold the
-    measurements.
+    their measured break-even.  README "Census kernel" and CHANGES.md hold
+    the measurements.
 
     Memory beside the apex blocks is one window, O(_WINDOW_CELLS) rows and
     coordinates, and one table, at most _TABLE_CELLS cells of 2 or 4 bytes,
     built in row blocks of about _BLOCK_CELLS cells.  The gather goes in
     tiles of about _BLOCK_CELLS / 2 cells, or one row of arm positions of
     a block, into buffers of at least that many cells and as many as the
-    histogram of the window's sets, which it adds, no larger than hist;
-    without a table an int64 buffer of as many weights.
+    histogram of the window's sets, which it adds, no larger than hist.
     The Gram path multiplies batches of sets of about _BLOCK_CELLS cells of
     M and G, or one set: G_s and its histogram indices are u x u int64, at
     most _TABLE_CELLS cells each, and as k <= u the rule bounds M by
@@ -463,16 +451,7 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     row's set offset.  So the slots a bincount sweeps are paid once per
     full buffer, or once per block, however large q is.  In the value mode
     a block whose sets are finished, at its start or after a full buffer,
-    gathers no further tile.
-
-    A block without a table whose K, the most classes at one of its
-    apexes, satisfies 3 K^2 <= 2 (n - 1)^2 is the one place that pads:
-    its classes go into (rows, K) class positions, each row padded with
-    its first class at multiplicity 0, and the same tiles run over those
-    positions instead, each spread evaluated once for its m_c m_c' arm
-    pairs, which ``np.add.at`` adds from an int64 weight buffer as long as
-    the others, and the m_c (m_c - 1) / 2 pairs inside each class are
-    added at 0, or q where the class is isotropic; padding has weight 0."""
+    gathers no further tile."""
     slots, w, tile = fd.q + 1, n - 1, _BLOCK_CELLS // 2
     s0 = window[0][0] // n
     # the window's sets' slots, each unordered pair once
@@ -480,30 +459,18 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     cells = max(tile, len(half), max(len(k) for _, k, _, _ in window) * w)
     idx = np.empty(cells, dtype=np.int32)
     spreads = idx if table is None else np.empty(cells, dtype=table[2].dtype)
-    weight = np.empty(cells, dtype=np.int64) if table is None else None  # of class pairs
     triangles: dict = {}  # per tile width, the positions i < j of its pairs
 
     def pairs(first, second, at: slice, shape) -> None:
         """Fill region at of idx, shaped as shape, with the spreads
         (without a table) or the table indices of the current block's
-        pairs of positions first(...) and second(...), and their weights
-        when they are classes."""
+        pairs of arm positions first(...) and second(...)."""
         x = idx[at].reshape(shape)
         if table is None:
             fd.log_dot(first(arms), second(arms), out=x)
             fd.spread_from_terms(x, first(terms), second(terms), out=x)
         else:
             np.add(first(lhs), second(rhs), out=x)
-        if classes:
-            np.multiply(first(mult), second(mult), out=weight[at].reshape(shape))
-
-    def count(stop: int) -> None:
-        """Count the current block's first stop cells into its slots, by
-        their weights when they are class pairs."""
-        if classes:
-            np.add.at(into, counted[:stop], weight[:stop])
-        else:
-            np.add(into, np.bincount(counted[:stop], minlength=len(into)), out=into)
 
     def finished() -> bool:
         """Whether the current block's sets are all finished."""
@@ -512,45 +479,32 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     at = 0
     for lo, k, mult, reps in window:
         block, at = ids[at : at + len(reps)], at + len(reps)
-        rows, width = len(k), int(k.max())
+        rows = len(k)
         sets = np.arange(lo, lo + rows) // n - s0
         into = half[sets[0] * slots : (sets[-1] + 1) * slots]
         if finished():
             continue
         offset = ((sets - sets[0]) * slots)[:, None] if sets[0] != sets[-1] else None
-        classes = table is None and 3 * width * width <= 2 * w * w
-        if classes:
-            # (rows, width) class positions, each row padded with its
-            # first class at multiplicity 0
-            first = (np.cumsum(k) - k)[:, None]
-            real = np.arange(width) < k[:, None]
-            cls = np.where(real, first + np.arange(width), first)
-            arms, mult, positions = reps[cls], np.where(real, mult[cls], 0), width
-            norms = fd.log_dot(arms, arms)
-            terms = fd.spread_terms(norms)
-            inside = np.where(norms == fd.zero_log, fd.q, 0)
-            np.add.at(into, (inside if offset is None else inside + offset).ravel(), (mult * (mult - 1) // 2).ravel())
-        elif table is None:
-            arms, positions = np.repeat(reps, mult, axis=0).reshape(rows, w, -1), w
+        if table is None:
+            arms = np.repeat(reps, mult, axis=0).reshape(rows, w, -1)
             terms = fd.spread_terms(fd.log_dot(arms, arms))
         else:
-            arm, positions = np.repeat(block, mult), w
-            lhs, rhs = (side.take(arm).reshape(rows, w) for side in table[:2])
-        counted = spreads if offset is None else idx  # what count reads
+            lhs, rhs = (side.take(np.repeat(block, mult)).reshape(rows, w) for side in table[:2])
+        counted = spreads if offset is None else idx  # what the bincounts read
         a0 = fill = 0
-        while a0 < positions - 1:
-            a1 = a0 + max(1, min(positions - a0, tile // (rows * (positions - a0))))
+        while a0 < w - 1:
+            a1 = a0 + max(1, min(w - a0, tile // (rows * (w - a0))))
             if a1 - a0 not in triangles:
                 triangles[a1 - a0] = np.triu_indices(a1 - a0, 1)
             i, j = triangles[a1 - a0]
-            rect = fill + rows * (a1 - a0) * (positions - a1)
+            rect = fill + rows * (a1 - a0) * (w - a1)
             end = rect + rows * len(i)
             if end > cells:
-                count(fill)
+                into += np.bincount(counted[:fill], minlength=len(into))
                 if finished():
                     break
                 rect, end, fill = rect - fill, end - fill, 0
-            pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(fill, rect), (rows, a1 - a0, positions - a1))
+            pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(fill, rect), (rows, a1 - a0, w - a1))
             if len(i):
                 pairs(lambda a: a[:, a0:a1][:, i], lambda a: a[:, a0:a1][:, j], slice(rect, end), (rows, -1))
             s = spreads[fill:end]
@@ -565,7 +519,7 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
                     np.add(spreads[a:b].reshape(rows, -1), offset, out=idx[a:b].reshape(rows, -1))
             a0, fill = a1, end
         else:
-            count(fill)
+            into += np.bincount(counted[:fill], minlength=len(into))
     half *= 2
     tally.hist[s0 * slots : s0 * slots + len(half)] += half
 

@@ -857,20 +857,21 @@ def test_spread_census_of_a_set_that_never_finishes_gathers_every_pair(make, mon
     assert_census_is_the_exact_histogram([ps])
 
 
-@pytest.mark.parametrize("path", ["gram", "pairs"])
+@pytest.mark.parametrize("path", FORCED_PATHS)
 def test_spread_census_checks_the_gather_of_a_set_that_never_finishes(path, monkeypatch):
     # con1 determines no defined value, so every triple is gathered: a
     # path that loses one of them must fail the coverage guard although
     # every row's arms are there
     ps = construct.con1_set(F5, 4)
     monkeypatch.setattr(census, *FORCED_PATHS[path])
-    add = getattr(census, f"_add_{path}")
+    kernel = "_add_gram" if path == "gram" else "_add_pairs"
+    add = getattr(census, kernel)
 
     def losing_one(fd, n, window, ids, table, tally):
         add(fd, n, window, ids, table, tally)
         tally.hist[np.flatnonzero(tally.hist)[0]] -= 1
 
-    monkeypatch.setattr(census, f"_add_{path}", losing_one)
+    monkeypatch.setattr(census, kernel, losing_one)
     with pytest.raises(errors.InternalError):
         distinct_spreads(ps)
 
@@ -912,20 +913,26 @@ def points_on_lines(fd, d, lines, n, seed):
     raise AssertionError("the lines hold fewer than n points")
 
 
-@pytest.mark.parametrize("path", ["pairs", "per-apex"])
-@pytest.mark.parametrize("fd, d", [(F7, 2), (F13, 2), (F5, 3)], ids=str)
-def test_arm_gather_on_classes_of_several_arms(fd, d, path, monkeypatch):
-    # 12 points on 3 lines: an apex on a line holds several arms in that
+@pytest.mark.parametrize(
+    "fd, d, path, lines, n",
+    [pytest.param(fd, d, path, 3, 12, id=f"{fd}-{d}-{path}") for path in ("pairs", "per-apex") for fd, d in ((F7, 2), (F13, 2), (F5, 3))]
+    + [pytest.param(fd, d, "per-apex", 2, 14, id=f"{fd}-{d}-per-apex-2-lines") for fd, d in ((Field(11), 2), (F13, 2), (F9, 3), (Field(101), 3))],
+)
+def test_arm_gather_on_classes_of_several_arms(fd, d, path, lines, n, monkeypatch):
+    # n points on a few lines: an apex on a line holds several arms in that
     # line's class, so arm pairs meet on the class table's diagonal as well
-    # as across classes; blocks of 5 apex rows straddle the sets
-    sets = [points_on_lines(fd, d, 3, 12, 120 + s) for s in range(4)]
+    # as across classes; blocks of 5 apex rows straddle the sets.  On 2
+    # lines of 14 points an apex's 13 arms fall into at most 8 classes, and
+    # the per-apex gather still evaluates every arm pair once
+    sets = [points_on_lines(fd, d, lines, n, 10 * n + s) for s in range(4)]
     hists = []
     for ps in sets:
         counts = naive_spread_counts(ps)
         hists.append([counts[v] for v in range(fd.q)] + [counts[None]])
     force_producer(monkeypatch, "apex")
-    monkeypatch.setattr(census, "_BLOCK_CELLS", 5 * 12 * d)
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 5 * n * d)
     monkeypatch.setattr(census, *FORCED_PATHS[path])
+    cells = count_spread_cells(monkeypatch)
     blocks, tables = [], set()
     gather = census._add_pairs
 
@@ -937,43 +944,10 @@ def test_arm_gather_on_classes_of_several_arms(fd, d, path, monkeypatch):
     monkeypatch.setattr(census, "_add_pairs", spy)
     assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
     assert tables == {path == "pairs"}
-    assert any(lo // 12 != last // 12 for lo, last, _ in blocks)
+    assert any(lo // n != last // n for lo, last, _ in blocks)
     assert all(most > 1 for _, _, most in blocks)
-
-
-@pytest.mark.parametrize("fd, d", [(Field(11), 2), (F13, 2), (F9, 3), (Field(101), 3)], ids=str)
-def test_per_apex_gather_weights_class_pairs_where_classes_hold_many_arms(fd, d, monkeypatch):
-    # 14 points on 2 lines: an apex on a line holds one class of its own
-    # line's 6 other points and at most 7 classes for the other line, so
-    # its blocks' K <= 8 class positions stay under two thirds of the 13
-    # arms and the windows without a table gather class pairs weighted
-    # m_c m_c'; blocks of 5 apex rows straddle the sets
-    sets = [points_on_lines(fd, d, 2, 14, 140 + s) for s in range(4)]
-    hists = []
-    for ps in sets:
-        counts = naive_spread_counts(ps)
-        hists.append([counts[v] for v in range(fd.q)] + [counts[None]])
-    force_producer(monkeypatch, "apex")
-    monkeypatch.setattr(census, "_BLOCK_CELLS", 5 * 14 * d)
-    monkeypatch.setattr(census, *FORCED_PATHS["per-apex"])
-    cells = count_spread_cells(monkeypatch)
-    blocks = []
-    gather = census._add_pairs
-
-    def spy(fd, n, window, ids, table, hist):
-        assert table is None
-        blocks.extend((lo, lo + len(k) - 1, int(k.max())) for lo, k, _, _ in window)
-        gather(fd, n, window, ids, table, hist)
-
-    monkeypatch.setattr(census, "_add_pairs", spy)
-    assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
-    assert any(lo // 14 != last // 14 for lo, last, _ in blocks)
-    assert all(3 * width * width <= 2 * 13 * 13 for _, _, width in blocks)
-    # each pair of class positions, padding included, evaluated once, not
-    # once per arm pair
-    rows = [last - lo + 1 for lo, last, _ in blocks]
-    assert sum(cells) == sum(r * w * (w - 1) // 2 for r, (_, _, w) in zip(rows, blocks))
-    assert sum(cells) < 4 * 14 * 13 * 12 // 2
+    if path == "per-apex":
+        assert sum(cells) == len(sets) * n * (n - 1) * (n - 2) // 2
 
 
 @pytest.mark.parametrize("fd", [Field(101), Field(103)], ids=str)
