@@ -19,8 +19,8 @@ A map of the module:
   unweighted, their spreads read from a class table or evaluated on the
   repeated representatives).  A class table is (left, right, flat):
   for planes the cyclic closed form ``_plane_table``, read through the
-  call's ``_plane_cycle``, whose F_(q^2) logs come from ``_cyclic_powers``
-  when q = 3 mod 4, or the u x u ``_class_table`` raveled.
+  call's ``_plane_cycle``, whose logs for q = 3 mod 4 come from
+  ``ff._plane_class_powers``, or the u x u ``_class_table`` raveled.
 - ``distinct_distances`` visits the pairs in blocks, by polarization from
   Gram blocks (``_pair_distances``), until it has seen all
   ``distance_value_count`` values.
@@ -564,14 +564,14 @@ def _plane_cycle(fd: ff.Field) -> tuple:
     with x + iy = 0 or x - iy = 0 are isotropic.  Where q = 3 mod 4,
     F_q[i] = F_(q^2), the class is that of (x - iy) / (x + iy) in its
     norm-1 subgroup, order N = q + 1, and its log a is read from a table
-    of the q + 1 directions by the powers of a generator
-    (``_cyclic_powers``).  Multiplying by x + iy scales every inner product
-    and norm by |x + iy|, so the spread of the directions of logs a and b
-    is f(a - b) = (2 - t - 1/t) / 4, t the group element of log a - b;
-    f(k) is 1 - (1 + g^k)^2 / (4 g^k) where q = 1 mod 4, and the spread of
-    (1 : 0) and the k-th power where q = 3 mod 4.  flat holds f(1 - N),
-    ..., f(N - 1) and then q: 2N cells, int16 while q < 2^15, else
-    int32."""
+    of the q + 1 directions by the powers of the least generator 1 + it
+    (``ff._plane_class_powers``).  Multiplying by x + iy scales every
+    inner product and norm by |x + iy|, so the spread of the directions of
+    logs a and b is f(a - b) = (2 - t - 1/t) / 4, t the group element of
+    log a - b; f(k) is 1 - (1 + g^k)^2 / (4 g^k) where q = 1 mod 4, and
+    the spread of (1 : 0) and the k-th power where q = 3 mod 4.  flat
+    holds f(1 - N), ..., f(N - 1) and then q: 2N cells, int16 while
+    q < 2^15, else int32."""
     q, n = fd.q, fd.q - 1
     if q % 4 == 1:
         # i = g^(n/4); f(k) = 1 - (1 + t)^2 / (4t) for t = g^k
@@ -579,9 +579,9 @@ def _plane_cycle(fd: ff.Field) -> tuple:
         k = np.arange(n, dtype=np.int32)
         f = fd.spread_from_logs(fd.log_add(k, 0), k, fd.log[4 % fd.p])
     else:
-        x, y = _cyclic_powers(fd)
-        order = len(x)
-        log_of = np.empty(q + 1, dtype=np.int32)
+        order = q + 1
+        x, y = (fd.log.take(e) for e in ff._plane_class_powers(fd))
+        log_of = np.empty(order, dtype=np.int32)
         log_of[_slope(fd, x, y)] = np.arange(order)
         f = fd.spread_from_logs(x, fd.log_add(fd.log_mul(x, x), fd.log_mul(y, y)), 0)
     flat = np.full(2 * order, q, dtype=np.int16 if q < 1 << 15 else np.int32)
@@ -612,44 +612,6 @@ def _plane_table(fd: ff.Field, reps: np.ndarray, cycle: tuple) -> tuple:
         left = log_of.take(_slope(fd, x, y))
     right = np.where(left < order, order - 1 - left, left)
     return left, right, flat
-
-
-def _cyclic_powers(fd: ff.Field) -> tuple[np.ndarray, np.ndarray]:
-    """For q = 3 mod 4, the logs (x, y) of g^k = x + iy, k < N = q + 1, in
-    F_q[i] = F_(q^2), for g the least 1 + it (t < q) whose class generates
-    F_(q^2)^* / F_q^*: no g^(N / l), l a prime dividing N, lies in F_q.  The
-    candidates are tried 64 at a time, each power by squaring on all of
-    them at once, and the table of powers of g is filled in runs, each as
-    long as all before it, g squared after each, as ``ff._powers`` does."""
-    q, order = fd.q, fd.q + 1
-
-    def mul(a, b):  # (x + iy)(u + iv), on pairs of logs
-        (x, y), (u, v) = a, b
-        return (
-            fd.log_add(fd.log_mul(x, u), fd.log_neg(fd.log_mul(y, v))),
-            fd.log_add(fd.log_mul(x, v), fd.log_mul(y, u)),
-        )
-
-    exponents = np.array([order // prime for prime in ff._prime_factors(order)])
-    for lo in range(1, q, 64):
-        t = fd.log[lo : lo + 64, None]  # (C, 1): one candidate 1 + it a row
-        power, base, e = (0, fd.zero_log), (0, t), exponents
-        while e.any():
-            step = mul(power, base)
-            power = tuple(np.where(e & 1, s, p) for s, p in zip(step, power))
-            base, e = mul(base, base), e >> 1
-        found = (power[1] != fd.zero_log).all(axis=1)
-        if found.any():
-            break
-    g = (0, t[found.argmax(), 0])
-    x, y = np.zeros(order, dtype=np.int32), np.full(order, fd.zero_log, dtype=np.int32)
-    k = 1
-    while k < order:
-        m = min(k, order - k)
-        x[k : k + m], y[k : k + m] = mul((x[:m], y[:m]), g)
-        g = mul(g, g)
-        k += m
-    return x, y
 
 
 def _apex_classes(fd: ff.Field, logs: np.ndarray):

@@ -14,6 +14,11 @@ Fields, ch. 9).  A product is an add plus a gather, a sum a Zech gather
 plus an add plus a gather, both with numpy on arrays of logs.  Norms, Gram
 matrices, spreads, isotropy and distances (by polarization) downstream
 all come from the one inner product ``Field.log_dot``.
+
+One least-generator search on multiplication matrices over F_p
+(``_cyclic_powers``) lists the powers of a generator: of F_q^* for the
+logs, and of the q + 1 directions of the plane, for q = 3 mod 4, in
+F_q[i] = F_(q^2) (``_plane_class_powers``, which the census reads).
 """
 
 from __future__ import annotations
@@ -290,7 +295,9 @@ def _log_arrays(p: int, r: int, modulus) -> tuple[np.ndarray, ...]:
     n = q - 1
     h = n // 2
     zero = 2 * n
-    powers = _generator_powers(p, r, modulus)
+    # Indices below p are the constants F_p, which generate F_q^* only for r = 1.
+    steps = (_mul_rows(p, modulus, [g // p**i % p for i in range(r)]) for g in range(p if r > 1 else 2, q))
+    powers = _cyclic_powers(p, steps, n, lambda row: row[0] == 1 and not row[1:].any())
     ks = np.arange(n, dtype=np.int32)
     log = np.empty(q, dtype=np.int32)
     log[powers] = ks
@@ -318,26 +325,24 @@ def _log_arrays(p: int, r: int, modulus) -> tuple[np.ndarray, ...]:
 _POWER_BLOCK = 1 << 16
 
 
-def _generator_powers(p: int, r: int, modulus) -> np.ndarray:
-    """Element indices of g^0, ..., g^(q-2) for the generator g of F_q^*
-    of least index."""
-    n = p**r - 1
-    primes = list(_prime_factors(n))
-    one = np.eye(1, r, dtype=np.int64)
-    # Indices below p are the constants F_p, which generate F_q^* only for r = 1.
-    for g in range(p if r > 1 else 2, n + 1):
-        step = _mul_rows(p, modulus, [g // p**i % p for i in range(r)])
-        if all((_mat_pow(step, n // ell, p)[:1] != one).any() for ell in primes):
-            return _powers(p, step, n)
-    raise AssertionError("the multiplicative group is cyclic")  # unreachable
+def _cyclic_powers(p: int, steps: Iterable[np.ndarray], order: int, trivial) -> np.ndarray:
+    """``_powers`` of the first multiplication matrix in ``steps`` that
+    generates a cyclic group of this order: ``trivial`` holds of the digit
+    row of no g^(order / l), l a prime dividing the order."""
+    primes = list(_prime_factors(order))
+    for step in steps:
+        if not any(trivial(_mat_pow(step, order // ell, p)[0]) for ell in primes):
+            return _powers(p, step, order)
+    raise AssertionError("the group is cyclic")  # unreachable
 
 
 def _powers(p: int, step: np.ndarray, count: int) -> np.ndarray:
-    """g^0, ..., g^(count-1) as element indices, where ``step`` is the
-    multiplication matrix of g: each pass multiplies the known prefix of k
-    powers by the next power g^k, which makes it 2k long."""
+    """g^0, ..., g^(count-1) as element indices, int64 once they can pass
+    int32, where ``step`` is the multiplication matrix of g: each pass
+    multiplies the known prefix of k powers by the next power g^k, which
+    makes it 2k long."""
     weights = p ** np.arange(len(step), dtype=np.int64)
-    out = np.empty(count, dtype=np.int32)
+    out = np.empty(count, dtype=np.int32 if p ** len(step) <= 1 << 31 else np.int64)
     out[0] = 1
     k = 1
     while k < count:
@@ -369,3 +374,22 @@ def _mul_rows(p: int, modulus, c: Sequence[int]) -> np.ndarray:
         # alpha * v: shift the digits up, then fold in alpha^r = -(m_0 + ... + m_{r-1} alpha^(r-1))
         rows.append((np.concatenate(([0], v[:-1])) - v[-1] * np.array(modulus[:-1])) % p)
     return np.stack(rows)
+
+
+def _plane_class_powers(fd: Field) -> tuple[np.ndarray, np.ndarray]:
+    """For q = 3 mod 4, the elements (x, y) of g^k = x + iy, k <= q, in
+    F_q[i] = F_(q^2), i^2 = -1, for g the least 1 + it (t < q) whose class
+    generates F_(q^2)^* / F_q^*, of order q + 1: no g^((q + 1) / l), l a
+    prime dividing q + 1, has y = 0.  An element of F_q[i] is the index
+    x + q y, digits (x, y), and multiplying by 1 + it maps them to
+    (x - ty, y + tx): the block matrix [[I, T], [-T, I]], T = ``_mul_rows``
+    of t."""
+    p, r, q = fd.p, fd.r, fd.q
+    eye = np.eye(r, dtype=np.int64)
+
+    def step(t: int) -> np.ndarray:
+        mul = _mul_rows(p, fd.modulus, [t // p**i % p for i in range(r)])
+        return np.block([[eye, mul], [-mul % p, eye]])
+
+    powers = _cyclic_powers(p, map(step, range(1, q)), q + 1, lambda row: not row[r:].any())
+    return powers % q, powers // q

@@ -763,11 +763,12 @@ def plane_directions(fd, count=None, seed=0):
     return fd.log[np.array(dirs)]
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 1021, 32789, 32771])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 1021, 32789, 32771, 1048571])
 def test_plane_table_matches_class_table(q):
     # the cyclic flat table read at left + right, against the u x u class
     # table, isotropic rows and columns included; the int32 fields on a
-    # sample of the directions
+    # sample of the directions, and at 1048571 the F_(q^2) indices x + qy
+    # of the cycle's powers pass int32
     fd = field_for_order(q)
     reps = plane_directions(fd, 300 if q > 1 << 15 else None, q)
     left, right, flat = census._plane_table(fd, reps, census._plane_cycle(fd))

@@ -262,6 +262,43 @@ def _small_fields():
 
 
 @pytest.mark.parametrize("fd", _small_fields(), ids=Field.label)
+def test_generator_is_the_least_element_of_full_order(fd):
+    # every log is a power of exp[1]: the least element, by index, whose
+    # schoolbook powers first reach 1 at the (q - 1)-th
+    ref = reference(fd)
+
+    def order(a):
+        k, power = 1, a
+        while power != 1:
+            k, power = k + 1, ref.mul(power, a)
+        return k
+
+    assert int(fd.exp[1]) == next(a for a in range(1, fd.q) if order(a) == fd.q - 1)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43, 243])
+def test_plane_class_powers_match_reference_field(q):
+    # g^0, ..., g^q = x + iy in F_q[i] = F_(q^2), i^2 = -1, by schoolbook
+    # products of pairs, for g = 1 + i t0, t0 the least t whose class has
+    # order q + 1: the first power after g^0 with y = 0 is g^(q+1).  Their
+    # slopes y / x (q where x = 0) are the q + 1 directions once each.
+    fd = ff.field_for_order(q)
+    ref = reference(fd)
+
+    def class_powers(g):  # g^0, ..., g^k for the least k >= 1 with y = 0
+        out = [(1, 0), g]
+        while out[-1][1]:
+            (x, y), (u, v) = out[-1], g
+            out.append((ref.sub(ref.mul(x, u), ref.mul(y, v)), ref.add(ref.mul(x, v), ref.mul(y, u))))
+        return out
+
+    want = next(ps for t in range(1, q) if len(ps := class_powers((1, t))) == q + 2)[:-1]
+    x, y = ff._plane_class_powers(fd)
+    assert list(zip(x.tolist(), y.tolist())) == want
+    assert sorted(q if a == 0 else ref.div(b, a) for a, b in want) == list(range(q + 1))
+
+
+@pytest.mark.parametrize("fd", _small_fields(), ids=Field.label)
 def test_ops_match_reference_field_exhaustively(fd):
     check_ops_against_reference(fd, [(a, b) for a in fd.elements() for b in fd.elements()])
 
