@@ -5,11 +5,13 @@ spread/distance equivalence check.
 A map of the module:
 
 - ``spread_censuses`` and ``line_censuses`` census a stack of equal-size
-  point sets in one kernel; ``distinct_spreads``, ``spread_occurrences``
-  and ``spanned_lines`` are their one-set calls.  ``_stacks`` draws the
-  sets lazily behind the gate ``check_triples`` or ``check_pairs``.
-  ``spread_censuses`` runs the kernel's value mode, which stops a set once
-  it holds all ``spread_value_count`` values F_q^d attains.
+  point sets in one kernel; ``distinct_spreads`` and ``spanned_lines`` are
+  their one-set calls.  ``_stacks`` draws the sets lazily behind the gate
+  ``check_triples`` or ``check_pairs``.  ``spread_censuses`` runs the
+  kernel's value mode, which stops a set once it holds all
+  ``spread_value_count`` values F_q^d attains, and
+  ``spread_occurrences`` its one-value mode on one set, which counts
+  only the class pairs at the one spread asked for.
 - ``_spread_histograms`` is the spread kernel, and its docstring states
   every rule of it and its memory bounds: the arm-class producer
   ``_arm_classes`` picks (``_apex_classes`` or
@@ -17,7 +19,9 @@ A map of the module:
   (lo, k, mult, reps)), and the window path ``_add_window`` picks
   (``_add_gram``, or ``_add_pairs``, whose one gather counts the arm pairs
   unweighted, their spreads read from a class table or evaluated on the
-  repeated representatives).  A class table is (left, right, flat):
+  repeated representatives, or in the one-value mode ``_add_partners``,
+  which counts from a class table's partner lists).  A class table is
+  (left, right, flat):
   for planes the cyclic closed form ``_plane_table``, read through the
   call's ``_plane_cycle``, whose logs for q = 3 mod 4 come from
   ``ff._plane_class_powers``, or the u x u ``_class_table`` raveled.
@@ -140,7 +144,7 @@ def spread_occurrences(ps: PointSet, gamma: int, budget: int = DEFAULT_TRIPLE_BU
     """Number of ordered triples of distinct points whose spread is gamma."""
     if not 0 <= gamma < ps.field.q:
         raise FormatError(f"gamma = {gamma} is not an element index of F_{ps.field.q}")
-    return int(next(_sweep([ps], budget))[gamma])
+    return int(next(_sweep([ps], budget, gamma=gamma))[gamma])
 
 
 def check_triples(n: int, budget: int) -> None:
@@ -151,12 +155,13 @@ def check_triples(n: int, budget: int) -> None:
         raise BudgetExceeded(f"n^3 = {n ** 3} exceeds budget {budget}")
 
 
-def _sweep(point_sets: Iterable[PointSet], budget: int, values: bool = False):
+def _sweep(point_sets: Iterable[PointSet], budget: int, values: bool = False, gamma: Optional[int] = None):
     """Yields the spread histogram of each set in turn: entry v < q counts
     the triples with spread v, entry q the undefined ones; exact, or with
-    values the kernel's value mode, stopped at ``spread_value_count``."""
+    values the kernel's value mode, stopped at ``spread_value_count``, or
+    with gamma its one-value mode, exact in entry gamma alone."""
     for fd, logs in _stacks(point_sets, check_triples, budget):
-        yield from _spread_histograms(fd, logs, spread_value_count(fd, logs.shape[2]) if values else None)
+        yield from _spread_histograms(fd, logs, spread_value_count(fd, logs.shape[2]) if values else None, gamma)
 
 
 def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
@@ -181,10 +186,11 @@ def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
         yield fd, fd.log.take(np.stack([ps.as_array() for ps in stack]), mode="wrap")
 
 
-def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = None) -> np.ndarray:
+def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = None, gamma: Optional[int] = None) -> np.ndarray:
     """Exact int64 spread histograms (S, q + 1) of all ordered triples of
     each of the S sets of logs (S, n, d); with values, a count of defined
-    values no set can exceed, the value sets and undefined slots only.
+    values no set can exceed, the value sets and undefined slots only;
+    with gamma, a spread value, slot gamma only.
 
     Every apex holds n - 1 arms, and counts each unordered pair of them
     once, then twice over.  The arms fall into k projective classes with
@@ -217,7 +223,7 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     cells are at most both sum k^2 and _TABLE_CELLS: so a plane window of
     few directions at a large q, a line of q points say, where 2N outgrows
     sum k^2, still gets its small u x u table and the Gram path.  Then
-    ``_add_window`` takes one of two paths:
+    ``_add_window`` takes one of three paths:
 
     - the Gram path, when also u^2 is at most both sum k^2 and
       _TABLE_CELLS and rows * u^2 <= _GRAM_RATIO * sum k (k + 1) / 2: per
@@ -233,7 +239,11 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
       without one, evaluated by ``Field.log_dot`` and
       ``Field.spread_from_terms`` on the repeated representatives, each
       arm's norm term taken once per block, are counted by one unweighted
-      ``np.bincount`` into a histogram of the window's sets.
+      ``np.bincount`` into a histogram of the window's sets;
+    - but in the one-value mode a window with a table takes neither:
+      ``_add_partners`` counts only its class pairs at spread gamma, from
+      the partners of each class in the table, its rows' multiplicities
+      by class id summed over a class's partners, times the class's own.
 
     So a set whose apexes share no classes gets no table.  The Gram rule
     weighs the rows * u^2 multiply-adds of the integer product against the
@@ -251,8 +261,12 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     M and G, or one set: G_s and its histogram indices are u x u int64, at
     most _TABLE_CELLS cells each, and as k <= u the rule bounds M by
     rows * u <= _GRAM_RATIO * sum (k + 1) / 2 cells, a small multiple of
-    the window's multiplicity cells.  The sweep runs on the calling
-    thread: split over threads, each would build its own tables.
+    the window's multiplicity cells.  The one-value path holds the
+    table's partner lists, at most 2u cells for a plane and u^2 for a
+    u x u table, and its rows' multiplicities and gathered partners in
+    blocks of about _BLOCK_CELLS / 2 cells, or one row.  The sweep runs
+    on the calling thread: split over threads, each would build its own
+    tables.
 
     Every count is exact int64: a Gram entry sums products of two
     multiplicities below n over at most n rows, so it stays below n^3, as
@@ -273,14 +287,20 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     isotropic arm, the undefined ones.  The producer runs on every apex
     row for this count.
 
+    With gamma, the one-value mode of ``spread_occurrences``, a set's slot
+    gamma is exact, and its other slots hold only what its windows without
+    a table gathered.
+
     A set's rows' multiplicities must sum to n (n - 1), and the histogram
     of a set whose every triple was gathered, each set of an exact call
     and each unfinished set of the value mode, to n (n - 1) (n - 2), or
     the call raises ``InternalError``: the triples are not all covered.
+    The value and one-value modes check the multiplicities; the
+    one-value mode, whose histograms do not sum, checks nothing else.
     """
     s, n = logs.shape[:2]
-    arms = None if values is None else np.zeros((2, s * n), dtype=np.int64)
-    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, arms)
+    arms = None if values is None and gamma is None else np.zeros((1 if values is None else 2, s * n), dtype=np.int64)
+    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, arms, gamma)
     plane = functools.cache(functools.partial(_plane_cycle, fd))  # built by the first window that needs it
     window: list = []
     cells = 0
@@ -293,6 +313,10 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     if window:
         _add_window(fd, n, window, tally, plane)
     hist = tally.hist.reshape(s, fd.q + 1)
+    if gamma is not None:
+        if (arms.reshape(s, n).sum(axis=1) != n * (n - 1)).any():
+            raise InternalError("spread count does not cover every apex's arms")
+        return hist
     short = hist.sum(axis=1) != n * (n - 1) * (n - 2)
     if values is not None:
         # a finished set stops short; its rows must still hold every arm
@@ -309,13 +333,16 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
 class _Tally(NamedTuple):
     """The flat histograms of a kernel call, slots = q + 1 a set, and
     values, the defined count that finishes a set; in the value mode also
-    arms (2, S n), the arms and the isotropic arms of each apex row, and
-    None where every triple is counted."""
+    arms (2, S n), the arms and the isotropic arms of each apex row, in
+    the one-value mode arms (1, S n), the arms of each apex row, and None
+    where every triple is counted; gamma, the one spread value counted,
+    or None."""
 
     hist: np.ndarray
     slots: int
     values: Optional[int]
     arms: Optional[np.ndarray]
+    gamma: Optional[int]
 
     def finished(self, s0: int, s1: int, partial: Optional[np.ndarray] = None) -> bool:
         """Whether each set s0 <= s < s1 holds values defined values in
@@ -327,13 +354,14 @@ class _Tally(NamedTuple):
             got = got + partial
         return bool((np.count_nonzero(got.reshape(s1 - s0, self.slots)[:, :-1], axis=1) >= self.values).all())
 
-    def add_arms(self, window: list, k: np.ndarray, isotropic: np.ndarray) -> None:
-        """Record the arms and the isotropic arms of the window's apex
-        rows, with k classes a row: the multiplicities of each row's
-        classes, and of those flagged isotropic (sum k,).  Every row has a
-        class, so no reduceat span is empty."""
+    def add_arms(self, window: list, k: np.ndarray, isotropic: Optional[np.ndarray]) -> None:
+        """Record the arms of the window's apex rows, with k classes a row:
+        the multiplicities of each row's classes, and in the value mode of
+        those flagged isotropic (sum k,).  Every row has a class, so no
+        reduceat span is empty."""
         lo, mult = window[0][0], np.concatenate([m for _, _, m, _ in window])
-        self.arms[:, lo : lo + len(k)] = np.add.reduceat(np.stack([mult, mult * isotropic]), np.cumsum(k) - k, axis=1)
+        counted = [mult] if isotropic is None else [mult, mult * isotropic]
+        self.arms[:, lo : lo + len(k)] = np.add.reduceat(np.stack(counted), np.cumsum(k) - k, axis=1)
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells,
@@ -354,15 +382,17 @@ def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> Non
     """Add the triples at a window of blocks of apex rows, flat class lists
     (lo, k, mult, reps) per block, to the tally's histograms, q + 1 slots
     per set of n apex rows, by the Gram path or a gather from a shared or
-    per-apex table, whichever ``_spread_histograms``'s rule picks, unless
-    the window's sets are all finished; plane() gives the call's
-    ``_plane_cycle``."""
+    per-apex table, whichever ``_spread_histograms``'s rule picks, or in
+    the one-value mode, where the window has a class table, by the
+    partners of its classes at spread gamma, unless the window's sets are
+    all finished; plane() gives the call's ``_plane_cycle``.  The value
+    and one-value modes record every window's arms first."""
     q, d = fd.q, window[0][3].shape[1]
     reps = np.concatenate([r for _, _, _, r in window])
     k = np.concatenate([k for _, k, _, _ in window])
     lo = window[0][0]
-    if tally.values is not None:
-        tally.add_arms(window, k, fd.log_dot(reps, reps) == fd.zero_log)
+    if tally.arms is not None:
+        tally.add_arms(window, k, None if tally.values is None else fd.log_dot(reps, reps) == fd.zero_log)
         if tally.finished(lo // n, (lo + len(k) - 1) // n + 1):
             return
     ids, first = _class_ids(fd, reps)
@@ -374,7 +404,9 @@ def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> Non
     elif u * u <= limit:
         c = np.arange(u, dtype=np.int32)
         table = c * u, c, _class_table(fd, reps[first]).ravel()
-    if table is not None and u * u <= limit and 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
+    if table is not None and tally.gamma is not None:
+        _add_partners(n, window, ids, table, tally)
+    elif table is not None and u * u <= limit and 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
         _add_gram(fd, n, window, ids, table, tally)
     else:
         _add_pairs(fd, n, window, ids, table, tally)
@@ -428,6 +460,59 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple,
         gram[:, :: u + 1] -= mt.sum(axis=2)
         slot = (np.arange(sets) * (fd.q + 1))[:, None] + spreads
         np.add.at(hist[(s0 + s) * (fd.q + 1) :], slot.ravel(), gram.ravel())
+
+
+def _add_partners(n: int, window: list, ids: np.ndarray, table: tuple, tally: _Tally) -> None:
+    """The one-value path of ``_add_window``: the ordered arm pairs at
+    spread gamma = tally.gamma, from the partners of each class in the
+    window's class table (left, right, flat), the classes c' with
+    flat[left_c + right_c'] = gamma: the positions of gamma in flat from
+    left_c on, less left_c, are their right values, which inv maps back to
+    class ids.  Row r of M holds apex row r's multiplicities by class id
+    and a zero in column u, and the row's count is the sum over its
+    classes c of m_c times M_r summed over c's partners, less m_c where c
+    is its own partner (an arm never pairs with itself).  The partner
+    lists are padded with u to one length, at most 2 for a plane, so they
+    hold at most 2u cells for a plane and u^2 for a u x u table; M and the
+    gathered partners go in blocks of rows of about _BLOCK_CELLS / 2 cells,
+    as the gather's tiles, or one row."""
+    left, right, flat = table
+    u, gamma = len(left), tally.gamma
+    pos = np.flatnonzero(flat == gamma)
+    inv = np.full(int(right.max()) + 1, u, dtype=np.intp)
+    inv[right] = np.arange(u)
+    start = np.searchsorted(pos, left)
+    count = np.searchsorted(pos, left + len(inv)) - start
+    cls = np.repeat(np.arange(u), count)
+    partner = inv.take(pos.take(_ranges(start, count)) - left.take(cls))
+    cls, partner = cls[partner < u], partner[partner < u]
+    count = np.bincount(cls, minlength=u)
+    partners = np.full((int(count.max()), u), u, dtype=np.intp)  # column c: c's partners
+    partners[_ranges(np.zeros(u, dtype=np.intp), count), cls] = partner
+    own = flat.take(left + right, mode="clip") == gamma
+    k = np.concatenate([k for _, k, _, _ in window])
+    mult = np.concatenate([m for _, _, m, _ in window])
+    lo, rows = window[0][0], len(k)
+    first = np.append(np.cumsum(k) - k, len(ids))  # each row's first class, and the end
+    counts = np.empty(rows, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // 2 // (u + 1 + int(k.max()) * len(partners)))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        a, b = first[r0], first[r1]
+        at = np.repeat(np.arange(r1 - r0) * (u + 1), k[r0:r1])  # each class's row of M
+        m = np.zeros((r1 - r0) * (u + 1), dtype=np.int64)
+        m[at + ids[a:b]] = mult[a:b]
+        cell = partners.take(ids[a:b], axis=1)
+        cell += at  # the cells of M that each class's partners read
+        arms = m.take(cell).sum(axis=0) - own.take(ids[a:b])  # the arms each arm pairs with
+        counts[r0:r1] = np.add.reduceat(mult[a:b] * arms, first[r0:r1] - a)
+    np.add.at(tally.hist, (lo + np.arange(rows)) // n * tally.slots + gamma, counts)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenated ranges start_i, ..., start_i + count_i - 1."""
+    end = np.cumsum(count)
+    return np.arange(end[-1]) + np.repeat(start - end + count, count)
 
 
 def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optional[tuple], tally: _Tally) -> None:

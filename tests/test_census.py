@@ -92,18 +92,32 @@ def test_whole_space_census_matches_closed_form(fd, d):
         assert cen.defined_count == (q + 1) // 2 if q % 4 == 1 else (q + 3) // 2
 
 
+def occurrence_gammas(q):
+    """The gammas an occurrence check asks for: all of them for q <= 27,
+    else 0, 1 and three seeded others."""
+    return range(q) if q <= 27 else (0, 1, *sorted(random.Random(q).sample(range(2, q), 3)))
+
+
+def assert_occurrences_match(ps):
+    """spread_occurrences of ps at each of occurrence_gammas equals that
+    slot of the exact histogram and of naive_spread_counts; returns the
+    occurrences."""
+    gammas = occurrence_gammas(ps.field.q)
+    hist = next(census._sweep([ps], census.DEFAULT_TRIPLE_BUDGET))
+    counts = naive_spread_counts(ps)
+    occurrences = [spread_occurrences(ps, gamma) for gamma in gammas]
+    assert occurrences == [hist[gamma] for gamma in gammas] == [counts[gamma] for gamma in gammas]
+    return occurrences
+
+
 def assert_censuses_match_oracles(ps):
     cen = distinct_spreads(ps)
     values, undefined, scanned = naive_spread_census(ps)
     assert list(cen.defined_values) == values
     assert cen.undefined_triples == undefined
     assert cen.triples_scanned == scanned
-    q = ps.field.q
-    gammas = range(q) if q <= 27 else (0, 1, 2, 3)
-    occurrences = [spread_occurrences(ps, gamma) for gamma in gammas]
-    counts = naive_spread_counts(ps)
-    assert occurrences == [counts[gamma] for gamma in gammas]
-    if q <= 27:  # every triple has one spread value or is undefined
+    occurrences = assert_occurrences_match(ps)
+    if ps.field.q <= 27:  # every triple has one spread value or is undefined
         assert sum(occurrences) + cen.undefined_triples == cen.triples_scanned
     lines = spanned_lines(ps)
     assert (lines.lines, lines.max_degree) == naive_spanned_lines(ps)
@@ -135,11 +149,11 @@ def plane_points(fd, d, n, seed):
 
 
 def record_paths(monkeypatch):
-    """Spies on the census kernel's three paths; the list returned collects
+    """Spies on the census kernel's four paths; the list returned collects
     (path, first row, end row) per window: "gram", "pairs" (gathered from a
-    shared table) or "per-apex"."""
+    shared table), "per-apex" or "partners" (one value, from a table)."""
     paths = []
-    add_gram, add_pairs = census._add_gram, census._add_pairs
+    add_gram, add_pairs, add_partners = census._add_gram, census._add_pairs, census._add_partners
 
     def rows(window):
         return window[0][0], window[-1][0] + len(window[-1][1])
@@ -152,9 +166,28 @@ def record_paths(monkeypatch):
         paths.append(("per-apex" if table is None else "pairs", *rows(window)))
         add_pairs(fd, n, window, ids, table, hist)
 
+    def partners(n, window, ids, table, tally):
+        paths.append(("partners", *rows(window)))
+        add_partners(n, window, ids, table, tally)
+
     monkeypatch.setattr(census, "_add_gram", gram)
     monkeypatch.setattr(census, "_add_pairs", pairs)
+    monkeypatch.setattr(census, "_add_partners", partners)
     return paths
+
+
+def tables_count_partners(monkeypatch, ps, gamma):
+    """Asserts that under spread_occurrences(ps, gamma) every window with a
+    class table counts its partners, calling neither _add_gram nor
+    _add_pairs, and every window without one gathers per apex, as in the
+    exact census; returns the set of paths taken."""
+    paths = record_paths(monkeypatch)
+    next(census._sweep([ps], census.DEFAULT_TRIPLE_BUDGET))
+    exact = [("per-apex" if path == "per-apex" else "partners", lo, end) for path, lo, end in paths]
+    paths.clear()
+    spread_occurrences(ps, gamma)
+    assert paths == exact
+    return {path for path, _, _ in paths}
 
 
 @pytest.mark.parametrize(
@@ -203,6 +236,11 @@ def test_class_kernel_matches_naive_oracles(name, monkeypatch):
     }
     ps = make[name]()
     assert_censuses_match_oracles(ps)
+    taken = tables_count_partners(monkeypatch, ps, 0)
+    assert taken == {
+        "above-cap": {"per-apex"}, "wide-codes": {"per-apex"}, "ext-3^7": {"per-apex"},
+        "capped-windows": {"per-apex", "partners"},
+    }.get(name, {"partners"})
     if name == "capped-windows":
         # per window of an exact census: the spread census stops once it
         # has seen all q values
@@ -289,8 +327,9 @@ def test_each_kernel_path_matches_naive_oracles(name, producer, path, monkeypatc
         assert cen.triples_scanned == n * (n - 1) * (n - 2)
     ps, hist, cen = sets[-1], hists[-1], cens[-1]
     assert distinct_spreads(ps) == cen
-    gammas = sorted({0, 1, fd.q - 1, *cen.defined_values[:2], *cen.defined_values[-2:]})
+    gammas = sorted({*occurrence_gammas(fd.q), fd.q - 1, *cen.defined_values[:2], *cen.defined_values[-2:]})
     assert [spread_occurrences(ps, g) for g in gammas] == [hist[g] for g in gammas]
+    assert tables_count_partners(monkeypatch, ps, gammas[-1]) == {"per-apex" if path == "per-apex" else "partners"}
 
 
 @pytest.mark.parametrize("producer, path", by_producer(*[(p,) for p in FORCED_PATHS]))
@@ -315,7 +354,8 @@ def test_each_kernel_path_on_whole_space(fd, d, producer, path, monkeypatch):
     assert hist[-1] == n * ((n - 1) * (n - 2) - (n - 1 - iso) * (n - 2 - iso))
     assert (hist[:-1] > 0).all()  # all q values for d >= 3
     assert {p for p, _, _ in paths} == {path}
-    assert [spread_occurrences(space, g) for g in (0, 1, q - 1)] == [hist[0], hist[1], hist[q - 1]]
+    assert [spread_occurrences(space, g) for g in range(q)] == hist[:-1].tolist()
+    assert tables_count_partners(monkeypatch, space, 0) == {"per-apex" if path == "per-apex" else "partners"}
 
 
 def test_census_starts_no_thread(monkeypatch):
@@ -432,6 +472,15 @@ def test_spread_histogram_must_cover_every_triple(monkeypatch):
             census.spread_censuses([ps, random_pointset(F5, 2, 8, 10)])
 
 
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_coverage_guard_input_counts_partners(producer, monkeypatch):
+    # the input of test_spread_histogram_must_cover_every_triple builds a
+    # plane table under either producer, so its spread_occurrences call
+    # there is guarded on the one-value path
+    force_producer(monkeypatch, producer)
+    assert tables_count_partners(monkeypatch, random_pointset(F5, 2, 8, 9), 0) == {"partners"}
+
+
 def test_line_census_must_partition_into_lines(monkeypatch):
     # the first point of this set lies on three lines of two points and
     # one of five, so without its row neither count divides into lines
@@ -542,6 +591,7 @@ def assert_stack_matches_oracles(sets):
         assert cen.triples_scanned == scanned
         assert (ln.lines, ln.max_degree) == naive_spanned_lines(ps)
         assert ln.pairs_scanned == len(ps) * (len(ps) - 1) // 2
+        assert_occurrences_match(ps)
 
 
 @pytest.mark.parametrize(
@@ -607,12 +657,16 @@ def test_stacked_censuses_across_boundaries(producer, block, window, table, monk
     sets = [random_pointset(F5, 2, 7, 40 + s) for s in range(5)]
     sets += [random_pointset(F5, 2, 7, 40)]  # a repeat, in another stack
     assert_stack_matches_oracles(sets)
-    assert [spread_occurrences(ps, 1) for ps in sets] == [naive_spread_counts(ps)[1] for ps in sets]
 
 
 # Inputs that each producer must census exactly as the naive oracles do.
 PRODUCER_INPUTS = {
+    # cyclic plane tables: q = 1 mod 4 with isotropic directions, and
+    # q = 3 mod 4
+    "f5-plane": lambda: [random_pointset(F5, 2, 9, 77 + s) for s in range(2)],
     "f9-plane": lambda: [random_pointset(F9, 2, 12, 70 + s) for s in range(3)],
+    "f7-plane": lambda: [random_pointset(F7, 2, 11, 79 + s) for s in range(2)],
+    "f11-plane": lambda: [random_pointset(Field(11), 2, 13, 81 + s) for s in range(2)],
     "f27-plane": lambda: [random_points(F27, 2, 12, 73 + s) for s in range(2)],
     "f27-space": lambda: [random_points(F27, 3, 8, 75)],
     # one direction: every set is one line
@@ -630,6 +684,10 @@ def test_both_producers_match_naive_oracles(name, producer, monkeypatch):
     force_producer(monkeypatch, producer)
     sets = PRODUCER_INPUTS[name]()
     assert_stack_matches_oracles(sets)
+    # a few points of F_27^3 or F_9^3 share too few classes for a table
+    tables = "per-apex" if name in ("f27-space", "isotropic-9^3") else "partners"
+    for ps in sets:
+        assert tables_count_partners(monkeypatch, ps, 0) == {tables}
     if name.startswith("d1"):
         assert census.line_censuses(sets) == [census.LineCensus(1, 1, len(sets[0]) * (len(sets[0]) - 1) // 2)] * len(sets)
     if name.startswith("isotropic"):
@@ -856,6 +914,11 @@ def test_spread_census_of_a_set_that_never_finishes_gathers_every_pair(make, mon
     assert {p for p, _, _ in paths} == {"pairs"}
     assert sum(gathered) == n * (n - 1) * (n - 2) // 2
     assert_census_is_the_exact_histogram([ps])
+    # at most one defined value, on classes of many arms: the one-value
+    # count at each gamma, 0 among them, is the exact slot
+    hist = next(census._sweep([ps], census.DEFAULT_TRIPLE_BUDGET))
+    assert [spread_occurrences(ps, g) for g in range(ps.field.q)] == hist[:-1].tolist()
+    assert tables_count_partners(monkeypatch, ps, 0) == {"partners"}
 
 
 @pytest.mark.parametrize("path", FORCED_PATHS)
@@ -1186,6 +1249,45 @@ def test_census_rigid_motion_invariance():
         F5, 2, [vadd(F5, mat_vec(F5, m, p), z) for p in ps.points]
     )
     assert distinct_spreads(moved).defined_values == base
+
+
+def similar(ps, seed, scale, shift):
+    """The image of ps under x -> scale M x + shift, M the seeded orthogonal
+    matrix of geom.random_orthogonals: a similarity, which keeps every
+    spread and every isotropic arm."""
+    fd, d = ps.field, ps.dim
+    (m,) = geom.random_orthogonals(fd, d, [seed])
+    F = reference(fd)
+    return PointSet(fd, d, [vadd(fd, tuple(F.mul(scale, x) for x in mat_vec(fd, m, p)), shift) for p in ps.points])
+
+
+@pytest.mark.parametrize(
+    "fd, d, n",
+    [(Field(1021), 2, 200), (F27, 3, 200), (Field(11), 3, 300)],
+    ids=["sparse-1021^2", "ext-27^3", "dense-11^3"],
+)
+def test_occurrences_at_scale_by_similarity(fd, d, n):
+    # sets shaped like the benchmark's spread inputs, beyond the naive
+    # oracles: the one-value count is the exact histogram's slot, and both
+    # are unchanged under a similarity, at several gammas
+    ps = random_points(fd, d, n, 300 + d)
+    image = similar(ps, seed=7, scale=3, shift=tuple(range(1, d + 1)))
+    hist = next(census._sweep([ps], census.DEFAULT_TRIPLE_BUDGET))
+    assert (next(census._sweep([image], census.DEFAULT_TRIPLE_BUDGET)) == hist).all()
+    defined = np.flatnonzero(hist[:-1]).tolist()
+    gammas = sorted({0, 1, *defined[:2], *defined[-2:], *occurrence_gammas(fd.q)[-2:]})
+    for gamma in gammas:
+        assert spread_occurrences(ps, gamma) == spread_occurrences(image, gamma) == hist[gamma]
+    # the control: x -> (x_0, a x_1, x_2, ...) with a^2 != 1 is no
+    # similarity, and it must change the histogram, or the law above
+    # would test nothing
+    F = reference(fd)
+    a = next(a for a in range(2, fd.q) if F.mul(a, a) != 1)
+    skewed = PointSet(fd, d, [(p[0], F.mul(a, p[1]), *p[2:]) for p in ps.points])
+    moved = next(census._sweep([skewed], census.DEFAULT_TRIPLE_BUDGET))
+    assert (moved != hist).any()
+    changed = next(g for g in range(fd.q) if moved[g] != hist[g])
+    assert spread_occurrences(skewed, changed) == moved[changed] != spread_occurrences(ps, changed)
 
 
 def test_monotonicity_under_point_removal():
