@@ -7,11 +7,11 @@ A map of the module:
 - ``spread_censuses`` and ``line_censuses`` census a stack of equal-size
   point sets in one kernel; ``distinct_spreads`` and ``spanned_lines`` are
   their one-set calls.  ``_stacks`` draws the sets lazily behind the gate
-  ``check_triples`` or ``check_pairs``.  ``spread_censuses`` runs the
-  kernel's value mode, which stops a set once it holds all
-  ``spread_value_count`` values F_q^d attains, and
-  ``spread_occurrences`` its one-value mode on one set, which counts
-  only the class pairs at the one spread asked for.
+  ``check_triples`` or ``check_pairs`` and stacks their int32 arrays
+  (``PointSet.as_array``) as logs.  ``spread_censuses`` runs the kernel's
+  value mode, which stops a set once it holds all ``spread_value_count``
+  values F_q^d attains, and ``spread_occurrences`` its one-value mode on
+  one set, which counts only the class pairs at the one spread asked for.
 - ``_spread_histograms`` is the spread kernel, and its docstring states
   every rule of it and its memory bounds: the arm-class producer
   ``_arm_classes`` picks (``_apex_classes`` or
@@ -34,8 +34,9 @@ A map of the module:
 - ``search_iso_triple`` scans isotropic representatives with lazy
   per-row orthogonality masks, each built when the scan first reads it;
   ``sphere_equiv_check`` compares the distinct (spread, |a - b|, |a + b|)
-  keys of the unit sphere's origin pairs.  Both gate on closed-form
-  sphere sizes (``geom.sphere_size``) before they walk F_q^d.
+  keys of the unit sphere's origin pairs, naming violations by array rows.
+  Both gate on closed-form sphere sizes (``geom.sphere_size``) before they
+  walk F_q^d.
 
 Every kernel runs one code path for all fields, on discrete logs
 (``Field.log``): every inner product is ``Field.log_dot``.  The spread
@@ -1112,8 +1113,8 @@ def sphere_equiv_check(
     m = geom.sphere_size(fd, d, 1)
     if m**4 > budget:
         raise BudgetExceeded(f"|S1|^4 = {m ** 4} exceeds budget {budget}")
-    sph = geom.sphere_points(fd, d, 1, budget=budget)
-    pts = fd.log[sph.as_array()]
+    rows = geom.sphere_points(fd, d, 1, budget=budget).as_array()
+    pts = fd.log[rows]
     # The verdict on origin pairs (a, b), (c, e) depends only on their keys
     # (spread, |a - b|, |a + b|); undefined pairs have spread -1.
     pair_keys = np.stack([geom.arm_spreads(fd, pts[:, None], pts[None]), *_pair_distances(fd, pts, pts)], axis=-1)
@@ -1132,11 +1133,10 @@ def sphere_equiv_check(
         for j in np.flatnonzero(bad[inverse[i]][inverse])
     )
 
-    def pair(i):  # origin pair (a, b) by its flat index a * m + b
-        a, b = divmod(int(i), m)
-        return sph.points[a], sph.points[b]
-
-    violations = [(*pair(i), *pair(j)) for i, j in itertools.islice(quads, _MAX_VIOLATIONS)]
+    violations = [  # the origin pairs (a, b), (c, e) of flat indices a * m + b, c * m + e
+        tuple(map(tuple, rows[[*divmod(int(i), m), *divmod(int(j), m)]].tolist()))
+        for i, j in itertools.islice(quads, _MAX_VIOLATIONS)
+    ]
     checked = int(counts[defined].sum()) ** 2
     return EquivReport(
         quadruples_checked=checked,

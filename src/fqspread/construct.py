@@ -41,13 +41,7 @@ def iso_family_1mod4(fd: ff.Field, d: int) -> list[Vec]:
     if fd.q % 4 != 1:
         raise BadResidue(f"q = {fd.q} is not 1 mod 4")
     i = fd.sqrt(fd.neg(1))
-    out = []
-    for j in range(d // 2):
-        v = [0] * d
-        v[2 * j] = 1
-        v[2 * j + 1] = i
-        out.append(tuple(v))
-    return out
+    return [(0,) * (2 * j) + (1, i) + (0,) * (d - 2 * j - 2) for j in range(d // 2)]
 
 
 def least_isotropic_triple(fd: ff.Field) -> tuple[int, int, int]:
@@ -71,13 +65,7 @@ def iso_family_3mod4(fd: ff.Field, d: int) -> list[Vec]:
         raise BadDimension(f"d = {d} must be divisible by 4")
     a, b, c = least_isotropic_triple(fd)
     block = [(a, b, c, 0), (0, fd.neg(c), b, a)]
-    out = []
-    for j in range(d // 4):
-        for w in block:
-            v = [0] * d
-            v[4 * j : 4 * j + 4] = w
-            out.append(tuple(v))
-    return out
+    return [(0,) * (4 * j) + w + (0,) * (d - 4 * j - 4) for j in range(d // 4) for w in block]
 
 
 def iso_family(fd: ff.Field, d: int) -> list[Vec]:
@@ -100,11 +88,11 @@ def span(fd: ff.Field, vectors: list[Vec], budget: int = geom.DEFAULT_ENUM_BUDGE
     if fd.q**m > budget:
         raise BudgetExceeded(f"q^m = {fd.q ** m} exceeds budget {budget}")
     basis = fd.log[np.array(vectors, dtype=np.int64)].T  # (d, m)
-    blocks = (
-        fd.exp.take(fd.log_dot(fd.log.take(c, mode="wrap")[:, None], basis), mode="wrap").tolist()
+    blocks = [
+        fd.exp.take(fd.log_dot(fd.log.take(c, mode="wrap")[:, None], basis), mode="wrap")
         for c in geom.index_blocks(fd, m)
-    )
-    return PointSet(fd, len(vectors[0]), [p for b in blocks for p in b])
+    ]
+    return PointSet(fd, len(vectors[0]), np.concatenate(blocks))
 
 
 def con1_set(fd: ff.Field, d: int, budget: int = geom.DEFAULT_ENUM_BUDGET) -> PointSet:

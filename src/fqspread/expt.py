@@ -2,9 +2,9 @@
 
 Every experiment samples through ``random.Random`` instances seeded from
 (master seed, trial index), so re-running with identical parameters
-reproduces the per-trial records byte for byte.  Random subsets are drawn
-by seeded shuffling of the lexicographic point enumeration and taking a
-prefix.  Reports carry no timing fields: identical runs serialize to
+reproduces the per-trial records byte for byte.  A random subset takes
+the rows of the space's array at a prefix of its indices in a seeded
+shuffle.  Reports carry no timing fields: identical runs serialize to
 identical JSON.
 
 The spread-law battery (``run_properties``) draws its cases in bulk, as
@@ -103,8 +103,9 @@ def ceil_scaled_power(c: Fraction, q: int, d: int) -> int:
 def _trial_sets(space: PointSet, size: int, trials: int, seed: int):
     """The seeded size-point subsets of space of trials 0, 1, ..., drawn
     lazily, as a stacked census or a per-trial loop reads them."""
+    coords = space.as_array()
     return (
-        PointSet(space.field, space.dim, sample_prefix(space.points, size, random.Random(trial_seed(seed, t))))
+        PointSet(space.field, space.dim, coords[sample_prefix(range(len(space)), size, random.Random(trial_seed(seed, t)))])
         for t in range(trials)
     )
 
@@ -289,8 +290,8 @@ def run_projection(
     expect_zero = k == d
     geom.check_space(fd, d, budget)
     projections = census.random_projections(fd, d, k, [trial_seed(seed, t) for t in range(trials)])
-    universe = geom.all_points(fd, d, budget).points
-    pts = PointSet(fd, d, sample_prefix(universe, n_points, random.Random(seed)))
+    space = geom.all_points(fd, d, budget).as_array()
+    pts = PointSet(fd, d, space[sample_prefix(range(len(space)), n_points, random.Random(seed))])
     collisions, sizes = census.projection_images(pts, projections)
     per_trial = [
         {"trial": t, "collisions": coll, "ok": (coll == 0) if expect_zero else True}
@@ -584,7 +585,7 @@ def _reproducibility(seed: int, budget: int) -> ExperimentReport:
     ps = construct.con2_set(ff.Field(5), 3, budget)
     # The census runs on one thread; the worker-count key and claim keep
     # their names so the seeded battery JSON stays byte-identical.
-    reversed_ps = geom.PointSet(ps.field, ps.dim, ps.points[::-1])
+    reversed_ps = PointSet(ps.field, ps.dim, ps.as_array()[::-1])
     alone = census.distinct_spreads(ps, budget)
     census_ok = census.spread_censuses([ps, reversed_ps], budget) == [alone, alone]
     ok = json_ok and census_ok

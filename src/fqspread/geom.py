@@ -1,10 +1,10 @@
 """Vectors over F_q^d with the quadratic form |x| = sum(x_i^2).
 
-Points and vectors are plain tuples of field-element indices.  The "norm"
-is not a metric: distinct points can sit at distance 0 (isotropic
-differences), and the spread of a triple is undefined whenever one of its
-arm norms vanishes.  Undefined is represented by ``None`` throughout and is
-never coerced to 0.
+A ``PointSet`` is one (n, d) int32 array of element indices; tuples exist
+only at the edges.  The "norm" is not a metric: distinct points can sit at
+distance 0 (isotropic differences), and the spread of a triple is undefined
+whenever one of its arm norms vanishes.  Undefined is represented by
+``None`` throughout and is never coerced to 0.
 
 The geometry runs batched on discrete logs (``Field.log``), N cases at a
 time, every inner product by ``Field.log_dot``: ``arm_spreads`` gives
@@ -12,16 +12,15 @@ spreads by one gather, ``arm_k_spreads`` order-k spreads from Gram
 matrices, ``eliminate`` is the one forward Gaussian elimination, and
 ``random_orthogonals`` multiplies the reflections of many seeds at once.
 ``spread``, ``k_spread`` and ``rank`` are their one-case calls on tuples.
-``index_blocks`` enumerates F_q^d in blocks, behind spheres and
-``construct.span``.
+``index_blocks`` enumerates F_q^d in blocks, behind ``all_points``, spheres
+and ``construct.span``.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,11 +42,6 @@ DEFAULT_ENUM_BUDGET = 10**8
 
 def format_spread(s: SpreadValue) -> str:
     return "Undefined" if s is None else f"Value({s})"
-
-
-def _check_dims(u: Sequence, v: Sequence) -> None:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dimensions {len(u)} and {len(v)} differ")
 
 
 # -- spreads -------------------------------------------------------------------
@@ -84,7 +78,8 @@ def k_spread(fd: ff.Field, points: Sequence[Vec], budget: int = DEFAULT_ENUM_BUD
 def _arms(fd: ff.Field, points: Sequence[Vec]) -> np.ndarray:
     """The arms points[i] - points[0], i >= 1, as logs (k, d)."""
     for p in points[1:]:
-        _check_dims(points[0], p)
+        if len(p) != len(points[0]):
+            raise DimensionMismatch(f"dimensions {len(points[0])} and {len(p)} differ")
     x = fd.log[np.array(points, dtype=np.int64)]
     return fd.log_add(x[1:], fd.log_neg(x[0]))
 
@@ -169,28 +164,45 @@ def eliminate(fd: ff.Field, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PointSet:
-    """Ordered, duplicate-free collection of points sharing field and dimension."""
+    """Ordered, duplicate-free points of one field and dimension, held as one
+    read-only (n, dim) int32 array, from an array or any iterable of points;
+    ``points`` builds their tuples on each call.  A bad input raises the
+    error of its first bad point: another dimension, then a coordinate out
+    of range (checked before the int32 cast would wrap it), then a repeat."""
 
-    __slots__ = ("field", "dim", "points", "_arr")
+    __slots__ = ("field", "dim", "_coords")
 
-    def __init__(self, field: ff.Field, dim: int, points: Iterable[Vec]):
-        pts = [tuple(p) for p in points]
-        seen = set()
-        for p in pts:
-            if len(p) != dim:
+    def __init__(self, field: ff.Field, dim: int, points: Union[np.ndarray, Iterable[Sequence[int]]]):
+        rows = points
+        if not (isinstance(points, np.ndarray) and points.shape[1:] == (dim,)):
+            rows = [tuple(p) for p in points]
+            points = rows[: next((i for i, p in enumerate(rows) if len(p) != dim), len(rows))]
+            points = np.array(points, dtype=object).reshape(len(points), dim)  # Python ints: no overflow
+        ok = ((points >= 0) & (points < field.q)).all(axis=1)
+        good = len(ok) if ok.all() else int(ok.argmin())  # the rows before the first out of range
+        coords = points[:good].astype(np.int32)
+        weights = np.array([field.q**k for k in range(dim - 1, -1, -1)], dtype=np.int64 if field.q**dim < 2**63 else object)
+        codes = coords @ weights  # base-q codes, in Python ints where int64 would overflow
+        order = np.argsort(codes, kind="stable")  # a repeat sorts after the row it repeats
+        first = int(order[1:][codes[order[1:]] == codes[order[:-1]]].min(initial=good))
+        if first < len(rows):
+            p = tuple(int(x) for x in rows[first])
+            if first == len(ok):
                 raise DimensionMismatch(f"point {p} does not have dimension {dim}")
-            if any(not 0 <= x < field.q for x in p):
+            if first == good:
                 raise FormatError(f"coordinate out of range in {p}")
-            if p in seen:
-                raise DuplicatePoint(f"duplicate point {p}")
-            seen.add(p)
+            raise DuplicatePoint(f"duplicate point {p}")
+        coords.flags.writeable = False
         self.field = field
         self.dim = dim
-        self.points = tuple(pts)
-        self._arr = None
+        self._coords = coords
+
+    @property
+    def points(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self._coords.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._coords)
 
     def __iter__(self):
         return iter(self.points)
@@ -200,23 +212,21 @@ class PointSet:
             isinstance(other, PointSet)
             and self.field == other.field
             and self.dim == other.dim
-            and self.points == other.points
+            and np.array_equal(self._coords, other._coords)
         )
 
     def __repr__(self) -> str:
         return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self)})"
 
     def as_array(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.array(self.points, dtype=np.int32).reshape(len(self.points), self.dim)
-        return self._arr
+        return self._coords
 
     # File format: first line "q=<int> d=<int>" (exactly these two keys),
     # then one point per line as d comma-separated element indices.
 
     def dumps(self) -> str:
         lines = [f"q={self.field.q} d={self.dim}"]
-        lines += [",".join(str(x) for x in p) for p in self.points]
+        lines += [",".join(map(str, p)) for p in self._coords.tolist()]
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -261,7 +271,7 @@ def check_space(fd: ff.Field, d: int, budget: int) -> None:
 def all_points(fd: ff.Field, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointSet:
     """All of F_q^d in lexicographic order."""
     check_space(fd, d, budget)
-    return PointSet(fd, d, itertools.product(fd.elements(), repeat=d))
+    return PointSet(fd, d, np.concatenate(list(index_blocks(fd, d))))
 
 
 def sphere_points(
@@ -271,7 +281,7 @@ def sphere_points(
     if not 0 <= t < fd.q:
         raise FormatError(f"t = {t} is not an element index of F_{fd.q}")
     check_space(fd, d, budget)
-    return PointSet(fd, d, [p for b in sphere_blocks(fd, d, t) for p in b.tolist()])
+    return PointSet(fd, d, np.concatenate(list(sphere_blocks(fd, d, t))))
 
 
 def sphere_size(fd: ff.Field, d: int, t: int) -> int:

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from typing import NamedTuple
 
-from fqspread import expt, geom
+from fqspread import errors, expt, geom
 
 
 class ReferenceField:
@@ -342,6 +342,22 @@ def naive_distances(ps):
             for a, b in itertools.combinations(ps.points, 2)
         }
     )
+
+
+def naive_pointset_error(q, dim, points):
+    """The error class and detail of the first bad point, one point at a
+    time in order, each judged by its dimension, then its coordinate range,
+    then a repeat of an earlier point; None when every point is good."""
+    seen = set()
+    for p in map(tuple, points):
+        if len(p) != dim:
+            return errors.DimensionMismatch, f"point {p} does not have dimension {dim}"
+        if any(not 0 <= x < q for x in p):
+            return errors.FormatError, f"coordinate out of range in {p}"
+        if p in seen:
+            return errors.DuplicatePoint, f"duplicate point {p}"
+        seen.add(p)
+    return None
 
 
 def naive_sphere_points(fd, d, t):

@@ -224,6 +224,23 @@ def test_census_duplicate_points_rejected(tmp_path, capsys):
     assert err.splitlines()[0] == "DuplicatePoint"
 
 
+@pytest.mark.parametrize(
+    "rows, code, detail",
+    [
+        ("4294967297,0", "FormatError", "coordinate out of range in (4294967297, 0)"),  # 1 in int32
+        (f"{10**30},0", "FormatError", f"coordinate out of range in ({10**30}, 0)"),
+        ("-1,0", "FormatError", "coordinate out of range in (-1, 0)"),
+        ("1,1\n1,1\n9,9", "DuplicatePoint", "duplicate point (1, 1)"),  # the repeat comes first
+    ],
+)
+def test_point_file_names_the_first_bad_point(tmp_path, capsys, rows, code, detail):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"q=5 d=2\n0,0\n{rows}\n")
+    status, out, err = run_cli(capsys, "census", "spreads", "--points", str(path))
+    assert (status, out) == (1, "")
+    assert err.splitlines() == [code, f"detail: {detail}"]
+
+
 def test_kspread_eval(tmp_path, capsys):
     path = tmp_path / "k.txt"
     PointSet(Field(5), 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).save(path)

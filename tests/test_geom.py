@@ -13,6 +13,7 @@ from conftest import (
     mat_vec,
     naive_det,
     naive_k_spread,
+    naive_pointset_error,
     naive_random_orthogonal,
     naive_rank,
     naive_sphere_points,
@@ -23,7 +24,7 @@ from conftest import (
     vscale,
     vsub,
 )
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fqspread import census, errors, expt, geom
@@ -449,6 +450,64 @@ def test_pointset_validation():
         PointSet(F5, 2, [(0, 0, 0)])
     with pytest.raises(errors.FormatError):
         PointSet(F5, 2, [(0, 7)])
+    # out of range before any cast: 2^32 + 1 would wrap to 1 in int32
+    for x in (2**32 + 1, 10**30, -1):
+        with pytest.raises(errors.FormatError) as exc:
+            PointSet(F5, 2, [(1, 1), (x, 0)])
+        assert str(exc.value) == f"coordinate out of range in ({x}, 0)"
+        if x < 2**63:
+            with pytest.raises(errors.FormatError):
+                PointSet(F5, 2, np.array([(1, 1), (x, 0)], dtype=np.int64))
+    # the empty set, a line, and numpy inputs, among them an empty (0, d) one
+    for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+        ps = PointSet(F5, 2, empty)
+        assert (len(ps), ps.points, list(ps), ps.as_array().shape) == (0, (), [], (0, 2))
+    assert PointSet(F5, 1, [(3,), (0,)]).points == ((3,), (0,))
+    ps = PointSet(F5, 2, np.array([(4, 1), (0, 3)], dtype=np.int64))
+    assert ps == PointSet(F5, 2, [(4, 1), (0, 3)]) and ps.points == ((4, 1), (0, 3))
+    assert ps.as_array().dtype == np.int32
+    with pytest.raises(errors.DuplicatePoint):
+        PointSet(F5, 2, np.array([(4, 1), (0, 3), (4, 1)], dtype=np.int64))
+    # 5^40 overflows int64: such rows are told apart by the ranks of their codes
+    far = [(4,) * 40, (4,) * 39 + (3,)]
+    assert PointSet(F5, 40, far).points == tuple(far)
+    with pytest.raises(errors.DuplicatePoint):
+        PointSet(F5, 40, far + far[:1])
+
+
+@seed(32)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pointset_names_the_first_bad_point(data):
+    # good points with injected faults: another dimension, a coordinate out
+    # of range (some of them wrapping into range in int32), a repeat
+    q, dim = data.draw(st.sampled_from([(3, 1), (5, 2), (9, 3)]))
+    coord = st.integers(0, q - 1)
+    bad = st.sampled_from([-1, q, 2**31, 2**32 + 1, -(2**32) + 2, 10**30])
+    points = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = data.draw(st.sampled_from(["good", "good", "good", "dim", "range", "repeat"]))
+        if kind == "repeat" and points:
+            points.append(data.draw(st.sampled_from(points)))
+            continue
+        p = data.draw(st.lists(coord, min_size=dim, max_size=dim))
+        if kind == "dim":
+            p = p + [0] if data.draw(st.booleans()) else p[:-1]
+        elif kind == "range":
+            p[data.draw(st.integers(0, dim - 1))] = data.draw(bad)
+        points.append(tuple(p))
+    fd = parse_field({3: "3", 5: "5", 9: "3^2"}[q])
+    want = naive_pointset_error(q, dim, points)
+    inputs = [points]
+    if all(len(p) == dim and all(abs(x) < 2**63 for x in p) for p in points):
+        inputs.append(np.array(points, dtype=np.int64).reshape(len(points), dim))
+    for given_points in inputs:
+        if want is None:
+            assert PointSet(fd, dim, given_points).points == tuple(points)
+            continue
+        with pytest.raises(want[0]) as exc:
+            PointSet(fd, dim, given_points)
+        assert (type(exc.value), str(exc.value)) == want
 
 
 def test_pointset_file_roundtrip(tmp_path):
