@@ -20,10 +20,13 @@ A map of the module:
   (``_add_gram``, or ``_add_pairs``, whose one gather counts the arm pairs
   unweighted, their spreads read from a class table or evaluated on the
   repeated representatives, or in the one-value mode ``_add_partners``,
-  which counts from a class table's partner lists).  A class table is
-  (left, right, flat):
-  for planes the cyclic closed form ``_plane_table``, read through the
-  call's ``_plane_cycle``, whose logs for q = 3 mod 4 come from
+  which counts from a class table's partner lists).  Every call, in all
+  three modes, keeps one ``_Tally``: the histograms, each apex row's arms
+  and the defined count that finishes a set (q + 1, never reached,
+  outside the value mode); the undefined slot always comes in closed
+  form from the arms.  A class table is (left, right, flat): for planes
+  the cyclic closed form ``_plane_table``, read through the call's
+  ``_plane_cycle``, whose logs for q = 3 mod 4 come from
   ``ff._plane_class_powers``, or the u x u ``_class_table`` raveled.
 - ``distinct_distances`` visits the pairs in blocks, by polarization from
   Gram blocks (``_pair_distances``), until it has seen all
@@ -162,7 +165,7 @@ def _sweep(point_sets: Iterable[PointSet], budget: int, values: bool = False, ga
     values the kernel's value mode, stopped at ``spread_value_count``, or
     with gamma its one-value mode, exact in entry gamma alone."""
     for fd, logs in _stacks(point_sets, check_triples, budget):
-        yield from _spread_histograms(fd, logs, spread_value_count(fd, logs.shape[2]) if values else None, gamma)
+        yield from _spread_histograms(fd, logs, spread_value_count(fd, logs.shape[2]) if values else fd.q + 1, gamma)
 
 
 def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
@@ -187,11 +190,11 @@ def _stacks(point_sets: Iterable[PointSet], gate, budget: int):
         yield fd, fd.log.take(np.stack([ps.as_array() for ps in stack]), mode="wrap")
 
 
-def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = None, gamma: Optional[int] = None) -> np.ndarray:
-    """Exact int64 spread histograms (S, q + 1) of all ordered triples of
-    each of the S sets of logs (S, n, d); with values, a count of defined
-    values no set can exceed, the value sets and undefined slots only;
-    with gamma, a spread value, slot gamma only.
+def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: int, gamma: Optional[int] = None) -> np.ndarray:
+    """Int64 spread histograms (S, q + 1) of all ordered triples of each of
+    the S sets of logs (S, n, d), each gathered until it holds values
+    defined values, so exact for values = q + 1, which no set reaches;
+    with gamma, a spread value, exact in slot gamma only.
 
     Every apex holds n - 1 arms, and counts each unordered pair of them
     once, then twice over.  The arms fall into k projective classes with
@@ -240,7 +243,7 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
       without one, evaluated by ``Field.log_dot`` and
       ``Field.spread_from_terms`` on the repeated representatives, each
       arm's norm term taken once per block, are counted by one unweighted
-      ``np.bincount`` into a histogram of the window's sets;
+      ``np.bincount`` and added twice over to the tally's histograms;
     - but in the one-value mode a window with a table takes neither:
       ``_add_partners`` counts only its class pairs at spread gamma, from
       the partners of each class in the table, its rows' multiplicities
@@ -257,7 +260,7 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     built in row blocks of about _BLOCK_CELLS cells.  The gather goes in
     tiles of about _BLOCK_CELLS / 2 cells, or one row of arm positions of
     a block, into buffers of at least that many cells and as many as the
-    histogram of the window's sets, which it adds, no larger than hist.
+    slots of the window's sets, no larger than hist.
     The Gram path multiplies batches of sets of about _BLOCK_CELLS cells of
     M and G, or one set: G_s and its histogram indices are u x u int64, at
     most _TABLE_CELLS cells each, and as k <= u the rule bounds M by
@@ -273,35 +276,32 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     multiplicities below n over at most n rows, so it stays below n^3, as
     does every histogram slot, and the triple gate has admitted n^3.
 
-    With values, the value mode, a set is finished once its defined slots
-    hold that many nonzero counts, and its slots then stay as they are: a
-    value slot is nonzero exactly where the value occurs, but it counts
-    only the triples gathered before the set finished.  A window whose
-    sets are all finished builds no class ids or table; the gather checks
-    a block's sets after each full buffer, on the window's own counts plus
-    what earlier windows added to hist, so a set straddling windows is
-    judged whole, and skips the rest of a block whose sets are finished.
-    The Gram path runs its windows whole.  The undefined slot comes in
-    closed form instead, from the representatives' norms: an apex whose
-    classes with isotropic representatives hold i of its arms has
+    The tally (``_Tally``) is one shape in every mode: the histograms, the
+    arms and isotropic arms of each apex row, which every window records
+    first, and values.  A set is finished once its defined slots hold
+    values nonzero counts, and its slots then stay as they are: a value
+    slot is nonzero exactly where the value occurs, but it counts only the
+    triples gathered before the set finished.  ``spread_censuses`` passes
+    ``spread_value_count``; exact calls and the one-value mode pass q + 1
+    and never finish.  A window whose sets are all finished builds no
+    class ids or table; the gather adds each full buffer to hist and
+    checks a block's sets at its start and after each buffer, so a set
+    straddling windows is judged whole, and skips the rest of a block
+    whose sets are finished.  The Gram path runs its windows whole.  In
+    the one-value mode a set's slot gamma is exact, and its other slots
+    hold only what its windows without a table gathered.  Every set's
+    rows' multiplicities must sum to n (n - 1), and the histogram of
+    every set neither finished nor counted in the one-value mode to
+    n (n - 1) (n - 2), or the call raises ``InternalError``: the triples
+    are not all covered.  Then the undefined slot takes its closed form
+    from the representatives' norms, in every mode: an apex whose classes
+    with isotropic representatives hold i of its arms has
     (n - 1)(n - 2) - (n - 1 - i)(n - 2 - i) ordered arm pairs with an
-    isotropic arm, the undefined ones.  The producer runs on every apex
-    row for this count.
-
-    With gamma, the one-value mode of ``spread_occurrences``, a set's slot
-    gamma is exact, and its other slots hold only what its windows without
-    a table gathered.
-
-    A set's rows' multiplicities must sum to n (n - 1), and the histogram
-    of a set whose every triple was gathered, each set of an exact call
-    and each unfinished set of the value mode, to n (n - 1) (n - 2), or
-    the call raises ``InternalError``: the triples are not all covered.
-    The value and one-value modes check the multiplicities; the
-    one-value mode, whose histograms do not sum, checks nothing else.
+    isotropic arm, the undefined ones.  The one-value mode, whose
+    undefined slot nothing reads, takes no norms.
     """
     s, n = logs.shape[:2]
-    arms = None if values is None and gamma is None else np.zeros((1 if values is None else 2, s * n), dtype=np.int64)
-    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, arms, gamma)
+    tally = _Tally(np.zeros(s * (fd.q + 1), dtype=np.int64), fd.q + 1, values, np.zeros((2, s * n), dtype=np.int64), gamma)
     plane = functools.cache(functools.partial(_plane_cycle, fd))  # built by the first window that needs it
     window: list = []
     cells = 0
@@ -314,55 +314,40 @@ def _spread_histograms(fd: ff.Field, logs: np.ndarray, values: Optional[int] = N
     if window:
         _add_window(fd, n, window, tally, plane)
     hist = tally.hist.reshape(s, fd.q + 1)
-    if gamma is not None:
-        if (arms.reshape(s, n).sum(axis=1) != n * (n - 1)).any():
-            raise InternalError("spread count does not cover every apex's arms")
-        return hist
-    short = hist.sum(axis=1) != n * (n - 1) * (n - 2)
-    if values is not None:
-        # a finished set stops short; its rows must still hold every arm
-        short &= np.count_nonzero(hist[:, :-1], axis=1) < values
-        total, iso = arms.reshape(2, s, n)
-        short |= total.sum(axis=1) != n * (n - 1)
-        defined = n - 1 - iso
-        hist[:, -1] = ((n - 1) * (n - 2) - defined * (defined - 1)).sum(axis=1)
+    total, iso = tally.arms.reshape(2, s, n)
+    short = total.sum(axis=1) != n * (n - 1)
+    if gamma is None:
+        short |= (hist.sum(axis=1) != n * (n - 1) * (n - 2)) & (np.count_nonzero(hist[:, :-1], axis=1) < values)
     if short.any():
         raise InternalError("spread histogram does not cover every ordered triple")
+    defined = n - 1 - iso
+    hist[:, -1] = ((n - 1) * (n - 2) - defined * (defined - 1)).sum(axis=1)
     return hist
 
 
 class _Tally(NamedTuple):
-    """The flat histograms of a kernel call, slots = q + 1 a set, and
-    values, the defined count that finishes a set; in the value mode also
-    arms (2, S n), the arms and the isotropic arms of each apex row, in
-    the one-value mode arms (1, S n), the arms of each apex row, and None
-    where every triple is counted; gamma, the one spread value counted,
+    """The flat histograms of a kernel call, slots = q + 1 a set; values,
+    the defined count that finishes a set; arms (2, S n), the arms and the
+    isotropic arms of each apex row; gamma, the one spread value counted,
     or None."""
 
     hist: np.ndarray
     slots: int
-    values: Optional[int]
-    arms: Optional[np.ndarray]
+    values: int
+    arms: np.ndarray
     gamma: Optional[int]
 
-    def finished(self, s0: int, s1: int, partial: Optional[np.ndarray] = None) -> bool:
-        """Whether each set s0 <= s < s1 holds values defined values in
-        hist, plus partial, slots of those sets not yet added to it."""
-        if self.values is None:
-            return False
-        got = self.hist[s0 * self.slots : s1 * self.slots]
-        if partial is not None:
-            got = got + partial
-        return bool((np.count_nonzero(got.reshape(s1 - s0, self.slots)[:, :-1], axis=1) >= self.values).all())
+    def finished(self, s0: int, s1: int) -> bool:
+        """Whether each set s0 <= s < s1 holds values defined values."""
+        got = self.hist[s0 * self.slots : s1 * self.slots].reshape(s1 - s0, self.slots)
+        return bool((np.count_nonzero(got[:, :-1], axis=1) >= self.values).all())
 
-    def add_arms(self, window: list, k: np.ndarray, isotropic: Optional[np.ndarray]) -> None:
-        """Record the arms of the window's apex rows, with k classes a row:
-        the multiplicities of each row's classes, and in the value mode of
-        those flagged isotropic (sum k,).  Every row has a class, so no
-        reduceat span is empty."""
-        lo, mult = window[0][0], np.concatenate([m for _, _, m, _ in window])
-        counted = [mult] if isotropic is None else [mult, mult * isotropic]
-        self.arms[:, lo : lo + len(k)] = np.add.reduceat(np.stack(counted), np.cumsum(k) - k, axis=1)
+    def add_arms(self, lo: int, k: np.ndarray, mult: np.ndarray, isotropic: np.ndarray | bool) -> None:
+        """Record the arms of apex rows lo, lo + 1, ..., with k classes a
+        row: the multiplicities mult of each row's classes, and of those
+        flagged isotropic (sum k,; False to record none).  Every row has a
+        class, so no reduceat span is empty."""
+        self.arms[:, lo : lo + len(k)] = np.add.reduceat(np.stack([mult, mult * isotropic]), np.cumsum(k) - k, axis=1)
 
 
 # Apexes per block are chosen so block * n * d stays near this many cells,
@@ -386,16 +371,15 @@ def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> Non
     per-apex table, whichever ``_spread_histograms``'s rule picks, or in
     the one-value mode, where the window has a class table, by the
     partners of its classes at spread gamma, unless the window's sets are
-    all finished; plane() gives the call's ``_plane_cycle``.  The value
-    and one-value modes record every window's arms first."""
+    all finished; plane() gives the call's ``_plane_cycle``.  It records
+    the window's arms first, and concatenates its blocks' k, mult and
+    reps once: the Gram and one-value paths take (lo, k, mult)."""
     q, d = fd.q, window[0][3].shape[1]
-    reps = np.concatenate([r for _, _, _, r in window])
-    k = np.concatenate([k for _, k, _, _ in window])
     lo = window[0][0]
-    if tally.arms is not None:
-        tally.add_arms(window, k, None if tally.values is None else fd.log_dot(reps, reps) == fd.zero_log)
-        if tally.finished(lo // n, (lo + len(k) - 1) // n + 1):
-            return
+    k, mult, reps = (np.concatenate([block[i] for block in window]) for i in (1, 2, 3))
+    tally.add_arms(lo, k, mult, tally.gamma is None and fd.log_dot(reps, reps) == fd.zero_log)
+    if tally.finished(lo // n, (lo + len(k) - 1) // n + 1):
+        return
     ids, first = _class_ids(fd, reps)
     u = len(first)
     limit = min(int((k * k).sum()), _TABLE_CELLS)
@@ -406,9 +390,9 @@ def _add_window(fd: ff.Field, n: int, window: list, tally: _Tally, plane) -> Non
         c = np.arange(u, dtype=np.int32)
         table = c * u, c, _class_table(fd, reps[first]).ravel()
     if table is not None and tally.gamma is not None:
-        _add_partners(n, window, ids, table, tally)
+        _add_partners(n, lo, k, mult, ids, table, tally)
     elif table is not None and u * u <= limit and 2 * len(k) * u * u <= _GRAM_RATIO * int((k * (k + 1)).sum()):
-        _add_gram(fd, n, window, ids, table, tally)
+        _add_gram(fd, n, lo, k, mult, ids, table, tally)
     else:
         _add_pairs(fd, n, window, ids, table, tally)
 
@@ -424,25 +408,25 @@ def _class_ids(fd: ff.Field, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, first
 
 
-def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple, tally: _Tally) -> None:
-    """The Gram path of ``_add_window``.  Row r of M_s (rows, u) holds the
-    multiplicities of apex row r of set s by class id, so G_s = M_s^T M_s
-    counts the arm pairs of every class pair; less M_s's column sums on its
-    diagonal (each arm with itself), G_s is added to set s's slots of the
-    tally by the value of the u x u table the class table (left, right,
-    flat) spans.  G is additive over rows, so a set straddling windows adds
-    the partial G of each.  Each M_s has as many rows as the most any set
-    has in the window, and the sets are multiplied in batches of about
-    _BLOCK_CELLS cells of M and G, or one set."""
+def _add_gram(fd: ff.Field, n: int, lo: int, k: np.ndarray, mult: np.ndarray, ids: np.ndarray, table: tuple, tally: _Tally) -> None:
+    """The Gram path of ``_add_window``, on its apex rows lo, lo + 1, ...
+    with k classes a row of multiplicities mult.  Row r of M_s (rows, u)
+    holds the multiplicities of apex row r of set s by class id, so
+    G_s = M_s^T M_s counts the arm pairs of every class pair; less M_s's
+    column sums on its diagonal (each arm with itself), G_s is added to
+    set s's slots of the tally by the value of the u x u table the class
+    table (left, right, flat) spans.  G is additive over rows, so a set
+    straddling windows adds the partial G of each.  Each M_s has as many
+    rows as the most any set has in the window, and the sets are
+    multiplied in batches of about _BLOCK_CELLS cells of M and G, or one
+    set."""
     hist = tally.hist
     left, right, flat = table
     u = len(left)
     spreads = flat.take(left[:, None] + right[None, :], mode="clip").ravel()
-    k = np.concatenate([k for _, k, _, _ in window])
-    lo, hi = window[0][0], window[0][0] + len(k)
+    hi = lo + len(k)
     # the row of each of the window's classes, in the order of ids and mult
     row = np.repeat(np.arange(lo, hi), k)
-    mult = np.concatenate([m for _, _, m, _ in window])
     # the window's rows of set s0 + j are start[j], start[j] + 1, ...
     s0, count = lo // n, (hi - 1) // n - lo // n + 1
     start = np.maximum(np.arange(s0, s0 + count) * n, lo)
@@ -463,9 +447,10 @@ def _add_gram(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: tuple,
         np.add.at(hist[(s0 + s) * (fd.q + 1) :], slot.ravel(), gram.ravel())
 
 
-def _add_partners(n: int, window: list, ids: np.ndarray, table: tuple, tally: _Tally) -> None:
-    """The one-value path of ``_add_window``: the ordered arm pairs at
-    spread gamma = tally.gamma, from the partners of each class in the
+def _add_partners(n: int, lo: int, k: np.ndarray, mult: np.ndarray, ids: np.ndarray, table: tuple, tally: _Tally) -> None:
+    """The one-value path of ``_add_window``, on its apex rows lo, lo + 1,
+    ... with k classes a row of multiplicities mult: the ordered arm pairs
+    at spread gamma = tally.gamma, from the partners of each class in the
     window's class table (left, right, flat), the classes c' with
     flat[left_c + right_c'] = gamma: the positions of gamma in flat from
     left_c on, less left_c, are their right values, which inv maps back to
@@ -491,9 +476,7 @@ def _add_partners(n: int, window: list, ids: np.ndarray, table: tuple, tally: _T
     partners = np.full((int(count.max()), u), u, dtype=np.intp)  # column c: c's partners
     partners[_ranges(np.zeros(u, dtype=np.intp), count), cls] = partner
     own = flat.take(left + right, mode="clip") == gamma
-    k = np.concatenate([k for _, k, _, _ in window])
-    mult = np.concatenate([m for _, _, m, _ in window])
-    lo, rows = window[0][0], len(k)
+    rows = len(k)
     first = np.append(np.cumsum(k) - k, len(ids))  # each row's first class, and the end
     counts = np.empty(rows, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // 2 // (u + 1 + int(k.max()) * len(partners)))
@@ -529,20 +512,19 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
     ``Field.log_dot`` and ``Field.spread_from_terms``, each arm's norm term
     taken once per block.  A tile has about _BLOCK_CELLS / 2 cells, or one
     row of arm positions of a block; a block's tiles fill buffers kept for
-    the window, at least as long as the histogram of the window's sets,
-    and each time they are full, and at the block's end, one unweighted
-    ``np.bincount`` counts them into that histogram, added twice over into
-    the tally's at the end: the spreads of a block whose rows all belong to
-    one set as they are, those of a block that straddles sets after each
-    row's set offset.  So the slots a bincount sweeps are paid once per
-    full buffer, or once per block, however large q is.  In the value mode
-    a block whose sets are finished, at its start or after a full buffer,
-    gathers no further tile."""
+    the window, at least as long as the slots of the window's sets, and
+    each time they are full, and at the block's end, one unweighted
+    ``np.bincount`` counts them, and its counts are added twice over (each
+    pair stands for two ordered ones) to the tally's slots of the block's
+    sets: the spreads of a block whose rows all belong to one set as they
+    are, those of a block that straddles sets after each row's set
+    offset.  So the slots a bincount sweeps are paid once per full buffer,
+    or once per block, however large q is.  A block whose sets are
+    finished, at its start or after a full buffer, gathers no further
+    tile."""
     slots, w, tile = fd.q + 1, n - 1, _BLOCK_CELLS // 2
-    s0 = window[0][0] // n
-    # the window's sets' slots, each unordered pair once
-    half = np.zeros(((window[-1][0] + len(window[-1][1]) - 1) // n + 1 - s0) * slots, dtype=np.int64)
-    cells = max(tile, len(half), max(len(k) for _, k, _, _ in window) * w)
+    span = (window[-1][0] + len(window[-1][1]) - 1) // n + 1 - window[0][0] // n  # the window's sets
+    cells = max(tile, span * slots, max(len(k) for _, k, _, _ in window) * w)
     idx = np.empty(cells, dtype=np.int32)
     spreads = idx if table is None else np.empty(cells, dtype=table[2].dtype)
     triangles: dict = {}  # per tile width, the positions i < j of its pairs
@@ -560,14 +542,14 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
 
     def finished() -> bool:
         """Whether the current block's sets are all finished."""
-        return tally.finished(s0 + sets[0], s0 + sets[-1] + 1, into)
+        return tally.finished(sets[0], sets[-1] + 1)
 
     at = 0
     for lo, k, mult, reps in window:
         block, at = ids[at : at + len(reps)], at + len(reps)
         rows = len(k)
-        sets = np.arange(lo, lo + rows) // n - s0
-        into = half[sets[0] * slots : (sets[-1] + 1) * slots]
+        sets = np.arange(lo, lo + rows) // n
+        into = tally.hist[sets[0] * slots : (sets[-1] + 1) * slots]
         if finished():
             continue
         offset = ((sets - sets[0]) * slots)[:, None] if sets[0] != sets[-1] else None
@@ -586,7 +568,7 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             rect = fill + rows * (a1 - a0) * (w - a1)
             end = rect + rows * len(i)
             if end > cells:
-                into += np.bincount(counted[:fill], minlength=len(into))
+                into += 2 * np.bincount(counted[:fill], minlength=len(into))
                 if finished():
                     break
                 rect, end, fill = rect - fill, end - fill, 0
@@ -605,9 +587,7 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
                     np.add(spreads[a:b].reshape(rows, -1), offset, out=idx[a:b].reshape(rows, -1))
             a0, fill = a1, end
         else:
-            into += np.bincount(counted[:fill], minlength=len(into))
-    half *= 2
-    tally.hist[s0 * slots : s0 * slots + len(half)] += half
+            into += 2 * np.bincount(counted[:fill], minlength=len(into))
 
 
 def _class_table(fd: ff.Field, reps: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from conftest import (
     total_affine_lines,
     vadd,
 )
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fqspread import census, construct, errors, expt, geom
 from fqspread.census import (
@@ -158,17 +160,19 @@ def record_paths(monkeypatch):
     def rows(window):
         return window[0][0], window[-1][0] + len(window[-1][1])
 
-    def gram(fd, n, window, ids, table, hist):
-        paths.append(("gram", *rows(window)))
-        add_gram(fd, n, window, ids, table, hist)
+    def gram(*args):
+        lo, k = args[2:4]  # fd, n, lo, k, mult, ids, table, tally
+        paths.append(("gram", lo, lo + len(k)))
+        add_gram(*args)
 
     def pairs(fd, n, window, ids, table, hist):
         paths.append(("per-apex" if table is None else "pairs", *rows(window)))
         add_pairs(fd, n, window, ids, table, hist)
 
-    def partners(n, window, ids, table, tally):
-        paths.append(("partners", *rows(window)))
-        add_partners(n, window, ids, table, tally)
+    def partners(*args):
+        lo, k = args[1:3]  # n, lo, k, mult, ids, table, tally
+        paths.append(("partners", lo, lo + len(k)))
+        add_partners(*args)
 
     monkeypatch.setattr(census, "_add_gram", gram)
     monkeypatch.setattr(census, "_add_pairs", pairs)
@@ -931,8 +935,9 @@ def test_spread_census_checks_the_gather_of_a_set_that_never_finishes(path, monk
     kernel = "_add_gram" if path == "gram" else "_add_pairs"
     add = getattr(census, kernel)
 
-    def losing_one(fd, n, window, ids, table, tally):
-        add(fd, n, window, ids, table, tally)
+    def losing_one(*args):
+        add(*args)
+        tally = args[-1]  # the last argument of either path
         tally.hist[np.flatnonzero(tally.hist)[0]] -= 1
 
     monkeypatch.setattr(census, kernel, losing_one)
@@ -1055,6 +1060,48 @@ def test_gather_on_straddling_and_single_set_blocks(block, straddling, path, mon
     assert [h.tolist() for h in census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET)] == hists
     assert any(lo // 10 != last // 10 for lo, last in blocks) == straddling
     assert tables == {path == "pairs"}
+
+
+@functools.lru_cache(maxsize=None)
+def stack_pools(fd, d):
+    """The pools a stack of test_every_mode_on_stacks_that_straddle_blocks
+    draws its sets from: all of F_q^d, and for q = 1 mod 4 the extremal
+    set of d = 2 or 3, con1 or con2, whose subsets never finish."""
+    pools = [geom.all_points(fd, d)]
+    if fd.q % 4 == 1 and d > 1:
+        pools.append(construct.con1_set(fd, 2) if d == 2 else construct.con2_set(fd, 3))
+    return pools
+
+
+@seed(33)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_mode_on_stacks_that_straddle_blocks(data):
+    # stacks of 1-4 sets of 3-12 points, some drawn from con1/con2, under
+    # tiny blocks and windows, each forced path and each producer: the
+    # gather adds each buffer straight into the tally, so a block that
+    # straddles sets must write each set's slots in every mode
+    fd = data.draw(st.sampled_from([F3, F5, F7, F9, F13]))
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(3, min(12, fd.q**d)))
+    sets = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        pool = data.draw(st.sampled_from([p for p in stack_pools(fd, d) if len(p) >= n]))
+        rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n, unique=True))
+        sets.append(PointSet(fd, d, pool.as_array()[rows]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_BLOCK_CELLS", data.draw(st.integers(1, 2 * n)) * n * d)
+        mp.setattr(census, "_WINDOW_CELLS", data.draw(st.integers(1, 400)))
+        mp.setattr(census, *FORCED_PATHS[data.draw(st.sampled_from(sorted(FORCED_PATHS)))])
+        force_producer(mp, data.draw(st.sampled_from(sorted(PRODUCERS))))
+        hists = list(census._sweep(sets, census.DEFAULT_TRIPLE_BUDGET))
+        cens = census.spread_censuses(sets)
+        for ps, hist, cen in zip(sets, hists, cens):
+            counts = naive_spread_counts(ps)
+            assert hist.tolist() == [counts[v] for v in range(fd.q)] + [counts[None]]
+            values, undefined, scanned = naive_spread_census(ps)
+            assert (list(cen.defined_values), cen.undefined_triples, cen.triples_scanned) == (values, undefined, scanned)
+            assert [spread_occurrences(ps, g) for g in range(fd.q)] == [counts[g] for g in range(fd.q)]
 
 
 def test_per_apex_gather_evaluates_only_pairs(monkeypatch):
