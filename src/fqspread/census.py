@@ -540,17 +540,13 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
         else:
             np.add(first(lhs), second(rhs), out=x)
 
-    def finished() -> bool:
-        """Whether the current block's sets are all finished."""
-        return tally.finished(sets[0], sets[-1] + 1)
-
     at = 0
     for lo, k, mult, reps in window:
         block, at = ids[at : at + len(reps)], at + len(reps)
         rows = len(k)
         sets = np.arange(lo, lo + rows) // n
         into = tally.hist[sets[0] * slots : (sets[-1] + 1) * slots]
-        if finished():
+        if tally.finished(sets[0], sets[-1] + 1):
             continue
         offset = ((sets - sets[0]) * slots)[:, None] if sets[0] != sets[-1] else None
         if table is None:
@@ -569,7 +565,7 @@ def _add_pairs(fd: ff.Field, n: int, window: list, ids: np.ndarray, table: Optio
             end = rect + rows * len(i)
             if end > cells:
                 into += 2 * np.bincount(counted[:fill], minlength=len(into))
-                if finished():
+                if tally.finished(sets[0], sets[-1] + 1):
                     break
                 rect, end, fill = rect - fill, end - fill, 0
             pairs(lambda a: a[:, a0:a1, None], lambda a: a[:, None, a1:], slice(fill, rect), (rows, a1 - a0, w - a1))
